@@ -145,10 +145,6 @@ class OuterDivergenceError(FuncsolError):
     category = SOLVER
 
 
-class VerificationFailure(FuncsolError):
-    category = VERIFICATION
-
-
 # --- oracles / config ---------------------------------------------------------
 
 class UnknownOracleError(FuncsolError):

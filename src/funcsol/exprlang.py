@@ -12,9 +12,10 @@ Numbers accept decimal and exponent forms (``1.5``, ``.5``, ``2e-3``).
 ``pi`` is the only builtin constant and parses directly to its value.
 The callable set is fixed: sin, cos, exp, log, sqrt, abs.
 
-Evaluation is an interpreted tree walk over numpy ufuncs, so an
-environment may bind variables to floats or to same-shaped arrays and
-the result broadcasts accordingly.
+Each AST is compiled once into a straight-line function over numpy
+ufuncs, so variables may be floats or same-shaped arrays and the result
+broadcasts. Leaving the real domain and overflow anywhere, ``*`` and
+``/`` included, raise EvalDomainError instead of producing inf or NaN.
 """
 
 from __future__ import annotations
@@ -195,56 +196,64 @@ def collect_variables(node: ExprAST) -> frozenset:
     return frozenset()
 
 
-def _check_finite(value, what):
-    if not np.all(np.isfinite(value)):
-        raise EvalDomainError(f"{what} produced a non-finite value")
-    return value
+_BINOPS = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "{} / {}", "^": "power({}, {})"}
 
 
-def _eval(node, env):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        try:
-            return env[node.name]
-        except KeyError:
-            raise UnknownVariableError(node.name) from None
-    if isinstance(node, Neg):
-        return -_eval(node.operand, env)
-    if isinstance(node, BinOp):
-        a = _eval(node.left, env)
-        b = _eval(node.right, env)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            if np.any(np.asarray(b) == 0.0):
-                raise EvalDomainError("division by zero")
-            return a / b
-        # '^'
-        with np.errstate(all="ignore"):
-            out = np.power(a, b)
-        return _check_finite(out, "power")
-    # Call
-    x = _eval(node.arg, env)
-    if node.func == "log" and np.any(np.asarray(x) <= 0.0):
-        raise EvalDomainError("log of non-positive value")
-    if node.func == "sqrt" and np.any(np.asarray(x) < 0.0):
-        raise EvalDomainError("sqrt of negative value")
-    with np.errstate(all="ignore"):
-        out = FUNCTIONS[node.func](x)
-    return _check_finite(out, node.func)
+def _compile(node):
+    """One straight-line Python function of ``env`` computing ``node``.
+
+    Only whitelisted templates and generated names reach ``exec``; names
+    and constants are bound in the namespace. Operands are float64 arrays
+    or scalars, so every operation obeys the caller's numpy error state.
+    """
+    namespace = {"asarray": np.asarray, "power": np.power, **FUNCTIONS}
+    body, loaded = [], {}
+
+    def assign(code):
+        body.append(f"t{len(body)} = {code}")
+        return f"t{len(body) - 1}"
+
+    def bind(value):
+        namespace[f"k{len(namespace)}"] = value
+        return f"k{len(namespace) - 1}"
+
+    def emit(n):
+        if isinstance(n, Num):
+            return bind(np.float64(n.value))
+        if isinstance(n, Var):
+            if n.name not in loaded:
+                loaded[n.name] = assign(f"asarray(env[{bind(n.name)}], float)")
+            return loaded[n.name]
+        if isinstance(n, Neg):
+            return assign(f"-{emit(n.operand)}")
+        if isinstance(n, BinOp) and n.op in _BINOPS:
+            return assign(_BINOPS[n.op].format(emit(n.left), emit(n.right)))
+        if isinstance(n, Call) and n.func in FUNCTIONS:
+            return assign(f"{n.func}({emit(n.arg)})")
+        raise ValueError(f"not an expression node: {n!r}")
+
+    result = emit(node)
+    exec("\n    ".join(["def compiled(env):", *body, f"return {result}"]), namespace)
+    object.__setattr__(node, "_compiled", namespace["compiled"])   # cache on the node
+    return namespace["compiled"]
 
 
 def evaluate(node: ExprAST, env):
-    """Evaluate an AST over an environment of floats or numpy arrays."""
-    out = _eval(node, env)
-    if np.ndim(out) == 0:
-        return float(out)
-    return np.asarray(out, dtype=float)
+    """Evaluate an AST over an environment of floats or numpy arrays.
+
+    Every floating point exception but underflow is an EvalDomainError.
+    """
+    fn = node.__dict__.get("_compiled") or _compile(node)
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+            out = fn(env)
+    except (FloatingPointError, ZeroDivisionError) as exc:
+        raise EvalDomainError(f"'{render(node)}' left its real domain: {exc}") from None
+    except KeyError as exc:
+        raise UnknownVariableError(exc.args[0]) from None
+    if isinstance(out, np.ndarray) and out.ndim:
+        return out
+    return float(out)
 
 
 # Canonical rendering. parse(render(t)) is structurally identical to t for

@@ -24,8 +24,6 @@ GAMMA1 = 1
 GAMMA2 = 2
 GAMMA3 = 3
 
-TAG_NAMES = {INTERIOR: "interior", GAMMA1: "gamma1", GAMMA2: "gamma2", GAMMA3: "gamma3"}
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -41,21 +39,12 @@ class Grid:
             arr.setflags(write=False)
 
     @property
-    def dims(self):
-        return (self.x1.size, self.x2.size)
-
-    @property
     def n1(self):
         return self.x1.size
 
     @property
     def n2(self):
         return self.x2.size
-
-    @property
-    def extents(self):
-        return ((float(self.x1[0]), float(self.x1[-1])),
-                (float(self.x2[0]), float(self.x2[-1])))
 
     @property
     def spacing(self):
@@ -72,12 +61,6 @@ class Grid:
     def unknown_mask(self):
         """Nodes carrying an equation row: interior plus Neumann edges."""
         return (self.node_tags == INTERIOR) | (self.node_tags == GAMMA2)
-
-    @property
-    def boundary_mask(self):
-        m = np.zeros(self.shape, dtype=bool)
-        m[0, :] = m[-1, :] = m[:, 0] = m[:, -1] = True
-        return m
 
     def coordinate_arrays(self):
         """Node coordinates as two (n1, n2) arrays in row-major layout."""

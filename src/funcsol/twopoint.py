@@ -14,10 +14,12 @@ Three backends cover the three regimes:
 * ``solve_shooting``: Newton on the shooting map S(gamma) = U(p*; gamma) - u*
   with a forward-difference Jacobian, initialized from the constant
   coefficient linearization at the origin. A near-singular Jacobian is the
-  resonance signal and is reported, never silently resolved.
-* ``solve_scalar``: bisection on gamma for the single equation
+  resonance signal and is reported, never silently resolved. The last
+  Jacobian batch's base trajectory is the returned profile.
+* ``solve_scalar``: batched k-section on gamma for the single equation
   dU/dp = gamma*F(U, p) with F = b/a > 0, using the strict monotonicity of
-  the endpoint in gamma.
+  the endpoint in gamma. RK4 integrates a stack of gammas for about the
+  cost of one, so each pass integrates KSECTION_WIDTH candidates at once.
 
 Profiles are stored as node samples on a uniform odd-count mesh and are
 treated as piecewise-linear interpolants by the reconstruction layer.
@@ -25,6 +27,7 @@ treated as piecewise-linear interpolants by the reconstruction layer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +36,7 @@ from . import exprlang
 from .errors import (
     BracketFailureError,
     DegenerateLinearizationError,
+    EvalDomainError,
     FuncsolError,
     MaxIterationError,
     NonEllipticError,
@@ -57,6 +61,7 @@ MODES = (MOLECULAR, DARCY, SCALAR)
 SINGULAR_COND_LIMIT = 1e12
 RESONANCE_COND_LIMIT = 1e8
 MIN_DAMPING = 1.0 / 16.0
+KSECTION_WIDTH = 31         # interior candidates per batched k-section pass
 BOX_PAD = 0.5
 
 
@@ -101,6 +106,7 @@ class ProblemSpec:
                 raise ValueError("scalar mode requires the b coefficient")
             if self.b_next is None:
                 self.b_next = self.b[0]
+            self.scalar_f = exprlang.BinOp("/", self.b[0], self.a[0][0])  # compiled once
         if self.b is not None and len(self.b) != self.n:
             raise ValueError(f"b must have {self.n} entries")
         allowed = self.variables
@@ -376,12 +382,7 @@ def _rhs_batch(spec: ProblemSpec, p, U):
     """
     k = U.shape[0]
     env = spec.env(U.T, p)
-    A = spec.eval_a(env, (k,))
-    b = spec.eval_b(env, (k,))
-    bn = spec.eval_b_next(env, (k,))
-    if np.ndim(bn) == 0:
-        bn = np.full(k, bn)
-    return A, b, bn
+    return spec.eval_a(env, (k,)), spec.eval_b(env, (k,)), spec.eval_b_next(env, (k,))
 
 
 def _integrate_batch(spec: ProblemSpec, gammas, n_nodes, trajectory=False):
@@ -402,8 +403,13 @@ def _integrate_batch(spec: ProblemSpec, gammas, n_nodes, trajectory=False):
 
     if spec.mode == SCALAR:
         def f(p, state):
-            return gammas * np.atleast_1d(_scalar_f(spec, state[:, 0], p))[:, None]
+            return (gammas[:, 0] * _scalar_f(spec, state[:, 0], p))[:, None]
     else:
+        if spec.n == 1:
+            # |A|_F / |det A| is identically 1 for n = 1, so scale |a| by its
+            # value at the launch point instead; a singular launch trips at once
+            a_scale2 = float(_rhs_batch(spec, 0.0, np.zeros((1, 1)))[0][0, 0, 0]) ** 2 or math.inf
+
         def f(p, state):
             A, b, bn = _rhs_batch(spec, p, state)
             rhs = gammas * bn[:, None] - b
@@ -416,7 +422,7 @@ def _integrate_batch(spec: ProblemSpec, gammas, n_nodes, trajectory=False):
                 fro2 = a00**2 + a01**2 + a10**2 + a11**2
             else:
                 det = A[:, 0, 0] if spec.n == 1 else np.linalg.det(A)
-                fro2 = np.einsum("kij,kij->k", A, A)
+                fro2 = a_scale2 if spec.n == 1 else np.einsum("kij,kij->k", A, A)
             est = np.sqrt(fro2) ** spec.n / np.maximum(np.abs(det), 1e-300)
             worst = float(np.max(est))
             if not np.isfinite(worst) or worst > SINGULAR_COND_LIMIT:
@@ -460,16 +466,13 @@ def _origin_linearization(spec: ProblemSpec):
     gamma -> U(p*) has Jacobian J0 = p* b_{n+1}(0) A(0)^-1. J0's norm is
     the natural sensitivity scale the resonance check measures against.
     """
-    env0 = spec.env(np.zeros((spec.n, 1)), np.zeros(1))
-    A0 = spec.eval_a(env0, (1,))[0]
+    A, b, bn = _rhs_batch(spec, 0.0, np.zeros((1, spec.n)))
+    A0, b0, bn0 = A[0], b[0], float(bn[0])
     det = float(np.linalg.det(A0))
     scale = max(1.0, float(np.abs(A0).max()) ** spec.n)
     if abs(det) <= 1e-14 * scale:
         raise DegenerateLinearizationError(
             f"origin coefficient determinant D = {det:.3e} is degenerate", determinant=det)
-    b0 = spec.eval_b(env0, (1,))[0]
-    bn0 = spec.eval_b_next(env0, (1,))
-    bn0 = float(np.asarray(bn0).ravel()[0])
     if abs(bn0) <= 1e-14:
         raise DegenerateLinearizationError(
             f"origin value of b_next ({bn0:.3e}) is degenerate", determinant=bn0)
@@ -478,13 +481,21 @@ def _origin_linearization(spec: ProblemSpec):
     return gamma0, j0_norm
 
 
-def shooting_jacobian(spec: ProblemSpec, gamma, n_nodes: int = 1001):
-    """Forward-difference Jacobian of gamma -> U(p*; gamma)."""
+def _jacobian_batch(spec: ProblemSpec, gamma, n_nodes):
+    """Forward-difference Jacobian of gamma -> U(p*; gamma), with the mesh
+    and the (n, m) profiles of the unperturbed run, from one batch."""
     gamma = np.asarray(gamma, dtype=float)
     steps = 1e-6 * (1.0 + np.abs(gamma))
     gammas = np.vstack([gamma, gamma + np.diag(steps)])
-    _, ends = _integrate_batch(spec, gammas, n_nodes)
-    return (ends[1:] - ends[0]).T / steps[None, :], ends[0]
+    mesh, traj = _integrate_batch(spec, gammas, n_nodes, trajectory=True)
+    J = (traj[-1, 1:] - traj[-1, 0]).T / steps[None, :]
+    return J, mesh, traj[:, 0, :].T
+
+
+def shooting_jacobian(spec: ProblemSpec, gamma, n_nodes: int = 1001):
+    """Forward-difference Jacobian of gamma -> U(p*; gamma)."""
+    J, _, profiles = _jacobian_batch(spec, gamma, n_nodes)
+    return J, profiles[:, -1]
 
 
 def solve_shooting(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
@@ -503,7 +514,9 @@ def solve_shooting(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
     cond = np.inf
     iterations = 0
     for iterations in range(1, max_newton + 1):
-        J, end = shooting_jacobian(spec, gamma, n_nodes)
+        # keep the base trajectory: the converged one is the solution
+        J, mesh, profiles = _jacobian_batch(spec, gamma, n_nodes)
+        end = profiles[:, -1]
         # at a resonance the endpoint map loses rank, but discretization
         # error leaves a uniformly tiny, well-conditioned J; measure the
         # smallest singular value against the map's natural scale instead
@@ -525,7 +538,6 @@ def solve_shooting(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
         raise MaxIterationError(
             f"shooting did not reach {tol:.3e} in {max_newton} Newton iterations "
             f"(endpoint mismatch {residual:.3e})", last_update=residual)
-    mesh, profiles = integrate_profiles(spec, gamma, n_nodes)
     return ProfileSolution(
         mesh=mesh,
         profiles=profiles,
@@ -542,15 +554,16 @@ def solve_shooting(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
 
 def _scalar_f(spec: ProblemSpec, u, p):
     env = {"u1": u, "p": p}
-    a = exprlang.evaluate(spec.a[0][0], env)
-    if np.any(np.asarray(a) == 0.0):
-        raise SingularMatrixError(f"scalar coefficient a vanished near p = {p}")
-    return exprlang.evaluate(spec.b[0], env) / a
+    try:
+        return exprlang.evaluate(spec.scalar_f, env)
+    except EvalDomainError:
+        if not np.all(exprlang.evaluate(spec.a[0][0], env)):
+            raise SingularMatrixError(f"scalar coefficient a vanished near p = {p}") from None
+        raise
 
 
 def _scalar_endpoint(spec: ProblemSpec, gamma, n_nodes):
-    _, ends = _integrate_batch(spec, np.array([[gamma]]), n_nodes)
-    return float(ends[0, 0])
+    return float(_integrate_batch(spec, np.array([[gamma]]), n_nodes)[1][0, 0])
 
 
 def _check_f_positive(spec: ProblemSpec, samples: int = 65, pad: float = BOX_PAD):
@@ -567,29 +580,38 @@ def _check_f_positive(spec: ProblemSpec, samples: int = 65, pad: float = BOX_PAD
 
 def solve_scalar(spec: ProblemSpec, bracket_hints=None, n_nodes: int = 1001,
                  tol: float = 1e-10, max_bisect: int = 200) -> ProfileSolution:
-    """Bisection on gamma for dU/dp = gamma*F(U,p), F = b/a > 0.
+    """Batched k-section on gamma for dU/dp = gamma*F(U,p), F = b/a > 0.
 
     ``bracket_hints``, when given, are the integrals (int_0^p* r, int_0^p* q)
     of lower/upper bounds r <= F <= q, yielding the analytic initial bracket
     [u*/int q, u*/int r]. Otherwise the bracket grows geometrically from 0.
-    The endpoint map's strict monotonicity in gamma is asserted on the
-    sampled pairs of every solve.
+    Each pass integrates KSECTION_WIDTH interior candidates in one batch;
+    ``max_bisect`` halvings buy ceil(max_bisect / 5) passes. The endpoint
+    map's strict monotonicity in gamma is asserted on every sampled pair.
     """
     if spec.mode != SCALAR:
         raise ValueError("solve_scalar applies to scalar-mode problems")
     _check_f_positive(spec)
     u_star = float(spec.u_star[0])
     evals = {}
+    runs = 0                    # integrations, each of one batch of gammas
 
     def g(gam):
+        nonlocal runs
         if gam not in evals:
             evals[gam] = _scalar_endpoint(spec, gam, n_nodes)
+            runs += 1
         return evals[gam]
 
-    gamma = None
-    if u_star == 0.0:
-        gamma = 0.0
-    else:
+    def batch(gams):
+        nonlocal runs
+        _, ends = _integrate_batch(spec, np.array(gams)[:, None], n_nodes)
+        runs += 1
+        evals.update(zip(gams, ends[:, 0].tolist()))
+        return ends[:, 0]
+
+    gamma = 0.0 if u_star == 0.0 else None
+    if gamma is None:
         if bracket_hints is not None:
             r_int, q_int = float(bracket_hints[0]), float(bracket_hints[1])
             if r_int <= 0 or q_int <= 0:
@@ -597,58 +619,50 @@ def solve_scalar(spec: ProblemSpec, bracket_hints=None, n_nodes: int = 1001,
             lo, hi = sorted((u_star / q_int, u_star / r_int))
         else:
             lo = hi = 0.0
-        for cand in (lo, hi):
-            if abs(g(cand) - u_star) <= tol:
-                gamma = cand
+        # the endpoint map increases in gamma: move whichever end is short
+        step = abs(u_star) / spec.p_star
+        for grow in range(61):
+            gamma = next((c for c in (lo, hi) if abs(g(c) - u_star) <= tol), None)
+            if gamma is not None or (g(lo) - u_star) * (g(hi) - u_star) < 0.0:
                 break
-        if gamma is None:
-            # expand until the endpoint straddles the target
-            step = abs(u_star) / spec.p_star
-            grow = 0
-            while not (g(lo) - u_star) * (g(hi) - u_star) < 0.0:
-                grow += 1
-                if grow > 60:
-                    raise BracketFailureError(
-                        f"no sign change in the endpoint map after {grow - 1} expansions "
-                        f"(gamma in [{lo:.6g}, {hi:.6g}])")
-                if u_star > 0:
-                    if g(hi) < u_star:
-                        hi += step
-                    else:
-                        lo -= step
-                else:
-                    if g(lo) > u_star:
-                        lo -= step
-                    else:
-                        hi += step
-                step *= 2.0
-            for _ in range(max_bisect):
-                mid = 0.5 * (lo + hi)
-                gm = g(mid)
-                if abs(gm - u_star) <= tol:
-                    gamma = mid
-                    break
-                if gm < u_star:
-                    lo = mid
-                else:
-                    hi = mid
+            if grow == 60:
+                raise BracketFailureError(
+                    f"no sign change in the endpoint map after {grow} expansions "
+                    f"(gamma in [{lo:.6g}, {hi:.6g}])")
+            if g(hi) < u_star:
+                hi += step
             else:
+                lo -= step
+            step *= 2.0
+        passes, best_miss = 0, math.inf
+        while gamma is None:
+            if passes == math.ceil(max_bisect / 5):
+                raise MaxIterationError(f"k-section did not reach {tol:.3e} in {passes} passes",
+                                        last_update=best_miss)
+            passes += 1
+            nodes = np.linspace(lo, hi, KSECTION_WIDTH + 2)
+            ends = batch(nodes[1:-1].tolist())
+            miss = np.abs(ends - u_star)
+            best = int(np.argmin(miss))
+            best_miss = float(miss[best])
+            if best_miss <= tol:
+                gamma = float(nodes[1 + best])
+                break
+            below = int(np.count_nonzero(ends < u_star))
+            if not 0.0 < nodes[below + 1] - nodes[below] < hi - lo:
                 raise MaxIterationError(
-                    f"bisection did not reach {tol:.3e} in {max_bisect} steps",
-                    last_update=abs(g(0.5 * (lo + hi)) - u_star))
+                    f"k-section bracket [{lo:.17g}, {hi:.17g}] stopped shrinking before "
+                    f"the endpoint reached {tol:.3e}", last_update=best_miss)
+            lo, hi = float(nodes[below]), float(nodes[below + 1])
 
     # monotonicity witness: at least 5 sampled gamma pairs, strictly increasing
-    probe_nodes = min(require_odd(n_nodes), 513)
-    base = gamma if gamma != 0.0 else 1.0
-    for fac in (0.5, 0.75, 1.25, 1.5):
-        cand = base * fac
-        if cand not in evals:
-            evals[cand] = _scalar_endpoint(spec, cand, probe_nodes)
-        if len(evals) >= 6:
-            break
-    pairs = sorted(evals.items())
-    gs = [v for _, v in pairs]
-    if any(g2 <= g1 for g1, g2 in zip(gs, gs[1:])):
+    # beyond the rounding noise of an m-step integration (tol may lie below it)
+    if len(evals) < 6:
+        base = gamma if gamma != 0.0 else 1.0
+        batch([base * fac for fac in (0.5, 0.75, 1.25, 1.5) if base * fac not in evals])
+    gs = [evals[gam] for gam in sorted(evals)]
+    slack = require_odd(n_nodes) * np.finfo(float).eps * max(abs(v) for v in gs)
+    if any(g2 <= g1 - slack for g1, g2 in zip(gs, gs[1:])):
         raise FuncsolError(
             "endpoint map is not strictly increasing in gamma; "
             "the positivity of F does not hold along the trajectories")
@@ -663,7 +677,8 @@ def solve_scalar(spec: ProblemSpec, bracket_hints=None, n_nodes: int = 1001,
         boundary_error=float(np.max(np.abs(profiles[:, -1] - spec.u_star))),
         stats={
             "method": "scalar_bisection",
-            "iterations": len(evals),
-            "monotone_samples": len(pairs),
+            "iterations": runs,
+            "endpoint_evaluations": len(evals),
+            "monotone_samples": len(gs),
         },
     )

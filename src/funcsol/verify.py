@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import exprlang
 from .errors import OuterDivergenceError, ShapeMismatchError
 from .geometry import GAMMA1, GAMMA3, Grid
 from .numerics import cumulative_simpson, derivative_4th
@@ -146,7 +147,7 @@ def compare_fields(a: FieldSet, b: FieldSet) -> dict:
             "l2": float(np.sqrt(np.mean(stacked**2)))}
 
 
-def _simpson_faces(grid: Grid, expr_eval, states):
+def _simpson_faces(grid: Grid, expr, states):
     """Simpson-blend face coefficients for one expression.
 
     ``states`` maps variable names to node arrays; the face value combines
@@ -154,7 +155,8 @@ def _simpson_faces(grid: Grid, expr_eval, states):
     averaged state, making the quadrature exact for coefficients quadratic
     along the face.
     """
-    c_nodes = np.broadcast_to(np.asarray(expr_eval(states), dtype=float), grid.shape)
+    c_nodes = np.broadcast_to(np.asarray(exprlang.evaluate(expr, states), dtype=float),
+                              grid.shape)
 
     def mid(axis):
         if axis == 0:
@@ -162,7 +164,7 @@ def _simpson_faces(grid: Grid, expr_eval, states):
         else:
             avg = {k: 0.5 * (v[:, :-1] + v[:, 1:]) for k, v in states.items()}
         shape = (grid.n1 - 1, grid.n2) if axis == 0 else (grid.n1, grid.n2 - 1)
-        return np.broadcast_to(np.asarray(expr_eval(avg), dtype=float), shape)
+        return np.broadcast_to(np.asarray(exprlang.evaluate(expr, avg), dtype=float), shape)
 
     cfx = (c_nodes[:-1, :] + 4.0 * mid(0) + c_nodes[1:, :]) / 6.0
     cfy = (c_nodes[:, :-1] + 4.0 * mid(1) + c_nodes[:, 1:]) / 6.0
@@ -180,8 +182,6 @@ def direct_coupled_solve(spec: ProblemSpec, grid: Grid, tol: float = 1e-9,
     nodewise field update drops below tol; five consecutive growths of the
     update norm abort with an outer-divergence error.
     """
-    from . import exprlang as _el  # local alias for closures below
-
     value_scale = float(max(np.max(np.abs(spec.u_star)), spec.p_star, 1.0))
 
     def solve_eq(stencil, bc, source, x0):
@@ -198,9 +198,6 @@ def direct_coupled_solve(spec: ProblemSpec, grid: Grid, tol: float = 1e-9,
     u = np.stack([us * z0 for us in spec.u_star])
     p = spec.p_star * z0 if spec.mode in (DARCY, SCALAR) else None
 
-    def eval_on(expr):
-        return lambda states: _el.evaluate(expr, states)
-
     grow_streak = 0
     prev_update = np.inf
     for outer in range(1, max_outer + 1):
@@ -212,22 +209,22 @@ def direct_coupled_solve(spec: ProblemSpec, grid: Grid, tol: float = 1e-9,
         update = 0.0
         p_new = p
         if p is not None:
-            cfx, cfy = _simpson_faces(grid, eval_on(spec.b_next), states)
+            cfx, cfy = _simpson_faces(grid, spec.b_next, states)
             p_new = solve_eq(DivergenceStencil(grid, cfx, cfy),
                              dirichlet_targets(grid, 0.0, spec.p_star), None, p)
             update = max(update, float(np.max(np.abs(p_new - p))))
         u_new = np.empty_like(u)
         for i in range(spec.n):
-            cfx, cfy = _simpson_faces(grid, eval_on(spec.a[i][i]), states)
+            cfx, cfy = _simpson_faces(grid, spec.a[i][i], states)
             source = np.zeros(grid.shape)
             if spec.mode != SCALAR:
                 for j in range(spec.n):
                     if j == i:
                         continue
-                    ox, oy = _simpson_faces(grid, eval_on(spec.a[i][j]), states)
+                    ox, oy = _simpson_faces(grid, spec.a[i][j], states)
                     source -= DivergenceStencil(grid, ox, oy).apply(u[j])
                 if spec.mode == DARCY:
-                    bx, by = _simpson_faces(grid, eval_on(spec.b[i]), states)
+                    bx, by = _simpson_faces(grid, spec.b[i], states)
                     source -= DivergenceStencil(grid, bx, by).apply(p_new)
             u_new[i] = solve_eq(DivergenceStencil(grid, cfx, cfy),
                                 dirichlet_targets(grid, 0.0, spec.u_star[i]), source, u[i])

@@ -92,6 +92,10 @@ def test_domain_errors():
         ev("sqrt(u1)", u1=-1.0)
     with pytest.raises(EvalDomainError):
         ev("exp(p)", p=1e4)  # overflow reported, not returned as inf
+    with pytest.raises(EvalDomainError):
+        ev("exp(u1)*exp(u1)", u1=400.0)  # each factor finite, the product not
+    with pytest.raises(EvalDomainError):
+        ev("1/u1", u1=1e-320)  # nonzero subnormal divisor overflows
 
 
 def test_array_evaluation_broadcasts():
@@ -138,3 +142,52 @@ def test_render_examples():
     # reparsing canonical text is a fixed point
     t = parse_expression("-(u1+2)^2/sin(p)", VARS)
     assert parse_expression(render(t), VARS) == t
+
+
+# --- compiled evaluation against a reference tree walk ------------------------
+
+class _Undefined(Exception):
+    pass
+
+
+_REF_BINOPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+               "^": np.power}
+_REF_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
+              "sqrt": np.sqrt, "abs": np.abs}
+
+
+def _reference(node, env):
+    """Node-by-node evaluation; any non-finite intermediate is undefined."""
+    if isinstance(node, Num):
+        return np.float64(node.value)
+    if isinstance(node, Var):
+        return np.asarray(env[node.name], dtype=float)
+    with np.errstate(all="ignore"):
+        if isinstance(node, Neg):
+            out = -_reference(node.operand, env)
+        elif isinstance(node, BinOp):
+            out = _REF_BINOPS[node.op](_reference(node.left, env),
+                                       _reference(node.right, env))
+        else:
+            out = _REF_FUNCS[node.func](_reference(node.arg, env))
+    if not np.all(np.isfinite(out)):
+        raise _Undefined
+    return out
+
+
+_values = st.floats(min_value=-800.0, max_value=800.0, allow_nan=False)
+_bindings = st.one_of(_values, st.lists(_values, min_size=3, max_size=3).map(np.array))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_asts(4), st.fixed_dictionaries({name: _bindings for name in sorted(VARS)}))
+def test_compiled_matches_reference_walk(ast, env):
+    try:
+        expected = _reference(ast, env)
+    except _Undefined:
+        with pytest.raises(EvalDomainError):
+            evaluate(ast, env)
+        return
+    got = evaluate(ast, env)
+    assert np.shape(got) == np.shape(expected)
+    assert np.asarray(got, dtype=float).tobytes() == np.asarray(expected, dtype=float).tobytes()

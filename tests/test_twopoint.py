@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -202,6 +203,17 @@ def test_integrate_diag_closed_form():
     assert prof[0, -1] == pytest.approx(1.0, abs=1e-8)
 
 
+def test_integrate_n1_vanishing_coefficient():
+    # a11 = 1 - p vanishes at p* = 1; |A|_F/|det A| is identically 1 for
+    # n = 1, so the guard must measure a against its value at the origin
+    spec = ProblemSpec.from_strings(1, [["1-p"]], b=["0"], b_next="1",
+                                    u_star=(1.0,), p_star=1.0, mode="darcy")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SingularMatrixError):
+            solve_shooting(spec, n_nodes=257)
+
+
 def test_integrate_singular_on_trajectory():
     # a11 = u1 is singular at the launch point U(0) = 0
     spec = molecular([["u1", "0"], ["0", "1"]], (1.0, 0.0))
@@ -325,6 +337,41 @@ def test_scalar_bracket_failure(monkeypatch):
     with pytest.raises(BracketFailureError):
         tp.solve_scalar(scalar_spec("1+u1^2", "1", 2.0), n_nodes=65)
     assert len(calls) > 60
+
+
+def test_scalar_unhinted_expansion_hits_root():
+    # F = 1, so the first expansion endpoint gamma = u*/p* = 2 is the root
+    # exactly; it must be accepted rather than expanded past
+    sol = solve_scalar(scalar_spec("1+u1^2+p^2", "1+u1^2+p^2", 2.0), n_nodes=257, tol=1e-11)
+    assert sol.gamma[0] == 2.0
+
+
+def test_scalar_ksection_passes():
+    # each pass shrinks the bracket 32-fold: from width e - 1 to 1e-10 in
+    # about 7 passes, plus the two hint endpoints
+    sol = solve_scalar(scalar_spec("exp(u1)", "1", 1.0),
+                       bracket_hints=(math.exp(-1.0), 1.0), n_nodes=257, tol=1e-10)
+    assert sol.stats["iterations"] <= 10
+    assert sol.stats["endpoint_evaluations"] == sol.stats["monotone_samples"] >= 6
+    assert sol.boundary_error <= 1e-10
+
+
+def test_scalar_ksection_pass_budget():
+    # max_bisect counts halvings; 5 of them buy a single 32-fold pass
+    with pytest.raises(MaxIterationError):
+        solve_scalar(scalar_spec("exp(u1)", "1", 1.0), n_nodes=65, tol=1e-10, max_bisect=5)
+
+
+@pytest.mark.parametrize("u_star,solvable", [(1.0, True), (0.7, False)])
+def test_scalar_tol_below_roundoff(u_star, solvable):
+    # below the endpoint map's rounding noise, candidates a few ulps apart
+    # tie or swap: an exact hit is accepted, otherwise the bracket stalls
+    spec = scalar_spec("exp(u1)", "1", u_star)
+    if solvable:
+        assert solve_scalar(spec, n_nodes=65, tol=1e-30).boundary_error == 0.0
+    else:
+        with pytest.raises(MaxIterationError):
+            solve_scalar(spec, n_nodes=65, tol=1e-30)
 
 
 def test_scalar_monotone_endpoint_map():
