@@ -16,13 +16,14 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .geometry import Grid, build_annulus, build_rectangle
-from .twopoint import DARCY, MODES, MOLECULAR, SCALAR, ProblemSpec
+from .twopoint import MODES, MOLECULAR, ProblemSpec
 
-BACKENDS_BY_MODE = {
-    MOLECULAR: ("fixed_point", "shooting"),
-    DARCY: ("shooting",),
-    SCALAR: ("scalar_bisection",),
-}
+
+def allowed_backends(spec: ProblemSpec):
+    """Two-point backends that accept ``spec``; k-section needs n = 1 and no b."""
+    if spec.mode == MOLECULAR:
+        return ("fixed_point", "shooting")
+    return ("shooting", "scalar_bisection") if spec.n == 1 and spec.b is None else ("shooting",)
 
 
 @dataclass
@@ -148,10 +149,10 @@ def load_config(path) -> ProblemConfig:
 
     sol = _Section(parser, "solver")
     backend = sol.raw("backend", required=True)
-    allowed = BACKENDS_BY_MODE[mode]
+    allowed = allowed_backends(spec)
     if backend not in allowed:
         raise ConfigError(
-            f"[solver] backend '{backend}' is incompatible with mode '{mode}' "
+            f"[solver] backend '{backend}' is incompatible with this {spec.mode} problem "
             f"(allowed: {', '.join(allowed)})")
     n_nodes = sol.typed("n", int,
                         default=sol.typed("n_nodes", int, default=1001))

@@ -12,10 +12,11 @@ Numbers accept decimal and exponent forms (``1.5``, ``.5``, ``2e-3``).
 ``pi`` is the only builtin constant and parses directly to its value.
 The callable set is fixed: sin, cos, exp, log, sqrt, abs.
 
-Each AST is compiled once into a straight-line function over numpy
-ufuncs, so variables may be floats or same-shaped arrays and the result
-broadcasts. Leaving the real domain and overflow anywhere, ``*`` and
-``/`` included, raise EvalDomainError instead of producing inf or NaN.
+Each AST, or a bundle of several, is compiled once into a straight-line
+function over numpy ufuncs, so variables may be floats or same-shaped
+arrays and the result broadcasts. Leaving the real domain and overflow
+anywhere, ``*`` and ``/`` included, raise EvalDomainError instead of
+producing inf or NaN.
 """
 
 from __future__ import annotations
@@ -198,16 +199,20 @@ def collect_variables(node: ExprAST) -> frozenset:
 
 _BINOPS = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "{} / {}", "^": "power({}, {})"}
 
+RAISE = {"divide": "raise", "over": "raise", "invalid": "raise", "under": "ignore"}
 
-def _compile(node):
-    """One straight-line Python function of ``env`` computing ``node``.
+
+def _compile(nodes):
+    """One straight-line Python function of ``env`` returning the tuple of
+    the values of ``nodes``; equal subtrees, variables included, are
+    computed once for all of them.
 
     Only whitelisted templates and generated names reach ``exec``; names
     and constants are bound in the namespace. Operands are float64 arrays
     or scalars, so every operation obeys the caller's numpy error state.
     """
     namespace = {"asarray": np.asarray, "power": np.power, **FUNCTIONS}
-    body, loaded = [], {}
+    body, done = [], {}
 
     def assign(code):
         body.append(f"t{len(body)} = {code}")
@@ -218,24 +223,58 @@ def _compile(node):
         return f"k{len(namespace) - 1}"
 
     def emit(n):
+        key = repr(n)           # unlike ==, tells 0.0 from -0.0
+        if key not in done:
+            done[key] = assign(operation(n))
+        return done[key]
+
+    def operation(n):
         if isinstance(n, Num):
             return bind(np.float64(n.value))
         if isinstance(n, Var):
-            if n.name not in loaded:
-                loaded[n.name] = assign(f"asarray(env[{bind(n.name)}], float)")
-            return loaded[n.name]
+            return f"asarray(env[{bind(n.name)}], float)"
         if isinstance(n, Neg):
-            return assign(f"-{emit(n.operand)}")
+            return f"-{emit(n.operand)}"
         if isinstance(n, BinOp) and n.op in _BINOPS:
-            return assign(_BINOPS[n.op].format(emit(n.left), emit(n.right)))
+            return _BINOPS[n.op].format(emit(n.left), emit(n.right))
         if isinstance(n, Call) and n.func in FUNCTIONS:
-            return assign(f"{n.func}({emit(n.arg)})")
+            return f"{n.func}({emit(n.arg)})"
         raise ValueError(f"not an expression node: {n!r}")
 
-    result = emit(node)
-    exec("\n    ".join(["def compiled(env):", *body, f"return {result}"]), namespace)
-    object.__setattr__(node, "_compiled", namespace["compiled"])   # cache on the node
+    results = [emit(n) for n in nodes]
+    exec("\n    ".join(["def compiled(env):", *body, f"return ({', '.join(results)},)"]),
+         namespace)
     return namespace["compiled"]
+
+
+class Bundle:
+    """Several ASTs compiled into one straight-line function of ``env``.
+
+    Calling the bundle returns the tuple of their values and turns every
+    floating point exception but underflow into an EvalDomainError. Hot
+    loops call ``raw`` instead, under one ``np.errstate(**RAISE)`` of
+    their own; calling the bundle again on the environment that failed
+    raises the EvalDomainError.
+    """
+
+    def __init__(self, nodes):
+        self.nodes = tuple(nodes)
+        self.raw = _compile(self.nodes)
+
+    def __call__(self, env):
+        try:
+            with np.errstate(**RAISE):
+                return self.raw(env)
+        except (FloatingPointError, ZeroDivisionError) as exc:
+            reason = exc
+        except KeyError as exc:
+            raise UnknownVariableError(exc.args[0]) from None
+        if len(self.nodes) > 1:
+            # evaluate raises for the first expression that fails on its own;
+            # the bundle computes each exactly as evaluate does, so one does
+            for node in self.nodes:
+                evaluate(node, env)
+        raise EvalDomainError(f"'{render(self.nodes[0])}' left its real domain: {reason}")
 
 
 def evaluate(node: ExprAST, env):
@@ -243,14 +282,11 @@ def evaluate(node: ExprAST, env):
 
     Every floating point exception but underflow is an EvalDomainError.
     """
-    fn = node.__dict__.get("_compiled") or _compile(node)
-    try:
-        with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
-            out = fn(env)
-    except (FloatingPointError, ZeroDivisionError) as exc:
-        raise EvalDomainError(f"'{render(node)}' left its real domain: {exc}") from None
-    except KeyError as exc:
-        raise UnknownVariableError(exc.args[0]) from None
+    bundle = node.__dict__.get("_bundle")
+    if bundle is None:
+        bundle = Bundle((node,))
+        object.__setattr__(node, "_bundle", bundle)     # compiled once, cached on the node
+    out, = bundle(env)
     if isinstance(out, np.ndarray) and out.ndim:
         return out
     return float(out)

@@ -1,8 +1,8 @@
 """Compose profile solutions with the pivot field into full grid fields.
 
-Molecular problems map u_i(x) = U_i(z(x)) directly. Darcy-form problems
-first recover the pressure through the Kirchhoff map
-Theta(p) = int_0^p b_{n+1}(U(t), t) dt: the transformed variable is
+Molecular problems map u_i(x) = U_i(z(x)) directly. Darcy problems, the
+scalar spelling included, first recover the pressure through the Kirchhoff
+map Theta(p) = int_0^p b_{n+1}(U(t), t) dt: the transformed variable is
 harmonic, so eta(x) = eta* z(x) and p(x) = Theta^-1(eta* z(x)). Profiles
 are evaluated as piecewise-linear interpolants of their node samples,
 which keeps every lookup monotone; the sampled Theta map is inverted
@@ -23,7 +23,7 @@ from .errors import NonPositiveWeightError, ProfileRangeError
 from .geometry import GAMMA1, GAMMA3, POLAR, Grid
 from .numerics import cumulative_simpson
 from .pivot import PivotField
-from .twopoint import DARCY, MOLECULAR, SCALAR, ProblemSpec, ProfileSolution
+from .twopoint import DARCY, MOLECULAR, ProblemSpec, ProfileSolution
 
 SPAN_SLACK = 1e-12
 
@@ -57,7 +57,7 @@ class FieldSet:
 
     grid: Grid
     u_fields: np.ndarray                 # (n, n1, n2)
-    p_field: np.ndarray | None = None    # (n1, n2), darcy/scalar only
+    p_field: np.ndarray | None = None    # (n1, n2), darcy only
     flux_fields: dict | None = None      # name -> (2, n1, n2) vectors
 
     @property
@@ -101,20 +101,17 @@ def _stamp_dirichlet(grid: Grid, fields: np.ndarray, u_star, p_field=None, p_sta
 def _flux_fields(grid: Grid, spec: ProblemSpec, u_fields, p_field):
     """Flux vectors per conservation law plus the transport velocity."""
     grads = [_gradient(grid, u) for u in u_fields]
-    env = spec.env(u_fields, p_field if p_field is not None else np.zeros(grid.shape))
-    shape = grid.shape
-    A = spec.eval_a(env, shape)
+    A, b, bn = spec.coefficients(u_fields, 0.0 if p_field is None else p_field)
     fluxes = {}
     for i in range(spec.n):
-        q = np.zeros((2,) + shape)
+        q = np.zeros((2,) + grid.shape)
         for j in range(spec.n):
             q += A[..., i, j] * grads[j]
-        if spec.mode == DARCY and p_field is not None:
-            q += spec.eval_b(env, shape)[..., i] * _gradient(grid, p_field)
+        if b is not None:
+            q += b[..., i] * _gradient(grid, p_field)
         name = ("q_h", "q_m")[i] if spec.n == 2 else f"q_{i+1}"
         fluxes[name] = q
     if p_field is not None:
-        bn = spec.eval_b_next(env, shape)
         fluxes["v"] = -bn * _gradient(grid, p_field)
     return fluxes
 
@@ -136,10 +133,9 @@ def kirchhoff_theta(sol: ProfileSolution, spec: ProblemSpec) -> ThetaMap:
     The integrand must be strictly positive along the whole profile; zero
     or negative samples make the map non-invertible and are refused.
     """
-    if spec.mode not in (DARCY, SCALAR):
-        raise ValueError("the Kirchhoff map applies to darcy and scalar problems")
-    env = spec.env(sol.profiles, sol.mesh)
-    w = spec.eval_b_next(env, (sol.mesh.size,))
+    if spec.mode != DARCY:
+        raise ValueError("the Kirchhoff map applies to darcy problems")
+    w = spec.coefficients(sol.profiles, sol.mesh)[2]
     wmin = float(np.min(w))
     if wmin <= 0.0:
         raise NonPositiveWeightError(

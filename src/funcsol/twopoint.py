@@ -5,8 +5,10 @@ Solves, on the pivot interval [0, p*], problems of the form
     sum_j a_ij(U, p) U_j' + b_i(U, p) = gamma_i * b_{n+1}(U, p),
     U(0) = 0,  U(p*) = u*,
 
-where the constants gamma are unknowns fixed by the endpoint data.
-Three backends cover the three regimes:
+where the constants gamma are unknowns fixed by the endpoint data. The
+equation forms are molecular (b absent, b_{n+1} = 1) and darcy; the
+``scalar`` spelling is darcy with n = 1 and b absent. All coefficients
+of a spec come from one compiled (A, b, b_{n+1}) bundle. The backends:
 
 * ``solve_fixed_point``: damped Picard iteration of the integral operator
   T[U](z) = (int_0^z A^-1) (int_0^1 A^-1)^-1 u* for symmetric elliptic
@@ -16,10 +18,11 @@ Three backends cover the three regimes:
   coefficient linearization at the origin. A near-singular Jacobian is the
   resonance signal and is reported, never silently resolved. The last
   Jacobian batch's base trajectory is the returned profile.
-* ``solve_scalar``: batched k-section on gamma for the single equation
-  dU/dp = gamma*F(U, p) with F = b/a > 0, using the strict monotonicity of
-  the endpoint in gamma. RK4 integrates a stack of gammas for about the
-  cost of one, so each pass integrates KSECTION_WIDTH candidates at once.
+* ``solve_scalar``: batched k-section on gamma for darcy problems with
+  n = 1 and b absent, dU/dp = gamma*F(U, p) with F = b_{n+1}/a > 0, using
+  the strict monotonicity of the endpoint in gamma. RK4 integrates a stack
+  of gammas for about the cost of one, so each pass integrates
+  KSECTION_WIDTH candidates at once.
 
 Profiles are stored as node samples on a uniform odd-count mesh and are
 treated as piecewise-linear interpolants by the reconstruction layer.
@@ -55,7 +58,7 @@ from .numerics import (
 
 MOLECULAR = "molecular"
 DARCY = "darcy"
-SCALAR = "scalar"
+SCALAR = "scalar"           # a spelling of darcy, lowered by ProblemSpec
 MODES = (MOLECULAR, DARCY, SCALAR)
 
 SINGULAR_COND_LIMIT = 1e12
@@ -71,8 +74,9 @@ class ProblemSpec:
 
     ``a`` is an n x n matrix of expression ASTs over u_1..u_n and p;
     ``b`` is absent (zero) and ``b_next`` absent (one) in the molecular
-    case. In scalar mode the single right-side coefficient of the pressure
-    law is stored in both ``b[0]`` and ``b_next`` (it plays both roles).
+    case; a darcy ``b_next`` defaults to one. ``mode="scalar"`` is darcy
+    with n = 1, its lone coefficient spelled ``b[0]``: it lowers to b
+    absent and ``b_next = b[0]``, refusing a ``b_next`` of its own.
     """
 
     n: int
@@ -99,21 +103,22 @@ class ProblemSpec:
                 raise ValueError("molecular mode takes no b or b_next coefficients")
             if self.p_star != 1.0:
                 raise ValueError("molecular mode uses the unit pivot interval, p_star = 1")
+        if self.b is not None and len(self.b) != self.n:
+            raise ValueError(f"b must have {self.n} entries")
         if self.mode == SCALAR:
             if self.n != 1:
                 raise ValueError("scalar mode requires n = 1")
             if self.b is None:
                 raise ValueError("scalar mode requires the b coefficient")
-            if self.b_next is None:
-                self.b_next = self.b[0]
-            self.scalar_f = exprlang.BinOp("/", self.b[0], self.a[0][0])  # compiled once
-        if self.b is not None and len(self.b) != self.n:
-            raise ValueError(f"b must have {self.n} entries")
+            if self.b_next is not None:
+                raise ValueError("scalar mode takes b1 as the pressure-law coefficient; "
+                                 "b_next is for darcy mode")
+            self.mode, self.b, self.b_next = DARCY, None, self.b[0]
+        if self.mode == DARCY and self.b_next is None:
+            self.b_next = exprlang.Num(1.0)
         allowed = self.variables
-        exprs = [e for row in self.a for e in row]
-        exprs += list(self.b or [])
-        if self.b_next is not None:
-            exprs.append(self.b_next)
+        exprs = [e for row in self.a for e in row] + list(self.b or [])
+        exprs.append(exprlang.Num(1.0) if self.b_next is None else self.b_next)
         for e in exprs:
             extra = collect_variables(e) - allowed
             if extra:
@@ -122,6 +127,7 @@ class ProblemSpec:
             for e in exprs:
                 if "p" in collect_variables(e):
                     raise ValueError("molecular coefficients may depend on u_1..u_n only")
+        self.bundle = exprlang.Bundle(exprs)
 
     @property
     def variables(self):
@@ -135,35 +141,19 @@ class ProblemSpec:
         pbn = parse_expression(b_next, allowed) if b_next is not None else None
         return cls(n=n, a=pa, b=pb, b_next=pbn, u_star=u_star, p_star=p_star, mode=mode)
 
-    def env(self, u_values, p_values):
-        """Environment mapping u_i and p onto arrays of matching shapes."""
-        u_values = np.asarray(u_values, dtype=float)
-        out = {f"u{i+1}": u_values[i] for i in range(self.n)}
-        out["p"] = p_values
-        return out
-
-    def eval_a(self, env, shape=()):
-        """Evaluate the coefficient matrix as an (*shape, n, n) array."""
-        out = np.empty(tuple(shape) + (self.n, self.n))
-        for i in range(self.n):
-            for j in range(self.n):
-                out[..., i, j] = exprlang.evaluate(self.a[i][j], env)
-        return out
-
-    def eval_b(self, env, shape=()):
-        out = np.zeros(tuple(shape) + (self.n,))
-        if self.b is not None:
-            for i in range(self.n):
-                out[..., i] = exprlang.evaluate(self.b[i], env)
-        return out
-
-    def eval_b_next(self, env, shape=()):
-        if self.b_next is None:
-            return np.ones(shape) if shape else 1.0
-        out = exprlang.evaluate(self.b_next, env)
-        if shape and np.ndim(out) == 0:
-            out = np.full(shape, out)
-        return out
+    def coefficients(self, u_values, p_values):
+        """(A, b, b_next) at the states (u_1..u_n, p), broadcast together,
+        from one call of the compiled bundle: A is (*shape, n, n), b is
+        (*shape, n) or None when absent, b_next is (*shape), ones when absent.
+        """
+        env = {f"u{i+1}": u for i, u in enumerate(u_values)}
+        env["p"] = p_values
+        shape = np.broadcast_shapes(*map(np.shape, env.values()))
+        values = [np.broadcast_to(v, shape) for v in self.bundle(env)]
+        nn = self.n * self.n
+        A = np.stack(values[:nn], axis=-1).reshape(shape + (self.n, self.n))
+        b = None if self.b is None else np.stack(values[nn:-1], axis=-1)
+        return A, b, values[-1]
 
 
 @dataclass(frozen=True)
@@ -207,17 +197,15 @@ def ellipticity_bounds(spec: ProblemSpec, box=None, samples: int = 33) -> Ellipt
     if box is None:
         box = default_box(spec)
     used = sorted(set().union(*(collect_variables(e) for row in spec.a for e in row)))
-    if used:
-        missing = [v for v in used if v not in box]
-        if missing:
-            raise ValueError(f"box is missing ranges for {missing}")
-        axes = [np.linspace(box[v][0], box[v][1], samples) for v in used]
-        lattice = np.meshgrid(*axes, indexing="ij")
-        env = {v: g.ravel() for v, g in zip(used, lattice)}
-        shape = (lattice[0].size,)
-    else:
-        env, shape = {}, (1,)
-    A = spec.eval_a(env, shape)
+    missing = [v for v in used if v not in box]
+    if missing:
+        raise ValueError(f"box is missing ranges for {missing}")
+    axes = [np.linspace(box[v][0], box[v][1], samples) for v in used]
+    lattice = {v: g.ravel() for v, g in zip(used, np.meshgrid(*axes, indexing="ij"))}
+    # variables the matrix ignores sit at the launch point, 0, where the
+    # solvers evaluate every coefficient anyway
+    A = spec.coefficients([lattice.get(f"u{i+1}", 0.0) for i in range(spec.n)],
+                          lattice.get("p", 0.0))[0]
     sym = 0.5 * (A + np.swapaxes(A, -1, -2))
     eigs = np.linalg.eigvalsh(sym)
     m = float(eigs.min())
@@ -229,9 +217,7 @@ def ellipticity_bounds(spec: ProblemSpec, box=None, samples: int = 33) -> Ellipt
 
 def _inverse_along(spec: ProblemSpec, mesh, profiles):
     """A^-1 at every mesh node, with a condition guard."""
-    m = mesh.size
-    env = spec.env(profiles, mesh)
-    A = spec.eval_a(env, (m,))
+    A = spec.coefficients(profiles, mesh)[0]
     conds = np.linalg.cond(A)
     worst = float(np.max(conds))
     if not np.isfinite(worst) or worst > SINGULAR_COND_LIMIT:
@@ -286,16 +272,12 @@ def collocation_residual(mesh, profiles, gamma, spec: ProblemSpec) -> float:
     u_mid = midpoint_values_4th(profiles)
     du_mid = midpoint_derivatives_4th(profiles, h)
     p_mid = midpoint_values_4th(mesh[None, :])[0]
-    k = p_mid.size
-    env = spec.env(u_mid, p_mid)
-    A = spec.eval_a(env, (k,))
+    A, b, b_next = spec.coefficients(u_mid, p_mid)
     gamma = np.asarray(gamma, dtype=float)
-    if spec.mode == SCALAR:
-        b = exprlang.evaluate(spec.b[0], env)
-        res = A[:, 0, 0] * du_mid[0] - gamma[0] * b
-        return float(np.max(np.abs(res)))
-    defect = np.einsum("kij,jk->ik", A, du_mid) + spec.eval_b(env, (k,)).T
-    defect -= gamma[:, None] * spec.eval_b_next(env, (k,))[None, :]
+    defect = np.einsum("kij,jk->ik", A, du_mid)
+    if b is not None:
+        defect += b.T
+    defect -= gamma[:, None] * b_next[None, :]
     return float(np.max(np.abs(defect)))
 
 
@@ -375,79 +357,83 @@ def solve_fixed_point(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10
     )
 
 
-def _rhs_batch(spec: ProblemSpec, p, U):
-    """U' = A^-1 (gamma*b_next - b) right-hand side pieces for a batch.
-
-    U has shape (k, n); returns A (k, n, n), b (k, n), b_next (k,).
-    """
-    k = U.shape[0]
-    env = spec.env(U.T, p)
-    return spec.eval_a(env, (k,)), spec.eval_b(env, (k,)), spec.eval_b_next(env, (k,))
-
-
 def _integrate_batch(spec: ProblemSpec, gammas, n_nodes, trajectory=False):
-    """Classical RK4 on a uniform mesh, batched over a stack of gammas.
-
-    Darcy/molecular: U' = A^-1 (gamma*b_next - b). Scalar: U' = gamma*b/a
-    (the b coefficient multiplies gamma, it is not an additive flux term).
-    """
+    """Classical RK4 for U' = A^-1 (gamma*b_next - b) on a uniform mesh,
+    batched over a stack of gammas, under one raising numpy error state: a
+    floating point exception is an EvalDomainError naming the coefficient
+    at fault, if one is."""
     gammas = np.atleast_2d(np.asarray(gammas, dtype=float))
-    k = gammas.shape[0]
+    k, n = gammas.shape[0], spec.n
     m = require_odd(n_nodes)
     mesh = np.linspace(0.0, spec.p_star, m)
     h = mesh[1] - mesh[0]
-    U = np.zeros((k, spec.n))
-    traj = np.empty((m, k, spec.n)) if trajectory else None
-    if trajectory:
-        traj[0] = U
+    U = np.zeros((k, n))
+    traj = np.zeros((m, k, n)) if trajectory else None
+    raw, names, nn = spec.bundle.raw, [f"u{i+1}" for i in range(n)], n * n
+    has_b = spec.b is not None
+    env = dict.fromkeys(names + ["p"], 0.0)         # the launch point
 
-    if spec.mode == SCALAR:
+    def singular(p, worst):
+        return SingularMatrixError(f"coefficient matrix numerically singular at p = {p:.6g} "
+                                   f"(condition estimate {worst:.3e})")
+
+    if n == 1:
+        # |A|_F / |det A| is identically 1 for n = 1, so measure |a| against
+        # its value at the launch point instead; a singular launch trips at once
+        a_launch = abs(float(spec.bundle(env)[0]))
+        a_floor, g = a_launch / SINGULAR_COND_LIMIT or math.inf, gammas[:, 0]
+
         def f(p, state):
-            return (gammas[:, 0] * _scalar_f(spec, state[:, 0], p))[:, None]
+            env["u1"], env["p"] = state[:, 0], p
+            values = raw(env)
+            a, rhs = values[0], g * values[-1]
+            if has_b:
+                rhs = rhs - values[1]
+            if not (abs(a) > a_floor).all():
+                with np.errstate(all="ignore"):
+                    raise singular(p, np.max(a_launch / np.abs(a)))
+            return (rhs / a)[:, None]
     else:
-        if spec.n == 1:
-            # |A|_F / |det A| is identically 1 for n = 1, so scale |a| by its
-            # value at the launch point instead; a singular launch trips at once
-            a_scale2 = float(_rhs_batch(spec, 0.0, np.zeros((1, 1)))[0][0, 0, 0]) ** 2 or math.inf
-
         def f(p, state):
-            A, b, bn = _rhs_batch(spec, p, state)
-            rhs = gammas * bn[:, None] - b
-            # cheap condition estimate |A|_F^n / |det A|; coarse but plenty
-            # to trip the 1e12 singularity guard
-            if spec.n == 2:
-                a00, a01 = A[:, 0, 0], A[:, 0, 1]
-                a10, a11 = A[:, 1, 0], A[:, 1, 1]
+            env.update(zip(names, state.T))
+            env["p"] = p
+            values = raw(env)
+            rhs = [g * values[-1] for g in gammas.T]
+            if has_b:
+                rhs = [r - b for r, b in zip(rhs, values[nn:-1])]
+            if n == 2:
+                a00, a01, a10, a11 = values[:4]
                 det = a00 * a11 - a01 * a10
                 fro2 = a00**2 + a01**2 + a10**2 + a11**2
             else:
-                det = A[:, 0, 0] if spec.n == 1 else np.linalg.det(A)
-                fro2 = a_scale2 if spec.n == 1 else np.einsum("kij,kij->k", A, A)
-            est = np.sqrt(fro2) ** spec.n / np.maximum(np.abs(det), 1e-300)
-            worst = float(np.max(est))
+                A = np.stack([np.broadcast_to(v, (k,)) for v in values[:nn]], -1).reshape(k, n, n)
+                det = np.linalg.det(A)
+                fro2 = np.einsum("kij,kij->k", A, A)
+            # cheap condition estimate |A|_F^n / |det A|; coarse but plenty to
+            # trip the 1e12 singularity guard
+            worst = float(np.max(np.sqrt(fro2) ** n / np.maximum(np.abs(det), 1e-300)))
             if not np.isfinite(worst) or worst > SINGULAR_COND_LIMIT:
-                raise SingularMatrixError(
-                    f"coefficient matrix numerically singular at p = {p:.6g} "
-                    f"(condition estimate {worst:.3e})"
-                )
-            if spec.n == 1:
-                return rhs / A[:, 0, 0][:, None]
-            if spec.n == 2:
-                du = np.empty_like(rhs)
-                du[:, 0] = (a11 * rhs[:, 0] - a01 * rhs[:, 1]) / det
-                du[:, 1] = (a00 * rhs[:, 1] - a10 * rhs[:, 0]) / det
-                return du
-            return np.linalg.solve(A, rhs[:, :, None])[:, :, 0]
+                raise singular(p, worst)
+            if n == 2:
+                return np.stack([(a11 * rhs[0] - a01 * rhs[1]) / det,
+                                 (a00 * rhs[1] - a10 * rhs[0]) / det], axis=1)
+            return np.linalg.solve(A, np.stack(rhs, axis=1)[:, :, None])[:, :, 0]
 
-    for step in range(m - 1):
-        p0 = mesh[step]
-        k1 = f(p0, U)
-        k2 = f(p0 + 0.5 * h, U + 0.5 * h * k1)
-        k3 = f(p0 + 0.5 * h, U + 0.5 * h * k2)
-        k4 = f(p0 + h, U + h * k3)
-        U = U + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if trajectory:
-            traj[step + 1] = U
+    try:
+        with np.errstate(**exprlang.RAISE):
+            for step in range(m - 1):
+                p0 = mesh[step]
+                k1 = f(p0, U)
+                k2 = f(p0 + 0.5 * h, U + 0.5 * h * k1)
+                k3 = f(p0 + 0.5 * h, U + 0.5 * h * k2)
+                k4 = f(p0 + h, U + h * k3)
+                U = U + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                if trajectory:
+                    traj[step + 1] = U
+    except (FloatingPointError, ZeroDivisionError) as exc:
+        spec.bundle(env)        # raises the EvalDomainError naming the coefficient at fault
+        raise EvalDomainError(f"the two-point integration left the floating point range "
+                              f"near p = {float(env['p']):.6g}: {exc}") from None
     return mesh, (traj if trajectory else U)
 
 
@@ -466,8 +452,9 @@ def _origin_linearization(spec: ProblemSpec):
     gamma -> U(p*) has Jacobian J0 = p* b_{n+1}(0) A(0)^-1. J0's norm is
     the natural sensitivity scale the resonance check measures against.
     """
-    A, b, bn = _rhs_batch(spec, 0.0, np.zeros((1, spec.n)))
-    A0, b0, bn0 = A[0], b[0], float(bn[0])
+    A, b, bn = spec.coefficients(np.zeros((spec.n, 1)), 0.0)
+    A0, bn0 = A[0], float(bn[0])
+    b0 = 0.0 if b is None else b[0]
     det = float(np.linalg.det(A0))
     scale = max(1.0, float(np.abs(A0).max()) ** spec.n)
     if abs(det) <= 1e-14 * scale:
@@ -552,35 +539,29 @@ def solve_shooting(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
     )
 
 
-def _scalar_f(spec: ProblemSpec, u, p):
-    env = {"u1": u, "p": p}
-    try:
-        return exprlang.evaluate(spec.scalar_f, env)
-    except EvalDomainError:
-        if not np.all(exprlang.evaluate(spec.a[0][0], env)):
-            raise SingularMatrixError(f"scalar coefficient a vanished near p = {p}") from None
-        raise
-
-
 def _scalar_endpoint(spec: ProblemSpec, gamma, n_nodes):
     return float(_integrate_batch(spec, np.array([[gamma]]), n_nodes)[1][0, 0])
 
 
 def _check_f_positive(spec: ProblemSpec, samples: int = 65, pad: float = BOX_PAD):
-    us = float(spec.u_star[0])
-    ugrid = np.linspace(min(0.0, us) - pad, max(0.0, us) + pad, samples)
-    pgrid = np.linspace(0.0, spec.p_star, samples)
-    uu, pp = np.meshgrid(ugrid, pgrid, indexing="ij")
-    F = _scalar_f(spec, uu.ravel(), pp.ravel())
+    box = default_box(spec, pad)
+    uu, pp = np.meshgrid(*(np.linspace(*box[v], samples) for v in ("u1", "p")), indexing="ij")
+    A, _, b_next = spec.coefficients([uu], pp)
+    a = A[..., 0, 0]
+    if not np.all(a):
+        raise SingularMatrixError("scalar coefficient a vanishes on the sampled rectangle")
+    with np.errstate(over="ignore"):        # an infinite F is still positive
+        F = b_next / a
     fmin = float(np.min(F))
     if fmin <= 0.0:
         raise NonPositiveFError(
-            f"F = b/a must be positive on the sampled rectangle; min sampled value {fmin:.6g}")
+            f"F = b_next/a must be positive on the sampled rectangle; min sampled value {fmin:.6g}")
 
 
 def solve_scalar(spec: ProblemSpec, bracket_hints=None, n_nodes: int = 1001,
                  tol: float = 1e-10, max_bisect: int = 200) -> ProfileSolution:
-    """Batched k-section on gamma for dU/dp = gamma*F(U,p), F = b/a > 0.
+    """Batched k-section on gamma for dU/dp = gamma*F(U,p), F = b_next/a > 0,
+    the darcy problems with n = 1 and b absent (the ``scalar`` spelling).
 
     ``bracket_hints``, when given, are the integrals (int_0^p* r, int_0^p* q)
     of lower/upper bounds r <= F <= q, yielding the analytic initial bracket
@@ -589,8 +570,8 @@ def solve_scalar(spec: ProblemSpec, bracket_hints=None, n_nodes: int = 1001,
     ``max_bisect`` halvings buy ceil(max_bisect / 5) passes. The endpoint
     map's strict monotonicity in gamma is asserted on every sampled pair.
     """
-    if spec.mode != SCALAR:
-        raise ValueError("solve_scalar applies to scalar-mode problems")
+    if spec.mode != DARCY or spec.n != 1 or spec.b is not None:
+        raise ValueError("solve_scalar applies to darcy problems with n = 1 and no b")
     _check_f_positive(spec)
     u_star = float(spec.u_star[0])
     evals = {}

@@ -34,7 +34,7 @@ from .geometry import GAMMA1, GAMMA3, Grid
 from .numerics import cumulative_simpson, derivative_4th
 from .pivot import DivergenceStencil, arithmetic_mean_faces, dirichlet_targets, unit_faces
 from .reconstruct import FieldSet
-from .twopoint import DARCY, MOLECULAR, SCALAR, ProblemSpec, ProfileSolution
+from .twopoint import DARCY, MOLECULAR, ProblemSpec, ProfileSolution
 
 
 @dataclass(frozen=True)
@@ -55,24 +55,21 @@ def _check_fields(fields: FieldSet, spec: ProblemSpec, grid: Grid):
             f"fields shaped {fields.grid.shape} do not match grid {grid.shape}")
     if fields.n != spec.n:
         raise ShapeMismatchError(f"fields carry {fields.n} components, spec has {spec.n}")
-    if spec.mode in (DARCY, SCALAR) and fields.p_field is None:
+    if spec.mode == DARCY and fields.p_field is None:
         raise ShapeMismatchError(f"{spec.mode} mode requires a pressure field")
 
 
-def _equation_fluxpairs(spec: ProblemSpec, env, shape, u_fields, p_field):
+def _equation_fluxpairs(spec: ProblemSpec, u_fields, p_field):
     """Per conservation law: list of (coefficient nodes, field) flux pairs."""
-    A = spec.eval_a(env, shape)
+    A, b, b_next = spec.coefficients(u_fields, 0.0 if p_field is None else p_field)
     equations = []
     for i in range(spec.n):
-        if spec.mode == SCALAR:
-            pairs = [(A[..., 0, 0], u_fields[0])]
-        else:
-            pairs = [(A[..., i, j], u_fields[j]) for j in range(spec.n)]
-            if spec.mode == DARCY:
-                pairs.append((spec.eval_b(env, shape)[..., i], p_field))
+        pairs = [(A[..., i, j], u_fields[j]) for j in range(spec.n)]
+        if b is not None:
+            pairs.append((b[..., i], p_field))
         equations.append(pairs)
-    if spec.mode in (DARCY, SCALAR):
-        equations.append([(spec.eval_b_next(env, shape), p_field)])
+    if spec.mode == DARCY:
+        equations.append([(b_next, p_field)])
     return equations
 
 
@@ -86,13 +83,11 @@ def divergence_residual(fields: FieldSet, spec: ProblemSpec, grid: Grid) -> Resi
     _check_fields(fields, spec, grid)
     shape = grid.shape
     p = fields.p_field
-    env = spec.env(fields.u_fields, p if p is not None else np.zeros(shape))
     mask = grid.unknown_mask
     linf, l2 = [], []
-    for pairs in _equation_fluxpairs(spec, env, shape, fields.u_fields, p):
+    for pairs in _equation_fluxpairs(spec, fields.u_fields, p):
         total = np.zeros(shape)
         for c_nodes, f in pairs:
-            c_nodes = np.broadcast_to(np.asarray(c_nodes, dtype=float), shape)
             cfx, cfy = arithmetic_mean_faces(c_nodes)
             total += DivergenceStencil(grid, cfx, cfy).apply(f)
         vals = total[mask]
@@ -124,8 +119,7 @@ def theta_linearity(sol: ProfileSolution, spec: ProblemSpec) -> np.ndarray:
     mesh, U = sol.mesh, sol.profiles
     h = mesh[1] - mesh[0]
     dU = derivative_4th(U, h, axis=-1)
-    env = spec.env(U, mesh)
-    A = spec.eval_a(env, (mesh.size,))
+    A = spec.coefficients(U, mesh)[0]
     integrand = np.einsum("kij,jk->ik", A, dU)
     theta = cumulative_simpson(integrand, h, axis=-1)
     return np.max(np.abs(theta - sol.gamma[:, None] * mesh[None, :]), axis=-1)
@@ -147,28 +141,21 @@ def compare_fields(a: FieldSet, b: FieldSet) -> dict:
             "l2": float(np.sqrt(np.mean(stacked**2)))}
 
 
-def _simpson_faces(grid: Grid, expr, states):
-    """Simpson-blend face coefficients for one expression.
+def _simpson_faces(expr, states):
+    """Simpson-blend face coefficients (x faces, y faces) of one expression.
 
     ``states`` maps variable names to node arrays; the face value combines
     the two endpoint evaluations with four times the evaluation at the
     averaged state, making the quadrature exact for coefficients quadratic
     along the face.
     """
-    c_nodes = np.broadcast_to(np.asarray(exprlang.evaluate(expr, states), dtype=float),
-                              grid.shape)
+    def at(average):
+        env = {k: average(v) for k, v in states.items()}
+        return np.broadcast_to(exprlang.evaluate(expr, env), env["p"].shape)
 
-    def mid(axis):
-        if axis == 0:
-            avg = {k: 0.5 * (v[:-1, :] + v[1:, :]) for k, v in states.items()}
-        else:
-            avg = {k: 0.5 * (v[:, :-1] + v[:, 1:]) for k, v in states.items()}
-        shape = (grid.n1 - 1, grid.n2) if axis == 0 else (grid.n1, grid.n2 - 1)
-        return np.broadcast_to(np.asarray(exprlang.evaluate(expr, avg), dtype=float), shape)
-
-    cfx = (c_nodes[:-1, :] + 4.0 * mid(0) + c_nodes[1:, :]) / 6.0
-    cfy = (c_nodes[:, :-1] + 4.0 * mid(1) + c_nodes[:, 1:]) / 6.0
-    return cfx, cfy
+    c = at(lambda v: v)
+    cfx = (c[:-1, :] + 4.0 * at(lambda v: 0.5 * (v[:-1, :] + v[1:, :])) + c[1:, :]) / 6.0
+    return cfx, (c[:, :-1] + 4.0 * at(lambda v: 0.5 * (v[:, :-1] + v[:, 1:])) + c[:, 1:]) / 6.0
 
 
 def direct_coupled_solve(spec: ProblemSpec, grid: Grid, tol: float = 1e-9,
@@ -196,36 +183,31 @@ def direct_coupled_solve(spec: ProblemSpec, grid: Grid, tol: float = 1e-9,
         DivergenceStencil(grid, cfx1, cfy1), dirichlet_targets(grid, 0.0, 1.0), None,
         np.repeat(((grid.x1 - grid.x1[0]) / (grid.x1[-1] - grid.x1[0]))[:, None], n2, axis=1))
     u = np.stack([us * z0 for us in spec.u_star])
-    p = spec.p_star * z0 if spec.mode in (DARCY, SCALAR) else None
+    p = spec.p_star * z0 if spec.mode == DARCY else None
 
     grow_streak = 0
     prev_update = np.inf
     for outer in range(1, max_outer + 1):
         states = {f"u{i+1}": u[i] for i in range(spec.n)}
-        if p is not None:
-            states["p"] = p
-        else:
-            states["p"] = np.zeros(grid.shape)
+        states["p"] = np.zeros(grid.shape) if p is None else p
         update = 0.0
         p_new = p
         if p is not None:
-            cfx, cfy = _simpson_faces(grid, spec.b_next, states)
+            cfx, cfy = _simpson_faces(spec.b_next, states)
             p_new = solve_eq(DivergenceStencil(grid, cfx, cfy),
                              dirichlet_targets(grid, 0.0, spec.p_star), None, p)
             update = max(update, float(np.max(np.abs(p_new - p))))
         u_new = np.empty_like(u)
         for i in range(spec.n):
-            cfx, cfy = _simpson_faces(grid, spec.a[i][i], states)
+            cfx, cfy = _simpson_faces(spec.a[i][i], states)
             source = np.zeros(grid.shape)
-            if spec.mode != SCALAR:
-                for j in range(spec.n):
-                    if j == i:
-                        continue
-                    ox, oy = _simpson_faces(grid, spec.a[i][j], states)
+            for j in range(spec.n):
+                if j != i:
+                    ox, oy = _simpson_faces(spec.a[i][j], states)
                     source -= DivergenceStencil(grid, ox, oy).apply(u[j])
-                if spec.mode == DARCY:
-                    bx, by = _simpson_faces(grid, spec.b[i], states)
-                    source -= DivergenceStencil(grid, bx, by).apply(p_new)
+            if spec.b is not None:
+                bx, by = _simpson_faces(spec.b[i], states)
+                source -= DivergenceStencil(grid, bx, by).apply(p_new)
             u_new[i] = solve_eq(DivergenceStencil(grid, cfx, cfy),
                                 dirichlet_targets(grid, 0.0, spec.u_star[i]), source, u[i])
             update = max(update, float(np.max(np.abs(u_new[i] - u[i]))))

@@ -83,6 +83,29 @@ def test_config_backend_mode_mismatch(tmp_path):
         load_config(write_cfg(tmp_path, bad))
 
 
+def test_config_scalar_spelling_rejects_b_next(tmp_path):
+    bad = EQUAL_COEFF_CFG.replace("b1 = 1+u1^2+p^2", "b1 = 1+u1^2+p^2\nb_next = 1")
+    with pytest.raises(ConfigError, match="b_next"):
+        load_config(write_cfg(tmp_path, bad))
+    assert main(["solve", str(write_cfg(tmp_path, bad))]) == 1
+
+
+DARCY_N1_CFG = EQUAL_COEFF_CFG.replace("mode = scalar", "mode = darcy").replace(
+    "b1 = 1+u1^2+p^2", "b_next = 1+u1^2+p^2")
+
+
+def test_config_scalar_bisection_backend_by_spec(tmp_path):
+    cfg = load_config(write_cfg(tmp_path, DARCY_N1_CFG))
+    assert (cfg.spec.mode, cfg.backend) == ("darcy", "scalar_bisection")
+    with_b = DARCY_N1_CFG.replace("b_next =", "b1 = 0\nb_next =")
+    with pytest.raises(ConfigError, match="allowed: shooting\\)"):
+        load_config(write_cfg(tmp_path, with_b))
+    n2 = MOLECULAR_CFG.replace("mode = molecular", "mode = darcy").replace(
+        "backend = fixed_point", "backend = scalar_bisection")
+    with pytest.raises(ConfigError, match="scalar_bisection"):
+        load_config(write_cfg(tmp_path, n2))
+
+
 def test_config_unknown_variable(tmp_path):
     bad = MOLECULAR_CFG.replace("a11 = 1+u1", "a11 = 1+u3")
     with pytest.raises(UnknownVariableError):

@@ -12,6 +12,7 @@ from funcsol.errors import (
 )
 from funcsol.exprlang import (
     BinOp,
+    Bundle,
     Call,
     Neg,
     Num,
@@ -191,3 +192,30 @@ def test_compiled_matches_reference_walk(ast, env):
     got = evaluate(ast, env)
     assert np.shape(got) == np.shape(expected)
     assert np.asarray(got, dtype=float).tobytes() == np.asarray(expected, dtype=float).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(_asts(4), _asts(4), _asts(4)),
+       st.fixed_dictionaries({name: _bindings for name in sorted(VARS)}))
+def test_bundle_matches_single_evaluations(asts, env):
+    bundle = Bundle(asts)
+    singles = []
+    for ast in asts:
+        try:
+            singles.append(evaluate(ast, env))
+        except EvalDomainError as exc:
+            # the bundle fails too, and names the first expression that fails alone
+            with pytest.raises(EvalDomainError) as got:
+                bundle(env)
+            assert str(got.value) == str(exc)
+            return
+    for got, expected in zip(bundle(env), singles):
+        assert np.shape(got) == np.shape(expected)
+        assert np.asarray(got, dtype=float).tobytes() == np.asarray(expected, dtype=float).tobytes()
+
+
+def test_bundle_error_names_first_user_of_shared_subtree():
+    a, b = (parse_expression("exp(u1)+1", VARS), parse_expression("2*exp(u1)", VARS))
+    with pytest.raises(EvalDomainError, match="'exp\\(u1\\)\\+1.0'"):
+        Bundle((a, b))({"u1": 800.0, "u2": 0.0, "p": 0.0})
+    assert Bundle((a, b))({"u1": 0.0}) == (2.0, 2.0)

@@ -7,12 +7,14 @@ import pytest
 from funcsol.errors import (
     BracketFailureError,
     DegenerateLinearizationError,
+    EvalDomainError,
     MaxIterationError,
     NonEllipticError,
     NonPositiveFError,
     SingularJacobianError,
     SingularMatrixError,
 )
+from funcsol.exprlang import render
 from funcsol.twopoint import (
     ProblemSpec,
     apply_fixed_point_operator,
@@ -363,15 +365,23 @@ def test_scalar_ksection_pass_budget():
 
 
 @pytest.mark.parametrize("u_star,solvable", [(1.0, True), (0.7, False)])
-def test_scalar_tol_below_roundoff(u_star, solvable):
+def test_scalar_tol_below_roundoff(u_star, solvable, monkeypatch):
     # below the endpoint map's rounding noise, candidates a few ulps apart
     # tie or swap: an exact hit is accepted, otherwise the bracket stalls
+    import funcsol.twopoint as tp
     spec = scalar_spec("exp(u1)", "1", u_star)
     if solvable:
         assert solve_scalar(spec, n_nodes=65, tol=1e-30).boundary_error == 0.0
     else:
+        # which targets RK4 lets the map hit exactly is an accident of its
+        # rounding, so stall on a strictly increasing map that steps over u*
+        def stepped_endpoints(spec, gammas, n_nodes, trajectory=False):
+            g = np.asarray(gammas, dtype=float)
+            return None, np.where(g < u_star, g, g + 1e-9)
+
+        monkeypatch.setattr(tp, "_integrate_batch", stepped_endpoints)
         with pytest.raises(MaxIterationError):
-            solve_scalar(spec, n_nodes=65, tol=1e-30)
+            tp.solve_scalar(spec, n_nodes=65, tol=1e-30)
 
 
 def test_scalar_monotone_endpoint_map():
@@ -380,3 +390,68 @@ def test_scalar_monotone_endpoint_map():
     gammas = np.linspace(0.1, 3.0, 6)
     ends = [_scalar_endpoint(spec, g, 257) for g in gammas]
     assert all(a < b for a, b in zip(ends, ends[1:]))
+
+
+# --- the scalar spelling is darcy with n = 1 ----------------------------------
+
+def test_scalar_spelling_lowers_to_darcy():
+    spec = scalar_spec("1+u1^2+p^2", "2+p", 1.0)
+    assert (spec.mode, spec.b) == ("darcy", None)
+    assert render(spec.b_next) == "2.0+p"
+
+
+def test_scalar_spelling_rejects_b_next():
+    # the two-point problem would use b1 and the pressure law b_next
+    with pytest.raises(ValueError, match="b_next"):
+        ProblemSpec.from_strings(1, [["1"]], b=["1+u1"], b_next="1", u_star=(1.0,),
+                                 mode="scalar")
+
+
+def test_scalar_spelling_matches_hand_written_darcy():
+    spelled = scalar_spec("1+u1*p", "2+p", 1.0)
+    darcy = ProblemSpec.from_strings(1, [["1+u1*p"]], b_next="2+p", u_star=(1.0,),
+                                     mode="darcy")
+    a = solve_scalar(spelled, n_nodes=257, tol=1e-11)
+    b = solve_scalar(darcy, n_nodes=257, tol=1e-11)
+    assert a.gamma.tobytes() == b.gamma.tobytes()
+    assert a.profiles.tobytes() == b.profiles.tobytes()
+
+
+def test_shooting_solves_lowered_thm44():
+    # F = b/a = 1, so U = 2p and gamma = 2 in closed form
+    from funcsol.oracles import get_oracle
+    sol = solve_shooting(get_oracle("thm44_scalar").spec, n_nodes=257, tol=1e-11)
+    assert abs(sol.gamma[0] - 2.0) <= 1e-8
+
+
+@pytest.mark.parametrize("spec", [
+    sincos(1.0),
+    ProblemSpec.from_strings(1, [["1"]], b=["0"], b_next="1", u_star=(1.0,), mode="darcy"),
+    molecular([["1+u1", "0"], ["0", "1"]], (1.0, 0.0)),
+])
+def test_solve_scalar_needs_n1_darcy_without_b(spec):
+    with pytest.raises(ValueError):
+        solve_scalar(spec)
+
+
+def test_integrate_overflow_is_typed():
+    # gamma*b_next overflows in the right-hand side, not in a coefficient
+    spec = ProblemSpec.from_strings(1, [["1"]], b=["0"], b_next="1e308",
+                                    u_star=(1.0,), mode="darcy")
+    with pytest.raises(EvalDomainError, match="floating point range"):
+        integrate_profiles(spec, np.array([10.0]), 65)
+
+
+def test_integrate_names_failing_coefficient():
+    # U = -log(1 - 2p) blows up at p = 1/2, where exp(u1) overflows
+    spec = ProblemSpec.from_strings(1, [["1"]], b=["0"], b_next="exp(u1)",
+                                    u_star=(1.0,), mode="darcy")
+    with pytest.raises(EvalDomainError, match="exp\\(u1\\)"):
+        integrate_profiles(spec, np.array([2.0]), 257)
+
+
+def test_integrate_n1_singular_launch_trips_at_once():
+    # a11 = u1 vanishes at the launch point U(0) = 0: nothing to scale by
+    spec = ProblemSpec.from_strings(1, [["u1"]], b_next="1", u_star=(1.0,), mode="darcy")
+    with pytest.raises(SingularMatrixError, match="p = 0 "):
+        integrate_profiles(spec, np.array([1.0]), 65)

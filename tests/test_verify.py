@@ -5,7 +5,7 @@ from funcsol.errors import OuterDivergenceError, ShapeMismatchError
 from funcsol.geometry import build_annulus, build_rectangle
 from funcsol.pivot import solve_pivot
 from funcsol.reconstruct import FieldSet, compose_fields, darcy_reconstruct
-from funcsol.twopoint import ProblemSpec, ProfileSolution, solve_scalar
+from funcsol.twopoint import ProblemSpec, ProfileSolution, solve_scalar, solve_shooting
 from funcsol.verify import (
     compare_fields,
     direct_coupled_solve,
@@ -181,6 +181,18 @@ def test_direct_two_law_scalar_agrees_with_functional():
     # |e| <= C_dom * r_inf with C_dom = width^2/8 for the unit square
     assert 2.5 <= diffs[0] / diffs[1] <= 6.0
     assert diffs[1] <= 5.0 * residuals[1] * 0.125
+
+
+@pytest.mark.parametrize("b, b_next", [(None, "exp(p)"), (["0"], None)], ids=["no_b1", "no_b_next"])
+def test_direct_darcy_without_optional_terms(b, b_next):
+    # no b1 (no pressure flux in the u-law) or no b_next (it defaults to 1)
+    spec = ProblemSpec.from_strings(1, [["1"]], b=b, b_next=b_next, u_star=(1.0,),
+                                    p_star=1.0, mode="darcy")
+    grid = build_rectangle(17, 17, 1.0, 1.0)
+    functional = darcy_reconstruct(solve_shooting(spec, n_nodes=2049, tol=1e-12),
+                                   solve_pivot(grid, 1e-12), spec)
+    direct = direct_coupled_solve(spec, grid, tol=1e-11)
+    assert compare_fields(functional, direct)["linf"] <= 1e-6
 
 
 def test_direct_outer_iteration_cap():
