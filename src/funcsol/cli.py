@@ -21,7 +21,7 @@ import numpy as np
 
 from . import errors
 from .config import ProblemConfig, load_config
-from .errors import ConfigError, FuncsolError
+from .errors import ConfigError, FuncsolError, ShapeMismatchError
 from .geometry import Grid
 from .oracles import run_oracle_suite
 from .pivot import PivotField, solve_pivot
@@ -43,14 +43,16 @@ def _fmt_vec(values) -> str:
 
 
 def write_field_csv(path: Path, grid: Grid, values: np.ndarray):
-    """One node per row in row-major order, header x1,x2,value."""
-    x1, x2 = grid.coordinate_arrays()
-    lines = ["x1,x2,value"]
-    lines.extend(
-        f"{_fmt(a)},{_fmt(b)},{_fmt(v)}"
-        for a, b, v in zip(x1.ravel(), x2.ravel(), values.ravel())
-    )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """One node per row, x1 outer, header x1,x2,value, every number as %.17g."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != grid.shape:
+        raise ShapeMismatchError(f"{path}: values of shape {values.shape} on a {grid.shape} grid")
+    # a row's x1 field joins these, so it lands before every x2 field
+    cells = ["", *(f",{_fmt(b)},%.17g\n" for b in grid.x2)]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("x1,x2,value\n")
+        for a, row in zip(grid.x1, values):
+            fh.write(_fmt(a).join(cells) % tuple(row.tolist()))
 
 
 def read_field_csv(path: Path, grid: Grid) -> np.ndarray:
@@ -61,13 +63,21 @@ def read_field_csv(path: Path, grid: Grid) -> np.ndarray:
         if header != "x1,x2,value":
             raise ConfigError(f"{path}: unexpected header '{header}'")
         try:
-            vals = [float(line.rsplit(",", 1)[1]) for line in fh if line.strip()]
-        except (IndexError, ValueError) as exc:
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
             raise ConfigError(f"{path}: malformed row ({exc})") from None
     n1, n2 = grid.shape
-    if len(vals) != n1 * n2:
-        raise ConfigError(f"{path}: expected {n1 * n2} rows, found {len(vals)}")
-    return np.asarray(vals).reshape(grid.shape)
+    if table.shape != (n1 * n2, 3):
+        raise ConfigError(f"{path}: expected {n1 * n2} rows of 3 fields, "
+                          f"read a table of shape {table.shape}")
+    table = table.reshape(n1, n2, 3)
+    off_grid = (table[..., 0] != grid.x1[:, None]) | (table[..., 1] != grid.x2[None, :])
+    if off_grid.any():
+        i, j = np.argwhere(off_grid)[0]
+        found = ",".join(map(_fmt, table[i, j, :2]))
+        raise ConfigError(f"{path}: data row {i * n2 + j + 1} lies at x1,x2 = {found}, "
+                          f"not at the grid node {_fmt(grid.x1[i])},{_fmt(grid.x2[j])}")
+    return table[..., 2].copy()
 
 
 def write_report(path: Path, entries):
@@ -245,6 +255,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         log.error("%s: %s", type(exc).__name__, exc)
         return errors.EXIT_CODES[errors.CONFIG]
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+        log.error("%s in funcsol %s: %s", type(exc).__name__, args.command, exc)
+        return errors.EXIT_CODES[errors.SOLVER]
 
 
 if __name__ == "__main__":

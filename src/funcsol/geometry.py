@@ -62,10 +62,6 @@ class Grid:
         """Nodes carrying an equation row: interior plus Neumann edges."""
         return (self.node_tags == INTERIOR) | (self.node_tags == GAMMA2)
 
-    def coordinate_arrays(self):
-        """Node coordinates as two (n1, n2) arrays in row-major layout."""
-        return np.meshgrid(self.x1, self.x2, indexing="ij")
-
 
 def _check_dims(n1, n2):
     if n1 < 3 or n2 < 3:

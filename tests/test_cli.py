@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from funcsol import cli
 from funcsol.cli import main, read_field_csv, write_field_csv
 from funcsol.config import load_config
-from funcsol.errors import ConfigError, UnknownVariableError
-from funcsol.geometry import build_rectangle
+from funcsol.errors import ConfigError, ShapeMismatchError, UnknownVariableError
+from funcsol.geometry import build_annulus, build_rectangle
 
 MOLECULAR_CFG = """
 [geometry]
@@ -239,3 +242,99 @@ def test_solve_determinism(tmp_path):
     main(["solve", str(cfg_path), "--out", str(tmp_path / "b")])
     for name in ("z.csv", "u1.csv", "u2.csv", "report.txt"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def reference_field_csv(grid, values) -> bytes:
+    """The per-node writer the tensor-product one replaced, kept as the
+    byte-format reference: three f-string formats per row."""
+    x1, x2 = np.meshgrid(grid.x1, grid.x2, indexing="ij")
+    lines = ["x1,x2,value"]
+    lines.extend(f"{float(a):.17g},{float(b):.17g},{float(v):.17g}"
+                 for a, b, v in zip(x1.ravel(), x2.ravel(), values.ravel()))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+SPECIAL_VALUES = {
+    np.float64: [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324,
+                 2.2250738585072014e-308, 1e308, -1e16, 1e16, 0.1, -1 / 3],
+    np.float32: [-0.0, math.inf, -math.inf, math.nan, 1e-45, 3.4e38, 0.1, -1 / 3],
+    np.int64: [0, -1, 2**53 + 1, -(2**63), 2**63 - 1, 12345],
+    np.int32: [0, -1, 2**31 - 1, -(2**31), 7],
+}
+
+
+@pytest.mark.parametrize("dtype", list(SPECIAL_VALUES), ids=lambda d: d.__name__)
+@pytest.mark.parametrize("grid", [build_rectangle(5, 4, 1.0, 2.0),
+                                  build_annulus(5, 4, 0.3, 1.7)],
+                         ids=["rectangle", "annulus"])
+def test_write_field_csv_matches_reference_bytes(tmp_path, grid, dtype):
+    values = np.resize(np.array(SPECIAL_VALUES[dtype], dtype=dtype), grid.shape)
+    path = tmp_path / "f.csv"
+    write_field_csv(path, grid, values)
+    assert path.read_bytes() == reference_field_csv(grid, values)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(3, 9), st.integers(3, 9), st.booleans(),
+       st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.data())
+def test_write_field_csv_bytes_property(tmp_path, n1, n2, annulus, e1, e2, data):
+    grid = build_annulus(n1, n2, e1, e1 + e2) if annulus else build_rectangle(n1, n2, e1, e2)
+    values = data.draw(arrays(np.float64, (n1, n2), elements=st.floats()))
+    path = tmp_path / "f.csv"
+    write_field_csv(path, grid, values)
+    assert path.read_bytes() == reference_field_csv(grid, values)
+    np.testing.assert_array_equal(read_field_csv(path, grid), values)
+
+
+@pytest.mark.parametrize("shape", [(19,), (20,), (6, 4), (4, 5)])
+def test_write_field_csv_shape_mismatch(tmp_path, shape):
+    path = tmp_path / "f.csv"
+    with pytest.raises(ShapeMismatchError, match="on a \\(5, 4\\) grid"):
+        write_field_csv(path, build_rectangle(5, 4, 1.0, 2.0), np.zeros(shape))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("other, message", [
+    # same node count, transposed: the second row already lies elsewhere
+    (build_rectangle(4, 5, 1.0, 2.0), "data row 2 lies at x1,x2 = 0,0.66666666666666663, "),
+    (build_annulus(5, 4, 0.5, 1.5), "data row 1 .* grid node 0.5,0$"),
+], ids=["transposed", "annulus"])
+def test_read_field_csv_rejects_other_grid(tmp_path, other, message):
+    path = tmp_path / "f.csv"
+    write_field_csv(path, build_rectangle(5, 4, 1.0, 2.0), np.arange(20.0).reshape(5, 4))
+    with pytest.raises(ConfigError, match=message):
+        read_field_csv(path, other)
+
+
+@pytest.mark.parametrize("body, message", [
+    ("0,0,1\n0,0.66666666666666663\n", "malformed row"),
+    ("0,0,x\n", "malformed row"),
+    ("0,0,1,2\n" * 20, "expected 20 rows of 3 fields, read a table of shape \\(20, 4\\)"),
+    ("0,0,1\n" * 19, "expected 20 rows of 3 fields, read a table of shape \\(19, 3\\)"),
+], ids=["ragged", "not-a-number", "four-fields", "short"])
+def test_read_field_csv_rejects_malformed(tmp_path, body, message):
+    path = tmp_path / "f.csv"
+    path.write_text("x1,x2,value\n" + body)
+    with pytest.raises(ConfigError, match=message):
+        read_field_csv(path, build_rectangle(5, 4, 1.0, 2.0))
+
+
+def test_verify_rejects_fields_of_another_grid(tmp_path):
+    main(["solve", str(write_cfg(tmp_path, MOLECULAR_CFG))])
+    annulus = MOLECULAR_CFG.replace("family = rectangle", "family = annulus").replace(
+        "width = 1.0\nheight = 1.0", "r1 = 1.0\nr2 = 2.0")
+    cfg_path = write_cfg(tmp_path, annulus, name="annulus.ini")
+    assert main(["verify", str(cfg_path), str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out" / "verify_report.txt").exists()
+
+
+@pytest.mark.parametrize("exc", [np.linalg.LinAlgError("SVD did not converge"),
+                                 FloatingPointError("overflow encountered")])
+def test_numpy_errors_exit_as_solver_errors(tmp_path, monkeypatch, caplog, capsys, exc):
+    def broken(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(cli, "solve_pivot", broken)
+    assert main(["solve", str(write_cfg(tmp_path, MOLECULAR_CFG))]) == 2
+    assert f"{type(exc).__name__} in funcsol solve: {exc}" in caplog.text
+    assert "Traceback" not in caplog.text + capsys.readouterr().err
