@@ -11,8 +11,7 @@ The same machinery generalizes to variable coefficients div(c grad u) = s
 and is reused by the direct coupled solver and the residual checker. Rows
 are symmetrized with half weights on Neumann edges (and a factor r on
 polar grids), which makes the reduced system SPD so plain conjugate
-gradients with diagonal scaling applies. For small systems that stall
-short of the requested residual a dense direct solve takes over.
+gradients with diagonal scaling applies.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import numpy as np
 from .errors import PivotConvergenceError
 from .geometry import GAMMA1, GAMMA3, POLAR, Grid
 
-DENSE_FALLBACK_LIMIT = 5000
 CG_ITER_FACTOR = 50
 
 
@@ -61,11 +59,12 @@ class DivergenceStencil:
         self.cfx = cfx * rface[:, None]
         self.cfy = cfy
         self.unknown = grid.unknown_mask
-        # row symmetrization weights: half cells on Neumann edges, metric r
-        w = np.ones(grid.shape)
-        w[:, 0] *= 0.5
-        w[:, -1] *= 0.5
-        self.w_sym = w * self.rvec[:, None]
+        # row symmetrization weights: half cells on Neumann edges (per
+        # column), times the metric r
+        self.w_edge = np.ones(n2)
+        self.w_edge[0] *= 0.5
+        self.w_edge[-1] *= 0.5
+        self.w_sym = self.w_edge * self.rvec[:, None]
         self.n_unknowns = int(self.unknown.sum())
 
     def _metric_div(self, u):
@@ -86,7 +85,7 @@ class DivergenceStencil:
 
     def _sym_op(self, v):
         """SPD operator on masked unknowns: -w_edge * r * div(c grad .)."""
-        return -(self._metric_div(v * self.unknown) * (self.w_sym / self.rvec[:, None])) * self.unknown
+        return -(self._metric_div(v * self.unknown) * self.w_edge) * self.unknown
 
     def _sym_diag(self):
         d = np.zeros(self.grid.shape)
@@ -95,7 +94,7 @@ class DivergenceStencil:
         d[:, 1:-1] += (self.cfy[:, 1:] + self.cfy[:, :-1]) / (self.h2**2 * rcol)
         d[:, 0] += 2.0 * self.cfy[:, 0] / (self.h2**2 * self.rvec)
         d[:, -1] += 2.0 * self.cfy[:, -1] / (self.h2**2 * self.rvec)
-        d *= self.w_sym / rcol
+        d *= self.w_edge
         d[~self.unknown] = 1.0
         return d
 
@@ -106,33 +105,23 @@ class DivergenceStencil:
         be certified much below eps * diag * |u|; callers picking an inner
         tolerance should not ask for less.
         """
-        diag = self._sym_diag() / (self.w_sym / self.rvec[:, None])
+        diag = self._sym_diag() / self.w_edge
         return 30.0 * np.finfo(float).eps * float(diag.max()) * max(1.0, value_scale)
-
-    def _dense_solve(self, rhs_sym):
-        """Assemble the symmetrized reduced system densely and solve it."""
-        A = np.zeros((self.n_unknowns, self.n_unknowns))
-        basis = np.zeros(self.grid.shape)
-        # column-by-column via the operator; fine at the dense-fallback scale
-        for col, flat in enumerate(np.where(self.unknown.ravel())[0]):
-            basis.ravel()[flat] = 1.0
-            A[:, col] = self._sym_op(basis)[self.unknown]
-            basis.ravel()[flat] = 0.0
-        return np.linalg.solve(A, rhs_sym[self.unknown])
 
     def solve(self, dirichlet_values, source=None, tol=1e-10, x0=None):
         """Solve div(c grad u) = source with the given Dirichlet data.
 
-        Returns (values, iterations, used_fallback). The iteration stops as
-        soon as the recomputed physical residual drops below tol; if CG
-        stalls, grids under the dense limit fall back to a direct solve.
+        Returns (values, iterations). Diagonally scaled CG stops as soon as
+        the recomputed physical residual drops below tol. Otherwise it
+        raises PivotConvergenceError at the first exit where more iterations
+        cannot help: the CG residual recurrence has fallen to roundoff, CG
+        broke down, or the iteration cap was reached.
         """
         grid = self.grid
         u_dir = np.where(self.unknown, 0.0, dirichlet_values)
         src = np.zeros(grid.shape) if source is None else source
-        w_over_r = self.w_sym / self.rvec[:, None]
         # A x = w*(r div) of the Dirichlet part - w_sym*src, with A = -w*(r div(.))
-        b = self._metric_div(u_dir) * w_over_r - src * self.w_sym
+        b = self._metric_div(u_dir) * self.w_edge - src * self.w_sym
         b[~self.unknown] = 0.0
 
         def phys_residual(x):
@@ -147,44 +136,38 @@ class DivergenceStencil:
         rz = float(np.sum(r * z))
         cap = CG_ITER_FACTOR * int(np.sqrt(self.n_unknowns)) + 10
         it = 0
-        best = phys_residual(x)
-        if best <= tol:
-            return x + u_dir, 0, False
-        stalled = False
+        if phys_residual(x) <= tol:
+            return x + u_dir, 0
+        stop = "it reached the iteration cap"
         while it < cap:
             it += 1
             Ap = self._sym_op(p)
             pAp = float(np.sum(p * Ap))
             if pAp <= 0.0 or not np.isfinite(pAp):
-                stalled = True
+                stop = "CG broke down"
                 break
             alpha = rz / pAp
             x += alpha * p
             r -= alpha * Ap
             if it % 10 == 0 or rz < 1e-30:
-                res = phys_residual(x)
-                if res <= tol:
-                    return x + u_dir, it, False
+                if phys_residual(x) <= tol:
+                    return x + u_dir, it
+                if rz < 1e-30:
+                    stop = "its residual recurrence fell to roundoff"
+                    break
             z = r / diag
             rz_new = float(np.sum(r * z))
             if rz_new <= 0.0 or not np.isfinite(rz_new):
-                stalled = True
+                stop = "CG broke down"
                 break
             p = z + (rz_new / rz) * p
             rz = rz_new
         res = phys_residual(x)
         if res <= tol:
-            return x + u_dir, it, False
-        if self.n_unknowns < DENSE_FALLBACK_LIMIT:
-            sol = self._dense_solve(b)
-            x = np.zeros(grid.shape)
-            x[self.unknown] = sol
-            res = phys_residual(x)
-            if res <= tol:
-                return x + u_dir, it, True
+            return x + u_dir, it
         raise PivotConvergenceError(
-            f"linear solve stalled at residual {res:.3e} (target {tol:.3e}, "
-            f"{it} CG iterations, {self.n_unknowns} unknowns, stalled={stalled})"
+            f"linear solve stopped at residual {res:.3e} (target {tol:.3e}) after {it} "
+            f"CG iterations on {self.n_unknowns} unknowns: {stop}"
         )
 
 
@@ -220,7 +203,7 @@ def solve_pivot(grid: Grid, tol: float, initial_guess: np.ndarray | None = None)
     stencil = DivergenceStencil(grid, cfx, cfy)
     bc = dirichlet_targets(grid, 0.0, 1.0)
     x0 = _ramp_guess(grid) if initial_guess is None else initial_guess
-    values, iters, _ = stencil.solve(bc, tol=tol, x0=x0)
+    values, iters = stencil.solve(bc, tol=tol, x0=x0)
     field = PivotField(grid, values, achieved_residual=pivot_residual_values(grid, values),
                        iterations=iters)
     vmin, vmax = float(values.min()), float(values.max())

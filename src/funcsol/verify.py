@@ -32,7 +32,8 @@ from . import exprlang
 from .errors import OuterDivergenceError, ShapeMismatchError
 from .geometry import GAMMA1, GAMMA3, Grid
 from .numerics import cumulative_simpson, derivative_4th
-from .pivot import DivergenceStencil, arithmetic_mean_faces, dirichlet_targets, unit_faces
+from .pivot import (DivergenceStencil, _ramp_guess, arithmetic_mean_faces, dirichlet_targets,
+                    unit_faces)
 from .reconstruct import FieldSet
 from .twopoint import DARCY, MOLECULAR, ProblemSpec, ProfileSolution
 
@@ -159,7 +160,7 @@ def _simpson_faces(expr, states):
 
 
 def direct_coupled_solve(spec: ProblemSpec, grid: Grid, tol: float = 1e-9,
-                         max_outer: int = 200, inner_tol: float | None = None) -> FieldSet:
+                         max_outer: int = 200) -> FieldSet:
     """Frozen-coefficient Picard iteration on the coupled PDE system.
 
     Each outer sweep freezes every coefficient at the current fields and
@@ -167,21 +168,18 @@ def direct_coupled_solve(spec: ProblemSpec, grid: Grid, tol: float = 1e-9,
     pressure law (if present), then each u_i with the off-diagonal and
     pressure fluxes moved to the right-hand side. Stops when the largest
     nodewise field update drops below tol; five consecutive growths of the
-    update norm abort with an outer-divergence error.
+    update norm abort with an outer-divergence error. Each linear solve
+    runs to 0.005 * tol, or to the stencil's roundoff floor if that is larger.
     """
     value_scale = float(max(np.max(np.abs(spec.u_star)), spec.p_star, 1.0))
 
     def solve_eq(stencil, bc, source, x0):
-        eff = max(inner_tol if inner_tol is not None else 0.005 * tol,
-                  stencil.residual_floor(value_scale))
+        eff = max(0.005 * tol, stencil.residual_floor(value_scale))
         return stencil.solve(bc, source=source, tol=eff, x0=x0)[0]
 
-    n1, n2 = grid.shape
     # initial fields: the constant-coefficient solution u_i = u_i* z, p = p* z
-    cfx1, cfy1 = unit_faces(grid)
-    z0 = solve_eq(
-        DivergenceStencil(grid, cfx1, cfy1), dirichlet_targets(grid, 0.0, 1.0), None,
-        np.repeat(((grid.x1 - grid.x1[0]) / (grid.x1[-1] - grid.x1[0]))[:, None], n2, axis=1))
+    z0 = solve_eq(DivergenceStencil(grid, *unit_faces(grid)), dirichlet_targets(grid, 0.0, 1.0),
+                  None, _ramp_guess(grid))
     u = np.stack([us * z0 for us in spec.u_star])
     p = spec.p_star * z0 if spec.mode == DARCY else None
 

@@ -3,7 +3,7 @@ import pytest
 
 from funcsol.errors import PivotConvergenceError
 from funcsol.geometry import build_annulus, build_rectangle
-from funcsol.pivot import PivotField, pivot_residual, solve_pivot
+from funcsol.pivot import DivergenceStencil, PivotField, pivot_residual, solve_pivot
 
 
 def annulus_exact(grid):
@@ -79,11 +79,26 @@ def test_uniqueness_surrogate():
     assert np.max(np.abs(f1.values - f2.values)) <= 10.0 * tol
 
 
-def test_nonconvergence_raises():
-    # too many unknowns for the dense fallback and an unreachable target
-    g = build_annulus(75, 75, 1.0, 2.0)
-    with pytest.raises(PivotConvergenceError):
-        solve_pivot(g, 1e-18)
+@pytest.mark.parametrize("n, polar, tol, max_ops", [
+    # a target far below roundoff on a large annulus
+    pytest.param(75, True, 1e-18, None, id="annulus75"),
+    # a small system (1,023 unknowns), target below roundoff; the default
+    # ramp start is exact on a rectangle, so this case starts from zero
+    pytest.param(33, False, 1e-14, None, id="rectangle33"),
+    # CG gives up once its residual recurrence reaches roundoff (77
+    # iterations here), not at the iteration cap
+    pytest.param(75, True, 1e-18, 200, id="annulus75-op-count"),
+])
+def test_nonconvergence_raises(n, polar, tol, max_ops, monkeypatch):
+    g = build_annulus(n, n, 1.0, 2.0) if polar else build_rectangle(n, n, 1.0, 1.0)
+    calls = []
+    sym_op = DivergenceStencil._sym_op
+    monkeypatch.setattr(DivergenceStencil, "_sym_op",
+                        lambda self, v: calls.append(1) or sym_op(self, v))
+    with pytest.raises(PivotConvergenceError, match="roundoff"):
+        solve_pivot(g, tol, initial_guess=None if polar else np.zeros(g.shape))
+    if max_ops is not None:
+        assert len(calls) < max_ops
 
 
 def test_bad_tolerance():
