@@ -32,7 +32,7 @@ from . import exprlang
 from .errors import OuterDivergenceError, ShapeMismatchError
 from .geometry import GAMMA1, GAMMA3, Grid
 from .numerics import cumulative_simpson, derivative_4th
-from .pivot import (DivergenceStencil, _ramp_guess, arithmetic_mean_faces, dirichlet_targets,
+from .pivot import (DivergenceStencil, arithmetic_mean_faces, dirichlet_targets,
                     unit_faces)
 from .reconstruct import FieldSet
 from .twopoint import DARCY, MOLECULAR, ProblemSpec, ProfileSolution
@@ -179,7 +179,7 @@ def direct_coupled_solve(spec: ProblemSpec, grid: Grid, tol: float = 1e-9,
 
     # initial fields: the constant-coefficient solution u_i = u_i* z, p = p* z
     z0 = solve_eq(DivergenceStencil(grid, *unit_faces(grid)), dirichlet_targets(grid, 0.0, 1.0),
-                  None, _ramp_guess(grid))
+                  None, None)
     u = np.stack([us * z0 for us in spec.u_star])
     p = spec.p_star * z0 if spec.mode == DARCY else None
 

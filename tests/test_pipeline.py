@@ -10,8 +10,8 @@ off-diagonal flux sources.
 import numpy as np
 import pytest
 
-from funcsol.geometry import build_rectangle
-from funcsol.pivot import solve_pivot
+from funcsol.geometry import build_annulus, build_rectangle
+from funcsol.pivot import DivergenceStencil, solve_pivot
 from funcsol.reconstruct import compose_fields
 from funcsol.twopoint import ProblemSpec, solve_fixed_point, solve_shooting
 from funcsol.verify import (
@@ -55,6 +55,24 @@ def test_coupled_direct_solver_agrees(fp_solution):
     # the functional fields are node-exact up to profile resolution, so the
     # difference is the direct solver's own O(h^2) error, small here
     assert compare_fields(fields, direct)["linf"] <= 1e-6
+
+
+@pytest.mark.parametrize("polar", [False, True], ids=["rectangle", "annulus"])
+def test_direct_solver_linear_solve_work(polar, monkeypatch):
+    """Each frozen-coefficient solve of the direct solver takes 1-3 PCG iterations."""
+    grid = build_annulus(33, 33, 1.0, 2.0) if polar else build_rectangle(33, 33, 1.0, 1.0)
+    iterations = []
+    solve = DivergenceStencil.solve
+
+    def counted(self, *args, **kwargs):
+        values, its = solve(self, *args, **kwargs)
+        iterations.append(its)
+        return values, its
+
+    monkeypatch.setattr(DivergenceStencil, "solve", counted)
+    direct_coupled_solve(COUPLED, grid, tol=1e-10)
+    assert len(iterations) > 10
+    assert max(iterations) <= 3
 
 
 def test_coupled_residual_refinement():

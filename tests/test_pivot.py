@@ -3,7 +3,7 @@ import pytest
 
 from funcsol.errors import PivotConvergenceError
 from funcsol.geometry import build_annulus, build_rectangle
-from funcsol.pivot import DivergenceStencil, PivotField, pivot_residual, solve_pivot
+from funcsol.pivot import DivergenceStencil, PivotField, pivot_residual, solve_pivot, unit_faces
 
 
 def annulus_exact(grid):
@@ -99,6 +99,46 @@ def test_nonconvergence_raises(n, polar, tol, max_ops, monkeypatch):
         solve_pivot(g, tol, initial_guess=None if polar else np.zeros(g.shape))
     if max_ops is not None:
         assert len(calls) < max_ops
+
+
+@pytest.mark.parametrize("polar", [False, True], ids=["rectangle", "annulus"])
+@pytest.mark.parametrize("n1, n2", [(3, 3), (17, 9), (9, 23), (65, 65)])
+@pytest.mark.parametrize("face_value", [1.0, 2.5])
+def test_fast_inverse_is_exact(n1, n2, polar, face_value):
+    """The preconditioner inverts the operator of constant faces exactly.
+
+    Unit faces use the separable inverse as is; constant faces c != 1 go
+    through the diagonal scaling, which is exact for them (A = c A_unit).
+    """
+    g = build_annulus(n1, n2, 1.0, 2.0) if polar else build_rectangle(n1, n2, 2.0, 1.0)
+    cfx, cfy = unit_faces(g)
+    stencil = DivergenceStencil(g, face_value * cfx, face_value * cfy)
+    res = np.random.default_rng(n1 * n2).normal(size=g.shape) * g.unknown_mask
+    out = stencil._fast_inverse()(res, np.empty(g.shape), np.empty(g.shape))
+    back = stencil._sym_op(out)
+    assert np.all(out[~g.unknown_mask] == 0.0)
+    assert np.max(np.abs(back - res)) <= 1e-12 * np.max(np.abs(res))
+
+
+def test_fast_inverse_scaled_is_symmetric():
+    g = build_annulus(17, 13, 1.0, 3.0)
+    rng = np.random.default_rng(7)
+    cfx = np.exp(rng.normal(size=(g.n1 - 1, g.n2)))
+    cfy = np.exp(rng.normal(size=(g.n1, g.n2 - 1)))
+    precondition = DivergenceStencil(g, cfx, cfy)._fast_inverse()
+    a, b = (rng.normal(size=g.shape) * g.unknown_mask for _ in range(2))
+    ma = precondition(a, np.empty(g.shape), np.empty(g.shape)).copy()
+    mb = precondition(b, np.empty(g.shape), np.empty(g.shape))
+    assert abs(np.sum(ma * b) - np.sum(a * mb)) <= 1e-12 * abs(np.sum(a * mb))
+    assert np.sum(a * ma) > 0.0
+
+
+def test_large_annulus_default_tolerance():
+    """A 257^2 annulus pivot meets the default 1e-10, in at most 3 iterations."""
+    g = build_annulus(257, 257, 1.0, 2.0)
+    f = solve_pivot(g, 1e-10)
+    assert f.achieved_residual <= 1e-10
+    assert f.iterations <= 3
 
 
 def test_bad_tolerance():
