@@ -70,37 +70,23 @@ class DivergenceStencil:
 
     def _metric_div(self, u):
         """r * div(c grad u) on equation rows, zero on Dirichlet rows."""
-        # fluxes and their differences are formed in place: few grid-sized
-        # temporaries live at once
         out = np.zeros(self.grid.shape)
-        fx = u[1:, :] - u[:-1, :]
-        fx *= self.cfx
-        d = fx[1:, :] - fx[:-1, :]
-        del fx
-        d /= self.h1**2
-        out[1:-1, :] += d
-        fy = u[:, 1:] - u[:, :-1]
-        fy *= self.cfy
-        d = fy[:, 1:] - fy[:, :-1]
-        d /= self.h2**2 * self.rvec[:, None]
-        out[:, 1:-1] += d
-        del d
+        fx = self.cfx * (u[1:, :] - u[:-1, :])
+        out[1:-1, :] += (fx[1:, :] - fx[:-1, :]) / self.h1**2
+        fy = self.cfy * (u[:, 1:] - u[:, :-1])
+        rcol = self.rvec[:, None]
+        out[:, 1:-1] += (fy[:, 1:] - fy[:, :-1]) / (self.h2**2 * rcol)
         out[:, 0] += 2.0 * fy[:, 0] / (self.h2**2 * self.rvec)
         out[:, -1] += -2.0 * fy[:, -1] / (self.h2**2 * self.rvec)
         out[~self.unknown] = 0.0
         return out
 
     def apply(self, u):
-        out = self._metric_div(u)
-        out /= self.rvec[:, None]
-        return out
+        return self._metric_div(u) / self.rvec[:, None]
 
     def _sym_op(self, v):
         """SPD operator on masked unknowns: -w_edge * r * div(c grad .)."""
-        out = self._metric_div(v * self.unknown)
-        out *= -self.w_edge
-        out *= self.unknown
-        return out
+        return -(self._metric_div(v * self.unknown) * self.w_edge) * self.unknown
 
     def _sym_diag(self):
         d = np.zeros(self.grid.shape)
@@ -121,10 +107,11 @@ class DivergenceStencil:
         difference along axis 2. K2's W-orthonormal eigenvectors are cosines
         with eigenvalues (2 - 2cos(pi k/(n2-1)))/h2^2, so the inverse is a
         cosine transform, a Thomas solve of K1 + lambda_k/r per mode and the
-        transform back. Variable faces scale it symmetrically by
-        sqrt(diag(A)/diag(A_unit)) (Concus & Golub, 1973). Returns
-        precondition(res, out, work), which writes M^-1 res into out (zero on
-        the Dirichlet rows) and overwrites work; all three have the grid's shape.
+        transform back. Other faces scale it symmetrically by
+        sqrt(diag(A)/diag(A_unit)) (Concus & Golub, 1973), a factor of exactly
+        one on unit faces. Returns precondition(res, out, work), which writes
+        M^-1 res into out (zero on the Dirichlet rows) and overwrites work; all
+        three have the grid's shape.
         """
         n1, n2 = self.grid.shape
         r = self.rvec[1:-1, None]
@@ -139,13 +126,11 @@ class DivergenceStencil:
         np.cos(phi, out=phi)
         phi *= np.sqrt(2.0 / (n2 - 1) * self.w_edge)
         lam = (2.0 - 2.0 * np.cos(np.pi / (n2 - 1) * k)) / self.h2**2
-        scale = None
-        if not (np.all(self.cfy == 1.0) and np.all(self.cfx == rface)):
-            scale = np.sqrt((k1_diag + 2.0 / (self.h2**2 * r)) * self.w_edge
-                            / self._sym_diag()[1:-1])
+        scale = np.sqrt((k1_diag + 2.0 / (self.h2**2 * r)) * self.w_edge
+                        / self._sym_diag()[1:-1])
 
         def precondition(res, out, work):
-            rows = res[1:-1] if scale is None else np.multiply(res[1:-1], scale, out=out[1:-1])
+            rows = np.multiply(res[1:-1], scale, out=out[1:-1])
             # row by row (BLAS gemv): a matrix-matrix product would leave
             # about 1 MB of BLAS packing buffers resident for good
             g = np.matmul(rows[:, None], phi, out=work[1:-1, None])[:, 0]
@@ -160,8 +145,7 @@ class DivergenceStencil:
                 g[i] = (g[i] - off[i] * g[i + 1]) * piv[i]
             np.matmul(g[:, None], phi.T, out=out[1:-1, None])
             out[0] = out[-1] = 0.0
-            if scale is not None:
-                out[1:-1] *= scale
+            out[1:-1] *= scale
             return out
 
         return precondition
@@ -191,8 +175,8 @@ class DivergenceStencil:
         src = 0.0 if source is None else source
 
         def phys_residual(x):
-            r = np.abs(self.apply(x + u_dir) - src)
-            return float(np.max(r[self.unknown]))
+            r = self.apply(x + u_dir) - src
+            return float(np.max(np.abs(r[self.unknown])))
 
         x = np.zeros(grid.shape) if x0 is None else np.where(self.unknown, x0, 0.0)
         if phys_residual(x) <= tol:
@@ -218,8 +202,7 @@ class DivergenceStencil:
             x += alpha * p
             r -= alpha * Ap
             if phys_residual(x) <= tol:
-                x += u_dir
-                return x, it
+                return x + u_dir, it
             if rz < 1e-30:
                 stop = "its residual recurrence fell to roundoff"
                 break
@@ -228,8 +211,7 @@ class DivergenceStencil:
             if rz_new <= 0.0 or not np.isfinite(rz_new):
                 stop = "CG broke down"
                 break
-            p *= rz_new / rz
-            p += z
+            p = z + (rz_new / rz) * p
             rz = rz_new
         # every exit above follows a failed residual check
         raise PivotConvergenceError(

@@ -107,8 +107,8 @@ def test_nonconvergence_raises(n, polar, tol, max_ops, monkeypatch):
 def test_fast_inverse_is_exact(n1, n2, polar, face_value):
     """The preconditioner inverts the operator of constant faces exactly.
 
-    Unit faces use the separable inverse as is; constant faces c != 1 go
-    through the diagonal scaling, which is exact for them (A = c A_unit).
+    The diagonal scaling is exactly one on unit faces and exact for
+    constant faces c != 1 too (A = c A_unit).
     """
     g = build_annulus(n1, n2, 1.0, 2.0) if polar else build_rectangle(n1, n2, 2.0, 1.0)
     cfx, cfy = unit_faces(g)
