@@ -103,9 +103,12 @@ def _solve_two_point(cfg: ProblemConfig):
                         n_nodes=cfg.n_nodes, tol=cfg.tol)
 
 
-def _write_fields(out: Path, cfg: ProblemConfig, fields: FieldSet, piv: PivotField):
+def _write_fields(out: Path, piv: PivotField, fields: FieldSet | None):
+    """z.csv, then u_i.csv, p.csv and the flux components of whatever fields exist."""
+    write_field_csv(out / "z.csv", piv.grid, piv.values)
+    if fields is None:
+        return
     grid = fields.grid
-    write_field_csv(out / "z.csv", grid, piv.values)
     for i in range(fields.n):
         write_field_csv(out / f"u{i+1}.csv", grid, fields.u_fields[i])
     if fields.p_field is not None:
@@ -146,7 +149,7 @@ def cmd_solve(args) -> int:
     if cfg.spec.mode == MOLECULAR:
         entries.append(("theta_deviation", _fmt_vec(theta_linearity(sol, cfg.spec))))
     if cfg.write_fields:
-        _write_fields(out, cfg, fields, piv)
+        _write_fields(out, piv, fields)
     write_report(out / "report.txt", entries)
     log.info("wrote results to %s", out)
     return 0
@@ -199,14 +202,7 @@ def cmd_oracle(args) -> int:
             continue
         case_dir = out / result.name
         case_dir.mkdir(parents=True, exist_ok=True)
-        write_field_csv(case_dir / "z.csv", result.pivot.grid, result.pivot.values)
-        if result.fields is not None:
-            for i in range(result.fields.n):
-                write_field_csv(case_dir / f"u{i+1}.csv", result.fields.grid,
-                                result.fields.u_fields[i])
-            if result.fields.p_field is not None:
-                write_field_csv(case_dir / "p.csv", result.fields.grid,
-                                result.fields.p_field)
+        _write_fields(case_dir, result.pivot, result.fields)
     (out / "oracle_report.txt").write_text(suite.format_text(), encoding="utf-8")
     sys.stdout.write(suite.format_text())
     if not suite.all_passed:

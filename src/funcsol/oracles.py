@@ -2,8 +2,8 @@
 
 Every expectation below is a closed form worked out by hand (separable
 integrals, linear systems, the logarithmic annulus potential); none stores
-solver output. The registry pins mesh sizes, tolerances, damping and
-bracket hints per case so that the acceptance suite and the CLI's oracle
+solver output. The registry pins mesh sizes, tolerances and bracket
+hints per case so that the acceptance suite and the CLI's oracle
 command exercise identical configurations.
 """
 
@@ -43,7 +43,6 @@ class OracleCase:
     backend: str | None = None                # fixed_point | shooting | scalar_bisection
     n_nodes: int = 1001
     tol: float = 1e-10
-    damping: float = 1.0
     bracket_hints: tuple | None = None
     expected_gamma: tuple | None = None
     gamma_tol: float = 1e-8
@@ -252,8 +251,7 @@ _register(OracleCase(
 def _solve_backend(case: OracleCase) -> ProfileSolution:
     spec = case.spec
     if case.backend == "fixed_point":
-        return solve_fixed_point(spec, n_nodes=case.n_nodes, tol=case.tol,
-                                 damping=case.damping)
+        return solve_fixed_point(spec, n_nodes=case.n_nodes, tol=case.tol)
     if case.backend == "shooting":
         return solve_shooting(spec, n_nodes=case.n_nodes, tol=case.tol)
     if case.backend == "scalar_bisection":

@@ -176,11 +176,11 @@ class ProfileSolution:
         return self.profiles.shape[0]
 
 
-def default_box(spec: ProblemSpec, pad: float = BOX_PAD):
+def default_box(spec: ProblemSpec):
     """Per-variable sampling ranges around the data the iterates visit."""
     box = {}
     for i, us in enumerate(spec.u_star):
-        box[f"u{i+1}"] = (min(0.0, us) - pad, max(0.0, us) + pad)
+        box[f"u{i+1}"] = (min(0.0, us) - BOX_PAD, max(0.0, us) + BOX_PAD)
     box["p"] = (0.0, spec.p_star)
     return box
 
@@ -281,9 +281,20 @@ def collocation_residual(mesh, profiles, gamma, spec: ProblemSpec) -> float:
     return float(np.max(np.abs(defect)))
 
 
+def _solution(spec: ProblemSpec, mesh, profiles, gamma, **stats) -> ProfileSolution:
+    """The ProfileSolution every backend returns, its residuals measured here."""
+    return ProfileSolution(
+        mesh=mesh,
+        profiles=profiles,
+        gamma=gamma,
+        two_point_residual=collocation_residual(mesh, profiles, gamma, spec),
+        boundary_error=float(np.max(np.abs(profiles[:, -1] - spec.u_star))),
+        stats=stats,
+    )
+
+
 def solve_fixed_point(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
-                      max_iter: int = 200, damping: float = 1.0,
-                      box=None, samples: int = 33) -> ProfileSolution:
+                      max_iter: int = 200, damping: float = 1.0) -> ProfileSolution:
     """Damped Picard iteration on T[U], started from the linear ramp z*u*.
 
     The damping halves (down to 1/16) whenever the sup-norm update grows.
@@ -298,8 +309,8 @@ def solve_fixed_point(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10
         raise ValueError(f"damping must lie in (0, 1], got {damping}")
     m_nodes = require_odd(n_nodes)
     mesh = np.linspace(0.0, 1.0, m_nodes)
-    box = dict(box) if box is not None else default_box(spec)
-    bounds = ellipticity_bounds(spec, box, samples)
+    box = default_box(spec)
+    bounds = ellipticity_bounds(spec, box)
     u_norm = float(np.linalg.norm(spec.u_star))
     U = mesh[None, :] * spec.u_star[:, None]
     prev_update = np.inf
@@ -314,7 +325,7 @@ def solve_fixed_point(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10
             umin, umax = float(U[i].min()), float(U[i].max())
             if umin < lo or umax > hi:
                 box[f"u{i+1}"] = (min(lo, umin) - BOX_PAD, max(hi, umax) + BOX_PAD)
-                bounds = ellipticity_bounds(spec, box, samples)
+                bounds = ellipticity_bounds(spec, box)
         TU = apply_fixed_point_operator(mesh, U, spec)
         limit = (bounds.M / bounds.m) * u_norm
         sup = float(np.max(np.linalg.norm(TU, axis=0)))
@@ -338,37 +349,23 @@ def solve_fixed_point(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10
         raise MaxIterationError(
             f"fixed point iteration did not reach {tol:.3e} in {max_iter} iterations "
             f"(last update {update:.3e})", last_update=update)
-    gamma = gamma_functional(mesh, U, spec)
-    return ProfileSolution(
-        mesh=mesh,
-        profiles=U,
-        gamma=gamma,
-        two_point_residual=collocation_residual(mesh, U, gamma, spec),
-        boundary_error=float(np.max(np.abs(U[:, -1] - spec.u_star))),
-        stats={
-            "method": "fixed_point",
-            "iterations": iterations,
-            "final_update": update,
-            "damping_final": damping,
-            "ellipticity_m": bounds.m,
-            "ellipticity_M": bounds.M,
-            "iterate_bound_ratio": bound_ratio,
-        },
-    )
+    return _solution(spec, mesh, U, gamma_functional(mesh, U, spec), method="fixed_point",
+                     iterations=iterations, final_update=update, damping_final=damping,
+                     ellipticity_m=bounds.m, ellipticity_M=bounds.M,
+                     iterate_bound_ratio=bound_ratio)
 
 
-def _integrate_batch(spec: ProblemSpec, gammas, n_nodes, trajectory=False):
+def _integrate_batch(spec: ProblemSpec, gammas, n_nodes):
     """Classical RK4 for U' = A^-1 (gamma*b_next - b) on a uniform mesh,
     batched over a stack of gammas, under one raising numpy error state: a
     floating point exception is an EvalDomainError naming the coefficient
-    at fault, if one is."""
+    at fault, if one is. Returns the mesh and the (m, k, n) trajectory."""
     gammas = np.atleast_2d(np.asarray(gammas, dtype=float))
     k, n = gammas.shape[0], spec.n
     m = require_odd(n_nodes)
     mesh = np.linspace(0.0, spec.p_star, m)
     h = mesh[1] - mesh[0]
-    U = np.zeros((k, n))
-    traj = np.zeros((m, k, n)) if trajectory else None
+    traj = np.zeros((m, k, n))
     raw, names, nn = spec.bundle.raw, [f"u{i+1}" for i in range(n)], n * n
     has_b = spec.b is not None
     env = dict.fromkeys(names + ["p"], 0.0)         # the launch point
@@ -422,25 +419,22 @@ def _integrate_batch(spec: ProblemSpec, gammas, n_nodes, trajectory=False):
     try:
         with np.errstate(**exprlang.RAISE):
             for step in range(m - 1):
-                p0 = mesh[step]
+                p0, U = mesh[step], traj[step]
                 k1 = f(p0, U)
                 k2 = f(p0 + 0.5 * h, U + 0.5 * h * k1)
                 k3 = f(p0 + 0.5 * h, U + 0.5 * h * k2)
                 k4 = f(p0 + h, U + h * k3)
-                U = U + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                if trajectory:
-                    traj[step + 1] = U
+                traj[step + 1] = U + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     except (FloatingPointError, ZeroDivisionError) as exc:
         spec.bundle(env)        # raises the EvalDomainError naming the coefficient at fault
         raise EvalDomainError(f"the two-point integration left the floating point range "
                               f"near p = {float(env['p']):.6g}: {exc}") from None
-    return mesh, (traj if trajectory else U)
+    return mesh, traj
 
 
 def integrate_profiles(spec: ProblemSpec, gamma, n_nodes: int):
     """Integrate the initial value problem for a given gamma; returns (mesh, profiles)."""
-    mesh, traj = _integrate_batch(spec, np.asarray(gamma, dtype=float)[None, :],
-                                  n_nodes, trajectory=True)
+    mesh, traj = _integrate_batch(spec, np.asarray(gamma, dtype=float)[None, :], n_nodes)
     return mesh, traj[:, 0, :].T
 
 
@@ -474,7 +468,7 @@ def _jacobian_batch(spec: ProblemSpec, gamma, n_nodes):
     gamma = np.asarray(gamma, dtype=float)
     steps = 1e-6 * (1.0 + np.abs(gamma))
     gammas = np.vstack([gamma, gamma + np.diag(steps)])
-    mesh, traj = _integrate_batch(spec, gammas, n_nodes, trajectory=True)
+    mesh, traj = _integrate_batch(spec, gammas, n_nodes)
     J = (traj[-1, 1:] - traj[-1, 0]).T / steps[None, :]
     return J, mesh, traj[:, 0, :].T
 
@@ -525,27 +519,13 @@ def solve_shooting(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
         raise MaxIterationError(
             f"shooting did not reach {tol:.3e} in {max_newton} Newton iterations "
             f"(endpoint mismatch {residual:.3e})", last_update=residual)
-    return ProfileSolution(
-        mesh=mesh,
-        profiles=profiles,
-        gamma=gamma,
-        two_point_residual=collocation_residual(mesh, profiles, gamma, spec),
-        boundary_error=float(np.max(np.abs(profiles[:, -1] - spec.u_star))),
-        stats={
-            "method": "shooting",
-            "iterations": iterations,
-            "jacobian_condition": cond,
-        },
-    )
+    return _solution(spec, mesh, profiles, gamma, method="shooting", iterations=iterations,
+                     jacobian_condition=cond)
 
 
-def _scalar_endpoint(spec: ProblemSpec, gamma, n_nodes):
-    return float(_integrate_batch(spec, np.array([[gamma]]), n_nodes)[1][0, 0])
-
-
-def _check_f_positive(spec: ProblemSpec, samples: int = 65, pad: float = BOX_PAD):
-    box = default_box(spec, pad)
-    uu, pp = np.meshgrid(*(np.linspace(*box[v], samples) for v in ("u1", "p")), indexing="ij")
+def _check_f_positive(spec: ProblemSpec):
+    box = default_box(spec)
+    uu, pp = np.meshgrid(*(np.linspace(*box[v], 65) for v in ("u1", "p")), indexing="ij")
     A, _, b_next = spec.coefficients([uu], pp)
     a = A[..., 0, 0]
     if not np.all(a):
@@ -566,81 +546,82 @@ def solve_scalar(spec: ProblemSpec, bracket_hints=None, n_nodes: int = 1001,
     ``bracket_hints``, when given, are the integrals (int_0^p* r, int_0^p* q)
     of lower/upper bounds r <= F <= q, yielding the analytic initial bracket
     [u*/int q, u*/int r]. Otherwise the bracket grows geometrically from 0.
-    Each pass integrates KSECTION_WIDTH interior candidates in one batch;
-    ``max_bisect`` halvings buy ceil(max_bisect / 5) passes. The endpoint
-    map's strict monotonicity in gamma is asserted on every sampled pair.
+    Every gamma goes through one memoized batch integration: both bracket
+    ends in one batch, then KSECTION_WIDTH interior candidates per pass, and
+    no gamma twice. ``max_bisect`` halvings buy ceil(max_bisect / 5) passes.
+    The returned profile is the winning candidate's own trajectory, kept
+    from its batch. The endpoint map's strict monotonicity in gamma is
+    asserted on every sampled pair.
     """
     if spec.mode != DARCY or spec.n != 1 or spec.b is not None:
         raise ValueError("solve_scalar applies to darcy problems with n = 1 and no b")
     _check_f_positive(spec)
     u_star = float(spec.u_star[0])
-    evals = {}
+    evals = {}                  # gamma -> endpoint U(p*)
+    hits = {}                   # gamma -> (mesh, profiles) of the endpoints within tol
     runs = 0                    # integrations, each of one batch of gammas
-
-    def g(gam):
-        nonlocal runs
-        if gam not in evals:
-            evals[gam] = _scalar_endpoint(spec, gam, n_nodes)
-            runs += 1
-        return evals[gam]
 
     def batch(gams):
         nonlocal runs
-        _, ends = _integrate_batch(spec, np.array(gams)[:, None], n_nodes)
-        runs += 1
-        evals.update(zip(gams, ends[:, 0].tolist()))
-        return ends[:, 0]
+        new = [gam for gam in dict.fromkeys(gams) if gam not in evals]
+        if new:
+            mesh, traj = _integrate_batch(spec, np.array(new)[:, None], n_nodes)
+            runs += 1
+            for j, (gam, end) in enumerate(zip(new, traj[-1, :, 0].tolist())):
+                evals[gam] = end
+                if abs(end - u_star) <= tol:
+                    hits[gam] = mesh, traj[:, j, :].T.copy()
+        return [evals[gam] for gam in gams]
 
-    gamma = 0.0 if u_star == 0.0 else None
-    if gamma is None:
-        if bracket_hints is not None:
-            r_int, q_int = float(bracket_hints[0]), float(bracket_hints[1])
-            if r_int <= 0 or q_int <= 0:
-                raise BracketFailureError("bracket hints must be positive integrals")
-            lo, hi = sorted((u_star / q_int, u_star / r_int))
+    if bracket_hints is not None:
+        r_int, q_int = float(bracket_hints[0]), float(bracket_hints[1])
+        if r_int <= 0 or q_int <= 0:
+            raise BracketFailureError("bracket hints must be positive integrals")
+        lo, hi = sorted((u_star / q_int, u_star / r_int))
+    else:
+        lo = hi = 0.0
+    # the endpoint map increases in gamma: move whichever end is short
+    step = abs(u_star) / spec.p_star
+    for grow in range(61):
+        miss_lo, miss_hi = (end - u_star for end in batch([lo, hi]))
+        gamma = next((c for c in (lo, hi) if c in hits), None)
+        if gamma is not None or miss_lo * miss_hi < 0.0:
+            break
+        if grow == 60:
+            raise BracketFailureError(
+                f"no sign change in the endpoint map after {grow} expansions "
+                f"(gamma in [{lo:.6g}, {hi:.6g}])")
+        if miss_hi < 0.0:
+            hi += step
         else:
-            lo = hi = 0.0
-        # the endpoint map increases in gamma: move whichever end is short
-        step = abs(u_star) / spec.p_star
-        for grow in range(61):
-            gamma = next((c for c in (lo, hi) if abs(g(c) - u_star) <= tol), None)
-            if gamma is not None or (g(lo) - u_star) * (g(hi) - u_star) < 0.0:
-                break
-            if grow == 60:
-                raise BracketFailureError(
-                    f"no sign change in the endpoint map after {grow} expansions "
-                    f"(gamma in [{lo:.6g}, {hi:.6g}])")
-            if g(hi) < u_star:
-                hi += step
-            else:
-                lo -= step
-            step *= 2.0
-        passes, best_miss = 0, math.inf
-        while gamma is None:
-            if passes == math.ceil(max_bisect / 5):
-                raise MaxIterationError(f"k-section did not reach {tol:.3e} in {passes} passes",
-                                        last_update=best_miss)
-            passes += 1
-            nodes = np.linspace(lo, hi, KSECTION_WIDTH + 2)
-            ends = batch(nodes[1:-1].tolist())
-            miss = np.abs(ends - u_star)
-            best = int(np.argmin(miss))
-            best_miss = float(miss[best])
-            if best_miss <= tol:
-                gamma = float(nodes[1 + best])
-                break
-            below = int(np.count_nonzero(ends < u_star))
-            if not 0.0 < nodes[below + 1] - nodes[below] < hi - lo:
-                raise MaxIterationError(
-                    f"k-section bracket [{lo:.17g}, {hi:.17g}] stopped shrinking before "
-                    f"the endpoint reached {tol:.3e}", last_update=best_miss)
-            lo, hi = float(nodes[below]), float(nodes[below + 1])
+            lo -= step
+        step *= 2.0
+    passes, best_miss = 0, math.inf
+    while gamma is None:
+        if passes == math.ceil(max_bisect / 5):
+            raise MaxIterationError(f"k-section did not reach {tol:.3e} in {passes} passes",
+                                    last_update=best_miss)
+        passes += 1
+        nodes = np.linspace(lo, hi, KSECTION_WIDTH + 2)
+        ends = np.array(batch(nodes[1:-1].tolist()))
+        miss = np.abs(ends - u_star)
+        best = int(np.argmin(miss))
+        best_miss = float(miss[best])
+        if best_miss <= tol:
+            gamma = float(nodes[1 + best])
+            break
+        below = int(np.count_nonzero(ends < u_star))
+        if not 0.0 < nodes[below + 1] - nodes[below] < hi - lo:
+            raise MaxIterationError(
+                f"k-section bracket [{lo:.17g}, {hi:.17g}] stopped shrinking before "
+                f"the endpoint reached {tol:.3e}", last_update=best_miss)
+        lo, hi = float(nodes[below]), float(nodes[below + 1])
 
     # monotonicity witness: at least 5 sampled gamma pairs, strictly increasing
     # beyond the rounding noise of an m-step integration (tol may lie below it)
     if len(evals) < 6:
         base = gamma if gamma != 0.0 else 1.0
-        batch([base * fac for fac in (0.5, 0.75, 1.25, 1.5) if base * fac not in evals])
+        batch([base * fac for fac in (0.5, 0.75, 1.25, 1.5)])
     gs = [evals[gam] for gam in sorted(evals)]
     slack = require_odd(n_nodes) * np.finfo(float).eps * max(abs(v) for v in gs)
     if any(g2 <= g1 - slack for g1, g2 in zip(gs, gs[1:])):
@@ -648,18 +629,6 @@ def solve_scalar(spec: ProblemSpec, bracket_hints=None, n_nodes: int = 1001,
             "endpoint map is not strictly increasing in gamma; "
             "the positivity of F does not hold along the trajectories")
 
-    mesh, profiles = integrate_profiles(spec, np.array([gamma]), n_nodes)
-    garr = np.array([gamma])
-    return ProfileSolution(
-        mesh=mesh,
-        profiles=profiles,
-        gamma=garr,
-        two_point_residual=collocation_residual(mesh, profiles, garr, spec),
-        boundary_error=float(np.max(np.abs(profiles[:, -1] - spec.u_star))),
-        stats={
-            "method": "scalar_bisection",
-            "iterations": runs,
-            "endpoint_evaluations": len(evals),
-            "monotone_samples": len(gs),
-        },
-    )
+    mesh, profiles = hits[gamma]
+    return _solution(spec, mesh, profiles, np.array([gamma]), method="scalar_bisection",
+                     iterations=runs, endpoint_evaluations=len(evals), monotone_samples=len(gs))

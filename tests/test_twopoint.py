@@ -331,11 +331,11 @@ def test_scalar_bracket_failure(monkeypatch):
     import funcsol.twopoint as tp
     calls = []
 
-    def bounded_endpoint(spec, gamma, n_nodes):
-        calls.append(gamma)
-        return math.atan(gamma)
+    def bounded_endpoint(spec, gammas, n_nodes):
+        calls.extend(np.ravel(gammas).tolist())
+        return None, np.arctan(np.asarray(gammas, dtype=float))[None]
 
-    monkeypatch.setattr(tp, "_scalar_endpoint", bounded_endpoint)
+    monkeypatch.setattr(tp, "_integrate_batch", bounded_endpoint)
     with pytest.raises(BracketFailureError):
         tp.solve_scalar(scalar_spec("1+u1^2", "1", 2.0), n_nodes=65)
     assert len(calls) > 60
@@ -375,9 +375,9 @@ def test_scalar_tol_below_roundoff(u_star, solvable, monkeypatch):
     else:
         # which targets RK4 lets the map hit exactly is an accident of its
         # rounding, so stall on a strictly increasing map that steps over u*
-        def stepped_endpoints(spec, gammas, n_nodes, trajectory=False):
+        def stepped_endpoints(spec, gammas, n_nodes):
             g = np.asarray(gammas, dtype=float)
-            return None, np.where(g < u_star, g, g + 1e-9)
+            return None, np.where(g < u_star, g, g + 1e-9)[None]
 
         monkeypatch.setattr(tp, "_integrate_batch", stepped_endpoints)
         with pytest.raises(MaxIterationError):
@@ -385,11 +385,35 @@ def test_scalar_tol_below_roundoff(u_star, solvable, monkeypatch):
 
 
 def test_scalar_monotone_endpoint_map():
-    from funcsol.twopoint import _scalar_endpoint
+    from funcsol.twopoint import _integrate_batch
     spec = scalar_spec("exp(u1)", "1", 1.0)
     gammas = np.linspace(0.1, 3.0, 6)
-    ends = [_scalar_endpoint(spec, g, 257) for g in gammas]
+    ends = _integrate_batch(spec, gammas[:, None], 257)[1][-1, :, 0]
     assert all(a < b for a, b in zip(ends, ends[1:]))
+
+
+def test_scalar_integrates_each_gamma_once(monkeypatch):
+    # F = 1 + U with hints r = 1, q = 1 + u*: the bracket ends share one
+    # batch, every pass adds KSECTION_WIDTH new candidates, and the profile
+    # is the winner's trajectory from its pass rather than a rerun
+    import funcsol.twopoint as tp
+    batches = []
+    integrate = tp._integrate_batch
+
+    def counted(spec, gammas, *args, **kwargs):
+        batches.append(np.ravel(gammas).tolist())
+        return integrate(spec, gammas, *args, **kwargs)
+
+    monkeypatch.setattr(tp, "_integrate_batch", counted)
+    spec = scalar_spec("1", "1+u1", 1.0)
+    sol = tp.solve_scalar(spec, bracket_hints=(1.0, 2.0), n_nodes=2049, tol=1e-11)
+    monkeypatch.undo()
+    seen = [gam for widths in batches for gam in widths]
+    assert len(seen) == len(set(seen))
+    assert sol.stats["iterations"] == len(batches)
+    assert [len(b) for b in batches] == [2] + [tp.KSECTION_WIDTH] * (len(batches) - 1)
+    assert sol.boundary_error <= 1e-11
+    assert integrate_profiles(spec, sol.gamma, 2049)[1].tobytes() == sol.profiles.tobytes()
 
 
 # --- the scalar spelling is darcy with n = 1 ----------------------------------
