@@ -191,3 +191,30 @@ def test_darcy_flux_fields(square17):
     # v = -grad p : p = z = x on the square, so v = (-1, 0)
     np.testing.assert_allclose(fs.flux_fields["v"][0], -1.0, atol=1e-9)
     np.testing.assert_allclose(fs.flux_fields["v"][1], 0.0, atol=1e-9)
+
+
+def test_molecular_flux_fields(square17):
+    # u = (x, -0.5 x) under A = [[2, 1], [1, 2]]: q_h = (2 - 0.5, 0), q_m = (1 - 1, 0)
+    mesh = np.linspace(0.0, 1.0, 101)
+    sol = make_profiles(CONST, mesh, mesh[None, :] * np.array([[1.0], [-0.5]]))
+    fs = compose_fields(sol, square17, CONST, with_fluxes=True)
+    assert list(fs.flux_fields) == ["q_h", "q_m"]
+    np.testing.assert_allclose(fs.flux_fields["q_h"][0], 1.5, atol=1e-9)
+    np.testing.assert_allclose(fs.flux_fields["q_h"][1], 0.0, atol=1e-9)
+    np.testing.assert_allclose(fs.flux_fields["q_m"], 0.0, atol=1e-9)
+
+
+def test_darcy_flux_fields_with_pressure_term(square17):
+    # a = 1, b1 = 2, b_next = 3 and linear profiles: p = p* x and u = u* x,
+    # so q_1 = (u* + 2 p*, 0) and v = (-3 p*, 0)
+    u_star, p_star = 0.75, 1.5
+    spec = ProblemSpec.from_strings(1, [["1"]], b=["2"], b_next="3", u_star=(u_star,),
+                                    p_star=p_star, mode="darcy")
+    mesh = np.linspace(0.0, p_star, 101)
+    sol = make_profiles(spec, mesh, (u_star / p_star) * mesh[None, :])
+    fs = darcy_reconstruct(sol, square17, spec, with_fluxes=True)
+    assert list(fs.flux_fields) == ["q_1", "v"]
+    np.testing.assert_allclose(fs.flux_fields["q_1"][0], u_star + 2.0 * p_star, atol=1e-9)
+    np.testing.assert_allclose(fs.flux_fields["q_1"][1], 0.0, atol=1e-9)
+    np.testing.assert_allclose(fs.flux_fields["v"][0], -3.0 * p_star, atol=1e-9)
+    np.testing.assert_allclose(fs.flux_fields["v"][1], 0.0, atol=1e-9)

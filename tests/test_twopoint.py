@@ -245,6 +245,26 @@ def test_shooting_matches_fixed_point():
     assert np.max(np.abs(fp.profiles - sh.profiles)) <= 1e-7
 
 
+@pytest.mark.parametrize("solve", [solve_fixed_point, solve_shooting])
+def test_three_field_molecular_closed_form(solve):
+    # (1+U1)U1' = gamma_1 integrates to U1 + U1^2/2 = gamma_1 z, so
+    # gamma = (1 + 1/2, 0.5, -0.25); shooting runs the general n >= 3 solve
+    spec = molecular([["1+u1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+                     (1.0, 0.5, -0.25))
+    sol = solve(spec, n_nodes=257, tol=1e-10)
+    np.testing.assert_allclose(sol.gamma, [1.5, 0.5, -0.25], atol=1e-9)
+
+
+def test_three_field_darcy_singular_on_trajectory():
+    # a33 = 1 - p vanishes at p = 1, a mesh node of [0, 2] with 257 nodes
+    spec = ProblemSpec.from_strings(
+        3, [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1-p"]], b=["0", "0", "0"],
+        b_next="1", u_star=(1.0, 1.0, 1.0), p_star=2.0, mode="darcy")
+    with pytest.raises(SingularMatrixError) as exc:
+        solve_shooting(spec, n_nodes=257)
+    assert "at p = 1 " in str(exc.value)
+
+
 def test_shooting_degenerate_origin():
     spec = ProblemSpec.from_strings(2, [["1", "1"], ["1", "1"]], u_star=(0.5, 0.5))
     with pytest.raises(DegenerateLinearizationError):
