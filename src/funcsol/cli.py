@@ -100,7 +100,7 @@ def _solve_two_point(cfg: ProblemConfig):
         return solve_shooting(cfg.spec, n_nodes=cfg.n_nodes, tol=cfg.tol,
                               max_newton=cfg.max_iter)
     return solve_scalar(cfg.spec, bracket_hints=cfg.bracket_hints,
-                        n_nodes=cfg.n_nodes, tol=cfg.tol)
+                        n_nodes=cfg.n_nodes, tol=cfg.tol, max_bisect=cfg.max_iter)
 
 
 def _write_fields(out: Path, piv: PivotField, fields: FieldSet | None):

@@ -219,6 +219,35 @@ directory = {out}
     assert main(["solve", str(path)]) == 4
 
 
+def test_solve_scalar_honours_max_iter(tmp_path):
+    cfg = """
+[geometry]
+family = rectangle
+n1 = 17
+n2 = 17
+width = 1.0
+height = 1.0
+
+[problem]
+mode = scalar
+n = 1
+a11 = 1
+b1 = 1+u1
+u_star = 1
+p_star = 1.0
+
+[solver]
+backend = scalar_bisection
+N = 257
+max_iter = 1
+
+[output]
+directory = {out}
+"""
+    # one halving buys a single k-section pass, too few to reach tol
+    assert main(["solve", str(write_cfg(tmp_path, cfg))]) == 2
+
+
 def test_config_error_exit_code(tmp_path):
     assert main(["solve", str(tmp_path / "missing.ini")]) == 1
 
