@@ -9,8 +9,9 @@ which keeps every lookup monotone; the sampled Theta map is inverted
 segment-exactly, so the round trip is accurate to rounding (well inside
 the advertised 1e-12 tolerance in eta).
 
-The boundary data is stamped onto the tagged nodes, so reconstructed
-fields satisfy the Dirichlet conditions exactly.
+Every field's Dirichlet data and every flux term come from the law table
+``ProblemSpec.laws()``. The data is stamped onto the tagged nodes, so
+reconstructed fields satisfy the Dirichlet conditions exactly.
 """
 
 from __future__ import annotations
@@ -87,32 +88,29 @@ def _gradient(grid: Grid, field: np.ndarray):
     return np.stack([g1, g2])
 
 
-def _stamp_dirichlet(grid: Grid, fields: np.ndarray, u_star, p_field=None, p_star=None):
+def _stamp_dirichlet(grid: Grid, spec: ProblemSpec, fields):
+    """Each law's field: 0 on gamma1 and the law's boundary value on gamma3."""
     m1 = grid.mask(GAMMA1)
     m3 = grid.mask(GAMMA3)
-    for i in range(fields.shape[0]):
-        fields[i][m1] = 0.0
-        fields[i][m3] = u_star[i]
-    if p_field is not None:
-        p_field[m1] = 0.0
-        p_field[m3] = p_star
+    for field, boundary, _ in spec.laws():
+        fields[field][m1] = 0.0
+        fields[field][m3] = boundary
 
 
 def _flux_fields(grid: Grid, spec: ProblemSpec, u_fields, p_field):
-    """Flux vectors per conservation law plus the transport velocity."""
-    grads = [_gradient(grid, u) for u in u_fields]
-    A, b, bn = spec.coefficients(u_fields, 0.0 if p_field is None else p_field)
+    """The flux vector of each u_i law, plus the transport velocity v, the
+    negated flux of the pressure law."""
+    grads = [_gradient(grid, f) for f in [*u_fields, p_field] if f is not None]
+    values = spec.values(u_fields, 0.0 if p_field is None else p_field)
     fluxes = {}
-    for i in range(spec.n):
+    for field, _, terms in spec.laws():
         q = np.zeros((2,) + grid.shape)
-        for j in range(spec.n):
-            q += A[..., i, j] * grads[j]
-        if b is not None:
-            q += b[..., i] * _gradient(grid, p_field)
-        name = ("q_h", "q_m")[i] if spec.n == 2 else f"q_{i+1}"
-        fluxes[name] = q
-    if p_field is not None:
-        fluxes["v"] = -bn * _gradient(grid, p_field)
+        for k, f in terms:
+            q += values[k] * grads[f]
+        if field == spec.n:
+            fluxes["v"] = -q
+        else:
+            fluxes[("q_h", "q_m")[field] if spec.n == 2 else f"q_{field+1}"] = q
     return fluxes
 
 
@@ -122,7 +120,7 @@ def compose_fields(sol: ProfileSolution, pivot: PivotField, spec: ProblemSpec,
     if spec.mode != MOLECULAR:
         raise ValueError("compose_fields applies to molecular problems")
     u = _profile_lookup(sol, pivot.values)
-    _stamp_dirichlet(pivot.grid, u, spec.u_star)
+    _stamp_dirichlet(pivot.grid, spec, u)
     fluxes = _flux_fields(pivot.grid, spec, u, None) if with_fluxes else None
     return FieldSet(grid=pivot.grid, u_fields=u, flux_fields=fluxes)
 
@@ -156,6 +154,6 @@ def darcy_reconstruct(sol: ProfileSolution, pivot: PivotField, spec: ProblemSpec
     theta = kirchhoff_theta(sol, spec)
     p = pressure_from_pivot(theta, pivot)
     u = _profile_lookup(sol, p)
-    _stamp_dirichlet(pivot.grid, u, spec.u_star, p, spec.p_star)
+    _stamp_dirichlet(pivot.grid, spec, [*u, p])
     fluxes = _flux_fields(pivot.grid, spec, u, p) if with_fluxes else None
     return FieldSet(grid=pivot.grid, u_fields=u, p_field=p, flux_fields=fluxes)

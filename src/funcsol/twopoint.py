@@ -141,17 +141,36 @@ class ProblemSpec:
         pbn = parse_expression(b_next, allowed) if b_next is not None else None
         return cls(n=n, a=pa, b=pb, b_next=pbn, u_star=u_star, p_star=p_star, mode=mode)
 
-    def coefficients(self, u_values, p_values):
-        """(A, b, b_next) at the states (u_1..u_n, p), broadcast together,
-        from one call of the compiled bundle: A is (*shape, n, n), b is
-        (*shape, n) or None when absent, b_next is (*shape), ones when absent.
+    def laws(self):
+        """The system in divergence form, one (field, boundary, terms) row per law.
+
+        Law i is div(sum_j a_ij grad u_j + b_i grad p) = 0, and darcy problems
+        end with the pressure law div(b_next grad p) = 0. ``field`` indexes
+        u_1..u_n, then p; the field is 0 on gamma1 and ``boundary`` on gamma3.
+        ``terms`` are (index into ``values``, field) pairs.
         """
+        n, nn = self.n, self.n * self.n
+        laws = [(i, float(self.u_star[i]), [(i * n + j, j) for j in range(n)]
+                 + ([] if self.b is None else [(nn + i, n)])) for i in range(n)]
+        if self.mode == DARCY:
+            laws.append((n, self.p_star, [(len(self.bundle.nodes) - 1, n)]))
+        return laws
+
+    def values(self, u_values, p_values):
+        """Every coefficient at the states (u_1..u_n, p), broadcast together,
+        from one call of the compiled bundle: A row by row, then b when
+        present, then b_next (ones when absent)."""
         env = {f"u{i+1}": u for i, u in enumerate(u_values)}
         env["p"] = p_values
         shape = np.broadcast_shapes(*map(np.shape, env.values()))
-        values = [np.broadcast_to(v, shape) for v in self.bundle(env)]
+        return [np.broadcast_to(v, shape) for v in self.bundle(env)]
+
+    def coefficients(self, u_values, p_values):
+        """(A, b, b_next) from ``values``: A is (*shape, n, n), b is
+        (*shape, n) or None when absent, b_next is (*shape)."""
+        values = self.values(u_values, p_values)
         nn = self.n * self.n
-        A = np.stack(values[:nn], axis=-1).reshape(shape + (self.n, self.n))
+        A = np.stack(values[:nn], axis=-1).reshape(values[-1].shape + (self.n, self.n))
         b = None if self.b is None else np.stack(values[nn:-1], axis=-1)
         return A, b, values[-1]
 

@@ -1,8 +1,9 @@
 """Independent checks of reconstructed fields plus a direct coupled solver.
 
-``divergence_residual`` re-discretizes each conservation law in flux form
-with arithmetic node-mean face coefficients and reports the defect of the
-given fields; for second-order-accurate inputs it shrinks like h^2 under
+``divergence_residual`` re-discretizes each law of ``ProblemSpec.laws()``
+in flux form with arithmetic node-mean face coefficients, reports the
+defect of the given fields and checks their boundary values against the
+law table; for second-order-accurate inputs the defect shrinks like h^2 under
 grid refinement. Note that fields composed from piecewise-linear profiles
 carry an interpolation wiggle of order h_profile^2 that the stencil
 amplifies by 1/h^2, so refinement studies need the profile mesh fine
@@ -11,7 +12,7 @@ enough that h_profile^2 stays well below h^2 * (target residual).
 solutions: the cumulative flux integrals must be linear in the pivot with
 slopes gamma_i.
 
-``direct_coupled_solve`` attacks the PDE system head on (frozen
+``direct_coupled_solve`` attacks the same laws head on (frozen
 coefficient Picard iterations around the pivot module's linear machinery)
 and serves as the cross-validation oracle for comparing functional
 solutions against plain classical ones. Its face coefficients use a
@@ -60,47 +61,30 @@ def _check_fields(fields: FieldSet, spec: ProblemSpec, grid: Grid):
         raise ShapeMismatchError(f"{spec.mode} mode requires a pressure field")
 
 
-def _equation_fluxpairs(spec: ProblemSpec, u_fields, p_field):
-    """Per conservation law: list of (coefficient nodes, field) flux pairs."""
-    A, b, b_next = spec.coefficients(u_fields, 0.0 if p_field is None else p_field)
-    equations = []
-    for i in range(spec.n):
-        pairs = [(A[..., i, j], u_fields[j]) for j in range(spec.n)]
-        if b is not None:
-            pairs.append((b[..., i], p_field))
-        equations.append(pairs)
-    if spec.mode == DARCY:
-        equations.append([(b_next, p_field)])
-    return equations
-
-
 def divergence_residual(fields: FieldSet, spec: ProblemSpec, grid: Grid) -> ResidualReport:
-    """Flux-form defect of each conservation law on the equation rows.
+    """Flux-form defect of each of ``spec.laws()`` on the equation rows,
+    and the largest boundary-value error of the laws' fields.
 
     Face coefficients are arithmetic means of the node values; gamma2 rows
     fold in through ghost reflection exactly as the solvers treat them, and
     norms run over all non-Dirichlet nodes (L2 as the root mean square).
     """
     _check_fields(fields, spec, grid)
-    shape = grid.shape
     p = fields.p_field
+    state = [*fields.u_fields, p]
+    values = spec.values(fields.u_fields, 0.0 if p is None else p)
     mask = grid.unknown_mask
     linf, l2 = [], []
-    for pairs in _equation_fluxpairs(spec, fields.u_fields, p):
-        total = np.zeros(shape)
-        for c_nodes, f in pairs:
-            cfx, cfy = arithmetic_mean_faces(c_nodes)
-            total += DivergenceStencil(grid, cfx, cfy).apply(f)
+    bmax = 0.0
+    for field, boundary, terms in spec.laws():
+        total = np.zeros(grid.shape)
+        for k, f in terms:
+            total += DivergenceStencil(grid, *arithmetic_mean_faces(values[k])).apply(state[f])
         vals = total[mask]
         linf.append(float(np.max(np.abs(vals))))
         l2.append(float(np.sqrt(np.mean(vals**2))))
-    bmax = 0.0
-    for i in range(spec.n):
-        bmax = max(bmax, float(np.max(np.abs(fields.u_fields[i][grid.mask(GAMMA1)]))))
-        bmax = max(bmax, float(np.max(np.abs(fields.u_fields[i][grid.mask(GAMMA3)] - spec.u_star[i]))))
-    if p is not None:
-        bmax = max(bmax, float(np.max(np.abs(p[grid.mask(GAMMA1)]))))
-        bmax = max(bmax, float(np.max(np.abs(p[grid.mask(GAMMA3)] - spec.p_star))))
+        bmax = max(bmax, float(np.max(np.abs(state[field][grid.mask(GAMMA1)]))),
+                   float(np.max(np.abs(state[field][grid.mask(GAMMA3)] - boundary))))
     return ResidualReport(
         per_equation_linf=tuple(linf),
         per_equation_l2=tuple(l2),
@@ -164,52 +148,46 @@ def direct_coupled_solve(spec: ProblemSpec, grid: Grid, tol: float = 1e-9,
     """Frozen-coefficient Picard iteration on the coupled PDE system.
 
     Each outer sweep freezes every coefficient at the current fields and
-    solves one linear divergence-form problem per unknown field: first the
-    pressure law (if present), then each u_i with the off-diagonal and
-    pressure fluxes moved to the right-hand side. Stops when the largest
-    nodewise field update drops below tol; five consecutive growths of the
-    update norm abort with an outer-divergence error. Each linear solve
-    runs to 0.005 * tol, or to the stencil's roundoff floor if that is larger.
+    solves each law of ``spec.laws()`` for its own field, the law's own
+    term implicit and its other flux terms on the right-hand side: first
+    the pressure law (if present), then the u_i laws, which read its new
+    value but each other's previous values. Stops when the largest nodewise
+    field update drops below tol; five consecutive growths of the update
+    norm abort with an outer-divergence error. Each linear solve runs to
+    0.005 * tol, or to the stencil's roundoff floor if that is larger.
     """
     value_scale = float(max(np.max(np.abs(spec.u_star)), spec.p_star, 1.0))
+    laws = spec.laws()
+    darcy = spec.mode == DARCY
 
-    def solve_eq(stencil, bc, source, x0):
+    def solve_eq(stencil, boundary, source, x0):
         eff = max(0.005 * tol, stencil.residual_floor(value_scale))
-        return stencil.solve(bc, source=source, tol=eff, x0=x0)[0]
+        return stencil.solve(dirichlet_targets(grid, 0.0, boundary), source=source,
+                             tol=eff, x0=x0)[0]
 
     # initial fields: the constant-coefficient solution u_i = u_i* z, p = p* z
-    z0 = solve_eq(DivergenceStencil(grid, *unit_faces(grid)), dirichlet_targets(grid, 0.0, 1.0),
-                  None, None)
-    u = np.stack([us * z0 for us in spec.u_star])
-    p = spec.p_star * z0 if spec.mode == DARCY else None
+    z0 = solve_eq(DivergenceStencil(grid, *unit_faces(grid)), 1.0, None, None)
+    fields = [boundary * z0 for _, boundary, _ in laws]
 
     grow_streak = 0
     prev_update = np.inf
     for outer in range(1, max_outer + 1):
-        states = {f"u{i+1}": u[i] for i in range(spec.n)}
-        states["p"] = np.zeros(grid.shape) if p is None else p
-        update = 0.0
-        p_new = p
-        if p is not None:
-            cfx, cfy = _simpson_faces(spec.b_next, states)
-            p_new = solve_eq(DivergenceStencil(grid, cfx, cfy),
-                             dirichlet_targets(grid, 0.0, spec.p_star), None, p)
-            update = max(update, float(np.max(np.abs(p_new - p))))
-        u_new = np.empty_like(u)
-        for i in range(spec.n):
-            cfx, cfy = _simpson_faces(spec.a[i][i], states)
-            source = np.zeros(grid.shape)
-            for j in range(spec.n):
-                if j != i:
-                    ox, oy = _simpson_faces(spec.a[i][j], states)
-                    source -= DivergenceStencil(grid, ox, oy).apply(u[j])
-            if spec.b is not None:
-                bx, by = _simpson_faces(spec.b[i], states)
-                source -= DivergenceStencil(grid, bx, by).apply(p_new)
-            u_new[i] = solve_eq(DivergenceStencil(grid, cfx, cfy),
-                                dirichlet_targets(grid, 0.0, spec.u_star[i]), source, u[i])
-            update = max(update, float(np.max(np.abs(u_new[i] - u[i]))))
-        u, p = u_new, p_new
+        states = {f"u{i+1}": fields[i] for i in range(spec.n)}
+        states["p"] = fields[-1] if darcy else np.zeros(grid.shape)
+        new = list(fields)
+        for stage in (laws[spec.n:], laws[:spec.n]):    # the pressure law first
+            known = list(new)
+            for field, boundary, terms in stage:
+                source = 0.0
+                for k, f in terms:
+                    stencil = DivergenceStencil(grid, *_simpson_faces(spec.bundle.nodes[k], states))
+                    if f == field:
+                        own = stencil
+                    else:
+                        source = source - stencil.apply(known[f])
+                new[field] = solve_eq(own, boundary, source, known[field])
+        update = max(float(np.max(np.abs(a - b))) for a, b in zip(new, fields))
+        fields = new
         if update <= tol:
             break
         grow_streak = grow_streak + 1 if update > prev_update else 0
@@ -222,4 +200,5 @@ def direct_coupled_solve(spec: ProblemSpec, grid: Grid, tol: float = 1e-9,
         raise OuterDivergenceError(
             f"outer Picard iteration did not reach {tol:.3e} in {max_outer} sweeps "
             f"(last update {update:.3e})")
-    return FieldSet(grid=grid, u_fields=u, p_field=p)
+    return FieldSet(grid=grid, u_fields=np.stack(fields[:spec.n]),
+                    p_field=fields[-1] if darcy else None)

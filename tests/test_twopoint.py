@@ -67,6 +67,19 @@ def test_molecular_pivots_on_unit_interval():
                                  p_star=2.0, mode="molecular")
 
 
+def test_laws_table_darcy_and_molecular():
+    spec = ProblemSpec.from_strings(2, [["1", "2"], ["3", "4"]], b=["5", "6"], b_next="7",
+                                    u_star=(0.5, -1.0), p_star=2.0, mode="darcy")
+    values = spec.values([0.0, 0.0], 0.0)
+    table = [(f, bd, [(float(values[k]), g) for k, g in terms]) for f, bd, terms in spec.laws()]
+    assert table == [(0, 0.5, [(1.0, 0), (2.0, 1), (5.0, 2)]),
+                     (1, -1.0, [(3.0, 0), (4.0, 1), (6.0, 2)]),
+                     (2, 2.0, [(7.0, 2)])]
+    values = CONST.values([0.0, 0.0], 0.0)
+    table = [(f, bd, [(float(values[k]), g) for k, g in terms]) for f, bd, terms in CONST.laws()]
+    assert table == [(0, 1.0, [(2.0, 0), (1.0, 1)]), (1, 0.0, [(1.0, 0), (2.0, 1)])]
+
+
 # --- ellipticity ----------------------------------------------------------------
 
 def test_ellipticity_constant_matrix():
