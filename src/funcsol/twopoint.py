@@ -147,7 +147,8 @@ class ProblemSpec:
         Law i is div(sum_j a_ij grad u_j + b_i grad p) = 0, and darcy problems
         end with the pressure law div(b_next grad p) = 0. ``field`` indexes
         u_1..u_n, then p; the field is 0 on gamma1 and ``boundary`` on gamma3.
-        ``terms`` are (index into ``values``, field) pairs.
+        ``terms`` are (k, field) pairs: ``values(...)[k]``, the value of
+        ``bundle.nodes[k]``, times the gradient of that field.
         """
         n, nn = self.n, self.n * self.n
         laws = [(i, float(self.u_star[i]), [(i * n + j, j) for j in range(n)]
