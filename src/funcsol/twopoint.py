@@ -20,12 +20,16 @@ of a spec come from one compiled (A, b, b_{n+1}) bundle. The backends:
   Jacobian batch's base trajectory is the returned profile.
 * ``solve_scalar``: batched k-section on gamma for darcy problems with
   n = 1 and b absent, dU/dp = gamma*F(U, p) with F = b_{n+1}/a > 0, using
-  the strict monotonicity of the endpoint in gamma. RK4 integrates a stack
-  of gammas for about the cost of one, so each pass integrates
+  the strict monotonicity of the endpoint in gamma. A stack of gammas
+  integrates for about the cost of one, so each pass integrates
   KSECTION_WIDTH candidates at once.
 
-Profiles are stored as node samples on a uniform odd-count mesh and are
-treated as piecewise-linear interpolants by the reconstruction layer.
+Every initial value problem goes through one integrator: DOP853, batched
+over a stack of gammas that share one step sequence. Its steps end on
+nodes of a uniform odd-count mesh, and its dense output samples the
+profiles at the nodes in between, so the mesh sets the output resolution
+and the error control (RTOL) sets the step count. The reconstruction layer
+treats the node samples as piecewise-linear interpolants.
 """
 
 from __future__ import annotations
@@ -66,6 +70,66 @@ RESONANCE_COND_LIMIT = 1e8
 MIN_DAMPING = 1.0 / 16.0
 KSECTION_WIDTH = 31         # interior candidates per batched k-section pass
 BOX_PAD = 0.5
+RTOL = 1e-15                # error per two-point step, relative to the largest |U| so far
+
+# DOP853: the explicit 8(5,3) Runge-Kutta pair with 7th order dense output of
+# Hairer, Norsett & Wanner, Solving ODEs I, II.5-II.6. Column 0 is left out:
+# every combination acts on the stage increments K_s - K_0, its K_0 weight
+# implied by the row sums (C for A, 1 for B, 0 for E3, E5 and D).
+_DOP_C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+          0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+          0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
+          0.7777777777777778)
+_DOP_A = tuple(np.array(row) for row in (
+    (), (),
+    (0.0591751709536137,),
+    (0, 0.08876275643042054),
+    (0, -0.8845494793282861, 0.924834003261792),
+    (0, 0, 0.17082860872947386, 0.12546768756682242),
+    (0, 0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0, 0, 0.17038392571223998, 0.10726203044637328, -0.015319437748624402,
+     0.008273789163814023),
+    (0, 0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+     20.154067550477894, -43.48988418106996),
+    (0, 0, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+     15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (0, 0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+     -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196),
+    (0, 0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+     27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+     0.6433927460157636),
+    (0, 0, 0, 0, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+     0.3111643669578199, -0.1521609496625161, 0.20136540080403034, 0.04471061572777259),
+    (0, 0, 0, 0, 0, 0.25350021021662483, -0.2462390374708025, -0.12419142326381637,
+     0.15329179827876568, 0.00820105229563469, 0.007567897660545699, -0.008298),
+    (0, 0, 0, 0, 0.028300909672366776, 0.053541988307438566, -0.05492374857139099, 0, 0,
+     -0.00010834732869724932, 0.0003825710908356584, -0.00034046500868740456,
+     0.1413124436746325),
+    (0, 0, 0, 0, -4.697621415361164, 7.683421196062599, 4.06898981839711,
+     0.3567271874552811, 0, 0, 0, -0.0013990241651590145, 2.9475147891527724,
+     -9.15095847217987),
+))
+_DOP_B = _DOP_A[12]         # the 8th order weights, stage 12 being the step's end
+_DOP_E3 = np.array((0, 0, 0, 0, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+                    -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+                    0.02265179219836082))
+_DOP_E5 = np.array((0, 0, 0, 0, -1.2251564463762044, -0.4957589496572502,
+                    1.6643771824549864, -0.35032884874997366, 0.3341791187130175,
+                    0.08192320648511571, -0.022355307863886294))
+_DOP_D = np.array((
+    (0, 0, 0, 0, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
+     2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+     -0.08899033645133331, 18.148505520854727, -9.194632392478356, -4.436036387594894),
+    (0, 0, 0, 0, 242.28349177525817, 165.20045171727028, -374.5467547226902,
+     -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229,
+     15.697238121770845, -31.139403219565178, -9.35292435884448, 35.81684148639408),
+    (0, 0, 0, 0, -387.0373087493518, -189.17813819516758, 527.8081592054236,
+     -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+     -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279),
+    (0, 0, 0, 0, -154.18974869023643, -231.5293791760455, 357.6391179106141,
+     93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605,
+     -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564),
+))
 
 
 @dataclass
@@ -283,9 +347,9 @@ def apply_fixed_point_operator(mesh, profiles, spec: ProblemSpec):
 def collocation_residual(mesh, profiles, gamma, spec: ProblemSpec) -> float:
     """Max equation defect at interior interval midpoints.
 
-    Midpoint states and slopes come from 4th-order formulas so the defect
-    tracks the integrator's own order instead of the piecewise-linear
-    interpolation error.
+    Midpoint states and slopes come from 4th-order formulas, so the defect
+    is O(h^4) in the mesh spacing instead of the piecewise-linear
+    interpolation error's O(h^2).
     """
     profiles = np.asarray(profiles, dtype=float)
     h = mesh[1] - mesh[0]
@@ -372,20 +436,38 @@ def solve_fixed_point(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10
     return _solution(spec, mesh, U, gamma_functional(mesh, U, spec), method="fixed_point",
                      iterations=iterations, final_update=update, damping_final=damping,
                      ellipticity_m=bounds.m, ellipticity_M=bounds.M,
-                     iterate_bound_ratio=bound_ratio)
+                     iterate_bound_ratio=bound_ratio, integration_steps=0, rhs_evaluations=0)
 
 
-def _integrate_batch(spec: ProblemSpec, gammas, n_nodes):
-    """Classical RK4 for U' = A^-1 (gamma*b_next - b) on a uniform mesh,
-    batched over a stack of gammas, under one raising numpy error state: a
-    floating point exception is an EvalDomainError naming the coefficient
-    at fault, if one is. Returns the mesh and the (m, k, n) trajectory."""
+def _integrate_batch(spec: ProblemSpec, gammas, n_nodes, steps=None):
+    """DOP853 for U' = A^-1 (gamma*b_next - b) from U(0) = 0, batched over a
+    stack of gammas and sampled on the uniform odd-count mesh of ``n_nodes``.
+
+    Every step runs from one mesh node to a later one, and the columns of
+    the batch share one step sequence. The first step tries the whole
+    interval; each next length comes from the last error estimate (the
+    usual 0.9 * err^(-1/8), within [0.2, 10]) rounded down to whole mesh
+    intervals. A step is rejected when its estimate, in any column,
+    exceeds RTOL times the largest |U| seen in that column. A one-interval
+    step is accepted whatever its estimate, so there are at most m - 1
+    steps and the guards below still meet every node a trajectory cannot
+    step over. Dense output fills the nodes inside a step; its end node
+    gets the step's own value. ``steps``, the step-end node indices of an
+    earlier batch, replays that sequence instead of running the controller.
+
+    Every stage runs the singularity guards under one raising numpy error
+    state. A floating point exception or a tripped guard rejects a
+    controlled step of more than one interval; anywhere else the guard
+    raises its SingularMatrixError and the exception an EvalDomainError
+    naming the coefficient at fault, if one is. Returns the mesh, the
+    (m, k, n) trajectory, the step-end node indices and the number of
+    right-hand-side evaluations.
+    """
     gammas = np.atleast_2d(np.asarray(gammas, dtype=float))
     k, n = gammas.shape[0], spec.n
     m = require_odd(n_nodes)
     mesh = np.linspace(0.0, spec.p_star, m)
-    h = mesh[1] - mesh[0]
-    traj = np.zeros((m, k, n))
+    traj = np.zeros((m, k * n))
     raw, names, nn = spec.bundle.raw, [f"u{i+1}" for i in range(n)], n * n
     has_b = spec.b is not None
     env = dict.fromkeys(names + ["p"], 0.0)         # the launch point
@@ -436,25 +518,102 @@ def _integrate_batch(spec: ProblemSpec, gammas, n_nodes):
                                  (a00 * rhs[1] - a10 * rhs[0]) / det], axis=1)
             return np.linalg.solve(A, np.stack(rhs, axis=1)[:, :, None])[:, :, 0]
 
+    calls = 0
+
+    def slope(p, state):
+        nonlocal calls
+        calls += 1
+        return f(p, state.reshape(k, n)).ravel()
+
+    # dK[:, s - 1] = K_s - K_0 for the stages s = 1..15 of the current step.
+    # Every combination is an elementwise product summed along rows, so a
+    # column's arithmetic does not depend on the width of its batch
+    dK = np.zeros((k * n, 15))
+
+    def combine(row):
+        return (dK[:, :len(row)] * row).sum(axis=1)
+
+    def stage(s, p, y, H, K0):
+        dK[:, s - 1] = slope(p, y + H * (_DOP_C[s] * K0 + combine(_DOP_A[s]))) - K0
+
+    ends = []
+    peak = np.zeros(k)                  # the largest |U| seen in each column
+    i, span, rejected = 0, float(m - 1), False
     try:
         with np.errstate(**exprlang.RAISE):
-            for step in range(m - 1):
-                p0, U = mesh[step], traj[step]
-                k1 = f(p0, U)
-                k2 = f(p0 + 0.5 * h, U + 0.5 * h * k1)
-                k3 = f(p0 + 0.5 * h, U + 0.5 * h * k2)
-                k4 = f(p0 + h, U + h * k3)
-                traj[step + 1] = U + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            K0 = slope(0.0, traj[0])
+            while i < m - 1:
+                j = min(max(int(span), 1), m - 1 - i) if steps is None else steps[len(ends)] - i
+                p0, p1 = mesh[i], mesh[i + j]
+                H, y = p1 - p0, traj[i]
+                try:
+                    for s in range(1, 12):
+                        stage(s, p1 if _DOP_C[s] == 1.0 else p0 + _DOP_C[s] * H, y, H, K0)
+                    delta = H * combine(_DOP_B)
+                    y1 = y + (H * K0 + delta)
+                    ratio = 0.0 if steps is not None else _error_ratio(
+                        H * combine(_DOP_E5), H * combine(_DOP_E3), y1, peak, k, n)
+                    accept = j == 1 or ratio <= 1.0
+                    if accept:
+                        dK[:, 11] = slope(p1, y1) - K0      # K_0 of the next step
+                        if j > 1:
+                            for s in (13, 14, 15):
+                                stage(s, p0 + _DOP_C[s] * H, y, H, K0)
+                except (FloatingPointError, ZeroDivisionError, SingularMatrixError):
+                    if j == 1 or steps is not None:
+                        raise
+                    ratio, accept = math.inf, False
+                if steps is None:
+                    if ratio == 0.0:
+                        grow = 10.0
+                    elif ratio < math.inf:
+                        grow = min(10.0, max(0.2, 0.9 * ratio ** -0.125))
+                    else:
+                        grow = 0.2
+                    span = j * (min(grow, 1.0) if rejected else grow)
+                    rejected = not accept
+                if not accept:
+                    continue
+                if j > 1:
+                    # the 7th order dense output with its linear part (p - p0) K_0
+                    # split off, so that a constant F stays exact
+                    F = H * (dK * _DOP_D[:, None, :]).sum(axis=2)
+                    x = ((mesh[i + 1:i + j] - p0) / H)[:, None]
+                    q = F[2] + x * F[3]
+                    q = F[1] + (1.0 - x) * q
+                    q = F[0] + x * q
+                    q = 2.0 * delta - H * dK[:, 11] + (1.0 - x) * q
+                    q = -delta + x * q
+                    q = delta + (1.0 - x) * q
+                    traj[i + 1:i + j] = y + (mesh[i + 1:i + j, None] - p0) * K0 + x * q
+                traj[i + j] = y1
+                peak = np.maximum(peak, np.abs(y1).reshape(k, n).max(axis=1))
+                K0 = K0 + dK[:, 11]
+                i += j
+                ends.append(i)
     except (FloatingPointError, ZeroDivisionError) as exc:
         spec.bundle(env)        # raises the EvalDomainError naming the coefficient at fault
         raise EvalDomainError(f"the two-point integration left the floating point range "
                               f"near p = {float(env['p']):.6g}: {exc}") from None
-    return mesh, traj
+    return mesh, traj.reshape(m, k, n), tuple(ends), calls
+
+
+def _error_ratio(err5, err3, y1, peak, k, n):
+    """The batch's DOP853 error estimate against its tolerance: the largest
+    over the columns, each measured against RTOL times the largest |U| it
+    has reached. No absolute term, so small finite-difference columns keep
+    their relative accuracy."""
+    with np.errstate(all="ignore"):
+        sq5 = (err5.reshape(k, n) ** 2).sum(axis=1)
+        sq3 = (err3.reshape(k, n) ** 2).sum(axis=1)
+        scale = RTOL * np.maximum(peak, np.abs(y1).reshape(k, n).max(axis=1))
+        ratio = np.where(sq5 > 0.0, sq5 / (np.sqrt(sq5 + 0.01 * sq3) * scale), 0.0)
+    return float(np.max(ratio))
 
 
 def integrate_profiles(spec: ProblemSpec, gamma, n_nodes: int):
     """Integrate the initial value problem for a given gamma; returns (mesh, profiles)."""
-    mesh, traj = _integrate_batch(spec, np.asarray(gamma, dtype=float)[None, :], n_nodes)
+    mesh, traj = _integrate_batch(spec, np.asarray(gamma, dtype=float)[None, :], n_nodes)[:2]
     return mesh, traj[:, 0, :].T
 
 
@@ -484,18 +643,19 @@ def _origin_linearization(spec: ProblemSpec):
 
 def _jacobian_batch(spec: ProblemSpec, gamma, n_nodes):
     """Forward-difference Jacobian of gamma -> U(p*; gamma), with the mesh
-    and the (n, m) profiles of the unperturbed run, from one batch."""
+    and the (n, m) profiles of the unperturbed run, from one batch; also
+    the batch's step count and right-hand-side evaluations."""
     gamma = np.asarray(gamma, dtype=float)
-    steps = 1e-6 * (1.0 + np.abs(gamma))
-    gammas = np.vstack([gamma, gamma + np.diag(steps)])
-    mesh, traj = _integrate_batch(spec, gammas, n_nodes)
-    J = (traj[-1, 1:] - traj[-1, 0]).T / steps[None, :]
-    return J, mesh, traj[:, 0, :].T
+    shifts = 1e-6 * (1.0 + np.abs(gamma))
+    gammas = np.vstack([gamma, gamma + np.diag(shifts)])
+    mesh, traj, ends, calls = _integrate_batch(spec, gammas, n_nodes)
+    J = (traj[-1, 1:] - traj[-1, 0]).T / shifts[None, :]
+    return J, mesh, traj[:, 0, :].T, (len(ends), calls)
 
 
 def shooting_jacobian(spec: ProblemSpec, gamma, n_nodes: int = 1001):
     """Forward-difference Jacobian of gamma -> U(p*; gamma)."""
-    J, _, profiles = _jacobian_batch(spec, gamma, n_nodes)
+    J, _, profiles, _ = _jacobian_batch(spec, gamma, n_nodes)
     return J, profiles[:, -1]
 
 
@@ -513,10 +673,11 @@ def solve_shooting(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
     residual = np.inf
     converged = False
     cond = np.inf
-    iterations = 0
+    iterations = steps = calls = 0
     for iterations in range(1, max_newton + 1):
         # keep the base trajectory: the converged one is the solution
-        J, mesh, profiles = _jacobian_batch(spec, gamma, n_nodes)
+        J, mesh, profiles, work = _jacobian_batch(spec, gamma, n_nodes)
+        steps, calls = steps + work[0], calls + work[1]
         end = profiles[:, -1]
         # at a resonance the endpoint map loses rank, but discretization
         # error leaves a uniformly tiny, well-conditioned J; measure the
@@ -540,7 +701,7 @@ def solve_shooting(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
             f"shooting did not reach {tol:.3e} in {max_newton} Newton iterations "
             f"(endpoint mismatch {residual:.3e})", last_update=residual)
     return _solution(spec, mesh, profiles, gamma, method="shooting", iterations=iterations,
-                     jacobian_condition=cond)
+                     jacobian_condition=cond, integration_steps=steps, rhs_evaluations=calls)
 
 
 def _check_f_positive(spec: ProblemSpec):
@@ -568,10 +729,12 @@ def solve_scalar(spec: ProblemSpec, bracket_hints=None, n_nodes: int = 1001,
     [u*/int q, u*/int r]. Otherwise the bracket grows geometrically from 0.
     Every gamma goes through one memoized batch integration: both bracket
     ends in one batch, then KSECTION_WIDTH interior candidates per pass, and
-    no gamma twice. ``max_bisect`` halvings buy ceil(max_bisect / 5) passes.
-    The returned profile is the winning candidate's own trajectory, kept
-    from its batch. The endpoint map's strict monotonicity in gamma is
-    asserted on every sampled pair.
+    no gamma twice. Once the bracket straddles u*, its batch's step sequence
+    is frozen: every later candidate replays it, so all the endpoints
+    compared come from one discrete map. ``max_bisect`` halvings buy
+    ceil(max_bisect / 5) passes. The returned profile is the winning
+    candidate's own trajectory, kept from its batch. The endpoint map's
+    strict monotonicity in gamma is asserted on every sampled pair.
     """
     if spec.mode != DARCY or spec.n != 1 or spec.b is not None:
         raise ValueError("solve_scalar applies to darcy problems with n = 1 and no b")
@@ -579,14 +742,16 @@ def solve_scalar(spec: ProblemSpec, bracket_hints=None, n_nodes: int = 1001,
     u_star = float(spec.u_star[0])
     evals = {}                  # gamma -> endpoint U(p*)
     hits = {}                   # gamma -> (mesh, profiles) of the endpoints within tol
-    runs = 0                    # integrations, each of one batch of gammas
+    runs = taken = calls = 0    # integrations, each of one batch of gammas, and their work
+    frozen = last = None        # the step sequence every candidate replays; the latest one
 
     def batch(gams):
-        nonlocal runs
+        nonlocal runs, taken, calls, last
         new = [gam for gam in dict.fromkeys(gams) if gam not in evals]
         if new:
-            mesh, traj = _integrate_batch(spec, np.array(new)[:, None], n_nodes)
-            runs += 1
+            mesh, traj, last, work = _integrate_batch(spec, np.array(new)[:, None], n_nodes,
+                                                      frozen)
+            runs, taken, calls = runs + 1, taken + len(last), calls + work
             for j, (gam, end) in enumerate(zip(new, traj[-1, :, 0].tolist())):
                 evals[gam] = end
                 if abs(end - u_star) <= tol:
@@ -603,6 +768,8 @@ def solve_scalar(spec: ProblemSpec, bracket_hints=None, n_nodes: int = 1001,
     # the endpoint map increases in gamma: move whichever end is short
     step = abs(u_star) / spec.p_star
     for grow in range(61):
+        evals.clear()           # both ends from one batch, so on one step sequence
+        hits.clear()
         miss_lo, miss_hi = (end - u_star for end in batch([lo, hi]))
         gamma = next((c for c in (lo, hi) if c in hits), None)
         if gamma is not None or miss_lo * miss_hi < 0.0:
@@ -616,6 +783,7 @@ def solve_scalar(spec: ProblemSpec, bracket_hints=None, n_nodes: int = 1001,
         else:
             lo -= step
         step *= 2.0
+    frozen = last
     passes, best_miss = 0, math.inf
     while gamma is None:
         if passes == math.ceil(max_bisect / 5):
@@ -637,8 +805,9 @@ def solve_scalar(spec: ProblemSpec, bracket_hints=None, n_nodes: int = 1001,
                 f"the endpoint reached {tol:.3e}", last_update=best_miss)
         lo, hi = float(nodes[below]), float(nodes[below + 1])
 
-    # monotonicity witness: at least 5 sampled gamma pairs, strictly increasing
-    # beyond the rounding noise of an m-step integration (tol may lie below it)
+    # monotonicity witness: at least 5 sampled gamma pairs of the one discrete
+    # map, strictly increasing beyond the rounding noise of its at most m - 1
+    # steps (tol may lie below it)
     if len(evals) < 6:
         base = gamma if gamma != 0.0 else 1.0
         batch([base * fac for fac in (0.5, 0.75, 1.25, 1.5)])
@@ -651,4 +820,5 @@ def solve_scalar(spec: ProblemSpec, bracket_hints=None, n_nodes: int = 1001,
 
     mesh, profiles = hits[gamma]
     return _solution(spec, mesh, profiles, np.array([gamma]), method="scalar_bisection",
-                     iterations=runs, endpoint_evaluations=len(evals), monotone_samples=len(gs))
+                     iterations=runs, endpoint_evaluations=len(evals), monotone_samples=len(gs),
+                     integration_steps=taken, rhs_evaluations=calls)

@@ -237,6 +237,70 @@ def test_integrate_singular_on_trajectory():
     assert "p =" in str(exc.value)
 
 
+def counting_bundle(spec):
+    """Count every evaluation of the spec's compiled coefficient bundle."""
+    raw, calls = spec.bundle.raw, [0]
+
+    def counted(env):
+        calls[0] += 1
+        return raw(env)
+
+    spec.bundle.raw = counted
+    return calls
+
+
+def test_integrate_rhs_count_independent_of_mesh():
+    # the scalar_bisect equation U' = gamma (1 + U): the controller picks
+    # the steps, the output mesh only where the dense output is sampled
+    counts = []
+    for n_nodes in (2049, 8193):
+        spec = scalar_spec("1", "1+u1", 1.0)
+        calls = counting_bundle(spec)
+        integrate_profiles(spec, np.array([math.log(2.0)]), n_nodes)
+        counts.append(calls[0])
+    assert counts[0] == counts[1] < 1000
+
+
+def test_integrate_singular_trajectory_rhs_bound():
+    # U3' = 1/(1 - p) runs into the singular node p = 1: one-interval steps
+    # are accepted whatever their error, so the controller cannot creep
+    n_nodes = 257
+    spec = ProblemSpec.from_strings(
+        3, [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1-p"]], b=["0", "0", "0"],
+        b_next="1", u_star=(1.0, 1.0, 1.0), p_star=2.0, mode="darcy")
+    calls = counting_bundle(spec)
+    with pytest.raises(SingularMatrixError, match="at p = 1 "):
+        integrate_profiles(spec, np.ones(3), n_nodes)
+    assert calls[0] <= 16 * (n_nodes - 1)
+
+
+def test_integrate_profile_accuracy():
+    # U = exp(gamma p) - 1 at every node, inside the steps too (dense output),
+    # however coarse the mesh; one RK4 step per mesh interval left 6.2e-13
+    spec = scalar_spec("1", "1+u1", 1.0)
+    gamma = math.log(2.0)
+    mesh, prof = integrate_profiles(spec, np.array([gamma]), 257)
+    assert np.max(np.abs(prof[0] - np.expm1(gamma * mesh))) <= 3e-15
+
+
+def test_dop853_tableau_implied_column():
+    # the stages act on increments K_s - K_0, so the tableau leaves out its
+    # column 0; the row sums (C for A, 1 for B, 0 for E3, E5 and D) must
+    # restore the published K_0 weights of Hairer's DOP853
+    import funcsol.twopoint as tp
+    a0 = [0.05260015195876773, 0.0197250569845379, 0.02958758547680685, 0.2413651341592667,
+          0.037037037037037035, 0.037109375, 0.03709200011850479, 0.6241109587160757,
+          0.47766253643826434, -0.9371424300859873, 2.273310147516538, 0.054293734116568765,
+          0.056167502283047954, 0.03183464816350214, -0.42889630158379194]
+    implied = [tp._DOP_C[s] - tp._DOP_A[s].sum() for s in range(1, 16)]
+    np.testing.assert_allclose(implied, a0, rtol=0, atol=1e-14)
+    assert 1.0 - tp._DOP_B.sum() == pytest.approx(a0[11], abs=1e-14)
+    assert -tp._DOP_E3.sum() == pytest.approx(-0.18980075407240762, abs=1e-14)
+    assert -tp._DOP_E5.sum() == pytest.approx(0.01312004499419488, abs=1e-14)
+    np.testing.assert_allclose(-tp._DOP_D.sum(axis=1), [-8.428938276109013, 10.427508642579134,
+                               19.985053242002433, -25.69393346270375], rtol=0, atol=1e-12)
+
+
 # --- shooting -------------------------------------------------------------------
 
 def test_shooting_sincos_regular():
@@ -276,6 +340,22 @@ def test_three_field_darcy_singular_on_trajectory():
     with pytest.raises(SingularMatrixError) as exc:
         solve_shooting(spec, n_nodes=257)
     assert "at p = 1 " in str(exc.value)
+
+
+def test_shooting_stats_sum_over_batches(monkeypatch):
+    import funcsol.twopoint as tp
+    runs = []
+    integrate = tp._integrate_batch
+
+    def recorded(*args):
+        runs.append(integrate(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(tp, "_integrate_batch", recorded)
+    sol = tp.solve_shooting(DIAG, n_nodes=257, tol=1e-10)
+    assert len(runs) == sol.stats["iterations"]
+    assert sol.stats["integration_steps"] == sum(len(ends) for _, _, ends, _ in runs)
+    assert sol.stats["rhs_evaluations"] == sum(calls for *_, calls in runs) > 0
 
 
 def test_shooting_degenerate_origin():
@@ -364,9 +444,9 @@ def test_scalar_bracket_failure(monkeypatch):
     import funcsol.twopoint as tp
     calls = []
 
-    def bounded_endpoint(spec, gammas, n_nodes):
+    def bounded_endpoint(spec, gammas, n_nodes, steps=None):
         calls.extend(np.ravel(gammas).tolist())
-        return None, np.arctan(np.asarray(gammas, dtype=float))[None]
+        return None, np.arctan(np.asarray(gammas, dtype=float))[None], (n_nodes - 1,), 0
 
     monkeypatch.setattr(tp, "_integrate_batch", bounded_endpoint)
     with pytest.raises(BracketFailureError):
@@ -397,20 +477,21 @@ def test_scalar_ksection_pass_budget():
         solve_scalar(scalar_spec("exp(u1)", "1", 1.0), n_nodes=65, tol=1e-10, max_bisect=5)
 
 
-@pytest.mark.parametrize("u_star,solvable", [(1.0, True), (0.7, False)])
+@pytest.mark.parametrize("u_star,solvable", [(0.25, True), (0.7, False)])
 def test_scalar_tol_below_roundoff(u_star, solvable, monkeypatch):
     # below the endpoint map's rounding noise, candidates a few ulps apart
     # tie or swap: an exact hit is accepted, otherwise the bracket stalls
     import funcsol.twopoint as tp
     spec = scalar_spec("exp(u1)", "1", u_star)
     if solvable:
+        # which targets the map hits exactly is an accident of its rounding;
+        # the integrator's discrete map at 65 nodes hits u* = 0.25
         assert solve_scalar(spec, n_nodes=65, tol=1e-30).boundary_error == 0.0
     else:
-        # which targets RK4 lets the map hit exactly is an accident of its
-        # rounding, so stall on a strictly increasing map that steps over u*
-        def stepped_endpoints(spec, gammas, n_nodes):
+        # so stall on a strictly increasing map that steps over u*
+        def stepped_endpoints(spec, gammas, n_nodes, steps=None):
             g = np.asarray(gammas, dtype=float)
-            return None, np.where(g < u_star, g, g + 1e-9)[None]
+            return None, np.where(g < u_star, g, g + 1e-9)[None], (n_nodes - 1,), 0
 
         monkeypatch.setattr(tp, "_integrate_batch", stepped_endpoints)
         with pytest.raises(MaxIterationError):
@@ -425,28 +506,50 @@ def test_scalar_monotone_endpoint_map():
     assert all(a < b for a, b in zip(ends, ends[1:]))
 
 
-def test_scalar_integrates_each_gamma_once(monkeypatch):
-    # F = 1 + U with hints r = 1, q = 1 + u*: the bracket ends share one
-    # batch, every pass adds KSECTION_WIDTH new candidates, and the profile
-    # is the winner's trajectory from its pass rather than a rerun
+def hinted_scalar_batches(monkeypatch):
+    """A hinted solve_scalar of F = 1 + U (r = 1, q = 1 + u*), with the
+    gammas, the ``steps`` argument and the result of every batch it ran."""
     import funcsol.twopoint as tp
     batches = []
     integrate = tp._integrate_batch
 
-    def counted(spec, gammas, *args, **kwargs):
-        batches.append(np.ravel(gammas).tolist())
-        return integrate(spec, gammas, *args, **kwargs)
+    def recorded(spec, gammas, n_nodes, steps=None):
+        out = integrate(spec, gammas, n_nodes, steps)
+        batches.append((np.ravel(gammas).tolist(), steps, out))
+        return out
 
-    monkeypatch.setattr(tp, "_integrate_batch", counted)
+    monkeypatch.setattr(tp, "_integrate_batch", recorded)
     spec = scalar_spec("1", "1+u1", 1.0)
     sol = tp.solve_scalar(spec, bracket_hints=(1.0, 2.0), n_nodes=2049, tol=1e-11)
     monkeypatch.undo()
-    seen = [gam for widths in batches for gam in widths]
+    return spec, sol, batches
+
+
+def test_scalar_integrates_each_gamma_once(monkeypatch):
+    # the bracket ends share one batch, every pass adds KSECTION_WIDTH new
+    # candidates, and the profile is the winner's trajectory from its pass:
+    # a rerun of the winner alone on the solve's frozen steps gives its bytes
+    import funcsol.twopoint as tp
+    spec, sol, batches = hinted_scalar_batches(monkeypatch)
+    seen = [gam for gams, _, _ in batches for gam in gams]
     assert len(seen) == len(set(seen))
     assert sol.stats["iterations"] == len(batches)
-    assert [len(b) for b in batches] == [2] + [tp.KSECTION_WIDTH] * (len(batches) - 1)
+    assert [len(gams) for gams, _, _ in batches] == [2] + [tp.KSECTION_WIDTH] * (len(batches) - 1)
     assert sol.boundary_error <= 1e-11
-    assert integrate_profiles(spec, sol.gamma, 2049)[1].tobytes() == sol.profiles.tobytes()
+    frozen = batches[-1][1]
+    rerun = tp._integrate_batch(spec, sol.gamma[None, :], 2049, frozen)[1][:, 0, :].T
+    assert rerun.tobytes() == sol.profiles.tobytes()
+
+
+def test_scalar_endpoints_share_one_step_sequence(monkeypatch):
+    # the bracket ends' batch runs the controller; every later batch (the
+    # k-section passes, the monotonicity witness) replays its steps
+    spec, sol, batches = hinted_scalar_batches(monkeypatch)
+    (_, steps, (_, _, first, _)), later = batches[0], batches[1:]
+    assert steps is None and later
+    assert all(steps == first and ends == first for _, steps, (_, _, ends, _) in later)
+    assert sol.stats["integration_steps"] == len(first) * len(batches)
+    assert sol.stats["rhs_evaluations"] == sum(out[3] for _, _, out in batches)
 
 
 # --- the scalar spelling is darcy with n = 1 ----------------------------------
