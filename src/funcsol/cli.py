@@ -15,6 +15,7 @@ import argparse
 import logging
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -43,16 +44,32 @@ def _fmt_vec(values) -> str:
 
 
 def write_field_csv(path: Path, grid: Grid, values: np.ndarray):
-    """One node per row, x1 outer, header x1,x2,value, every number as %.17g."""
+    """One node per row, x1 outer, header x1,x2,value, every number as %.17g.
+
+    Fields u = U(z) repeat a few values along each row, so each distinct
+    value of a row is formatted once and its text reused. Values count as
+    equal when their bit patterns are: -0.0 == 0.0 as floats but prints
+    as -0, and each NaN prints as nan whatever its sign or payload.
+    """
     values = np.asarray(values, dtype=float)
     if values.shape != grid.shape:
         raise ShapeMismatchError(f"{path}: values of shape {values.shape} on a {grid.shape} grid")
-    # a row's x1 field joins these, so it lands before every x2 field
-    cells = ["", *(f",{_fmt(b)},%.17g\n" for b in grid.x2)]
+    # after the row's x1 field, x2 fields alternate with value texts, which
+    # carry their line's end and the next line's x1; the last one loses it
+    parts = [None] * (2 * grid.n2 + 1)
+    parts[1::2] = [f",{_fmt(b)}," for b in grid.x2]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x1,x2,value\n")
         for a, row in zip(grid.x1, values):
-            fh.write(_fmt(a).join(cells) % tuple(row.tolist()))
+            x1 = parts[0] = _fmt(a)
+            # what np.unique(..., return_inverse=True) gives, in fewer numpy calls
+            row_bits = row.view(np.int64)
+            bits = np.sort(row_bits)
+            bits = bits[np.concatenate(([True], bits[1:] != bits[:-1]))]
+            texts = ((f"%.17g\n{x1}\0" * bits.size)
+                     % tuple(bits.view(np.float64).tolist())).split("\0")
+            parts[2::2] = [texts[i] for i in bits.searchsorted(row_bits).tolist()]
+            fh.write("".join(parts)[:-len(x1)])
 
 
 def read_field_csv(path: Path, grid: Grid) -> np.ndarray:
@@ -103,20 +120,28 @@ def _solve_two_point(cfg: ProblemConfig):
                         n_nodes=cfg.n_nodes, tol=cfg.tol, max_bisect=cfg.max_iter)
 
 
-def _write_fields(out: Path, piv: PivotField, fields: FieldSet | None):
-    """z.csv, then u_i.csv, p.csv and the flux components of whatever fields exist."""
-    write_field_csv(out / "z.csv", piv.grid, piv.values)
+def _write_fields(out: Path, piv: PivotField, fields: FieldSet | None) -> list[Path]:
+    """z.csv, then u_i.csv, p.csv and the flux components of whatever fields
+    exist; returns the paths written."""
+    paths = []
+
+    def write(name, grid, values):
+        paths.append(out / name)
+        write_field_csv(paths[-1], grid, values)
+
+    write("z.csv", piv.grid, piv.values)
     if fields is None:
-        return
+        return paths
     grid = fields.grid
     for i in range(fields.n):
-        write_field_csv(out / f"u{i+1}.csv", grid, fields.u_fields[i])
+        write(f"u{i+1}.csv", grid, fields.u_fields[i])
     if fields.p_field is not None:
-        write_field_csv(out / "p.csv", grid, fields.p_field)
+        write("p.csv", grid, fields.p_field)
     if fields.flux_fields:
         for name, vec in fields.flux_fields.items():
-            write_field_csv(out / f"{name}_1.csv", grid, vec[0])
-            write_field_csv(out / f"{name}_2.csv", grid, vec[1])
+            write(f"{name}_1.csv", grid, vec[0])
+            write(f"{name}_2.csv", grid, vec[1])
+    return paths
 
 
 def cmd_solve(args) -> int:
@@ -149,7 +174,10 @@ def cmd_solve(args) -> int:
     if cfg.spec.mode == MOLECULAR:
         entries.append(("theta_deviation", _fmt_vec(theta_linearity(sol, cfg.spec))))
     if cfg.write_fields:
-        _write_fields(out, piv, fields)
+        started = time.perf_counter()
+        paths = _write_fields(out, piv, fields)
+        log.info("wrote %d field files, %d bytes, in %.3f s", len(paths),
+                 sum(path.stat().st_size for path in paths), time.perf_counter() - started)
     write_report(out / "report.txt", entries)
     log.info("wrote results to %s", out)
     return 0

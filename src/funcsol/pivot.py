@@ -128,17 +128,18 @@ class DivergenceStencil:
         lam = (2.0 - 2.0 * np.cos(np.pi / (n2 - 1) * k)) / self.h2**2
         scale = np.sqrt((k1_diag + 2.0 / (self.h2**2 * r)) * self.w_edge
                         / self._sym_diag()[1:-1])
+        piv = lam / r                   # Thomas pivots per mode, inverted but the last
+        piv += k1_diag
+        for i in range(1, n1 - 2):
+            piv[i - 1] = 1.0 / piv[i - 1]
+            piv[i] -= off[i - 1] ** 2 * piv[i - 1]
 
         def precondition(res, out, work):
             rows = np.multiply(res[1:-1], scale, out=out[1:-1])
             # row by row (BLAS gemv): a matrix-matrix product would leave
             # about 1 MB of BLAS packing buffers resident for good
             g = np.matmul(rows[:, None], phi, out=work[1:-1, None])[:, 0]
-            piv = np.divide(lam, r, out=out[1:-1])      # Thomas: inverse pivots
-            piv += k1_diag
             for i in range(1, n1 - 2):
-                piv[i - 1] = 1.0 / piv[i - 1]
-                piv[i] -= off[i - 1] ** 2 * piv[i - 1]
                 g[i] -= off[i - 1] * piv[i - 1] * g[i - 1]
             g[-1] /= piv[-1]
             for i in range(n1 - 4, -1, -1):

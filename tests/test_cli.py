@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -316,6 +317,63 @@ def test_write_field_csv_bytes_property(tmp_path, n1, n2, annulus, e1, e2, data)
     write_field_csv(path, grid, values)
     assert path.read_bytes() == reference_field_csv(grid, values)
     np.testing.assert_array_equal(read_field_csv(path, grid), values)
+
+
+def test_write_field_csv_groups_values_by_bit_pattern(tmp_path):
+    # -0.0 == 0.0 but prints as -0; NaNs of either sign and any payload
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                     0xFFF4000000000000], dtype=np.uint64).view(np.float64)
+    row = np.array([-0.0, 0.0, *nans, 0.0, -0.0, 1.0])
+    grid = build_rectangle(3, row.size, 1.0, 2.0)
+    values = np.stack([row, row[::-1], -row])
+    path = tmp_path / "f.csv"
+    write_field_csv(path, grid, values)
+    written = path.read_bytes()
+    assert written == reference_field_csv(grid, values)
+    first_row = written.splitlines()[1:row.size + 1]
+    assert [line.rsplit(b",", 1)[1] for line in first_row] == [
+        b"-0", b"0", b"nan", b"nan", b"nan", b"nan", b"0", b"-0", b"1"]
+    np.testing.assert_array_equal(np.signbit(read_field_csv(path, grid)[0, :2]), [True, False])
+
+
+def test_write_field_csv_row_constant_257_wide(tmp_path):
+    grid = build_annulus(9, 257, 1.0, 2.0)
+    # one value per row, as u = U(z) on either grid family; a stride-0 view
+    values = np.broadcast_to(np.log(grid.x1)[:, None] / np.log(2.0), grid.shape)
+    path = tmp_path / "f.csv"
+    write_field_csv(path, grid, values)
+    assert path.read_bytes() == reference_field_csv(grid, values)
+    np.testing.assert_array_equal(read_field_csv(path, grid), values)
+
+
+def test_write_field_csv_all_distinct_257_square(tmp_path):
+    grid = build_rectangle(257, 257, 1.0, 2.0)
+    values = np.random.default_rng(7).standard_normal(grid.shape)
+    assert np.unique(values).size == values.size
+    path = tmp_path / "f.csv"
+    write_field_csv(path, grid, values)
+    assert path.read_bytes() == reference_field_csv(grid, values)
+
+
+def test_write_field_csv_memory_stays_per_row(tmp_path):
+    grid = build_rectangle(257, 257, 1.0, 2.0)
+    values = np.random.default_rng(8).standard_normal(grid.shape)
+    tracemalloc.start()
+    try:
+        write_field_csv(tmp_path / "f.csv", grid, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6
+
+
+def test_solve_logs_written_files(tmp_path, caplog):
+    caplog.set_level("INFO", logger="funcsol")
+    assert main(["solve", str(write_cfg(tmp_path, MOLECULAR_CFG))]) == 0
+    out = tmp_path / "out"
+    size = sum((out / name).stat().st_size for name in ("z.csv", "u1.csv", "u2.csv"))
+    assert f"wrote 3 field files, {size} bytes, in " in caplog.text
+    assert "field files" not in (out / "report.txt").read_text()
 
 
 @pytest.mark.parametrize("shape", [(19,), (20,), (6, 4), (4, 5)])
