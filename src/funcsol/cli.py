@@ -102,9 +102,9 @@ def write_report(path: Path, entries):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _output_dir(cfg: ProblemConfig, override=None) -> Path:
-    out = override or os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir
-    path = Path(out)
+def _output_dir(default, override=None) -> Path:
+    """--out, else $FUNCSOL_OUTPUT_DIR, else ``default``; created if missing."""
+    path = Path(override or os.environ.get(OUTPUT_DIR_ENV) or default)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -146,7 +146,7 @@ def _write_fields(out: Path, piv: PivotField, fields: FieldSet | None) -> list[P
 
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
-    out = _output_dir(cfg, args.out)
+    out = _output_dir(cfg.output_dir, args.out)
     grid = cfg.make_grid()
     log.info("solving pivot on %dx%d %s grid", cfg.n1, cfg.n2, cfg.family)
     piv = solve_pivot(grid, cfg.pivot_tol)
@@ -185,7 +185,7 @@ def cmd_solve(args) -> int:
 
 def cmd_pivot(args) -> int:
     cfg = load_config(args.config)
-    out = _output_dir(cfg, args.out)
+    out = _output_dir(cfg.output_dir, args.out)
     grid = cfg.make_grid()
     piv = solve_pivot(grid, cfg.pivot_tol)
     write_field_csv(out / "z.csv", grid, piv.values)
@@ -204,7 +204,7 @@ def cmd_verify(args) -> int:
         p = read_field_csv(fields_dir / "p.csv", grid)
     fields = FieldSet(grid=grid, u_fields=u, p_field=p)
     report = divergence_residual(fields, cfg.spec, grid)
-    out = _output_dir(cfg, args.out)
+    out = _output_dir(cfg.output_dir, args.out)
     write_report(out / "verify_report.txt", [
         ("divergence_residual_linf", _fmt_vec(report.per_equation_linf)),
         ("divergence_residual_l2", _fmt_vec(report.per_equation_l2)),
@@ -212,7 +212,7 @@ def cmd_verify(args) -> int:
         ("grid_spacing", _fmt_vec(report.grid_spacing)),
     ])
     log.info("recomputed residuals: linf = %s", _fmt_vec(report.per_equation_linf))
-    if cfg.residual_limit is not None and report.max_linf > cfg.residual_limit:
+    if cfg.residual_limit is not None and not report.max_linf <= cfg.residual_limit:
         log.error("residual %.3e exceeds the configured limit %.3e",
                   report.max_linf, cfg.residual_limit)
         return errors.EXIT_CODES[errors.VERIFICATION]
@@ -223,8 +223,7 @@ def cmd_oracle(args) -> int:
     if args.grid < 17:
         raise ConfigError(f"--grid must be at least 17, got {args.grid}")
     suite = run_oracle_suite(args.grid)
-    out = Path(args.out or os.environ.get(OUTPUT_DIR_ENV) or "oracle_out")
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir("oracle_out", args.out)
     for result in suite.results:
         if result.pivot is None:
             continue
@@ -275,7 +274,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except FuncsolError as exc:
         log.error("%s: %s", type(exc).__name__, exc)
-        return errors.exit_code(exc)
+        return errors.EXIT_CODES[exc.category]
     except OSError as exc:
         log.error("%s: %s", type(exc).__name__, exc)
         return errors.EXIT_CODES[errors.CONFIG]

@@ -17,12 +17,6 @@ class FuncsolError(Exception):
     category = SOLVER
 
 
-def exit_code(exc: BaseException) -> int:
-    if isinstance(exc, FuncsolError):
-        return EXIT_CODES[exc.category]
-    return EXIT_CODES[SOLVER]
-
-
 # --- expression language ---------------------------------------------------
 
 class ExprError(FuncsolError):

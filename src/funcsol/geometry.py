@@ -68,18 +68,24 @@ def _check_dims(n1, n2):
         raise GridDimensionError(f"grid needs at least 3 nodes per axis, got {n1}x{n2}")
 
 
+def _tags(n1, n2):
+    """First axis-1 edge gamma1, last gamma3, both axis-2 edges gamma2; the
+    corners take the Dirichlet tag."""
+    tags = np.zeros((n1, n2), dtype=np.int8)
+    tags[:, [0, -1]] = GAMMA2
+    tags[0, :] = GAMMA1
+    tags[-1, :] = GAMMA3
+    return tags
+
+
 def build_rectangle(n1: int, n2: int, width: float, height: float) -> Grid:
     """Rectangle [0,width]x[0,height]: left edge gamma1, right edge gamma3,
     bottom and top gamma2; corners take the Dirichlet tag."""
     _check_dims(n1, n2)
     if width <= 0 or height <= 0:
         raise InvalidExtentsError(f"width and height must be positive, got {width}, {height}")
-    tags = np.zeros((n1, n2), dtype=np.int8)
-    tags[:, 0] = GAMMA2
-    tags[:, -1] = GAMMA2
-    tags[0, :] = GAMMA1
-    tags[-1, :] = GAMMA3
-    return Grid(CARTESIAN, np.linspace(0.0, width, n1), np.linspace(0.0, height, n2), tags)
+    return Grid(CARTESIAN, np.linspace(0.0, width, n1), np.linspace(0.0, height, n2),
+                _tags(n1, n2))
 
 
 def build_annulus(nr: int, ntheta: int, r1: float, r2: float) -> Grid:
@@ -88,9 +94,5 @@ def build_annulus(nr: int, ntheta: int, r1: float, r2: float) -> Grid:
     _check_dims(nr, ntheta)
     if r1 <= 0 or r2 <= r1:
         raise InvalidRadiiError(f"need 0 < r1 < r2, got r1={r1}, r2={r2}")
-    tags = np.zeros((nr, ntheta), dtype=np.int8)
-    tags[:, 0] = GAMMA2
-    tags[:, -1] = GAMMA2
-    tags[0, :] = GAMMA1
-    tags[-1, :] = GAMMA3
-    return Grid(POLAR, np.linspace(r1, r2, nr), np.linspace(0.0, math.pi / 2.0, ntheta), tags)
+    return Grid(POLAR, np.linspace(r1, r2, nr), np.linspace(0.0, math.pi / 2.0, ntheta),
+                _tags(nr, ntheta))

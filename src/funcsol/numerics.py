@@ -31,21 +31,17 @@ def cumulative_simpson(y: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     nodes (one-sided stencils on the first and last interval). This is the
     same order as composite Simpson but the node error varies smoothly,
     without the even/odd sawtooth of pairwise Simpson increments, which
-    downstream finite-difference checks rely on. Three samples fall back
-    to the parabola halves.
+    downstream finite-difference checks rely on. Needs an odd sample count
+    of at least 5, what ``require_odd`` meshes have.
     """
     y = np.moveaxis(np.asarray(y, dtype=float), axis, 0)
     m = y.shape[0]
-    if m < 3 or m % 2 == 0:
-        raise ValueError(f"cumulative_simpson needs an odd sample count >= 3, got {m}")
+    if m < 5 or m % 2 == 0:
+        raise ValueError(f"cumulative_simpson needs an odd sample count >= 5, got {m}")
     inc = np.empty_like(y[:-1])
-    if m == 3:
-        inc[0] = (h / 12.0) * (5.0 * y[0] + 8.0 * y[1] - y[2])
-        inc[1] = (h / 12.0) * (-y[0] + 8.0 * y[1] + 5.0 * y[2])
-    else:
-        inc[1:-1] = (h / 24.0) * (-y[:-3] + 13.0 * y[1:-2] + 13.0 * y[2:-1] - y[3:])
-        inc[0] = (h / 24.0) * (9.0 * y[0] + 19.0 * y[1] - 5.0 * y[2] + y[3])
-        inc[-1] = (h / 24.0) * (y[-4] - 5.0 * y[-3] + 19.0 * y[-2] + 9.0 * y[-1])
+    inc[1:-1] = (h / 24.0) * (-y[:-3] + 13.0 * y[1:-2] + 13.0 * y[2:-1] - y[3:])
+    inc[0] = (h / 24.0) * (9.0 * y[0] + 19.0 * y[1] - 5.0 * y[2] + y[3])
+    inc[-1] = (h / 24.0) * (y[-4] - 5.0 * y[-3] + 19.0 * y[-2] + 9.0 * y[-1])
     out = np.zeros_like(y)
     np.cumsum(inc, axis=0, out=out[1:])
     return np.moveaxis(out, 0, axis)

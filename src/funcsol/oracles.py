@@ -50,7 +50,6 @@ class OracleCase:
     profile_tol: float = 1e-7
     field_rules: tuple = ()                   # (label, (fields, pivot) -> value, limit)
     expect_singular: bool = False
-    tolerance: float = 1e-8                   # headline tolerance of the case
 
 
 @dataclass
@@ -60,7 +59,6 @@ class CaseResult:
     checks: list                               # (label, measured, limit, ok)
     pivot: PivotField | None = None
     fields: FieldSet | None = None
-    solution: ProfileSolution | None = None
     error: str | None = None
 
 
@@ -124,7 +122,6 @@ _register(OracleCase(
         ("max|z - x|", lambda fields, piv: float(np.max(np.abs(
             piv.values - piv.grid.x1[:, None]))), 1e-10),
     ),
-    tolerance=1e-10,
 ))
 
 _register(OracleCase(
@@ -137,7 +134,6 @@ _register(OracleCase(
         ("max|z - log(r)/log 2|", lambda fields, piv: float(np.max(np.abs(
             piv.values - (np.log(piv.grid.x1) / math.log(2.0))[:, None]))), 5e-3),
     ),
-    tolerance=5e-3,
 ))
 
 _register(OracleCase(
@@ -154,7 +150,6 @@ _register(OracleCase(
             fields.u_fields[0] - piv.values))), 1e-9),
         ("max|u2|", lambda fields, piv: float(np.max(np.abs(fields.u_fields[1]))), 1e-9),
     ),
-    tolerance=1e-10,
 ))
 
 _register(OracleCase(
@@ -174,7 +169,6 @@ _register(OracleCase(
         ("max|u1 - (-1+sqrt(1+3z))|", lambda fields, piv: float(np.max(np.abs(
             fields.u_fields[0] - (-1.0 + np.sqrt(1.0 + 3.0 * piv.values))))), 5e-7),
     ),
-    tolerance=1e-8,
 ))
 
 _register(OracleCase(
@@ -194,7 +188,6 @@ _register(OracleCase(
         ("max|u - 2p|", lambda fields, piv: float(np.max(np.abs(
             fields.u_fields[0] - 2.0 * fields.p_field))), 1e-6),
     ),
-    tolerance=1e-6,
 ))
 
 _register(OracleCase(
@@ -213,7 +206,6 @@ _register(OracleCase(
         ("max|p - pi z|", lambda fields, piv: float(np.max(np.abs(
             fields.p_field - math.pi * piv.values))), 1e-9),
     ),
-    tolerance=1e-10,
 ))
 
 _register(OracleCase(
@@ -224,7 +216,6 @@ _register(OracleCase(
                                   mode="darcy"),
     backend="shooting",
     expect_singular=True,
-    tolerance=1e-8,
 ))
 
 _register(OracleCase(
@@ -244,7 +235,6 @@ _register(OracleCase(
         ("max|u - z|", lambda fields, piv: float(np.max(np.abs(
             fields.u_fields[0] - piv.values))), 1e-6),
     ),
-    tolerance=1e-6,
 ))
 
 
@@ -280,7 +270,6 @@ def run_case(case: OracleCase, grid_size: int) -> CaseResult:
         return CaseResult(case.name, False, checks, pivot=piv)
 
     fields = None
-    sol = None
     if case.spec is not None:
         sol = _solve_backend(case)
         if case.expected_gamma is not None:
@@ -317,7 +306,7 @@ def run_case(case: OracleCase, grid_size: int) -> CaseResult:
             checks.append((label, val, limit, val <= limit))
 
     passed = all(c[3] for c in checks)
-    return CaseResult(case.name, passed, checks, pivot=piv, fields=fields, solution=sol)
+    return CaseResult(case.name, passed, checks, pivot=piv, fields=fields)
 
 
 def run_oracle_suite(grid_size: int = 33) -> SuiteReport:

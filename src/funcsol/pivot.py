@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PivotConvergenceError
-from .geometry import GAMMA1, GAMMA3, POLAR, Grid
+from .geometry import GAMMA3, POLAR, Grid
 
 CG_ITER_FACTOR = 50
 
@@ -233,10 +233,11 @@ def arithmetic_mean_faces(c_nodes: np.ndarray):
     return cfx, cfy
 
 
-def dirichlet_targets(grid: Grid, gamma1_value: float, gamma3_value: float):
+def dirichlet_targets(grid: Grid, boundary: float):
+    """Every field's Dirichlet data: 0 on gamma1 and ``boundary`` on gamma3,
+    zero on the equation rows."""
     d = np.zeros(grid.shape)
-    d[grid.mask(GAMMA1)] = gamma1_value
-    d[grid.mask(GAMMA3)] = gamma3_value
+    d[grid.mask(GAMMA3)] = boundary
     return d
 
 
@@ -251,7 +252,7 @@ def solve_pivot(grid: Grid, tol: float, initial_guess: np.ndarray | None = None)
         raise ValueError(f"tol must be positive, got {tol}")
     cfx, cfy = unit_faces(grid)
     stencil = DivergenceStencil(grid, cfx, cfy)
-    bc = dirichlet_targets(grid, 0.0, 1.0)
+    bc = dirichlet_targets(grid, 1.0)
     x0 = _ramp_guess(grid) if initial_guess is None else initial_guess
     values, iters = stencil.solve(bc, tol=tol, x0=x0)
     field = PivotField(grid, values, achieved_residual=pivot_residual_values(grid, values),

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveWeightError, ProfileRangeError
-from .geometry import GAMMA1, GAMMA3, POLAR, Grid
+from .geometry import POLAR, Grid
 from .numerics import cumulative_simpson
-from .pivot import PivotField
+from .pivot import PivotField, dirichlet_targets
 from .twopoint import DARCY, MOLECULAR, ProblemSpec, ProfileSolution
 
 SPAN_SLACK = 1e-12
@@ -89,12 +89,10 @@ def _gradient(grid: Grid, field: np.ndarray):
 
 
 def _stamp_dirichlet(grid: Grid, spec: ProblemSpec, fields):
-    """Each law's field: 0 on gamma1 and the law's boundary value on gamma3."""
-    m1 = grid.mask(GAMMA1)
-    m3 = grid.mask(GAMMA3)
+    """Each law's field takes its Dirichlet data on the Dirichlet nodes."""
+    dirichlet = ~grid.unknown_mask
     for field, boundary, _ in spec.laws():
-        fields[field][m1] = 0.0
-        fields[field][m3] = boundary
+        fields[field][dirichlet] = dirichlet_targets(grid, boundary)[dirichlet]
 
 
 def _flux_fields(grid: Grid, spec: ProblemSpec, u_fields, p_field):

@@ -255,10 +255,6 @@ class ProfileSolution:
     boundary_error: float
     stats: dict = field(default_factory=dict)
 
-    @property
-    def n(self):
-        return self.profiles.shape[0]
-
 
 def default_box(spec: ProblemSpec):
     """Per-variable sampling ranges around the data the iterates visit."""
@@ -267,6 +263,17 @@ def default_box(spec: ProblemSpec):
         box[f"u{i+1}"] = (min(0.0, us) - BOX_PAD, max(0.0, us) + BOX_PAD)
     box["p"] = (0.0, spec.p_star)
     return box
+
+
+def _sample_box(spec: ProblemSpec, box, variables, samples: int):
+    """``spec.coefficients`` on the lattice of ``samples`` points per axis
+    over the ``box`` ranges of ``variables``, flattened. The other variables
+    sit at the launch point, 0, where the solvers evaluate every coefficient
+    anyway."""
+    axes = [np.linspace(*box[v], samples) for v in variables]
+    lattice = {v: g.ravel() for v, g in zip(variables, np.meshgrid(*axes, indexing="ij"))}
+    return spec.coefficients([lattice.get(f"u{i+1}", 0.0) for i in range(spec.n)],
+                             lattice.get("p", 0.0))
 
 
 def ellipticity_bounds(spec: ProblemSpec, box=None, samples: int = 33) -> EllipticityBounds:
@@ -284,12 +291,7 @@ def ellipticity_bounds(spec: ProblemSpec, box=None, samples: int = 33) -> Ellipt
     missing = [v for v in used if v not in box]
     if missing:
         raise ValueError(f"box is missing ranges for {missing}")
-    axes = [np.linspace(box[v][0], box[v][1], samples) for v in used]
-    lattice = {v: g.ravel() for v, g in zip(used, np.meshgrid(*axes, indexing="ij"))}
-    # variables the matrix ignores sit at the launch point, 0, where the
-    # solvers evaluate every coefficient anyway
-    A = spec.coefficients([lattice.get(f"u{i+1}", 0.0) for i in range(spec.n)],
-                          lattice.get("p", 0.0))[0]
+    A = _sample_box(spec, box, used, samples)[0]
     sym = 0.5 * (A + np.swapaxes(A, -1, -2))
     eigs = np.linalg.eigvalsh(sym)
     m = float(eigs.min())
@@ -313,17 +315,21 @@ def _inverse_along(spec: ProblemSpec, mesh, profiles):
     return np.linalg.inv(A)
 
 
+def _solve_averaged(total, u_star):
+    """(int A^-1)^-1 u*, refusing a numerically singular integral."""
+    cond = float(np.linalg.cond(total))
+    if not np.isfinite(cond) or cond > SINGULAR_COND_LIMIT:
+        raise SingularMatrixError(f"averaged inverse matrix singular (condition {cond:.3e})")
+    return np.linalg.solve(total, u_star)
+
+
 def gamma_functional(mesh, profiles, spec: ProblemSpec):
     """gamma[U] = (int_0^1 A^-1(U(t)) dt)^-1 u* by composite Simpson."""
     if spec.mode != MOLECULAR:
         raise ValueError("gamma functional applies to molecular problems")
     h = mesh[1] - mesh[0]
     Ainv = _inverse_along(spec, mesh, np.asarray(profiles, dtype=float))
-    avg = simpson_integral(Ainv, h)
-    cond = float(np.linalg.cond(avg))
-    if not np.isfinite(cond) or cond > SINGULAR_COND_LIMIT:
-        raise SingularMatrixError(f"averaged inverse matrix singular (condition {cond:.3e})")
-    return np.linalg.solve(avg, spec.u_star)
+    return _solve_averaged(simpson_integral(Ainv, h), spec.u_star)
 
 
 def apply_fixed_point_operator(mesh, profiles, spec: ProblemSpec):
@@ -333,12 +339,7 @@ def apply_fixed_point_operator(mesh, profiles, spec: ProblemSpec):
     h = mesh[1] - mesh[0]
     Ainv = _inverse_along(spec, mesh, np.asarray(profiles, dtype=float))
     C = cumulative_simpson(Ainv, h)
-    total = C[-1]
-    cond = float(np.linalg.cond(total))
-    if not np.isfinite(cond) or cond > SINGULAR_COND_LIMIT:
-        raise SingularMatrixError(f"averaged inverse matrix singular (condition {cond:.3e})")
-    w = np.linalg.solve(total, spec.u_star)
-    out = (C @ w).T
+    out = (C @ _solve_averaged(C[-1], spec.u_star)).T
     out[:, 0] = 0.0
     out[:, -1] = spec.u_star
     return out
@@ -705,9 +706,7 @@ def solve_shooting(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
 
 
 def _check_f_positive(spec: ProblemSpec):
-    box = default_box(spec)
-    uu, pp = np.meshgrid(*(np.linspace(*box[v], 65) for v in ("u1", "p")), indexing="ij")
-    A, _, b_next = spec.coefficients([uu], pp)
+    A, _, b_next = _sample_box(spec, default_box(spec), ("u1", "p"), 65)
     a = A[..., 0, 0]
     if not np.all(a):
         raise SingularMatrixError("scalar coefficient a vanishes on the sampled rectangle")

@@ -1,4 +1,5 @@
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,10 @@ from funcsol.cli import main, read_field_csv, write_field_csv
 from funcsol.config import load_config
 from funcsol.errors import ConfigError, ShapeMismatchError, UnknownVariableError
 from funcsol.geometry import build_annulus, build_rectangle
+from funcsol.pivot import solve_pivot
+from funcsol.reconstruct import compose_fields, darcy_reconstruct
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 MOLECULAR_CFG = """
 [geometry]
@@ -427,3 +432,82 @@ def test_numpy_errors_exit_as_solver_errors(tmp_path, monkeypatch, caplog, capsy
     assert main(["solve", str(write_cfg(tmp_path, MOLECULAR_CFG))]) == 2
     assert f"{type(exc).__name__} in funcsol solve: {exc}" in caplog.text
     assert "Traceback" not in caplog.text + capsys.readouterr().err
+
+
+def read_report(path):
+    return dict(line.split(" = ", 1) for line in path.read_text().splitlines())
+
+
+NAN_CFG = MOLECULAR_CFG.replace("u_star = 1 0", "u_star = 1 0.5") + "residual_limit = 1e-2\n"
+
+
+@pytest.mark.parametrize("name, node, nan_keys", [
+    ("u2.csv", (8, 8), {"divergence_residual_linf", "divergence_residual_l2"}),
+    ("u1.csv", (-1, 8), {"divergence_residual_linf", "divergence_residual_l2",
+                         "boundary_max_error"}),
+], ids=["interior", "gamma3"])
+def test_verify_fails_on_nan_fields(tmp_path, name, node, nan_keys):
+    cfg_path = write_cfg(tmp_path, NAN_CFG)
+    out = tmp_path / "out"
+    assert main(["solve", str(cfg_path)]) == 0
+    assert main(["verify", str(cfg_path), str(out)]) == 0
+    grid = load_config(cfg_path).make_grid()
+    values = read_field_csv(out / name, grid)
+    values[node] = math.nan
+    write_field_csv(out / name, grid, values)
+    assert main(["verify", str(cfg_path), str(out)]) == 3
+    report = read_report(out / "verify_report.txt")
+    assert {key for key, value in report.items() if "nan" in value} == nan_keys
+
+
+@pytest.mark.parametrize("cfg_path", sorted(DATA.glob("*.ini")), ids=lambda path: path.stem)
+def test_solve_flux_files_read_back_to_library_fluxes(tmp_path, cfg_path):
+    out = tmp_path / "out"
+    assert main(["solve", str(cfg_path), "--out", str(out)]) == 0
+    cfg = load_config(cfg_path)
+    grid = cfg.make_grid()
+    reconstruct = compose_fields if cfg.spec.mode == "molecular" else darcy_reconstruct
+    fields = reconstruct(cli._solve_two_point(cfg), solve_pivot(grid, cfg.pivot_tol), cfg.spec,
+                         with_fluxes=True)
+    stems = ["z", *(f"u{i+1}" for i in range(cfg.spec.n))]
+    stems += [] if fields.p_field is None else ["p"]
+    stems += [f"{name}_{k}" for name in fields.flux_fields for k in (1, 2)]
+    assert sorted(path.stem for path in out.glob("*.csv")) == sorted(stems)
+    for name, vec in fields.flux_fields.items():
+        for k in (1, 2):
+            np.testing.assert_array_equal(read_field_csv(out / f"{name}_{k}.csv", grid),
+                                          vec[k - 1])
+
+
+def test_verify_darcy_output_reproduces_solve_report(tmp_path):
+    cfg_path = DATA / "darcy_rectangle_fluxes.ini"
+    out, checked = tmp_path / "out", tmp_path / "verify"
+    assert main(["solve", str(cfg_path), "--out", str(out)]) == 0
+    assert main(["verify", str(cfg_path), str(out), "--out", str(checked)]) == 0
+    solved = read_report(out / "report.txt")
+    verified = read_report(checked / "verify_report.txt")
+    for key in ("divergence_residual_linf", "divergence_residual_l2", "boundary_max_error"):
+        assert verified[key] == solved[key]
+    (out / "p.csv").unlink()
+    assert main(["verify", str(cfg_path), str(out), "--out", str(checked)]) == 1
+
+
+@pytest.mark.parametrize("flags, stems", [
+    ("write_fields = no\n", []),
+    ("write_fluxes = 0\n", ["u1", "u2", "z"]),
+    ("write_fields = On\nwrite_fluxes = YES\n",
+     ["q_h_1", "q_h_2", "q_m_1", "q_m_2", "u1", "u2", "z"]),
+], ids=["no-fields", "no-fluxes", "fluxes"])
+def test_output_flags_select_files(tmp_path, flags, stems):
+    assert main(["solve", str(write_cfg(tmp_path, MOLECULAR_CFG + flags))]) == 0
+    assert sorted(path.stem for path in (tmp_path / "out").glob("*.csv")) == stems
+    assert (tmp_path / "out" / "report.txt").is_file()
+
+
+@pytest.mark.parametrize("key", ["write_fields", "write_fluxes"])
+def test_output_flag_rejects_invalid_value(tmp_path, key):
+    cfg_path = write_cfg(tmp_path, MOLECULAR_CFG + f"{key} = maybe\n")
+    with pytest.raises(ConfigError, match=f"\\[output\\] {key}: expected a boolean, got 'maybe'"):
+        load_config(cfg_path)
+    assert main(["solve", str(cfg_path)]) == 1
+    assert not (tmp_path / "out").exists()

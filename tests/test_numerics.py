@@ -78,3 +78,5 @@ def test_even_sample_count_rejected():
         simpson_integral(np.zeros(10), 0.1)
     with pytest.raises(ValueError):
         cumulative_simpson(np.zeros(10), 0.1)
+    with pytest.raises(ValueError, match=">= 5"):
+        cumulative_simpson(np.zeros(3), 0.1)

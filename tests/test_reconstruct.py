@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from funcsol.errors import NonPositiveWeightError, ProfileRangeError
-from funcsol.geometry import GAMMA1, GAMMA3, build_rectangle
+from funcsol.geometry import GAMMA1, GAMMA3, build_annulus, build_rectangle
 from funcsol.pivot import solve_pivot
 from funcsol.reconstruct import (
     ThetaMap,
+    _gradient,
     compose_fields,
     darcy_reconstruct,
     kirchhoff_theta,
@@ -218,3 +219,17 @@ def test_darcy_flux_fields_with_pressure_term(square17):
     np.testing.assert_allclose(fs.flux_fields["q_1"][1], 0.0, atol=1e-9)
     np.testing.assert_allclose(fs.flux_fields["v"][0], -3.0 * p_star, atol=1e-9)
     np.testing.assert_allclose(fs.flux_fields["v"][1], 0.0, atol=1e-9)
+
+
+def test_polar_gradient_of_r_cos_theta():
+    # functional fields do not depend on theta, so only a field that does
+    # checks the 1/r of the angular component: grad(r cos t) = (cos t, -sin t)
+    angular = []
+    for n in (17, 33):
+        grid = build_annulus(n, n, 1.0, 2.0)
+        t = grid.x2[None, :]
+        g1, g2 = _gradient(grid, grid.x1[:, None] * np.cos(t))
+        np.testing.assert_allclose(g1, np.broadcast_to(np.cos(t), g1.shape), atol=1e-12)
+        angular.append(np.max(np.abs(g2 + np.sin(t))))
+    assert angular[0] < 4e-3
+    assert angular[0] / angular[1] == pytest.approx(4.0, rel=0.05)     # O(h^2)
