@@ -3,14 +3,15 @@
 A config has four sections. ``[geometry]`` picks the domain family and
 its node counts, ``[problem]`` holds the coefficient expressions and
 boundary targets, ``[solver]`` selects the two-point backend and its
-knobs, ``[output]`` says where and what to write. All expressions are
-parsed eagerly against the declared variable set, so malformed input
-fails at load time with the offending field named.
+knobs, ``[output]`` says where and what to write. Expressions are parsed
+eagerly against the declared variable set and numbers must be finite, so
+malformed input fails at load time with the offending field named.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -73,19 +74,18 @@ class _Section:
         if text is None:
             return default
         try:
-            return cast(text)
+            value = cast(text)
         except ValueError:
             raise ConfigError(f"[{self.name}] {key}: cannot parse '{text}'") from None
+        if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+            raise ConfigError(f"[{self.name}] {key}: must be finite, got '{text}'")
+        return value
 
     def floats(self, key, count):
-        text = self.raw(key, required=True)
-        parts = text.split()
-        if len(parts) != count:
-            raise ConfigError(f"[{self.name}] {key}: expected {count} values, got {len(parts)}")
-        try:
-            return tuple(float(p) for p in parts)
-        except ValueError:
-            raise ConfigError(f"[{self.name}] {key}: cannot parse '{text}'") from None
+        values = self.typed(key, lambda text: tuple(map(float, text.split())), required=True)
+        if len(values) != count:
+            raise ConfigError(f"[{self.name}] {key}: expected {count} values, got {len(values)}")
+        return values
 
     def flag(self, key, default=False):
         text = self.raw(key)

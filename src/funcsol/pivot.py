@@ -12,12 +12,14 @@ and is reused by the direct coupled solver and the residual checker. Rows
 are symmetrized with half weights on Neumann edges (and a factor r on
 polar grids), which makes the reduced system SPD. Every linear solve is
 conjugate gradients preconditioned by a separable fast solver, exact for
-the pivot (DivergenceStencil._fast_inverse).
+the pivot (DivergenceStencil._fast_inverse); what it and the stencil need
+of the grid alone is built once per grid (_GridFactors).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +40,52 @@ class PivotField:
         self.values.setflags(write=False)
 
 
+class _GridFactors:
+    """What a DivergenceStencil needs of its grid alone, built once per grid
+    and shared by its stencils: metric, weights, masks, denominators and,
+    from the first solve on, the face-independent part of the fast inverse."""
+
+    def __init__(self, grid: Grid):
+        n1, n2 = grid.shape
+        h1, self.h2 = grid.spacing
+        self.h1sq = h1**2
+        self.rvec = np.asarray(grid.x1, dtype=float) if grid.coord_system == POLAR else np.ones(n1)
+        self.rface = 0.5 * (self.rvec[:-1] + self.rvec[1:])
+        self.h2r = self.h2**2 * self.rvec
+        self.unknown = grid.unknown_mask
+        self.dirichlet = ~self.unknown
+        self.n_unknowns = int(self.unknown.sum())
+        # row symmetrization weights: half cells on Neumann edges (per
+        # column), times the metric r
+        self.w_edge = np.ones(n2)
+        self.w_edge[0] *= 0.5
+        self.w_edge[-1] *= 0.5
+        self.w_sym = self.w_edge * self.rvec[:, None]
+
+    @cached_property
+    def inverse(self):
+        """The cosine basis phi, K1's off-diagonal, the forward multipliers
+        off[i-1] * piv[i-1], the Thomas pivots per mode (inverted but the
+        last) and the unit-face diagonal over w_edge, a column."""
+        n1, n2 = self.rvec.size, self.w_edge.size
+        off = -self.rface[1:-1, None] / self.h1sq
+        k1_diag = (self.rface[1:, None] + self.rface[:-1, None]) / self.h1sq
+        # phi[j, k] = cos(pi j k/(n2-1)), the angle reduced modulo 2 pi exactly
+        k = np.arange(n2, dtype=float)
+        phi = np.multiply.outer(k, k)
+        np.fmod(phi, 2 * (n2 - 1), out=phi)
+        phi *= np.pi / (n2 - 1)
+        np.cos(phi, out=phi)
+        phi *= np.sqrt(2.0 / (n2 - 1) * self.w_edge)
+        lam = (2.0 - 2.0 * np.cos(np.pi / (n2 - 1) * k)) / self.h2**2
+        piv = lam / self.rvec[1:-1, None]
+        piv += k1_diag
+        for i in range(1, n1 - 2):
+            piv[i - 1] = 1.0 / piv[i - 1]
+            piv[i] -= off[i - 1] ** 2 * piv[i - 1]
+        return phi, off, off * piv[:-1], piv, k1_diag + 2.0 / self.h2r[1:-1, None]
+
+
 class DivergenceStencil:
     """Flux-form div(c grad u) on one grid, with fixed face coefficients.
 
@@ -51,52 +99,42 @@ class DivergenceStencil:
         if cfx.shape != (n1 - 1, n2) or cfy.shape != (n1, n2 - 1):
             raise ValueError("face coefficient arrays do not match the grid")
         self.grid = grid
-        self.h1, self.h2 = grid.spacing
-        if grid.coord_system == POLAR:
-            self.rvec = np.asarray(grid.x1, dtype=float)
-        else:
-            self.rvec = np.ones(n1)
-        rface = 0.5 * (self.rvec[:-1] + self.rvec[1:])
-        self.cfx = cfx * rface[:, None]
+        self.factors = grid.__dict__.get("_stencil_factors") or _GridFactors(grid)
+        object.__setattr__(grid, "_stencil_factors", self.factors)  # cached on the grid
+        self.cfx = cfx * self.factors.rface[:, None]
         self.cfy = cfy
-        self.unknown = grid.unknown_mask
-        # row symmetrization weights: half cells on Neumann edges (per
-        # column), times the metric r
-        self.w_edge = np.ones(n2)
-        self.w_edge[0] *= 0.5
-        self.w_edge[-1] *= 0.5
-        self.w_sym = self.w_edge * self.rvec[:, None]
-        self.n_unknowns = int(self.unknown.sum())
 
     def _metric_div(self, u):
         """r * div(c grad u) on equation rows, zero on Dirichlet rows."""
+        f = self.factors
         out = np.zeros(self.grid.shape)
         fx = self.cfx * (u[1:, :] - u[:-1, :])
-        out[1:-1, :] += (fx[1:, :] - fx[:-1, :]) / self.h1**2
+        out[1:-1, :] += (fx[1:, :] - fx[:-1, :]) / f.h1sq
         fy = self.cfy * (u[:, 1:] - u[:, :-1])
-        rcol = self.rvec[:, None]
-        out[:, 1:-1] += (fy[:, 1:] - fy[:, :-1]) / (self.h2**2 * rcol)
-        out[:, 0] += 2.0 * fy[:, 0] / (self.h2**2 * self.rvec)
-        out[:, -1] += -2.0 * fy[:, -1] / (self.h2**2 * self.rvec)
-        out[~self.unknown] = 0.0
+        out[:, 1:-1] += (fy[:, 1:] - fy[:, :-1]) / f.h2r[:, None]
+        out[:, 0] += 2.0 * fy[:, 0] / f.h2r
+        out[:, -1] += -2.0 * fy[:, -1] / f.h2r
+        out[f.dirichlet] = 0.0
         return out
 
     def apply(self, u):
-        return self._metric_div(u) / self.rvec[:, None]
+        return self._metric_div(u) / self.factors.rvec[:, None]
 
     def _sym_op(self, v):
         """SPD operator on masked unknowns: -w_edge * r * div(c grad .)."""
-        return -(self._metric_div(v * self.unknown) * self.w_edge) * self.unknown
+        f = self.factors
+        return -(self._metric_div(v * f.unknown) * f.w_edge) * f.unknown
 
+    @cached_property
     def _sym_diag(self):
+        f = self.factors
         d = np.zeros(self.grid.shape)
-        d[1:-1, :] += (self.cfx[1:, :] + self.cfx[:-1, :]) / self.h1**2
-        rcol = self.rvec[:, None]
-        d[:, 1:-1] += (self.cfy[:, 1:] + self.cfy[:, :-1]) / (self.h2**2 * rcol)
-        d[:, 0] += 2.0 * self.cfy[:, 0] / (self.h2**2 * self.rvec)
-        d[:, -1] += 2.0 * self.cfy[:, -1] / (self.h2**2 * self.rvec)
-        d *= self.w_edge
-        d[~self.unknown] = 1.0
+        d[1:-1, :] += (self.cfx[1:, :] + self.cfx[:-1, :]) / f.h1sq
+        d[:, 1:-1] += (self.cfy[:, 1:] + self.cfy[:, :-1]) / f.h2r[:, None]
+        d[:, 0] += 2.0 * self.cfy[:, 0] / f.h2r
+        d[:, -1] += 2.0 * self.cfy[:, -1] / f.h2r
+        d *= f.w_edge
+        d[f.dirichlet] = 1.0
         return d
 
     def _fast_inverse(self):
@@ -109,30 +147,15 @@ class DivergenceStencil:
         cosine transform, a Thomas solve of K1 + lambda_k/r per mode and the
         transform back. Other faces scale it symmetrically by
         sqrt(diag(A)/diag(A_unit)) (Concus & Golub, 1973), a factor of exactly
-        one on unit faces. Returns precondition(res, out, work), which writes
-        M^-1 res into out (zero on the Dirichlet rows) and overwrites work; all
-        three have the grid's shape.
+        one on unit faces. Only that scale depends on the faces; the rest is
+        built once per grid (_GridFactors.inverse). Returns
+        precondition(res, out, work), which writes M^-1 res into out (zero on
+        the Dirichlet rows) and overwrites work; all three have the grid's
+        shape.
         """
-        n1, n2 = self.grid.shape
-        r = self.rvec[1:-1, None]
-        rface = 0.5 * (self.rvec[:-1, None] + self.rvec[1:, None])
-        off = -rface[1:-1] / self.h1**2
-        k1_diag = (rface[1:] + rface[:-1]) / self.h1**2
-        # phi[j, k] = cos(pi j k/(n2-1)), the angle reduced modulo 2 pi exactly
-        k = np.arange(n2, dtype=float)
-        phi = np.multiply.outer(k, k)
-        np.fmod(phi, 2 * (n2 - 1), out=phi)
-        phi *= np.pi / (n2 - 1)
-        np.cos(phi, out=phi)
-        phi *= np.sqrt(2.0 / (n2 - 1) * self.w_edge)
-        lam = (2.0 - 2.0 * np.cos(np.pi / (n2 - 1) * k)) / self.h2**2
-        scale = np.sqrt((k1_diag + 2.0 / (self.h2**2 * r)) * self.w_edge
-                        / self._sym_diag()[1:-1])
-        piv = lam / r                   # Thomas pivots per mode, inverted but the last
-        piv += k1_diag
-        for i in range(1, n1 - 2):
-            piv[i - 1] = 1.0 / piv[i - 1]
-            piv[i] -= off[i - 1] ** 2 * piv[i - 1]
+        n1 = self.grid.n1
+        phi, off, fwd, piv, k0 = self.factors.inverse
+        scale = np.sqrt(k0 * self.factors.w_edge / self._sym_diag[1:-1])
 
         def precondition(res, out, work):
             rows = np.multiply(res[1:-1], scale, out=out[1:-1])
@@ -140,7 +163,7 @@ class DivergenceStencil:
             # about 1 MB of BLAS packing buffers resident for good
             g = np.matmul(rows[:, None], phi, out=work[1:-1, None])[:, 0]
             for i in range(1, n1 - 2):
-                g[i] -= off[i - 1] * piv[i - 1] * g[i - 1]
+                g[i] -= fwd[i - 1] * g[i - 1]
             g[-1] /= piv[-1]
             for i in range(n1 - 4, -1, -1):
                 g[i] = (g[i] - off[i] * g[i + 1]) * piv[i]
@@ -158,7 +181,7 @@ class DivergenceStencil:
         be certified much below eps * diag * |u|; callers picking an inner
         tolerance should not ask for less.
         """
-        diag = self._sym_diag() / self.w_edge
+        diag = self._sym_diag / self.factors.w_edge
         return 30.0 * np.finfo(float).eps * float(diag.max()) * max(1.0, value_scale)
 
     def solve(self, dirichlet_values, source=None, tol=1e-10, x0=None):
@@ -171,25 +194,25 @@ class DivergenceStencil:
         exit where more iterations cannot help: the residual recurrence has
         fallen to roundoff, CG broke down, or the iteration cap was reached.
         """
-        grid = self.grid
-        u_dir = np.where(self.unknown, 0.0, dirichlet_values)
+        grid, f = self.grid, self.factors
+        u_dir = np.where(f.unknown, 0.0, dirichlet_values)
         src = 0.0 if source is None else source
 
         def phys_residual(x):
             r = self.apply(x + u_dir) - src
-            return float(np.max(np.abs(r[self.unknown])))
+            return float(np.max(np.abs(r[f.unknown])))
 
-        x = np.zeros(grid.shape) if x0 is None else np.where(self.unknown, x0, 0.0)
+        x = np.zeros(grid.shape) if x0 is None else np.where(f.unknown, x0, 0.0)
         if phys_residual(x) <= tol:
             return x + u_dir, 0
         # A x = w*(r div) of the Dirichlet part - w_sym*src, with A = -w*(r div(.))
-        r = self._metric_div(u_dir) * self.w_edge - src * self.w_sym - self._sym_op(x)
-        r[~self.unknown] = 0.0
+        r = self._metric_div(u_dir) * f.w_edge - src * f.w_sym - self._sym_op(x)
+        r[f.dirichlet] = 0.0
         precondition = self._fast_inverse()
         z = precondition(r, np.empty(grid.shape), np.empty(grid.shape))
         p = z.copy()
         rz = float(np.sum(r * z))
-        cap = CG_ITER_FACTOR * int(np.sqrt(self.n_unknowns)) + 10
+        cap = CG_ITER_FACTOR * int(np.sqrt(f.n_unknowns)) + 10
         it = 0
         stop = "it reached the iteration cap"
         while it < cap:
@@ -217,7 +240,7 @@ class DivergenceStencil:
         # every exit above follows a failed residual check
         raise PivotConvergenceError(
             f"linear solve stopped at residual {phys_residual(x):.3e} (target {tol:.3e}) "
-            f"after {it} CG iterations on {self.n_unknowns} unknowns: {stop}"
+            f"after {it} CG iterations on {f.n_unknowns} unknowns: {stop}"
         )
 
 

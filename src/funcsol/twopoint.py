@@ -158,8 +158,9 @@ class ProblemSpec:
             raise ValueError("n must be at least 1")
         self.u_star = np.asarray(self.u_star, dtype=float).reshape(self.n)
         self.p_star = float(self.p_star)
-        if self.p_star <= 0:
-            raise ValueError(f"p_star must be positive, got {self.p_star}")
+        if not (np.isfinite(self.u_star).all() and 0.0 < self.p_star < math.inf):
+            raise ValueError(f"u_star must be finite and p_star positive and finite, "
+                             f"got {self.u_star} and {self.p_star}")
         if len(self.a) != self.n or any(len(row) != self.n for row in self.a):
             raise ValueError(f"coefficient matrix must be {self.n}x{self.n}")
         if self.mode == MOLECULAR:
@@ -301,25 +302,33 @@ def ellipticity_bounds(spec: ProblemSpec, box=None, samples: int = 33) -> Ellipt
     return EllipticityBounds(m=m, M=M)
 
 
-def _inverse_along(spec: ProblemSpec, mesh, profiles):
-    """A^-1 at every mesh node, with a condition guard."""
-    A = spec.coefficients(profiles, mesh)[0]
-    conds = np.linalg.cond(A)
-    worst = float(np.max(conds))
-    if not np.isfinite(worst) or worst > SINGULAR_COND_LIMIT:
-        k = int(np.argmax(conds))
-        raise SingularMatrixError(
-            f"coefficient matrix numerically singular at pivot value {mesh[k]:.6g} "
-            f"(condition estimate {worst:.3e})"
-        )
-    return np.linalg.inv(A)
+def _inverse_along(A, mesh=None):
+    """The inverses of a stack of matrices A, refusing any whose Frobenius
+    condition number kappa_F = |A|_F |A^-1|_F, taken of A / max|A| so that
+    only kappa_F can overflow, exceeds SINGULAR_COND_LIMIT. It needs no SVD,
+    and kappa_2 <= kappa_F <= n kappa_2. A singular or non-finite A counts as
+    inf. The error names the worst node's pivot value, or the averaged
+    inverse matrix when there is no mesh."""
+    try:
+        inv = np.linalg.inv(A)
+        s = np.max(np.abs(A), axis=(-2, -1), keepdims=True)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            B, C = A / s, inv * s
+            kappa = np.sqrt(np.einsum("...ij,...ij", B, B) * np.einsum("...ij,...ij", C, C))
+    except np.linalg.LinAlgError:
+        inv, kappa = None, np.where(np.abs(np.linalg.det(A)) > 0.0, 0.0, np.inf)
+    kappa = np.atleast_1d(np.where(np.isnan(kappa), np.inf, kappa))
+    k = int(np.argmax(kappa))
+    if not kappa[k] <= SINGULAR_COND_LIMIT:
+        where = ("averaged inverse matrix singular" if mesh is None else
+                 f"coefficient matrix numerically singular at pivot value {mesh[k]:.6g}")
+        raise SingularMatrixError(f"{where} (condition estimate {kappa[k]:.3e})")
+    return inv
 
 
 def _solve_averaged(total, u_star):
     """(int A^-1)^-1 u*, refusing a numerically singular integral."""
-    cond = float(np.linalg.cond(total))
-    if not np.isfinite(cond) or cond > SINGULAR_COND_LIMIT:
-        raise SingularMatrixError(f"averaged inverse matrix singular (condition {cond:.3e})")
+    _inverse_along(total)
     return np.linalg.solve(total, u_star)
 
 
@@ -328,7 +337,7 @@ def gamma_functional(mesh, profiles, spec: ProblemSpec):
     if spec.mode != MOLECULAR:
         raise ValueError("gamma functional applies to molecular problems")
     h = mesh[1] - mesh[0]
-    Ainv = _inverse_along(spec, mesh, np.asarray(profiles, dtype=float))
+    Ainv = _inverse_along(spec.coefficients(np.asarray(profiles, dtype=float), mesh)[0], mesh)
     return _solve_averaged(simpson_integral(Ainv, h), spec.u_star)
 
 
@@ -337,7 +346,7 @@ def apply_fixed_point_operator(mesh, profiles, spec: ProblemSpec):
     if spec.mode != MOLECULAR:
         raise ValueError("the fixed point operator applies to molecular problems")
     h = mesh[1] - mesh[0]
-    Ainv = _inverse_along(spec, mesh, np.asarray(profiles, dtype=float))
+    Ainv = _inverse_along(spec.coefficients(np.asarray(profiles, dtype=float), mesh)[0], mesh)
     C = cumulative_simpson(Ainv, h)
     out = (C @ _solve_averaged(C[-1], spec.u_star)).T
     out[:, 0] = 0.0

@@ -511,3 +511,32 @@ def test_output_flag_rejects_invalid_value(tmp_path, key):
         load_config(cfg_path)
     assert main(["solve", str(cfg_path)]) == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value, extra", [
+    ("u_star", "nan", None),
+    ("p_star", "inf", None),
+    ("tol", "nan", None),
+    ("pivot_tol", "nan", None),
+    ("damping", "nan", None),
+    ("r_integral", "nan", "q_integral = 1.0"),
+    ("q_integral", "inf", "r_integral = 1.0"),
+    ("width", "nan", None),
+])
+def test_config_rejects_non_finite_numbers(tmp_path, key, value, extra):
+    """Every number in a config is finite. Before, these ended as solver
+    errors with misleading messages (exit 2), a 200-iteration Newton spin
+    toward tol = nan, or a silent success that ignored the bracket hint."""
+    text = (DATA / "darcy_rectangle_fluxes.ini").read_text()
+    line = f"{key} = {value}\n" + (f"{extra}\n" if extra else "")
+    if f"\n{key} = " in text:
+        head, _, rest = text.partition(f"\n{key} = ")
+        text = head + "\n" + line + rest.partition("\n")[2]
+    else:
+        text = text.replace("[solver]\n", "[solver]\n" + line)
+    cfg_path = tmp_path / "case.ini"
+    cfg_path.write_text(text)
+    with pytest.raises(ConfigError, match=f"{key}: must be finite, got '{value}'"):
+        load_config(cfg_path)
+    assert main(["solve", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()

@@ -1,9 +1,14 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 
+from funcsol import pivot
 from funcsol.errors import PivotConvergenceError
 from funcsol.geometry import build_annulus, build_rectangle
 from funcsol.pivot import DivergenceStencil, PivotField, pivot_residual, solve_pivot, unit_faces
+from funcsol.twopoint import ProblemSpec
+from funcsol.verify import direct_coupled_solve
 
 
 def annulus_exact(grid):
@@ -131,6 +136,62 @@ def test_fast_inverse_scaled_is_symmetric():
     mb = precondition(b, np.empty(g.shape), np.empty(g.shape))
     assert abs(np.sum(ma * b) - np.sum(a * mb)) <= 1e-12 * abs(np.sum(a * mb))
     assert np.sum(a * ma) > 0.0
+
+
+def test_factors_built_once_per_grid(monkeypatch):
+    """The grid-only factors, the fast inverse's included, are built once per
+    grid and shared by every stencil on it; each solve builds only its scale."""
+    builds, fast_inverses = [], []
+    factors = pivot._GridFactors
+
+    class Counting(factors):
+        def __init__(self, grid):
+            builds.append(grid)
+            super().__init__(grid)
+
+        @cached_property
+        def inverse(self):
+            builds.append("inverse")
+            return factors.inverse.func(self)
+
+    fast_inverse = DivergenceStencil._fast_inverse
+    monkeypatch.setattr(pivot, "_GridFactors", Counting)
+    monkeypatch.setattr(DivergenceStencil, "_fast_inverse",
+                        lambda self: fast_inverses.append(1) or fast_inverse(self))
+    spec = ProblemSpec.from_strings(2, [["2+0.5*sin(u1)", "0.3+0.1*u2"],
+                                        ["0.3+0.1*u2", "1.5+0.2*u1"]], u_star=(0.5, 0.3))
+    grid = build_annulus(33, 33, 1.0, 2.0)
+    solve_pivot(grid, 1e-10)
+    direct_coupled_solve(spec, grid)
+    assert builds == [grid, "inverse"]
+    assert len(fast_inverses) > 10
+    solve_pivot(build_annulus(33, 33, 1.0, 2.0), 1e-10)
+    assert len(builds) == 4
+
+
+@pytest.mark.parametrize("polar", [False, True], ids=["rectangle", "annulus"])
+def test_cached_factors_precondition_bitwise(polar):
+    """M^-1 res from factors cached by earlier stencils is bitwise equal to
+    M^-1 res on a freshly built grid, and applying it twice changes nothing."""
+    def make():
+        return build_annulus(17, 13, 1.0, 3.0) if polar else build_rectangle(17, 13, 2.0, 1.0)
+
+    rng = np.random.default_rng(11)
+    grid = make()
+    cfx = np.exp(rng.normal(size=(grid.n1 - 1, grid.n2)))
+    cfy = np.exp(rng.normal(size=(grid.n1, grid.n2 - 1)))
+    res = rng.normal(size=grid.shape) * grid.unknown_mask
+    first = DivergenceStencil(grid, *unit_faces(grid))
+    first._fast_inverse()(res, np.empty(grid.shape), np.empty(grid.shape))
+    stencil = DivergenceStencil(grid, cfx, cfy)
+    assert stencil.factors is first.factors
+    precondition = stencil._fast_inverse()
+    cached = precondition(res, np.empty(grid.shape), np.empty(grid.shape)).copy()
+    again = precondition(res, np.empty(grid.shape), np.empty(grid.shape))
+    fresh_grid = make()
+    fresh = DivergenceStencil(fresh_grid, cfx, cfy)._fast_inverse()(
+        res, np.empty(grid.shape), np.empty(grid.shape))
+    assert cached.tobytes() == fresh.tobytes() == again.tobytes()
 
 
 def test_large_annulus_default_tolerance():

@@ -80,6 +80,13 @@ def test_laws_table_darcy_and_molecular():
     assert table == [(0, 1.0, [(2.0, 0), (1.0, 1)]), (1, 0.0, [(1.0, 0), (2.0, 1)])]
 
 
+@pytest.mark.parametrize("u_star, p_star", [((math.nan,), 1.0), ((math.inf,), 1.0),
+                                            ((1.0,), math.nan), ((1.0,), math.inf)])
+def test_spec_rejects_non_finite_data(u_star, p_star):
+    with pytest.raises(ValueError, match="finite"):
+        ProblemSpec.from_strings(1, [["1"]], u_star=u_star, p_star=p_star, mode="darcy")
+
+
 # --- ellipticity ----------------------------------------------------------------
 
 def test_ellipticity_constant_matrix():
@@ -134,6 +141,48 @@ def test_gamma_singular_matrix():
     prof = np.vstack([-np.ones_like(mesh), np.zeros_like(mesh)])  # 1+u1 = 0
     with pytest.raises(SingularMatrixError):
         gamma_functional(mesh, prof, DIAG)
+
+
+def test_gamma_singular_interior_node_is_named():
+    """An exactly singular node makes the batched inverse raise for the whole
+    stack; the error names that node's pivot value, not the first node's."""
+    mesh = np.linspace(0.0, 1.0, 101)
+    prof = np.vstack([np.zeros_like(mesh), np.zeros_like(mesh)])
+    prof[0, 37] = -1.0                                  # 1+u1 = 0 at node 37 only
+    with pytest.raises(SingularMatrixError, match=f"pivot value {mesh[37]:.6g} .*estimate inf"):
+        gamma_functional(mesh, prof, DIAG)
+
+
+@pytest.mark.parametrize("a, cond2, singular", [
+    ([["1", "0"], ["0", "1e-13"]], 1e13, True),
+    ([["1", "0"], ["0", "1e-10"]], 1e10, False),
+    ([["1", "1"], ["1", "1.0000000000001"]], 4.0e13, True),
+    ([["1", "1"], ["1", "1.0000000001"]], 4.0e10, False),
+])
+def test_condition_guard_on_2x2(a, cond2, singular):
+    """The guard is kappa_F = |A|_F |A^-1|_F against SINGULAR_COND_LIMIT = 1e12;
+    for n = 2, kappa_F = sqrt(kappa_2^2 + 2 + kappa_2^-2)."""
+    spec = molecular(a, (1.0, 1.0))
+    mesh = np.linspace(0.0, 1.0, 11)
+    prof = np.zeros((2, mesh.size))
+    A = spec.coefficients(prof, mesh)[0]
+    assert np.linalg.cond(A[0]) == pytest.approx(cond2, rel=0.01)
+    if singular:
+        with pytest.raises(SingularMatrixError, match=f"pivot value 0 "):
+            apply_fixed_point_operator(mesh, prof, spec)
+    else:
+        T = apply_fixed_point_operator(mesh, prof, spec)
+        assert np.all(np.isfinite(T))
+
+
+def test_averaged_inverse_singular():
+    # no node's A is singular, but with Simpson weights (1, 4, 2, 4, 1) the
+    # entry 1/u1 of A^-1 integrates to 1 - 2 + 1 - 2 + 1 = 0
+    spec = molecular([["1", "0"], ["0", "u1"]], (1.0, 1.0))
+    mesh = np.linspace(0.0, 1.0, 5)
+    prof = np.vstack([[1.0, -2.0, 1.0, -2.0, 1.0], np.zeros(5)])
+    with pytest.raises(SingularMatrixError, match="averaged inverse matrix singular"):
+        gamma_functional(mesh, prof, spec)
 
 
 def test_operator_identity_is_linear_ramp():
