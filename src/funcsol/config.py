@@ -17,14 +17,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .geometry import Grid, build_annulus, build_rectangle
-from .twopoint import MODES, MOLECULAR, ProblemSpec
-
-
-def allowed_backends(spec: ProblemSpec):
-    """Two-point backends that accept ``spec``; k-section needs n = 1 and no b."""
-    if spec.mode == MOLECULAR:
-        return ("fixed_point", "shooting")
-    return ("shooting", "scalar_bisection") if spec.n == 1 and spec.b is None else ("shooting",)
+from .twopoint import MODES, ProblemSpec, allowed_backends
 
 
 @dataclass
@@ -161,7 +154,7 @@ def load_config(path) -> ProblemConfig:
     damping = sol.typed("damping", float, default=1.0)
     pivot_tol = sol.typed("pivot_tol", float, default=1e-10)
     if tol <= 0 or pivot_tol <= 0:
-        raise ConfigError("[solver] tolerances must be positive")
+        raise ConfigError(f"[solver] tol and pivot_tol must be positive, got {tol} and {pivot_tol}")
     if not 0.0 < damping <= 1.0:
         raise ConfigError(f"[solver] damping must lie in (0, 1], got {damping}")
     hints = None

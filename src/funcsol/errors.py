@@ -97,10 +97,6 @@ class MaxIterationError(FuncsolError):
 class DegenerateLinearizationError(FuncsolError):
     category = SOLVER
 
-    def __init__(self, message, determinant=None):
-        self.determinant = determinant
-        super().__init__(message)
-
 
 class SingularJacobianError(FuncsolError):
     """Shooting Jacobian is numerically singular: the resonance signal."""

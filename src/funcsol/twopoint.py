@@ -302,13 +302,21 @@ def ellipticity_bounds(spec: ProblemSpec, box=None, samples: int = 33) -> Ellipt
     return EllipticityBounds(m=m, M=M)
 
 
-def _inverse_along(A, mesh=None):
+def _singular_at(p, kappa):
+    """The error of every per-node singularity refusal: the pivot value p
+    and the condition estimate that failed SINGULAR_COND_LIMIT."""
+    return SingularMatrixError(f"coefficient matrix numerically singular at p = {p:.6g} "
+                               f"(condition estimate {kappa:.3e})")
+
+
+def _inverse_along(A, p=None):
     """The inverses of a stack of matrices A, refusing any whose Frobenius
     condition number kappa_F = |A|_F |A^-1|_F, taken of A / max|A| so that
-    only kappa_F can overflow, exceeds SINGULAR_COND_LIMIT. It needs no SVD,
-    and kappa_2 <= kappa_F <= n kappa_2. A singular or non-finite A counts as
-    inf. The error names the worst node's pivot value, or the averaged
-    inverse matrix when there is no mesh."""
+    only kappa_F can overflow, exceeds SINGULAR_COND_LIMIT. This is the
+    singularity rule for n >= 2. It needs no SVD, and kappa_2 <= kappa_F <=
+    n kappa_2. A singular or non-finite A counts as inf. The error names
+    the worst matrix's pivot value, from ``p`` (one per matrix, or one for
+    the stack), or the averaged inverse matrix when ``p`` is None."""
     try:
         inv = np.linalg.inv(A)
         s = np.max(np.abs(A), axis=(-2, -1), keepdims=True)
@@ -320,9 +328,10 @@ def _inverse_along(A, mesh=None):
     kappa = np.atleast_1d(np.where(np.isnan(kappa), np.inf, kappa))
     k = int(np.argmax(kappa))
     if not kappa[k] <= SINGULAR_COND_LIMIT:
-        where = ("averaged inverse matrix singular" if mesh is None else
-                 f"coefficient matrix numerically singular at pivot value {mesh[k]:.6g}")
-        raise SingularMatrixError(f"{where} (condition estimate {kappa[k]:.3e})")
+        if p is None:
+            raise SingularMatrixError(
+                f"averaged inverse matrix singular (condition estimate {kappa[k]:.3e})")
+        raise _singular_at(float(np.broadcast_to(p, kappa.shape)[k]), kappa[k])
     return inv
 
 
@@ -482,13 +491,9 @@ def _integrate_batch(spec: ProblemSpec, gammas, n_nodes, steps=None):
     has_b = spec.b is not None
     env = dict.fromkeys(names + ["p"], 0.0)         # the launch point
 
-    def singular(p, worst):
-        return SingularMatrixError(f"coefficient matrix numerically singular at p = {p:.6g} "
-                                   f"(condition estimate {worst:.3e})")
-
     if n == 1:
-        # |A|_F / |det A| is identically 1 for n = 1, so measure |a| against
-        # its value at the launch point instead; a singular launch trips at once
+        # kappa_F is identically 1 for n = 1, so measure |a| against its
+        # value at the launch point instead; a singular launch trips at once
         a_launch = abs(float(spec.bundle(env)[0]))
         a_floor, g = a_launch / SINGULAR_COND_LIMIT or math.inf, gammas[:, 0]
 
@@ -500,7 +505,7 @@ def _integrate_batch(spec: ProblemSpec, gammas, n_nodes, steps=None):
                 rhs = rhs - values[1]
             if not (abs(a) > a_floor).all():
                 with np.errstate(all="ignore"):
-                    raise singular(p, np.max(a_launch / np.abs(a)))
+                    raise _singular_at(p, np.max(a_launch / np.abs(a)))
             return (rhs / a)[:, None]
     else:
         def f(p, state):
@@ -510,23 +515,20 @@ def _integrate_batch(spec: ProblemSpec, gammas, n_nodes, steps=None):
             rhs = [g * values[-1] for g in gammas.T]
             if has_b:
                 rhs = [r - b for r, b in zip(rhs, values[nn:-1])]
-            if n == 2:
-                a00, a01, a10, a11 = values[:4]
-                det = a00 * a11 - a01 * a10
-                fro2 = a00**2 + a01**2 + a10**2 + a11**2
-            else:
+            if n > 2:
                 A = np.stack([np.broadcast_to(v, (k,)) for v in values[:nn]], -1).reshape(k, n, n)
-                det = np.linalg.det(A)
-                fro2 = np.einsum("kij,kij->k", A, A)
-            # cheap condition estimate |A|_F^n / |det A|; coarse but plenty to
-            # trip the 1e12 singularity guard
-            worst = float(np.max(np.sqrt(fro2) ** n / np.maximum(np.abs(det), 1e-300)))
-            if not np.isfinite(worst) or worst > SINGULAR_COND_LIMIT:
-                raise singular(p, worst)
-            if n == 2:
-                return np.stack([(a11 * rhs[0] - a01 * rhs[1]) / det,
-                                 (a00 * rhs[1] - a10 * rhs[0]) / det], axis=1)
-            return np.linalg.solve(A, np.stack(rhs, axis=1)[:, :, None])[:, :, 0]
+                return (_inverse_along(A, p) @ np.stack(rhs, axis=1)[:, :, None])[:, :, 0]
+            # the closed form: |A^-1|_F = |A|_F / |det A| for a 2x2, so
+            # |A|_F^2 / |det A| is its kappa_F, inf or NaN when det A = 0
+            a00, a01, a10, a11 = values[:4]
+            det = a00 * a11 - a01 * a10
+            fro2 = a00**2 + a01**2 + a10**2 + a11**2
+            with np.errstate(all="ignore"):
+                kappa = float(np.max(fro2 / np.abs(det)))
+            if not kappa <= SINGULAR_COND_LIMIT:
+                raise _singular_at(p, kappa)
+            return np.stack([(a11 * rhs[0] - a01 * rhs[1]) / det,
+                             (a00 * rhs[1] - a10 * rhs[0]) / det], axis=1)
 
     calls = 0
 
@@ -634,20 +636,20 @@ def _origin_linearization(spec: ProblemSpec):
     gamma0 = (A(0) u*/p* + b(0)) / b_{n+1}(0) and the linearized map
     gamma -> U(p*) has Jacobian J0 = p* b_{n+1}(0) A(0)^-1. J0's norm is
     the natural sensitivity scale the resonance check measures against.
+    A(0)^-1 comes from ``_inverse_along``; its refusal makes the
+    linearization degenerate.
     """
     A, b, bn = spec.coefficients(np.zeros((spec.n, 1)), 0.0)
-    A0, bn0 = A[0], float(bn[0])
+    bn0 = float(bn[0])
     b0 = 0.0 if b is None else b[0]
-    det = float(np.linalg.det(A0))
-    scale = max(1.0, float(np.abs(A0).max()) ** spec.n)
-    if abs(det) <= 1e-14 * scale:
-        raise DegenerateLinearizationError(
-            f"origin coefficient determinant D = {det:.3e} is degenerate", determinant=det)
+    try:
+        inv0 = _inverse_along(A, 0.0)[0]
+    except SingularMatrixError as exc:
+        raise DegenerateLinearizationError(f"origin linearization is degenerate: {exc}") from None
     if abs(bn0) <= 1e-14:
-        raise DegenerateLinearizationError(
-            f"origin value of b_next ({bn0:.3e}) is degenerate", determinant=bn0)
-    gamma0 = (A0 @ spec.u_star / spec.p_star + b0) / bn0
-    j0_norm = float(np.linalg.norm(spec.p_star * bn0 * np.linalg.inv(A0), 2))
+        raise DegenerateLinearizationError(f"origin value of b_next ({bn0:.3e}) is degenerate")
+    gamma0 = (A[0] @ spec.u_star / spec.p_star + b0) / bn0
+    j0_norm = float(np.linalg.norm(spec.p_star * bn0 * inv0, 2))
     return gamma0, j0_norm
 
 
@@ -677,8 +679,6 @@ def solve_shooting(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
     resonant problem (singular shooting map) raises SingularJacobianError
     even when the trivial data would satisfy the endpoint immediately.
     """
-    if spec.mode not in (MOLECULAR, DARCY):
-        raise ValueError("solve_shooting applies to molecular and darcy problems")
     gamma, j0_norm = _origin_linearization(spec)
     residual = np.inf
     converged = False
@@ -714,6 +714,13 @@ def solve_shooting(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
                      jacobian_condition=cond, integration_steps=steps, rhs_evaluations=calls)
 
 
+def allowed_backends(spec: ProblemSpec):
+    """Two-point backends that accept ``spec``; k-section needs n = 1 and no b."""
+    if spec.mode == MOLECULAR:
+        return ("fixed_point", "shooting")
+    return ("shooting", "scalar_bisection") if spec.n == 1 and spec.b is None else ("shooting",)
+
+
 def _check_f_positive(spec: ProblemSpec):
     A, _, b_next = _sample_box(spec, default_box(spec), ("u1", "p"), 65)
     a = A[..., 0, 0]
@@ -744,7 +751,7 @@ def solve_scalar(spec: ProblemSpec, bracket_hints=None, n_nodes: int = 1001,
     candidate's own trajectory, kept from its batch. The endpoint map's
     strict monotonicity in gamma is asserted on every sampled pair.
     """
-    if spec.mode != DARCY or spec.n != 1 or spec.b is not None:
+    if "scalar_bisection" not in allowed_backends(spec):
         raise ValueError("solve_scalar applies to darcy problems with n = 1 and no b")
     _check_f_positive(spec)
     u_star = float(spec.u_star[0])

@@ -1,5 +1,6 @@
 import math
 import pathlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from funcsol import cli
+from funcsol import cli, errors
 from funcsol.cli import main, read_field_csv, write_field_csv
 from funcsol.config import load_config
 from funcsol.errors import ConfigError, ShapeMismatchError, UnknownVariableError
@@ -540,3 +541,59 @@ def test_config_rejects_non_finite_numbers(tmp_path, key, value, extra):
         load_config(cfg_path)
     assert main(["solve", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("n1 = 33\n", "", "[geometry] is missing 'n1'"),
+    ("n1 = 33", "n1 = 33.5", "[geometry] n1: cannot parse '33.5'"),
+    ("u_star = 0.8", "u_star = 0.8 0.1", "[problem] u_star: expected 1 values, got 2"),
+    ("; Darcy", "; Darc\xe9", "config is not UTF-8"),
+    ("n2 = 33", "n2 = 33\nn2 = 33", "option 'n2' in section 'geometry' already exists"),
+    ("family = rectangle", "family = disk", "[geometry] family: unknown family 'disk'"),
+    ("mode = darcy", "mode = stokes", "[problem] mode: unknown mode 'stokes'"),
+    ("\nn = 1\n", "\nn = 10\n", "[problem] n: must be between 1 and 9, got 10"),
+    ("n = 1\na11 = 1+0.5*u1", "n = 2\na11 = 1+0.5*u1\na12 = 0\na21 = 0\na22 = 1",
+     "[problem] b coefficients must be given for all equations or none"),
+    ("tol = 1e-10", "tol = 0", "[solver] tol and pivot_tol must be positive, got 0.0 and 1e-10"),
+    ("[solver]\n", "[solver]\ndamping = 1.5\n", "[solver] damping must lie in (0, 1], got 1.5"),
+    ("[solver]\n", "[solver]\nr_integral = 1.0\n",
+     "[solver] bracket hints need both r_integral and q_integral"),
+], ids=["missing_key", "unparsable_int", "u_star_count", "not_utf8", "parse_error",
+        "unknown_family", "unknown_mode", "n_range", "partial_b", "tol", "damping",
+        "one_bracket_hint"])
+def test_config_rejects_invalid_input(tmp_path, caplog, old, new, message):
+    """Each malformed config is a config error (exit 1) that names its key."""
+    text = (DATA / "darcy_rectangle_fluxes.ini").read_text()
+    assert old in text
+    cfg_path = tmp_path / "case.ini"
+    # Latin-1 writes the ASCII cases unchanged, and the e-acute as one
+    # byte that is not UTF-8
+    cfg_path.write_text(text.replace(old, new, 1), encoding="latin-1")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(cfg_path)
+    assert main(["solve", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert message in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
+def test_solve_out_naming_a_file_exits_1(tmp_path, caplog):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["solve", str(DATA / "darcy_rectangle_fluxes.ini"), "--out", str(taken)]) == 1
+    assert f"FileExistsError: [Errno 17] File exists: '{taken}'" in caplog.text
+
+
+def test_solve_huge_coefficients_end_typed(tmp_path, caplog, capsys):
+    """max|A(0)| = 1e200 once overflowed the origin linearization's
+    determinant scale, a Python float power, into a bare OverflowError."""
+    text = (DATA / "molecular_annulus_fluxes.ini").read_text()
+    for key, value in (("a11", "1e200"), ("a12", "0"), ("a21", "0"), ("a22", "1e200"),
+                       ("backend", "shooting")):
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, count=1, flags=re.M)
+    cfg_path = tmp_path / "case.ini"
+    cfg_path.write_text(text)
+    assert main(["solve", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    name = caplog.records[-1].getMessage().partition(":")[0]
+    assert issubclass(getattr(errors, name), errors.FuncsolError)
+    log_text = caplog.text + capsys.readouterr().err
+    assert "Traceback" not in log_text and "OverflowError" not in log_text

@@ -149,7 +149,7 @@ def test_gamma_singular_interior_node_is_named():
     mesh = np.linspace(0.0, 1.0, 101)
     prof = np.vstack([np.zeros_like(mesh), np.zeros_like(mesh)])
     prof[0, 37] = -1.0                                  # 1+u1 = 0 at node 37 only
-    with pytest.raises(SingularMatrixError, match=f"pivot value {mesh[37]:.6g} .*estimate inf"):
+    with pytest.raises(SingularMatrixError, match=f"p = {mesh[37]:.6g} .*estimate inf"):
         gamma_functional(mesh, prof, DIAG)
 
 
@@ -168,7 +168,7 @@ def test_condition_guard_on_2x2(a, cond2, singular):
     A = spec.coefficients(prof, mesh)[0]
     assert np.linalg.cond(A[0]) == pytest.approx(cond2, rel=0.01)
     if singular:
-        with pytest.raises(SingularMatrixError, match=f"pivot value 0 "):
+        with pytest.raises(SingularMatrixError, match=f"p = 0 "):
             apply_fixed_point_operator(mesh, prof, spec)
     else:
         T = apply_fixed_point_operator(mesh, prof, spec)
@@ -411,6 +411,45 @@ def test_shooting_degenerate_origin():
     spec = ProblemSpec.from_strings(2, [["1", "1"], ["1", "1"]], u_star=(0.5, 0.5))
     with pytest.raises(DegenerateLinearizationError):
         solve_shooting(spec)
+
+
+def test_shooting_tiny_well_conditioned_origin():
+    """A = 1e-20 I is as well conditioned as I (kappa_F = 2). Its determinant,
+    1e-40, once made the origin linearization refuse it as degenerate."""
+    sol = solve_shooting(molecular([["1e-20", "0"], ["0", "1e-20"]], (0.5, 0.3)))
+    np.testing.assert_allclose(sol.gamma, [0.5e-20, 0.3e-20], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("a, u_star", [
+    ([["1", "1"], ["1", "1.0000000000001"]], (0.5, 0.5)),     # kappa_F = 4e13
+    ([["u1"]], (1.0,)),                                         # a(0) = 0
+])
+def test_shooting_degenerate_origin_names_p0(a, u_star):
+    with pytest.raises(DegenerateLinearizationError, match="singular at p = 0 "):
+        solve_shooting(molecular(a, u_star))
+
+
+def test_integrate_guard_is_kappa_f_for_n3():
+    """diag(1, 1e-7, 1e-7) has kappa_F = 1.4e7 and integrates; the coarser
+    |A|_F^3 / |det A| = 1e14 refused it. diag(1, 1, 1e-13) has kappa_F = 1.4e13."""
+    spec = molecular([["1", "0", "0"], ["0", "1e-7", "0"], ["0", "0", "1e-7"]], (1.0, 1.0, 1.0))
+    mesh, prof = integrate_profiles(spec, np.array([1.0, 1e-7, 1e-7]), 65)
+    np.testing.assert_allclose(prof, np.tile(mesh, (3, 1)), rtol=0, atol=1e-15)
+    spec = molecular([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1e-13"]], (1.0, 1.0, 1.0))
+    with pytest.raises(SingularMatrixError, match="at p = 0 .*estimate 1.414e\\+13"):
+        integrate_profiles(spec, np.ones(3), 65)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_integrate_exactly_singular_node_of_large_entries(n):
+    """A = 1e5 [[1, 1], [1, 2 - p]] is singular at p = 1, where the second
+    profile blows up. The 2x2 closed form once overflowed |A|_F^2 / 1e-300
+    there into an EvalDomainError; n = 3 adds a decoupled third equation."""
+    a = [["1e5", "1e5", "0"], ["1e5", "1e5*(2-p)", "0"], ["0", "0", "1"]]
+    spec = ProblemSpec.from_strings(n, [row[:n] for row in a[:n]], b_next="1",
+                                    u_star=np.ones(n), p_star=2.0, mode="darcy")
+    with pytest.raises(SingularMatrixError, match="at p = 1 .*estimate inf"):
+        integrate_profiles(spec, np.array([1.0, 2.0, 1.0][:n]), 257)
 
 
 def test_shooting_max_iteration_error():
