@@ -109,6 +109,13 @@ def _output_dir(default, override=None) -> Path:
     return path
 
 
+def _residual_entries(report):
+    """The divergence residual's report lines, the same in solve and verify."""
+    return [("divergence_residual_linf", _fmt_vec(report.per_equation_linf)),
+            ("divergence_residual_l2", _fmt_vec(report.per_equation_l2)),
+            ("boundary_max_error", _fmt(report.boundary_max_error))]
+
+
 def _solve_two_point(cfg: ProblemConfig):
     if cfg.backend == "fixed_point":
         return solve_fixed_point(cfg.spec, n_nodes=cfg.n_nodes, tol=cfg.tol,
@@ -167,9 +174,7 @@ def cmd_solve(args) -> int:
         ("solver_iterations", sol.stats.get("iterations", 0)),
         ("pivot_residual", _fmt(piv.achieved_residual)),
         ("pivot_iterations", piv.iterations),
-        ("divergence_residual_linf", _fmt_vec(report.per_equation_linf)),
-        ("divergence_residual_l2", _fmt_vec(report.per_equation_l2)),
-        ("boundary_max_error", _fmt(report.boundary_max_error)),
+        *_residual_entries(report),
     ]
     if cfg.spec.mode == MOLECULAR:
         entries.append(("theta_deviation", _fmt_vec(theta_linearity(sol, cfg.spec))))
@@ -205,12 +210,8 @@ def cmd_verify(args) -> int:
     fields = FieldSet(grid=grid, u_fields=u, p_field=p)
     report = divergence_residual(fields, cfg.spec, grid)
     out = _output_dir(cfg.output_dir, args.out)
-    write_report(out / "verify_report.txt", [
-        ("divergence_residual_linf", _fmt_vec(report.per_equation_linf)),
-        ("divergence_residual_l2", _fmt_vec(report.per_equation_l2)),
-        ("boundary_max_error", _fmt(report.boundary_max_error)),
-        ("grid_spacing", _fmt_vec(report.grid_spacing)),
-    ])
+    write_report(out / "verify_report.txt",
+                 [*_residual_entries(report), ("grid_spacing", _fmt_vec(report.grid_spacing))])
     log.info("recomputed residuals: linf = %s", _fmt_vec(report.per_equation_linf))
     if cfg.residual_limit is not None and not report.max_linf <= cfg.residual_limit:
         log.error("residual %.3e exceeds the configured limit %.3e",

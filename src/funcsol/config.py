@@ -5,7 +5,9 @@ its node counts, ``[problem]`` holds the coefficient expressions and
 boundary targets, ``[solver]`` selects the two-point backend and its
 knobs, ``[output]`` says where and what to write. Expressions are parsed
 eagerly against the declared variable set and numbers must be finite, so
-malformed input fails at load time with the offending field named.
+malformed input fails at load time with the offending field named. So
+does any other section, and any key the problem does not read, which
+would otherwise fall back to its default (a field of ``ProblemConfig``).
 """
 
 from __future__ import annotations
@@ -40,6 +42,13 @@ class ProblemConfig:
     write_fluxes: bool = False
     residual_limit: float | None = None
 
+    def __post_init__(self):
+        if self.tol <= 0 or self.pivot_tol <= 0:
+            raise ConfigError(f"[solver] tol and pivot_tol must be positive, "
+                              f"got {self.tol} and {self.pivot_tol}")
+        if not 0.0 < self.damping <= 1.0:
+            raise ConfigError(f"[solver] damping must lie in (0, 1], got {self.damping}")
+
     def make_grid(self) -> Grid:
         if self.family == "annulus":
             return build_annulus(self.n1, self.n2, self.extent1, self.extent2)
@@ -47,20 +56,23 @@ class ProblemConfig:
 
 
 class _Section:
-    """Typed access to one config section with field-naming errors."""
+    """Typed access to one config section with field-naming errors; it
+    records the keys it is asked for, so the rest can be refused."""
 
     def __init__(self, parser, name):
         self.name = name
         if not parser.has_section(name):
             raise ConfigError(f"missing [{name}] section")
         self.sec = parser[name]
+        self.read = set()
 
-    def raw(self, key, default=None, required=False):
+    def raw(self, key, required=False):
+        self.read.add(key)
         if key in self.sec:
             return self.sec[key].strip()
         if required:
             raise ConfigError(f"[{self.name}] is missing '{key}'")
-        return default
+        return None
 
     def typed(self, key, cast, default=None, required=False):
         text = self.raw(key, required=required)
@@ -80,10 +92,10 @@ class _Section:
             raise ConfigError(f"[{self.name}] {key}: expected {count} values, got {len(values)}")
         return values
 
-    def flag(self, key, default=False):
+    def flag(self, key):
         text = self.raw(key)
         if text is None:
-            return default
+            return None
         low = text.lower()
         if low in ("true", "yes", "1", "on"):
             return True
@@ -147,32 +159,28 @@ def load_config(path) -> ProblemConfig:
         raise ConfigError(
             f"[solver] backend '{backend}' is incompatible with this {spec.mode} problem "
             f"(allowed: {', '.join(allowed)})")
-    n_nodes = sol.typed("n", int,
-                        default=sol.typed("n_nodes", int, default=1001))
-    tol = sol.typed("tol", float, default=1e-10)
-    max_iter = sol.typed("max_iter", int, default=200)
-    damping = sol.typed("damping", float, default=1.0)
-    pivot_tol = sol.typed("pivot_tol", float, default=1e-10)
-    if tol <= 0 or pivot_tol <= 0:
-        raise ConfigError(f"[solver] tol and pivot_tol must be positive, got {tol} and {pivot_tol}")
-    if not 0.0 < damping <= 1.0:
-        raise ConfigError(f"[solver] damping must lie in (0, 1], got {damping}")
-    hints = None
+    # None marks a key left out, which takes ProblemConfig's default
+    options = dict(n_nodes=sol.typed("n", int, default=sol.typed("n_nodes", int)),
+                   tol=sol.typed("tol", float), max_iter=sol.typed("max_iter", int),
+                   damping=sol.typed("damping", float), pivot_tol=sol.typed("pivot_tol", float))
     r_int = sol.typed("r_integral", float)
     q_int = sol.typed("q_integral", float)
     if (r_int is None) != (q_int is None):
         raise ConfigError("[solver] bracket hints need both r_integral and q_integral")
     if r_int is not None:
-        hints = (r_int, q_int)
+        options["bracket_hints"] = (r_int, q_int)
 
     out = _Section(parser, "output")
-    return ProblemConfig(
-        family=family, n1=n1, n2=n2, extent1=e1, extent2=e2,
-        spec=spec, backend=backend, n_nodes=n_nodes, tol=tol,
-        max_iter=max_iter, damping=damping, pivot_tol=pivot_tol,
-        bracket_hints=hints,
-        output_dir=out.raw("directory", default="out"),
-        write_fields=out.flag("write_fields", True),
-        write_fluxes=out.flag("write_fluxes", False),
-        residual_limit=out.typed("residual_limit", float),
-    )
+    options.update(output_dir=out.raw("directory"), write_fields=out.flag("write_fields"),
+                   write_fluxes=out.flag("write_fluxes"),
+                   residual_limit=out.typed("residual_limit", float))
+    sections = (geo, prob, sol, out)
+    for name in parser.sections():
+        if name not in [section.name for section in sections]:
+            raise ConfigError(f"unknown section [{name}]")
+    for section in sections:
+        for key in section.sec:
+            if key not in section.read:
+                raise ConfigError(f"[{section.name}] {key}: not a key of this problem")
+    return ProblemConfig(family=family, n1=n1, n2=n2, extent1=e1, extent2=e2, spec=spec,
+                         backend=backend, **{k: v for k, v in options.items() if v is not None})

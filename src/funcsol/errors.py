@@ -33,13 +33,11 @@ class ExprSyntaxError(ExprError):
 
 class UnknownVariableError(ExprSyntaxError):
     def __init__(self, name, position=None):
-        self.name = name
         super().__init__(f"unknown variable '{name}'", position)
 
 
 class UnknownFunctionError(ExprSyntaxError):
     def __init__(self, name, position=None):
-        self.name = name
         super().__init__(f"unknown function '{name}'", position)
 
 
@@ -76,10 +74,6 @@ class PivotConvergenceError(FuncsolError):
 
 class NonEllipticError(FuncsolError):
     category = SOLVER
-
-    def __init__(self, message, m=None):
-        self.m = m
-        super().__init__(message)
 
 
 class SingularMatrixError(FuncsolError):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -13,6 +15,14 @@ def require_odd(n_nodes: int) -> int:
     if n % 2 == 0:
         n += 1
     return n
+
+
+def range_scale(magnitude: float) -> float:
+    """A power of two that brings ``magnitude`` to [0.5, 1) when it lies
+    outside 2^(+-256), else 1. Scaling by it is exact, and the products and
+    squares of values scaled by it stay inside the floating point range."""
+    exponent = math.frexp(magnitude)[1]
+    return math.ldexp(1.0, -exponent) if abs(exponent) > 256 else 1.0
 
 
 def simpson_integral(y: np.ndarray, h: float, axis: int = 0):

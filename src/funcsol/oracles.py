@@ -105,6 +105,11 @@ def oracle_names():
     return tuple(_REGISTRY)
 
 
+def _maxabs(a, b=0.0) -> float:
+    """max |a - b|, the error measure of every check below."""
+    return float(np.max(np.abs(a - b)))
+
+
 def _build_case_grid(case: OracleCase, grid_size: int) -> Grid:
     n = case.grid_size or grid_size
     if case.geometry == "annulus":
@@ -119,8 +124,7 @@ _register(OracleCase(
     description="pivot on the unit square is the coordinate x itself",
     pivot_tol=1e-10,
     field_rules=(
-        ("max|z - x|", lambda fields, piv: float(np.max(np.abs(
-            piv.values - piv.grid.x1[:, None]))), 1e-10),
+        ("max|z - x|", lambda fields, piv: _maxabs(piv.values, piv.grid.x1[:, None]), 1e-10),
     ),
 ))
 
@@ -131,8 +135,8 @@ _register(OracleCase(
     grid_size=64,
     pivot_tol=1e-8,
     field_rules=(
-        ("max|z - log(r)/log 2|", lambda fields, piv: float(np.max(np.abs(
-            piv.values - (np.log(piv.grid.x1) / math.log(2.0))[:, None]))), 5e-3),
+        ("max|z - log(r)/log 2|", lambda fields, piv: _maxabs(
+            piv.values, (np.log(piv.grid.x1) / math.log(2.0))[:, None]), 5e-3),
     ),
 ))
 
@@ -146,9 +150,8 @@ _register(OracleCase(
     expected_profile=lambda mesh: np.vstack([mesh, np.zeros_like(mesh)]),
     profile_tol=1e-10,
     field_rules=(
-        ("max|u1 - z|", lambda fields, piv: float(np.max(np.abs(
-            fields.u_fields[0] - piv.values))), 1e-9),
-        ("max|u2|", lambda fields, piv: float(np.max(np.abs(fields.u_fields[1]))), 1e-9),
+        ("max|u1 - z|", lambda fields, piv: _maxabs(fields.u_fields[0], piv.values), 1e-9),
+        ("max|u2|", lambda fields, piv: _maxabs(fields.u_fields[1]), 1e-9),
     ),
 ))
 
@@ -166,8 +169,8 @@ _register(OracleCase(
     field_rules=(
         # piecewise-linear profile lookup leaves an O(h_mesh^2) gap to the
         # closed form between profile nodes
-        ("max|u1 - (-1+sqrt(1+3z))|", lambda fields, piv: float(np.max(np.abs(
-            fields.u_fields[0] - (-1.0 + np.sqrt(1.0 + 3.0 * piv.values))))), 5e-7),
+        ("max|u1 - (-1+sqrt(1+3z))|", lambda fields, piv: _maxabs(
+            fields.u_fields[0], -1.0 + np.sqrt(1.0 + 3.0 * piv.values)), 5e-7),
     ),
 ))
 
@@ -185,8 +188,8 @@ _register(OracleCase(
     expected_profile=lambda mesh: 2.0 * mesh[None, :],
     profile_tol=1e-9,
     field_rules=(
-        ("max|u - 2p|", lambda fields, piv: float(np.max(np.abs(
-            fields.u_fields[0] - 2.0 * fields.p_field))), 1e-6),
+        ("max|u - 2p|", lambda fields, piv: _maxabs(fields.u_fields[0], 2.0 * fields.p_field),
+         1e-6),
     ),
 ))
 
@@ -202,9 +205,9 @@ _register(OracleCase(
     expected_profile=lambda mesh: np.zeros((2, mesh.size)),
     profile_tol=1e-10,
     field_rules=(
-        ("max|u_i|", lambda fields, piv: float(np.max(np.abs(fields.u_fields))), 1e-9),
-        ("max|p - pi z|", lambda fields, piv: float(np.max(np.abs(
-            fields.p_field - math.pi * piv.values))), 1e-9),
+        ("max|u_i|", lambda fields, piv: _maxabs(fields.u_fields), 1e-9),
+        ("max|p - pi z|", lambda fields, piv: _maxabs(fields.p_field, math.pi * piv.values),
+         1e-9),
     ),
 ))
 
@@ -230,10 +233,9 @@ _register(OracleCase(
     expected_profile=lambda mesh: ((np.exp(mesh) - 1.0) / (math.e - 1.0))[None, :],
     profile_tol=1e-9,
     field_rules=(
-        ("max|p - log(1+(e-1)z)|", lambda fields, piv: float(np.max(np.abs(
-            fields.p_field - np.log1p((math.e - 1.0) * piv.values)))), 1e-6),
-        ("max|u - z|", lambda fields, piv: float(np.max(np.abs(
-            fields.u_fields[0] - piv.values))), 1e-6),
+        ("max|p - log(1+(e-1)z)|", lambda fields, piv: _maxabs(
+            fields.p_field, np.log1p((math.e - 1.0) * piv.values)), 1e-6),
+        ("max|u - z|", lambda fields, piv: _maxabs(fields.u_fields[0], piv.values), 1e-6),
     ),
 ))
 
@@ -252,61 +254,48 @@ def _solve_backend(case: OracleCase) -> ProfileSolution:
 
 def run_case(case: OracleCase, grid_size: int) -> CaseResult:
     checks = []
+
+    def check(label, measured, limit):
+        checks.append((label, measured, limit, measured <= limit))
+
     grid = _build_case_grid(case, grid_size)
     piv = solve_pivot(grid, case.pivot_tol)
     checks.append(("pivot residual", piv.achieved_residual, case.pivot_tol, True))
     checks.append(("pivot min", float(piv.values.min()), 0.0, piv.values.min() >= 0.0))
-    checks.append(("pivot max", float(piv.values.max()), 1.0, piv.values.max() <= 1.0))
+    check("pivot max", float(piv.values.max()), 1.0)
 
+    fields = None
     if case.expect_singular:
         try:
             _solve_backend(case)
         except SingularJacobianError as exc:
             checks.append(("resonance condition estimate", exc.condition, 1e8,
                            exc.condition > 1e8))
-            passed = all(c[3] for c in checks)
-            return CaseResult(case.name, passed, checks, pivot=piv)
-        checks.append(("resonance detected", 0.0, 1.0, False))
-        return CaseResult(case.name, False, checks, pivot=piv)
-
-    fields = None
-    if case.spec is not None:
+        else:
+            checks.append(("resonance detected", 0.0, 1.0, False))
+    elif case.spec is not None:
         sol = _solve_backend(case)
         if case.expected_gamma is not None:
-            err = float(np.max(np.abs(sol.gamma - np.asarray(case.expected_gamma))))
-            checks.append(("gamma error", err, case.gamma_tol, err <= case.gamma_tol))
+            check("gamma error", _maxabs(sol.gamma, case.expected_gamma), case.gamma_tol)
         if case.expected_profile is not None:
-            perr = float(np.max(np.abs(sol.profiles - case.expected_profile(sol.mesh))))
-            checks.append(("profile sup error", perr, case.profile_tol,
-                           perr <= case.profile_tol))
-        resid_limit = 10.0 * max(case.tol, 1e-11)
-        checks.append(("collocation residual", sol.two_point_residual, resid_limit,
-                       sol.two_point_residual <= resid_limit))
+            check("profile sup error", _maxabs(sol.profiles, case.expected_profile(sol.mesh)),
+                  case.profile_tol)
+        check("collocation residual", sol.two_point_residual, 10.0 * max(case.tol, 1e-11))
         if case.spec.mode == MOLECULAR:
             other = solve_shooting(case.spec, n_nodes=case.n_nodes, tol=case.tol)
             scale = max(float(np.linalg.norm(sol.gamma)), 1e-30)
-            rel = float(np.linalg.norm(other.gamma - sol.gamma)) / scale
-            checks.append(("backend gamma agreement (relative)", rel,
-                           BACKEND_AGREEMENT_RTOL, rel <= BACKEND_AGREEMENT_RTOL))
-            ratio = sol.stats.get("iterate_bound_ratio", 0.0)
-            checks.append(("fixed point iterate bound ratio", ratio, 1.0 + 1e-12,
-                           ratio <= 1.0 + 1e-12))
-            dev = float(np.max(theta_linearity(sol, case.spec)))
-            checks.append(("theta linearity deviation", dev, THETA_DEVIATION_LIMIT,
-                           dev <= THETA_DEVIATION_LIMIT))
+            check("backend gamma agreement (relative)",
+                  float(np.linalg.norm(other.gamma - sol.gamma)) / scale, BACKEND_AGREEMENT_RTOL)
+            check("fixed point iterate bound ratio", sol.stats.get("iterate_bound_ratio", 0.0),
+                  1.0 + 1e-12)
+            check("theta linearity deviation", float(np.max(theta_linearity(sol, case.spec))),
+                  THETA_DEVIATION_LIMIT)
             fields = compose_fields(sol, piv, case.spec)
         else:
             fields = darcy_reconstruct(sol, piv, case.spec)
-        for label, rule, limit in case.field_rules:
-            val = rule(fields, piv)
-            checks.append((label, val, limit, val <= limit))
-    else:
-        for label, rule, limit in case.field_rules:
-            val = rule(None, piv)
-            checks.append((label, val, limit, val <= limit))
-
-    passed = all(c[3] for c in checks)
-    return CaseResult(case.name, passed, checks, pivot=piv, fields=fields)
+    for label, rule, limit in case.field_rules:
+        check(label, rule(fields, piv), limit)
+    return CaseResult(case.name, all(c[3] for c in checks), checks, pivot=piv, fields=fields)
 
 
 def run_oracle_suite(grid_size: int = 33) -> SuiteReport:

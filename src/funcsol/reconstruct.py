@@ -88,13 +88,6 @@ def _gradient(grid: Grid, field: np.ndarray):
     return np.stack([g1, g2])
 
 
-def _stamp_dirichlet(grid: Grid, spec: ProblemSpec, fields):
-    """Each law's field takes its Dirichlet data on the Dirichlet nodes."""
-    dirichlet = ~grid.unknown_mask
-    for field, boundary, _ in spec.laws():
-        fields[field][dirichlet] = dirichlet_targets(grid, boundary)[dirichlet]
-
-
 def _flux_fields(grid: Grid, spec: ProblemSpec, u_fields, p_field):
     """The flux vector of each u_i law, plus the transport velocity v, the
     negated flux of the pressure law."""
@@ -112,15 +105,22 @@ def _flux_fields(grid: Grid, spec: ProblemSpec, u_fields, p_field):
     return fluxes
 
 
+def _field_set(grid: Grid, spec: ProblemSpec, u, p, with_fluxes) -> FieldSet:
+    """The FieldSet of u (and p): each law's field takes its Dirichlet data
+    on the Dirichlet nodes, and the fluxes follow when asked for."""
+    dirichlet, fields = ~grid.unknown_mask, [*u, p]
+    for field, boundary, _ in spec.laws():
+        fields[field][dirichlet] = dirichlet_targets(grid, boundary)[dirichlet]
+    fluxes = _flux_fields(grid, spec, u, p) if with_fluxes else None
+    return FieldSet(grid=grid, u_fields=u, p_field=p, flux_fields=fluxes)
+
+
 def compose_fields(sol: ProfileSolution, pivot: PivotField, spec: ProblemSpec,
                    with_fluxes: bool = False) -> FieldSet:
     """Molecular reconstruction u_i(x) = U_i(z(x))."""
     if spec.mode != MOLECULAR:
         raise ValueError("compose_fields applies to molecular problems")
-    u = _profile_lookup(sol, pivot.values)
-    _stamp_dirichlet(pivot.grid, spec, u)
-    fluxes = _flux_fields(pivot.grid, spec, u, None) if with_fluxes else None
-    return FieldSet(grid=pivot.grid, u_fields=u, flux_fields=fluxes)
+    return _field_set(pivot.grid, spec, _profile_lookup(sol, pivot.values), None, with_fluxes)
 
 
 def kirchhoff_theta(sol: ProfileSolution, spec: ProblemSpec) -> ThetaMap:
@@ -151,7 +151,4 @@ def darcy_reconstruct(sol: ProfileSolution, pivot: PivotField, spec: ProblemSpec
     """Full darcy-form reconstruction: pressure via Kirchhoff, then u_i = U_i(p)."""
     theta = kirchhoff_theta(sol, spec)
     p = pressure_from_pivot(theta, pivot)
-    u = _profile_lookup(sol, p)
-    _stamp_dirichlet(pivot.grid, spec, [*u, p])
-    fluxes = _flux_fields(pivot.grid, spec, u, p) if with_fluxes else None
-    return FieldSet(grid=pivot.grid, u_fields=u, p_field=p, flux_fields=fluxes)
+    return _field_set(pivot.grid, spec, _profile_lookup(sol, p), p, with_fluxes)

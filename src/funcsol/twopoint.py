@@ -56,6 +56,7 @@ from .numerics import (
     cumulative_simpson,
     midpoint_derivatives_4th,
     midpoint_values_4th,
+    range_scale,
     require_odd,
     simpson_integral,
 )
@@ -298,7 +299,7 @@ def ellipticity_bounds(spec: ProblemSpec, box=None, samples: int = 33) -> Ellipt
     m = float(eigs.min())
     M = float(eigs.max())
     if m <= 0.0:
-        raise NonEllipticError(f"sampled ellipticity failed: smallest eigenvalue {m:.6g} <= 0", m=m)
+        raise NonEllipticError(f"sampled ellipticity failed: smallest eigenvalue {m:.6g} <= 0")
     return EllipticityBounds(m=m, M=M)
 
 
@@ -341,22 +342,23 @@ def _solve_averaged(total, u_star):
     return np.linalg.solve(total, u_star)
 
 
+def _inverse_on_profile(mesh, profiles, spec: ProblemSpec, what):
+    """A^-1(U) at the nodes of a molecular profile, and the mesh spacing."""
+    if spec.mode != MOLECULAR:
+        raise ValueError(f"{what} applies to molecular problems")
+    A = spec.coefficients(np.asarray(profiles, dtype=float), mesh)[0]
+    return _inverse_along(A, mesh), mesh[1] - mesh[0]
+
+
 def gamma_functional(mesh, profiles, spec: ProblemSpec):
     """gamma[U] = (int_0^1 A^-1(U(t)) dt)^-1 u* by composite Simpson."""
-    if spec.mode != MOLECULAR:
-        raise ValueError("gamma functional applies to molecular problems")
-    h = mesh[1] - mesh[0]
-    Ainv = _inverse_along(spec.coefficients(np.asarray(profiles, dtype=float), mesh)[0], mesh)
+    Ainv, h = _inverse_on_profile(mesh, profiles, spec, "gamma functional")
     return _solve_averaged(simpson_integral(Ainv, h), spec.u_star)
 
 
 def apply_fixed_point_operator(mesh, profiles, spec: ProblemSpec):
     """T[U](z) = (int_0^z A^-1)(int_0^1 A^-1)^-1 u* on the same mesh."""
-    if spec.mode != MOLECULAR:
-        raise ValueError("the fixed point operator applies to molecular problems")
-    h = mesh[1] - mesh[0]
-    Ainv = _inverse_along(spec.coefficients(np.asarray(profiles, dtype=float), mesh)[0], mesh)
-    C = cumulative_simpson(Ainv, h)
+    C = cumulative_simpson(*_inverse_on_profile(mesh, profiles, spec, "the fixed point operator"))
     out = (C @ _solve_averaged(C[-1], spec.u_star)).T
     out[:, 0] = 0.0
     out[:, -1] = spec.u_star
@@ -416,11 +418,8 @@ def solve_fixed_point(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10
     bounds = ellipticity_bounds(spec, box)
     u_norm = float(np.linalg.norm(spec.u_star))
     U = mesh[None, :] * spec.u_star[:, None]
-    prev_update = np.inf
+    prev_update = update = np.inf
     bound_ratio = 0.0
-    converged = False
-    iterations = 0
-    update = np.inf
     for iterations in range(1, max_iter + 1):
         # keep the sampled bounds valid for whatever the iterates visit
         for i in range(spec.n):
@@ -443,12 +442,11 @@ def solve_fixed_point(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10
         update = float(np.max(np.abs(U_new - U)))
         U = U_new
         if update <= tol:
-            converged = True
             break
         if update > prev_update:
             damping = max(damping / 2.0, MIN_DAMPING)
         prev_update = update
-    if not converged:
+    else:
         raise MaxIterationError(
             f"fixed point iteration did not reach {tol:.3e} in {max_iter} iterations "
             f"(last update {update:.3e})", last_update=update)
@@ -508,10 +506,17 @@ def _integrate_batch(spec: ProblemSpec, gammas, n_nodes, steps=None):
                     raise _singular_at(p, np.max(a_launch / np.abs(a)))
             return (rhs / a)[:, None]
     else:
+        # a huge or tiny A would overflow |A|_F^2 or det A in the 2x2 closed
+        # form; one power of two from max|A| at the launch point scales every
+        # coefficient, A, b and b_next alike, which leaves U' unchanged
+        scale = range_scale(max(abs(float(v)) for v in spec.bundle(env)[:nn]))
+
         def f(p, state):
             env.update(zip(names, state.T))
             env["p"] = p
             values = raw(env)
+            if scale != 1.0:
+                values = [v * scale for v in values]
             rhs = [g * values[-1] for g in gammas.T]
             if has_b:
                 rhs = [r - b for r, b in zip(rhs, values[nn:-1])]
@@ -576,12 +581,8 @@ def _integrate_batch(spec: ProblemSpec, gammas, n_nodes, steps=None):
                         raise
                     ratio, accept = math.inf, False
                 if steps is None:
-                    if ratio == 0.0:
-                        grow = 10.0
-                    elif ratio < math.inf:
-                        grow = min(10.0, max(0.2, 0.9 * ratio ** -0.125))
-                    else:
-                        grow = 0.2
+                    # inf ** -0.125 == 0 clamps to 0.2, but 0.0 ** -0.125 raises
+                    grow = 10.0 if ratio == 0.0 else min(10.0, max(0.2, 0.9 * ratio ** -0.125))
                     span = j * (min(grow, 1.0) if rejected else grow)
                     rejected = not accept
                 if not accept:
@@ -681,9 +682,7 @@ def solve_shooting(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
     """
     gamma, j0_norm = _origin_linearization(spec)
     residual = np.inf
-    converged = False
-    cond = np.inf
-    iterations = steps = calls = 0
+    steps = calls = 0
     for iterations in range(1, max_newton + 1):
         # keep the base trajectory: the converged one is the solution
         J, mesh, profiles, work = _jacobian_batch(spec, gamma, n_nodes)
@@ -703,10 +702,9 @@ def solve_shooting(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
         S = end - spec.u_star
         residual = float(np.max(np.abs(S)))
         if residual <= tol:
-            converged = True
             break
         gamma = gamma + np.linalg.solve(J, -S)
-    if not converged:
+    else:
         raise MaxIterationError(
             f"shooting did not reach {tol:.3e} in {max_newton} Newton iterations "
             f"(endpoint mismatch {residual:.3e})", last_update=residual)

@@ -32,7 +32,7 @@ import numpy as np
 from . import exprlang
 from .errors import OuterDivergenceError, ShapeMismatchError
 from .geometry import Grid
-from .numerics import cumulative_simpson, derivative_4th
+from .numerics import cumulative_simpson, derivative_4th, range_scale
 from .pivot import (DivergenceStencil, arithmetic_mean_faces, dirichlet_targets,
                     unit_faces)
 from .reconstruct import FieldSet
@@ -81,7 +81,9 @@ def divergence_residual(fields: FieldSet, spec: ProblemSpec, grid: Grid) -> Resi
             total += DivergenceStencil(grid, *arithmetic_mean_faces(values[k])).apply(state[f])
         vals = total[mask]
         linf.append(float(np.max(np.abs(vals))))
-        l2.append(float(np.sqrt(np.mean(vals**2))))
+        scale = range_scale(linf[-1])       # so that vals**2 neither overflows nor underflows
+        vals *= scale
+        l2.append(float(np.sqrt(np.mean(vals**2))) / scale)
         berr.append(np.max(np.abs(state[field] - dirichlet_targets(grid, boundary))[~mask]))
     return ResidualReport(
         per_equation_linf=tuple(linf),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pathlib
 import re
@@ -10,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from funcsol import cli, errors
 from funcsol.cli import main, read_field_csv, write_field_csv
-from funcsol.config import load_config
+from funcsol.config import ProblemConfig, load_config
 from funcsol.errors import ConfigError, ShapeMismatchError, UnknownVariableError
 from funcsol.geometry import build_annulus, build_rectangle
 from funcsol.pivot import solve_pivot
@@ -576,6 +577,39 @@ def test_config_rejects_invalid_input(tmp_path, caplog, old, new, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("data, old, new, message", [
+    ("darcy_rectangle_fluxes", "tol = 1e-10", "tolerance = 1e-3\nmax_iters = 1",
+     "[solver] tolerance: not a key of this problem"),
+    ("molecular_annulus_fluxes", "a22 = 1.5+0.2*u1", "a22 = 1.5+0.2*u1\na13 = 0",
+     "[problem] a13: not a key of this problem"),
+    ("molecular_annulus_fluxes", "r2 = 2.0", "r2 = 2.0\nwidth = 1.0",
+     "[geometry] width: not a key of this problem"),
+    ("darcy_rectangle_fluxes", "[output]", "[outputs]\ndirectory = elsewhere\n\n[output]",
+     "unknown section [outputs]"),
+], ids=["misspelled", "a13_for_n2", "width_on_annulus", "unknown_section"])
+def test_config_refuses_what_it_does_not_read(tmp_path, caplog, data, old, new, message):
+    """A key the problem does not read is a config error naming it: a
+    misspelled tol, with max_iters = 1, once solved with the defaults."""
+    text = (DATA / f"{data}.ini").read_text()
+    assert old in text
+    cfg_path = tmp_path / "case.ini"
+    cfg_path.write_text(text.replace(old, new, 1))
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(cfg_path)
+    assert main(["solve", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert message in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_defaults_are_problem_config_fields():
+    """Every key a config leaves out takes its ProblemConfig field default."""
+    cfg = load_config(DATA / "darcy_rectangle_fluxes.ini")
+    defaults = {f.name: f.default for f in dataclasses.fields(ProblemConfig)
+                if f.default is not dataclasses.MISSING}
+    assert {name: getattr(cfg, name) for name in defaults} == {
+        **defaults, "n_nodes": 1025, "tol": 1e-10, "write_fields": True, "write_fluxes": True}
+
+
 def test_solve_out_naming_a_file_exits_1(tmp_path, caplog):
     taken = tmp_path / "taken"
     taken.write_text("")
@@ -585,15 +619,44 @@ def test_solve_out_naming_a_file_exits_1(tmp_path, caplog):
 
 def test_solve_huge_coefficients_end_typed(tmp_path, caplog, capsys):
     """max|A(0)| = 1e200 once overflowed the origin linearization's
-    determinant scale, a Python float power, into a bare OverflowError."""
+    determinant scale, a Python float power, into a bare OverflowError, and
+    then the 2x2 closed form's |A|_F^2. kappa_F = 2, so it solves: gamma = A u*,
+    with every report value finite."""
     text = (DATA / "molecular_annulus_fluxes.ini").read_text()
     for key, value in (("a11", "1e200"), ("a12", "0"), ("a21", "0"), ("a22", "1e200"),
                        ("backend", "shooting")):
         text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, count=1, flags=re.M)
     cfg_path = tmp_path / "case.ini"
     cfg_path.write_text(text)
-    assert main(["solve", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
-    name = caplog.records[-1].getMessage().partition(":")[0]
-    assert issubclass(getattr(errors, name), errors.FuncsolError)
+    assert main(["solve", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    report = read_report(tmp_path / "out" / "report.txt")
+    gamma = [float(v) for v in report["gamma"].split()]
+    assert gamma == pytest.approx([1e200 * 0.5, 1e200 * 0.3], rel=1e-12)
+    assert all(math.isfinite(float(v)) for key, value in report.items()
+               if key not in ("mode", "backend") for v in value.split())
     log_text = caplog.text + capsys.readouterr().err
     assert "Traceback" not in log_text and "OverflowError" not in log_text
+
+
+def test_oracle_exits_3_on_a_failing_or_a_crashed_case(tmp_path, monkeypatch, capsys):
+    """A check over its limit and a case that raises are both suite
+    failures: exit 3, the report names each, and only the case that got
+    as far as its pivot writes fields."""
+    from funcsol import oracles
+
+    def crash(fields, piv):
+        raise ZeroDivisionError("rule crashed")
+
+    cases = [oracles.OracleCase(name="fails", description="a check over its limit",
+                                field_rules=(("one", lambda fields, piv: 1.0, 0.5),)),
+             oracles.OracleCase(name="crashes", description="a rule that raises",
+                                field_rules=(("crash", crash, 1.0),))]
+    monkeypatch.setattr(oracles, "_REGISTRY", {case.name: case for case in cases})
+    assert main(["oracle", "--grid", "17", "--out", str(tmp_path)]) == 3
+    out = capsys.readouterr().out
+    assert "[FAIL] fails\n" in out
+    assert "    one: measured = 1.000000e+00, limit = 5.000000e-01 [FAIL]\n" in out
+    assert "[FAIL] crashes\n    error = ZeroDivisionError: rule crashed\n" in out
+    assert out.endswith("result = FAILURES\n")
+    assert (tmp_path / "oracle_report.txt").read_text() == out
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["fails", "oracle_report.txt"]

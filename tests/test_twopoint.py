@@ -8,6 +8,7 @@ from funcsol.errors import (
     BracketFailureError,
     DegenerateLinearizationError,
     EvalDomainError,
+    FuncsolError,
     MaxIterationError,
     NonEllipticError,
     NonPositiveFError,
@@ -703,3 +704,57 @@ def test_integrate_n1_singular_launch_trips_at_once():
     spec = ProblemSpec.from_strings(1, [["u1"]], b_next="1", u_star=(1.0,), mode="darcy")
     with pytest.raises(SingularMatrixError, match="p = 0 "):
         integrate_profiles(spec, np.array([1.0]), 65)
+
+
+def test_fixed_point_damping_halves_when_the_update_grows():
+    """a = exp(5 u): the undamped Picard update grows, so the damping halves,
+    and the iteration still reaches gamma = int_0^1 exp(5u) du."""
+    sol = solve_fixed_point(molecular([["exp(5*u1)"]], (1.0,)), n_nodes=4097, tol=1e-9)
+    assert sol.stats["damping_final"] == 0.25
+    assert sol.gamma[0] == pytest.approx((math.exp(5.0) - 1.0) / 5.0, rel=1e-7)
+
+
+def test_fixed_point_box_grows_with_the_iterates(monkeypatch):
+    """U2 swings to about -0.78, past the default box's -0.5, so the box
+    grows and the ellipticity bounds are sampled again."""
+    import funcsol.twopoint as tp
+    boxes = []
+
+    def recorded(spec, box=None, samples=33):
+        boxes.append(dict(box))
+        return ellipticity_bounds(spec, box, samples)
+
+    monkeypatch.setattr(tp, "ellipticity_bounds", recorded)
+    spec = molecular([["1+u1^2", "0.9"], ["0.9", "1+u2^2"]], (3.0, 0.0))
+    sol = solve_fixed_point(spec, n_nodes=257, tol=1e-9)
+    assert len(boxes) == 2 and boxes[1]["u2"][0] < boxes[0]["u2"][0] == -0.5
+    assert boxes[1]["u2"][0] <= sol.profiles[1].min() - 0.5
+    assert sol.stats["iterate_bound_ratio"] <= 1.0
+    assert sol.boundary_error == 0.0
+
+
+def test_fixed_point_refuses_an_iterate_past_the_operator_bound(monkeypatch):
+    """sup|T[U]| <= (M/m)|u*| holds for true ellipticity bounds; with M/m
+    sampled too small the iterate escapes it, and the solver says so."""
+    import funcsol.twopoint as tp
+    monkeypatch.setattr(tp, "ellipticity_bounds",
+                        lambda spec, box=None, samples=33: tp.EllipticityBounds(m=2.0, M=1.0))
+    with pytest.raises(FuncsolError, match="escaped the operator bound"):
+        solve_fixed_point(DIAG, n_nodes=257)
+
+
+def test_scalar_refuses_a_non_monotone_endpoint_map(monkeypatch):
+    """F = 1 gives U(p*) = gamma. Bending the map down at gamma >= 1.45
+    leaves the root gamma = 1 in place, but the monotonicity witness
+    (0.5, 0.75, 1.25, 1.5 times the root) sees it fall."""
+    import funcsol.twopoint as tp
+    real = tp._integrate_batch
+
+    def bent(spec, gammas, n_nodes, steps=None):
+        mesh, traj, ends, calls = real(spec, gammas, n_nodes, steps)
+        traj[:, np.ravel(gammas) >= 1.45, :] *= 0.8
+        return mesh, traj, ends, calls
+
+    monkeypatch.setattr(tp, "_integrate_batch", bent)
+    with pytest.raises(FuncsolError, match="endpoint map is not strictly increasing"):
+        tp.solve_scalar(scalar_spec("1", "1", 1.0), bracket_hints=(1.0, 1.0), n_nodes=257)

@@ -199,3 +199,12 @@ def test_direct_outer_iteration_cap():
     with pytest.raises(OuterDivergenceError):
         direct_coupled_solve(EQUAL_AB, build_rectangle(17, 17, 1.0, 1.0),
                              tol=1e-12, max_outer=2)
+
+
+def test_direct_outer_iteration_aborts_on_growing_updates():
+    """A = [[1+u2^2, 4u1], [-4u1, 1]] is elliptic, but each law's sweep
+    reads the other field's previous value, and the skew coupling makes
+    the outer updates grow: five growths in a row abort the solve."""
+    spec = ProblemSpec.from_strings(2, [["1+u2^2", "4*u1"], ["-4*u1", "1"]], u_star=(1.0, 1.0))
+    with pytest.raises(OuterDivergenceError, match="grew for 5 consecutive iterations"):
+        direct_coupled_solve(spec, build_rectangle(17, 17, 1.0, 1.0), tol=1e-6, max_outer=60)
