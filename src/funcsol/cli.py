@@ -21,13 +21,15 @@ from pathlib import Path
 import numpy as np
 
 from . import errors
-from .config import ProblemConfig, load_config
+from .config import load_config
 from .errors import ConfigError, FuncsolError, ShapeMismatchError
 from .geometry import Grid
 from .oracles import run_oracle_suite
 from .pivot import PivotField, solve_pivot
 from .reconstruct import FieldSet, compose_fields, darcy_reconstruct
-from .twopoint import MOLECULAR, solve_fixed_point, solve_scalar, solve_shooting
+# perfbench/tracing.py wraps the solvers here too, and raises KeyError without them
+from .twopoint import (MOLECULAR, solve_fixed_point, solve_scalar,  # noqa: F401
+                       solve_shooting, solve_two_point)
 from .verify import divergence_residual, theta_linearity
 
 log = logging.getLogger("funcsol")
@@ -116,17 +118,6 @@ def _residual_entries(report):
             ("boundary_max_error", _fmt(report.boundary_max_error))]
 
 
-def _solve_two_point(cfg: ProblemConfig):
-    if cfg.backend == "fixed_point":
-        return solve_fixed_point(cfg.spec, n_nodes=cfg.n_nodes, tol=cfg.tol,
-                                 max_iter=cfg.max_iter, damping=cfg.damping)
-    if cfg.backend == "shooting":
-        return solve_shooting(cfg.spec, n_nodes=cfg.n_nodes, tol=cfg.tol,
-                              max_newton=cfg.max_iter)
-    return solve_scalar(cfg.spec, bracket_hints=cfg.bracket_hints,
-                        n_nodes=cfg.n_nodes, tol=cfg.tol, max_bisect=cfg.max_iter)
-
-
 def _write_fields(out: Path, piv: PivotField, fields: FieldSet | None) -> list[Path]:
     """z.csv, then u_i.csv, p.csv and the flux components of whatever fields
     exist; returns the paths written."""
@@ -158,7 +149,8 @@ def cmd_solve(args) -> int:
     log.info("solving pivot on %dx%d %s grid", cfg.n1, cfg.n2, cfg.family)
     piv = solve_pivot(grid, cfg.pivot_tol)
     log.info("pivot done: residual %.3e, %d iterations", piv.achieved_residual, piv.iterations)
-    sol = _solve_two_point(cfg)
+    sol = solve_two_point(cfg.spec, cfg.backend, cfg.n_nodes, cfg.tol, cfg.bracket_hints,
+                          cfg.max_iter, cfg.damping)
     log.info("two-point solve done: gamma = %s", _fmt_vec(sol.gamma))
     if cfg.spec.mode == MOLECULAR:
         fields = compose_fields(sol, piv, cfg.spec, with_fluxes=cfg.write_fluxes)

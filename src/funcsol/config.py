@@ -159,8 +159,11 @@ def load_config(path) -> ProblemConfig:
         raise ConfigError(
             f"[solver] backend '{backend}' is incompatible with this {spec.mode} problem "
             f"(allowed: {', '.join(allowed)})")
+    n_nodes, alias = sol.typed("n", int), sol.typed("n_nodes", int)
+    if n_nodes is not None and alias is not None:
+        raise ConfigError("[solver] n_nodes: N is given too; both set the profile mesh")
     # None marks a key left out, which takes ProblemConfig's default
-    options = dict(n_nodes=sol.typed("n", int, default=sol.typed("n_nodes", int)),
+    options = dict(n_nodes=alias if n_nodes is None else n_nodes,
                    tol=sol.typed("tol", float), max_iter=sol.typed("max_iter", int),
                    damping=sol.typed("damping", float), pivot_tol=sol.typed("pivot_tol", float))
     r_int = sol.typed("r_integral", float)

@@ -12,8 +12,8 @@ Numbers accept decimal and exponent forms (``1.5``, ``.5``, ``2e-3``).
 ``pi`` is the only builtin constant and parses directly to its value.
 The callable set is fixed: sin, cos, exp, log, sqrt, abs.
 
-Each AST, or a bundle of several, is compiled once into a straight-line
-function over numpy ufuncs, so variables may be floats or same-shaped
+A Bundle of ASTs is compiled once into one straight-line function
+over numpy ufuncs, so variables may be floats or same-shaped
 arrays and the result broadcasts. Leaving the real domain and overflow
 anywhere, ``*`` and ``/`` included, raise EvalDomainError instead of
 producing inf or NaN.
@@ -278,15 +278,10 @@ class Bundle:
 
 
 def evaluate(node: ExprAST, env):
-    """Evaluate an AST over an environment of floats or numpy arrays.
-
-    Every floating point exception but underflow is an EvalDomainError.
-    """
-    bundle = node.__dict__.get("_bundle")
-    if bundle is None:
-        bundle = Bundle((node,))
-        object.__setattr__(node, "_bundle", bundle)     # compiled once, cached on the node
-    out, = bundle(env)
+    """Evaluate one AST, compiled anew on each call (repeated evaluation
+    keeps a Bundle), over floats or numpy arrays. Every floating point
+    exception but underflow is an EvalDomainError."""
+    out, = Bundle((node,))(env)
     if isinstance(out, np.ndarray) and out.ndim:
         return out
     return float(out)

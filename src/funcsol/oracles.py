@@ -18,14 +18,7 @@ from .errors import SingularJacobianError, UnknownOracleError
 from .geometry import Grid, build_annulus, build_rectangle
 from .pivot import PivotField, solve_pivot
 from .reconstruct import FieldSet, compose_fields, darcy_reconstruct
-from .twopoint import (
-    MOLECULAR,
-    ProblemSpec,
-    ProfileSolution,
-    solve_fixed_point,
-    solve_scalar,
-    solve_shooting,
-)
+from .twopoint import MOLECULAR, ProblemSpec, solve_two_point
 from .verify import theta_linearity
 
 BACKEND_AGREEMENT_RTOL = 1e-6
@@ -240,18 +233,6 @@ _register(OracleCase(
 ))
 
 
-def _solve_backend(case: OracleCase) -> ProfileSolution:
-    spec = case.spec
-    if case.backend == "fixed_point":
-        return solve_fixed_point(spec, n_nodes=case.n_nodes, tol=case.tol)
-    if case.backend == "shooting":
-        return solve_shooting(spec, n_nodes=case.n_nodes, tol=case.tol)
-    if case.backend == "scalar_bisection":
-        return solve_scalar(spec, bracket_hints=case.bracket_hints,
-                            n_nodes=case.n_nodes, tol=case.tol)
-    raise ValueError(f"case {case.name} has no backend")
-
-
 def run_case(case: OracleCase, grid_size: int) -> CaseResult:
     checks = []
 
@@ -264,17 +245,20 @@ def run_case(case: OracleCase, grid_size: int) -> CaseResult:
     checks.append(("pivot min", float(piv.values.min()), 0.0, piv.values.min() >= 0.0))
     check("pivot max", float(piv.values.max()), 1.0)
 
+    def solve(backend):
+        return solve_two_point(case.spec, backend, case.n_nodes, case.tol, case.bracket_hints)
+
     fields = None
     if case.expect_singular:
         try:
-            _solve_backend(case)
+            solve(case.backend)
         except SingularJacobianError as exc:
             checks.append(("resonance condition estimate", exc.condition, 1e8,
                            exc.condition > 1e8))
         else:
             checks.append(("resonance detected", 0.0, 1.0, False))
     elif case.spec is not None:
-        sol = _solve_backend(case)
+        sol = solve(case.backend)
         if case.expected_gamma is not None:
             check("gamma error", _maxabs(sol.gamma, case.expected_gamma), case.gamma_tol)
         if case.expected_profile is not None:
@@ -282,7 +266,7 @@ def run_case(case: OracleCase, grid_size: int) -> CaseResult:
                   case.profile_tol)
         check("collocation residual", sol.two_point_residual, 10.0 * max(case.tol, 1e-11))
         if case.spec.mode == MOLECULAR:
-            other = solve_shooting(case.spec, n_nodes=case.n_nodes, tol=case.tol)
+            other = solve("shooting")
             scale = max(float(np.linalg.norm(sol.gamma)), 1e-30)
             check("backend gamma agreement (relative)",
                   float(np.linalg.norm(other.gamma - sol.gamma)) / scale, BACKEND_AGREEMENT_RTOL)

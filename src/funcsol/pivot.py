@@ -174,15 +174,17 @@ class DivergenceStencil:
 
         return precondition
 
-    def residual_floor(self, value_scale: float = 1.0) -> float:
-        """Roundoff level of the physical residual for fields of the given size.
+    def residual_floor(self, value_scale: float = 1.0, source=0.0) -> float:
+        """Roundoff level of the physical residual for fields of the given
+        size and a given source.
 
-        Row magnitudes scale with the stencil diagonal, so no solution can
-        be certified much below eps * diag * |u|; callers picking an inner
-        tolerance should not ask for less.
+        Row magnitudes scale with the stencil diagonal and the source, so no
+        solution can be certified much below eps * max(diag * |u|, |source|);
+        callers picking an inner tolerance should not ask for less.
         """
         diag = self._sym_diag / self.factors.w_edge
-        return 30.0 * np.finfo(float).eps * float(diag.max()) * max(1.0, value_scale)
+        row = max(float(diag.max()) * max(1.0, value_scale), float(np.max(np.abs(source))))
+        return 30.0 * np.finfo(float).eps * row
 
     def solve(self, dirichlet_values, source=None, tol=1e-10, x0=None):
         """Solve div(c grad u) = source with the given Dirichlet data.

@@ -719,6 +719,25 @@ def allowed_backends(spec: ProblemSpec):
     return ("shooting", "scalar_bisection") if spec.n == 1 and spec.b is None else ("shooting",)
 
 
+def solve_two_point(spec: ProblemSpec, backend: str, n_nodes: int, tol: float,
+                    bracket_hints=None, max_iter=None, damping=None) -> ProfileSolution:
+    """Solve with ``backend``, one of ``allowed_backends(spec)``. ``max_iter``
+    caps its loop (Picard iterations, Newton steps or k-section halvings)
+    and ``damping`` is fixed_point's; None keeps the backend's default. The
+    backends are looked up in this module at each call, so a wrapper
+    installed here sees every solve."""
+    def given(**options):
+        return {key: value for key, value in options.items() if value is not None}
+
+    if backend == "fixed_point":
+        return solve_fixed_point(spec, n_nodes, tol, **given(max_iter=max_iter, damping=damping))
+    if backend == "shooting":
+        return solve_shooting(spec, n_nodes, tol, **given(max_newton=max_iter))
+    if backend == "scalar_bisection":
+        return solve_scalar(spec, bracket_hints, n_nodes, tol, **given(max_bisect=max_iter))
+    raise ValueError(f"unknown two-point backend '{backend}'")
+
+
 def _check_f_positive(spec: ProblemSpec):
     A, _, b_next = _sample_box(spec, default_box(spec), ("u1", "p"), 65)
     a = A[..., 0, 0]

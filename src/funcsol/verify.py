@@ -20,7 +20,8 @@ Simpson blend (endpoint values plus a midpoint-state evaluation) rather
 than the checker's plain mean: the blend integrates quadratic coefficient
 profiles across a face exactly, which is what makes the linear-profile
 Kirchhoff benchmarks agree with the functional pipeline to solver
-precision instead of to discretization error.
+precision instead of to discretization error. Like the checks, it reads
+the spec's compiled coefficients (``ProblemSpec.values``), three calls a sweep.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import exprlang
 from .errors import OuterDivergenceError, ShapeMismatchError
 from .geometry import Grid
 from .numerics import cumulative_simpson, derivative_4th, range_scale
@@ -126,21 +126,22 @@ def compare_fields(a: FieldSet, b: FieldSet) -> dict:
             "l2": float(np.sqrt(np.mean(stacked**2)))}
 
 
-def _simpson_faces(expr, states):
-    """Simpson-blend face coefficients (x faces, y faces) of one expression.
+def _simpson_faces(spec: ProblemSpec, state, used):
+    """Simpson-blend face coefficients {k: (x faces, y faces)} of the entries
+    ``used`` of ``spec.values``, at the node fields ``state`` (u_1..u_n, p).
 
-    ``states`` maps variable names to node arrays; the face value combines
-    the two endpoint evaluations with four times the evaluation at the
-    averaged state, making the quadrature exact for coefficients quadratic
-    along the face.
+    A face value combines the two endpoint values with four times the value
+    at the averaged state, making the quadrature exact for coefficients
+    quadratic along the face.
     """
-    def at(average):
-        env = {k: average(v) for k, v in states.items()}
-        return np.broadcast_to(exprlang.evaluate(expr, env), env["p"].shape)
+    def at(s):
+        return spec.values(s[:-1], s[-1])
 
-    c = at(lambda v: v)
-    cfx = (c[:-1, :] + 4.0 * at(lambda v: 0.5 * (v[:-1, :] + v[1:, :])) + c[1:, :]) / 6.0
-    return cfx, (c[:, :-1] + 4.0 * at(lambda v: 0.5 * (v[:, :-1] + v[:, 1:])) + c[:, 1:]) / 6.0
+    c = at(state)
+    mid_x = at([0.5 * (v[:-1, :] + v[1:, :]) for v in state])
+    mid_y = at([0.5 * (v[:, :-1] + v[:, 1:]) for v in state])
+    return {k: ((c[k][:-1, :] + 4.0 * mid_x[k] + c[k][1:, :]) / 6.0,
+                (c[k][:, :-1] + 4.0 * mid_y[k] + c[k][:, 1:]) / 6.0) for k in used}
 
 
 def direct_coupled_solve(spec: ProblemSpec, grid: Grid, tol: float = 1e-9,
@@ -154,33 +155,34 @@ def direct_coupled_solve(spec: ProblemSpec, grid: Grid, tol: float = 1e-9,
     value but each other's previous values. Stops when the largest nodewise
     field update drops below tol; five consecutive growths of the update
     norm abort with an outer-divergence error. Each linear solve runs to
-    0.005 * tol, or to the stencil's roundoff floor if that is larger.
+    0.005 * tol, or to the stencil's roundoff floor for its source if that
+    is larger: a diverging sweep's source grows with its fields.
     """
     value_scale = float(max(np.max(np.abs(spec.u_star)), spec.p_star, 1.0))
     laws = spec.laws()
     darcy = spec.mode == DARCY
+    used = [k for _, _, terms in laws for k, _ in terms]
 
     def solve_eq(stencil, boundary, source, x0):
-        eff = max(0.005 * tol, stencil.residual_floor(value_scale))
+        eff = max(0.005 * tol, stencil.residual_floor(value_scale, source))
         return stencil.solve(dirichlet_targets(grid, boundary), source=source,
                              tol=eff, x0=x0)[0]
 
     # initial fields: the constant-coefficient solution u_i = u_i* z, p = p* z
-    z0 = solve_eq(DivergenceStencil(grid, *unit_faces(grid)), 1.0, None, None)
+    z0 = solve_eq(DivergenceStencil(grid, *unit_faces(grid)), 1.0, 0.0, None)
     fields = [boundary * z0 for _, boundary, _ in laws]
 
     grow_streak = 0
     prev_update = np.inf
     for outer in range(1, max_outer + 1):
-        states = {f"u{i+1}": fields[i] for i in range(spec.n)}
-        states["p"] = fields[-1] if darcy else np.zeros(grid.shape)
+        faces = _simpson_faces(spec, fields if darcy else [*fields, np.zeros(grid.shape)], used)
         new = list(fields)
         for stage in (laws[spec.n:], laws[:spec.n]):    # the pressure law first
             known = list(new)
             for field, boundary, terms in stage:
                 source = 0.0
                 for k, f in terms:
-                    stencil = DivergenceStencil(grid, *_simpson_faces(spec.bundle.nodes[k], states))
+                    stencil = DivergenceStencil(grid, *faces.pop(k))    # read once
                     if f == field:
                         own = stencil
                     else:

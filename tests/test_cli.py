@@ -16,6 +16,7 @@ from funcsol.errors import ConfigError, ShapeMismatchError, UnknownVariableError
 from funcsol.geometry import build_annulus, build_rectangle
 from funcsol.pivot import solve_pivot
 from funcsol.reconstruct import compose_fields, darcy_reconstruct
+from funcsol.twopoint import solve_two_point
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -469,8 +470,9 @@ def test_solve_flux_files_read_back_to_library_fluxes(tmp_path, cfg_path):
     cfg = load_config(cfg_path)
     grid = cfg.make_grid()
     reconstruct = compose_fields if cfg.spec.mode == "molecular" else darcy_reconstruct
-    fields = reconstruct(cli._solve_two_point(cfg), solve_pivot(grid, cfg.pivot_tol), cfg.spec,
-                         with_fluxes=True)
+    sol = solve_two_point(cfg.spec, cfg.backend, cfg.n_nodes, cfg.tol, cfg.bracket_hints,
+                          cfg.max_iter, cfg.damping)
+    fields = reconstruct(sol, solve_pivot(grid, cfg.pivot_tol), cfg.spec, with_fluxes=True)
     stems = ["z", *(f"u{i+1}" for i in range(cfg.spec.n))]
     stems += [] if fields.p_field is None else ["p"]
     stems += [f"{name}_{k}" for name in fields.flux_fields for k in (1, 2)]
@@ -586,7 +588,9 @@ def test_config_rejects_invalid_input(tmp_path, caplog, old, new, message):
      "[geometry] width: not a key of this problem"),
     ("darcy_rectangle_fluxes", "[output]", "[outputs]\ndirectory = elsewhere\n\n[output]",
      "unknown section [outputs]"),
-], ids=["misspelled", "a13_for_n2", "width_on_annulus", "unknown_section"])
+    ("darcy_rectangle_fluxes", "N = 1025", "N = 1025\nn_nodes = 33",
+     "[solver] n_nodes: N is given too"),
+], ids=["misspelled", "a13_for_n2", "width_on_annulus", "unknown_section", "N_and_n_nodes"])
 def test_config_refuses_what_it_does_not_read(tmp_path, caplog, data, old, new, message):
     """A key the problem does not read is a config error naming it: a
     misspelled tol, with max_iters = 1, once solved with the defaults."""

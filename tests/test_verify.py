@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from funcsol.errors import OuterDivergenceError, ShapeMismatchError
+from funcsol.errors import EvalDomainError, OuterDivergenceError, ShapeMismatchError
 from funcsol.geometry import build_annulus, build_rectangle
 from funcsol.pivot import solve_pivot
 from funcsol.reconstruct import FieldSet, compose_fields, darcy_reconstruct
@@ -208,3 +208,22 @@ def test_direct_outer_iteration_aborts_on_growing_updates():
     spec = ProblemSpec.from_strings(2, [["1+u2^2", "4*u1"], ["-4*u1", "1"]], u_star=(1.0, 1.0))
     with pytest.raises(OuterDivergenceError, match="grew for 5 consecutive iterations"):
         direct_coupled_solve(spec, build_rectangle(17, 17, 1.0, 1.0), tol=1e-6, max_outer=60)
+
+
+@pytest.mark.parametrize("a, tol", [
+    ([["1", "5*u2"], ["-5*u2", "1"]], 1e-6),
+    ([["1", "3*(1+u1)"], ["-3*(1+u1)", "1"]], 1e-9),
+], ids=["5u2", "3(1+u1)"])
+def test_direct_divergence_is_not_a_linear_solve_error(a, tol):
+    """As the outer updates grow, so does the cross-term source of each
+    linear solve; its roundoff once stopped CG short of the inner
+    tolerance, and the solve ended as a PivotConvergenceError."""
+    spec = ProblemSpec.from_strings(2, a, u_star=(1.0, 1.0))
+    with pytest.raises(OuterDivergenceError, match="grew for 5 consecutive iterations"):
+        direct_coupled_solve(spec, build_rectangle(17, 17, 1.0, 1.0), tol=tol)
+
+
+def test_direct_domain_error_names_the_expression():
+    spec = ProblemSpec.from_strings(2, [["1", "0"], ["0", "2+log(u2)"]], u_star=(1.0, 1.0))
+    with pytest.raises(EvalDomainError, match=r"^'2\.0\+log\(u2\)' left its real domain"):
+        direct_coupled_solve(spec, build_rectangle(17, 17, 1.0, 1.0))
