@@ -8,7 +8,6 @@ the full grid fields.
 
 from .config import ProblemConfig, load_config
 from .geometry import Grid, build_annulus, build_rectangle
-from .oracles import OracleCase, get_oracle, run_oracle_suite
 from .pivot import PivotField, pivot_residual, solve_pivot
 from .reconstruct import (
     FieldSet,
@@ -41,6 +40,16 @@ from .verify import (
 )
 
 __version__ = "0.1.0"
+
+# the oracle registry compiles its problems on import, which a solve never needs
+_ORACLE_NAMES = ("OracleCase", "get_oracle", "run_oracle_suite")
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracles
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "EllipticityBounds", "FieldSet", "Grid", "OracleCase", "PivotField",

@@ -5,8 +5,9 @@ significant digits); log lines with timestamps go to stderr only. The
 output directory comes from the config, overridden by the
 FUNCSOL_OUTPUT_DIR environment variable when set.
 
-Exit codes: 0 success, 1 config errors, 2 solver errors, 3 verification
-failures, 4 resonance (singular shooting Jacobian).
+Exit codes, each carried by its error class: 0 success, 1 config errors,
+2 solver errors, 3 verification failures, 4 resonance (singular shooting
+Jacobian).
 """
 
 from __future__ import annotations
@@ -20,11 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import errors
 from .config import load_config
-from .errors import ConfigError, FuncsolError, ShapeMismatchError
+from .errors import ConfigError, FuncsolError, ShapeMismatchError, VerificationError
 from .geometry import Grid
-from .oracles import run_oracle_suite
 from .pivot import PivotField, solve_pivot
 from .reconstruct import FieldSet, compose_fields, darcy_reconstruct
 # perfbench/tracing.py wraps the solvers here too, and raises KeyError without them
@@ -206,15 +205,15 @@ def cmd_verify(args) -> int:
                  [*_residual_entries(report), ("grid_spacing", _fmt_vec(report.grid_spacing))])
     log.info("recomputed residuals: linf = %s", _fmt_vec(report.per_equation_linf))
     if cfg.residual_limit is not None and not report.max_linf <= cfg.residual_limit:
-        log.error("residual %.3e exceeds the configured limit %.3e",
-                  report.max_linf, cfg.residual_limit)
-        return errors.EXIT_CODES[errors.VERIFICATION]
+        raise VerificationError(f"residual {report.max_linf:.3e} exceeds the configured "
+                                f"limit {cfg.residual_limit:.3e}")
     return 0
 
 
 def cmd_oracle(args) -> int:
     if args.grid < 17:
         raise ConfigError(f"--grid must be at least 17, got {args.grid}")
+    from .oracles import run_oracle_suite      # its registry is built on import
     suite = run_oracle_suite(args.grid)
     out = _output_dir("oracle_out", args.out)
     for result in suite.results:
@@ -226,7 +225,8 @@ def cmd_oracle(args) -> int:
     (out / "oracle_report.txt").write_text(suite.format_text(), encoding="utf-8")
     sys.stdout.write(suite.format_text())
     if not suite.all_passed:
-        return errors.EXIT_CODES[errors.VERIFICATION]
+        failed = [result.name for result in suite.results if not result.passed]
+        raise VerificationError(f"oracle cases failed: {', '.join(failed)}")
     return 0
 
 
@@ -267,13 +267,13 @@ def main(argv=None) -> int:
         return args.func(args)
     except FuncsolError as exc:
         log.error("%s: %s", type(exc).__name__, exc)
-        return errors.EXIT_CODES[exc.category]
+        return exc.exit_code
     except OSError as exc:
         log.error("%s: %s", type(exc).__name__, exc)
-        return errors.EXIT_CODES[errors.CONFIG]
+        return ConfigError.exit_code
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         log.error("%s in funcsol %s: %s", type(exc).__name__, args.command, exc)
-        return errors.EXIT_CODES[errors.SOLVER]
+        return FuncsolError.exit_code
 
 
 if __name__ == "__main__":

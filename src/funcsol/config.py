@@ -48,6 +48,8 @@ class ProblemConfig:
                               f"got {self.tol} and {self.pivot_tol}")
         if not 0.0 < self.damping <= 1.0:
             raise ConfigError(f"[solver] damping must lie in (0, 1], got {self.damping}")
+        if self.max_iter < 1:
+            raise ConfigError(f"[solver] max_iter must be at least 1, got {self.max_iter}")
 
     def make_grid(self) -> Grid:
         if self.family == "annulus":
@@ -96,12 +98,10 @@ class _Section:
         text = self.raw(key)
         if text is None:
             return None
-        low = text.lower()
-        if low in ("true", "yes", "1", "on"):
-            return True
-        if low in ("false", "no", "0", "off"):
-            return False
-        raise ConfigError(f"[{self.name}] {key}: expected a boolean, got '{text}'")
+        states = configparser.ConfigParser.BOOLEAN_STATES     # configparser's spellings
+        if text.lower() not in states:
+            raise ConfigError(f"[{self.name}] {key}: expected a boolean, got '{text}'")
+        return states[text.lower()]
 
 
 def load_config(path) -> ProblemConfig:

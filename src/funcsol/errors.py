@@ -1,26 +1,19 @@
 """Exception hierarchy shared across the solver modules.
 
-Every error carries a ``category`` attribute used by the CLI to select
-exit codes: config errors exit 1, solver errors exit 2, verification
-failures exit 3, resonance (singular shooting Jacobian) exits 4.
+Every error carries the CLI's exit code for it: solver errors exit 2,
+config errors 1, verification failures 3 and resonance (a singular
+shooting Jacobian) 4.
 """
-
-CONFIG = "config"
-SOLVER = "solver"
-VERIFICATION = "verification"
-RESONANCE = "resonance"
-
-EXIT_CODES = {CONFIG: 1, SOLVER: 2, VERIFICATION: 3, RESONANCE: 4}
 
 
 class FuncsolError(Exception):
-    category = SOLVER
+    exit_code = 2
 
 
 # --- expression language ---------------------------------------------------
 
 class ExprError(FuncsolError):
-    category = CONFIG
+    exit_code = 1
 
 
 class ExprSyntaxError(ExprError):
@@ -43,13 +36,12 @@ class UnknownFunctionError(ExprSyntaxError):
 
 class EvalDomainError(FuncsolError):
     """Evaluation hit a point outside the expression's real domain."""
-    category = SOLVER
 
 
 # --- geometry ----------------------------------------------------------------
 
 class GeometryError(FuncsolError):
-    category = CONFIG
+    exit_code = 1
 
 
 class GridDimensionError(GeometryError):
@@ -67,34 +59,32 @@ class InvalidExtentsError(GeometryError):
 # --- linear solves / pivot -----------------------------------------------------
 
 class PivotConvergenceError(FuncsolError):
-    category = SOLVER
+    pass
 
 
 # --- two-point solvers -------------------------------------------------------
 
 class NonEllipticError(FuncsolError):
-    category = SOLVER
+    pass
 
 
 class SingularMatrixError(FuncsolError):
-    category = SOLVER
+    pass
 
 
 class MaxIterationError(FuncsolError):
-    category = SOLVER
-
     def __init__(self, message, last_update=None):
         self.last_update = last_update
         super().__init__(message)
 
 
 class DegenerateLinearizationError(FuncsolError):
-    category = SOLVER
+    pass
 
 
 class SingularJacobianError(FuncsolError):
     """Shooting Jacobian is numerically singular: the resonance signal."""
-    category = RESONANCE
+    exit_code = 4
 
     def __init__(self, message, condition=None):
         self.condition = condition
@@ -102,38 +92,43 @@ class SingularJacobianError(FuncsolError):
 
 
 class BracketFailureError(FuncsolError):
-    category = SOLVER
+    pass
 
 
 class NonPositiveFError(FuncsolError):
-    category = SOLVER
+    pass
 
 
 # --- reconstruction ----------------------------------------------------------
 
 class ProfileRangeError(FuncsolError):
-    category = SOLVER
+    pass
 
 
 class NonPositiveWeightError(FuncsolError):
-    category = SOLVER
+    pass
 
 
 # --- verification -----------------------------------------------------------
 
 class ShapeMismatchError(FuncsolError):
-    category = CONFIG
+    exit_code = 1
 
 
 class OuterDivergenceError(FuncsolError):
-    category = SOLVER
+    pass
+
+
+class VerificationError(FuncsolError):
+    """Recomputed residuals or oracle checks over their limits."""
+    exit_code = 3
 
 
 # --- oracles / config ---------------------------------------------------------
 
 class UnknownOracleError(FuncsolError):
-    category = CONFIG
+    exit_code = 1
 
 
 class ConfigError(FuncsolError):
-    category = CONFIG
+    exit_code = 1

@@ -56,7 +56,6 @@ from .numerics import (
     cumulative_simpson,
     midpoint_derivatives_4th,
     midpoint_values_4th,
-    range_scale,
     require_odd,
     simpson_integral,
 )
@@ -326,14 +325,14 @@ def _inverse_along(A, p=None):
             kappa = np.sqrt(np.einsum("...ij,...ij", B, B) * np.einsum("...ij,...ij", C, C))
     except np.linalg.LinAlgError:
         inv, kappa = None, np.where(np.abs(np.linalg.det(A)) > 0.0, 0.0, np.inf)
+    if kappa.max() <= SINGULAR_COND_LIMIT:         # False when any kappa is NaN
+        return inv
     kappa = np.atleast_1d(np.where(np.isnan(kappa), np.inf, kappa))
     k = int(np.argmax(kappa))
-    if not kappa[k] <= SINGULAR_COND_LIMIT:
-        if p is None:
-            raise SingularMatrixError(
-                f"averaged inverse matrix singular (condition estimate {kappa[k]:.3e})")
-        raise _singular_at(float(np.broadcast_to(p, kappa.shape)[k]), kappa[k])
-    return inv
+    if p is None:
+        raise SingularMatrixError(
+            f"averaged inverse matrix singular (condition estimate {kappa[k]:.3e})")
+    raise _singular_at(float(np.broadcast_to(p, kappa.shape)[k]), kappa[k])
 
 
 def _solve_averaged(total, u_star):
@@ -506,34 +505,21 @@ def _integrate_batch(spec: ProblemSpec, gammas, n_nodes, steps=None):
                     raise _singular_at(p, np.max(a_launch / np.abs(a)))
             return (rhs / a)[:, None]
     else:
-        # a huge or tiny A would overflow |A|_F^2 or det A in the 2x2 closed
-        # form; one power of two from max|A| at the launch point scales every
-        # coefficient, A, b and b_next alike, which leaves U' unchanged
-        scale = range_scale(max(abs(float(v)) for v in spec.bundle(env)[:nn]))
+        # every coefficient's column: A row by row, then b, then b_next.
+        # _inverse_along applies the kappa_F rule to A / max|A|, so only a
+        # singular A, not a huge or tiny one, stops a step
+        columns = np.empty((k, len(spec.bundle.nodes)))
 
         def f(p, state):
             env.update(zip(names, state.T))
             env["p"] = p
-            values = raw(env)
-            if scale != 1.0:
-                values = [v * scale for v in values]
-            rhs = [g * values[-1] for g in gammas.T]
+            for j, v in enumerate(raw(env)):
+                columns[:, j] = v
+            rhs = gammas * columns[:, -1:]
             if has_b:
-                rhs = [r - b for r, b in zip(rhs, values[nn:-1])]
-            if n > 2:
-                A = np.stack([np.broadcast_to(v, (k,)) for v in values[:nn]], -1).reshape(k, n, n)
-                return (_inverse_along(A, p) @ np.stack(rhs, axis=1)[:, :, None])[:, :, 0]
-            # the closed form: |A^-1|_F = |A|_F / |det A| for a 2x2, so
-            # |A|_F^2 / |det A| is its kappa_F, inf or NaN when det A = 0
-            a00, a01, a10, a11 = values[:4]
-            det = a00 * a11 - a01 * a10
-            fro2 = a00**2 + a01**2 + a10**2 + a11**2
-            with np.errstate(all="ignore"):
-                kappa = float(np.max(fro2 / np.abs(det)))
-            if not kappa <= SINGULAR_COND_LIMIT:
-                raise _singular_at(p, kappa)
-            return np.stack([(a11 * rhs[0] - a01 * rhs[1]) / det,
-                             (a00 * rhs[1] - a10 * rhs[0]) / det], axis=1)
+                rhs -= columns[:, nn:-1]
+            A = columns[:, :nn].reshape(k, n, n)
+            return (_inverse_along(A, p) @ rhs[:, :, None])[:, :, 0]
 
     calls = 0
 

@@ -1,7 +1,10 @@
 import dataclasses
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,7 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from funcsol import cli, errors
+import funcsol
+from funcsol import cli
 from funcsol.cli import main, read_field_csv, write_field_csv
 from funcsol.config import ProblemConfig, load_config
 from funcsol.errors import ConfigError, ShapeMismatchError, UnknownVariableError
@@ -194,6 +198,27 @@ def test_verify_residual_limit_failure(tmp_path):
     main(["solve", str(cfg_path)])
     # composed nonlinear fields carry an O(h^2) defect, far above 1e-12
     assert main(["verify", str(cfg_path), str(tmp_path / "out")]) == 3
+
+
+def test_verification_failure_logs_its_error(tmp_path, caplog):
+    cfg_path = write_cfg(tmp_path, MOLECULAR_CFG + "residual_limit = 1e-12\n")
+    assert main(["solve", str(cfg_path)]) == 0
+    assert main(["verify", str(cfg_path), str(tmp_path / "out")]) == 3
+    assert re.search(r"VerificationError: residual \S+ exceeds the configured limit "
+                     r"1\.000e-12", caplog.text)
+    assert (tmp_path / "out" / "verify_report.txt").is_file()
+
+
+def test_import_leaves_the_oracle_registry_unbuilt():
+    """The oracle registry compiles its problems on import, which a solve
+    never needs; funcsol serves get_oracle and the rest on first use."""
+    src = str(pathlib.Path(funcsol.__file__).parents[1])
+    code = ("import sys, funcsol, funcsol.cli\n"
+            "assert 'funcsol.oracles' not in sys.modules\n"
+            "from funcsol import OracleCase, get_oracle, run_oracle_suite\n"
+            "assert get_oracle('thm44_scalar').name == 'thm44_scalar'\n")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": path})
 
 
 def test_solve_resonant_exit_code(tmp_path):
@@ -561,9 +586,11 @@ def test_config_rejects_non_finite_numbers(tmp_path, key, value, extra):
     ("[solver]\n", "[solver]\ndamping = 1.5\n", "[solver] damping must lie in (0, 1], got 1.5"),
     ("[solver]\n", "[solver]\nr_integral = 1.0\n",
      "[solver] bracket hints need both r_integral and q_integral"),
+    ("[solver]\n", "[solver]\nmax_iter = 0\n", "[solver] max_iter must be at least 1, got 0"),
+    ("[solver]\n", "[solver]\nmax_iter = -3\n", "[solver] max_iter must be at least 1, got -3"),
 ], ids=["missing_key", "unparsable_int", "u_star_count", "not_utf8", "parse_error",
         "unknown_family", "unknown_mode", "n_range", "partial_b", "tol", "damping",
-        "one_bracket_hint"])
+        "one_bracket_hint", "max_iter_zero", "max_iter_negative"])
 def test_config_rejects_invalid_input(tmp_path, caplog, old, new, message):
     """Each malformed config is a config error (exit 1) that names its key."""
     text = (DATA / "darcy_rectangle_fluxes.ini").read_text()

@@ -430,15 +430,20 @@ def test_shooting_degenerate_origin_names_p0(a, u_star):
         solve_shooting(molecular(a, u_star))
 
 
-def test_integrate_guard_is_kappa_f_for_n3():
-    """diag(1, 1e-7, 1e-7) has kappa_F = 1.4e7 and integrates; the coarser
-    |A|_F^3 / |det A| = 1e14 refused it. diag(1, 1, 1e-13) has kappa_F = 1.4e13."""
-    spec = molecular([["1", "0", "0"], ["0", "1e-7", "0"], ["0", "0", "1e-7"]], (1.0, 1.0, 1.0))
-    mesh, prof = integrate_profiles(spec, np.array([1.0, 1e-7, 1e-7]), 65)
-    np.testing.assert_allclose(prof, np.tile(mesh, (3, 1)), rtol=0, atol=1e-15)
-    spec = molecular([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1e-13"]], (1.0, 1.0, 1.0))
-    with pytest.raises(SingularMatrixError, match="at p = 0 .*estimate 1.414e\\+13"):
-        integrate_profiles(spec, np.ones(3), 65)
+@pytest.mark.parametrize("n, refused", [(2, "1.000e\\+13"), (3, "1.414e\\+13")])
+def test_integrate_guard_is_kappa_f(n, refused):
+    """diag(1, 1e-7, ..) has kappa_F = 1e7 (n = 2) or 1.4e7 (n = 3) and
+    integrates; for n = 3 the coarser |A|_F^3 / |det A| = 1e14 refused it.
+    diag(.., 1, 1e-13) has kappa_F = 1e13 or 1.4e13 and is refused."""
+    def diagonal(entries):
+        return molecular([[v if i == j else "0" for j in range(n)] for i, v in enumerate(entries)],
+                         np.ones(n))
+
+    entries = ["1"] + ["1e-7"] * (n - 1)
+    mesh, prof = integrate_profiles(diagonal(entries), np.array(entries, dtype=float), 65)
+    np.testing.assert_allclose(prof, np.tile(mesh, (n, 1)), rtol=0, atol=1e-15)
+    with pytest.raises(SingularMatrixError, match=f"at p = 0 .*estimate {refused}"):
+        integrate_profiles(diagonal(["1"] * (n - 1) + ["1e-13"]), np.ones(n), 65)
 
 
 @pytest.mark.parametrize("n", [2, 3])
