@@ -430,20 +430,30 @@ def test_shooting_degenerate_origin_names_p0(a, u_star):
         solve_shooting(molecular(a, u_star))
 
 
-@pytest.mark.parametrize("n, refused", [(2, "1.000e\\+13"), (3, "1.414e\\+13")])
-def test_integrate_guard_is_kappa_f(n, refused):
-    """diag(1, 1e-7, ..) has kappa_F = 1e7 (n = 2) or 1.4e7 (n = 3) and
-    integrates; for n = 3 the coarser |A|_F^3 / |det A| = 1e14 refused it.
-    diag(.., 1, 1e-13) has kappa_F = 1e13 or 1.4e13 and is refused."""
-    def diagonal(entries):
-        return molecular([[v if i == j else "0" for j in range(n)] for i, v in enumerate(entries)],
-                         np.ones(n))
+def _diagonal(entries):
+    n = len(entries)
+    return molecular([[v if i == j else "0" for j in range(n)] for i, v in enumerate(entries)],
+                     np.ones(n))
 
+
+def _check_kappa_f_guard(n, refused):
     entries = ["1"] + ["1e-7"] * (n - 1)
-    mesh, prof = integrate_profiles(diagonal(entries), np.array(entries, dtype=float), 65)
+    mesh, prof = integrate_profiles(_diagonal(entries), np.array(entries, dtype=float), 65)
     np.testing.assert_allclose(prof, np.tile(mesh, (n, 1)), rtol=0, atol=1e-15)
     with pytest.raises(SingularMatrixError, match=f"at p = 0 .*estimate {refused}"):
-        integrate_profiles(diagonal(["1"] * (n - 1) + ["1e-13"]), np.ones(n), 65)
+        integrate_profiles(_diagonal(["1"] * (n - 1) + ["1e-13"]), np.ones(n), 65)
+
+
+def test_integrate_guard_is_kappa_f_for_n2():
+    """diag(1, 1e-7) has kappa_F = 1e7 and integrates; diag(1, 1e-13) has
+    kappa_F = 1e13 and is refused."""
+    _check_kappa_f_guard(2, "1.000e\\+13")
+
+
+def test_integrate_guard_is_kappa_f_for_n3():
+    """diag(1, 1e-7, 1e-7) has kappa_F = 1.4e7 and integrates; the coarser
+    |A|_F^3 / |det A| = 1e14 refused it. diag(1, 1, 1e-13) has kappa_F = 1.4e13."""
+    _check_kappa_f_guard(3, "1.414e\\+13")
 
 
 @pytest.mark.parametrize("n", [2, 3])
