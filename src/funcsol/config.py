@@ -165,13 +165,19 @@ def load_config(path) -> ProblemConfig:
     # None marks a key left out, which takes ProblemConfig's default
     options = dict(n_nodes=alias if n_nodes is None else n_nodes,
                    tol=sol.typed("tol", float), max_iter=sol.typed("max_iter", int),
-                   damping=sol.typed("damping", float), pivot_tol=sol.typed("pivot_tol", float))
-    r_int = sol.typed("r_integral", float)
-    q_int = sol.typed("q_integral", float)
-    if (r_int is None) != (q_int is None):
-        raise ConfigError("[solver] bracket hints need both r_integral and q_integral")
-    if r_int is not None:
-        options["bracket_hints"] = (r_int, q_int)
+                   pivot_tol=sol.typed("pivot_tol", float))
+    # a backend's own options are read for it alone, so the others refuse them
+    if backend == "fixed_point":
+        options["damping"] = sol.typed("damping", float)
+    if backend == "scalar_bisection":
+        hints = {key: sol.typed(key, float) for key in ("r_integral", "q_integral")}
+        if (hints["r_integral"] is None) != (hints["q_integral"] is None):
+            raise ConfigError("[solver] bracket hints need both r_integral and q_integral")
+        for key, value in hints.items():
+            if value is not None and value <= 0.0:
+                raise ConfigError(f"[solver] {key}: must be positive, got {value}")
+        if hints["r_integral"] is not None:
+            options["bracket_hints"] = tuple(hints.values())
 
     out = _Section(parser, "output")
     options.update(output_dir=out.raw("directory"), write_fields=out.flag("write_fields"),

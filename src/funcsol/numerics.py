@@ -8,7 +8,9 @@ import numpy as np
 
 
 def require_odd(n_nodes: int) -> int:
-    """Composite Simpson needs an even interval count; bump even node counts."""
+    """The node count of a profile mesh: odd and at least 5, what
+    ``cumulative_simpson`` accepts. Fewer nodes become 5, an even count
+    gains one."""
     n = int(n_nodes)
     if n < 5:
         n = 5
@@ -23,15 +25,6 @@ def range_scale(magnitude: float) -> float:
     squares of values scaled by it stay inside the floating point range."""
     exponent = math.frexp(magnitude)[1]
     return math.ldexp(1.0, -exponent) if abs(exponent) > 256 else 1.0
-
-
-def simpson_integral(y: np.ndarray, h: float, axis: int = 0):
-    """Composite Simpson over an odd number of uniformly spaced samples."""
-    y = np.moveaxis(np.asarray(y, dtype=float), axis, 0)
-    m = y.shape[0]
-    if m < 3 or m % 2 == 0:
-        raise ValueError(f"simpson_integral needs an odd sample count >= 3, got {m}")
-    return (h / 3.0) * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum(axis=0) + 2.0 * y[2:-2:2].sum(axis=0))
 
 
 def cumulative_simpson(y: np.ndarray, h: float, axis: int = 0) -> np.ndarray:

@@ -57,7 +57,6 @@ from .numerics import (
     midpoint_derivatives_4th,
     midpoint_values_4th,
     require_odd,
-    simpson_integral,
 )
 
 MOLECULAR = "molecular"
@@ -335,30 +334,27 @@ def _inverse_along(A, p=None):
     raise _singular_at(float(np.broadcast_to(p, kappa.shape)[k]), kappa[k])
 
 
-def _solve_averaged(total, u_star):
-    """(int A^-1)^-1 u*, refusing a numerically singular integral."""
-    _inverse_along(total)
-    return np.linalg.solve(total, u_star)
-
-
-def _inverse_on_profile(mesh, profiles, spec: ProblemSpec, what):
-    """A^-1(U) at the nodes of a molecular profile, and the mesh spacing."""
+def _averaged_inverse(mesh, profiles, spec: ProblemSpec, what):
+    """C(z) = int_0^z A^-1(U) along a molecular profile, by
+    ``cumulative_simpson``, and gamma[U] = C(1)^-1 u*, refusing a
+    numerically singular C(1). The one quadrature of T[U] and gamma[U]."""
     if spec.mode != MOLECULAR:
         raise ValueError(f"{what} applies to molecular problems")
     A = spec.coefficients(np.asarray(profiles, dtype=float), mesh)[0]
-    return _inverse_along(A, mesh), mesh[1] - mesh[0]
+    C = cumulative_simpson(_inverse_along(A, mesh), mesh[1] - mesh[0])
+    _inverse_along(C[-1])
+    return C, np.linalg.solve(C[-1], spec.u_star)
 
 
 def gamma_functional(mesh, profiles, spec: ProblemSpec):
-    """gamma[U] = (int_0^1 A^-1(U(t)) dt)^-1 u* by composite Simpson."""
-    Ainv, h = _inverse_on_profile(mesh, profiles, spec, "gamma functional")
-    return _solve_averaged(simpson_integral(Ainv, h), spec.u_star)
+    """gamma[U] = (int_0^1 A^-1(U(t)) dt)^-1 u*."""
+    return _averaged_inverse(mesh, profiles, spec, "gamma functional")[1]
 
 
 def apply_fixed_point_operator(mesh, profiles, spec: ProblemSpec):
     """T[U](z) = (int_0^z A^-1)(int_0^1 A^-1)^-1 u* on the same mesh."""
-    C = cumulative_simpson(*_inverse_on_profile(mesh, profiles, spec, "the fixed point operator"))
-    out = (C @ _solve_averaged(C[-1], spec.u_star)).T
+    C, gamma = _averaged_inverse(mesh, profiles, spec, "the fixed point operator")
+    out = (C @ gamma).T
     out[:, 0] = 0.0
     out[:, -1] = spec.u_star
     return out
@@ -640,7 +636,7 @@ def _origin_linearization(spec: ProblemSpec):
     return gamma0, j0_norm
 
 
-def _jacobian_batch(spec: ProblemSpec, gamma, n_nodes):
+def shooting_jacobian(spec: ProblemSpec, gamma, n_nodes: int = 1001):
     """Forward-difference Jacobian of gamma -> U(p*; gamma), with the mesh
     and the (n, m) profiles of the unperturbed run, from one batch; also
     the batch's step count and right-hand-side evaluations."""
@@ -652,15 +648,10 @@ def _jacobian_batch(spec: ProblemSpec, gamma, n_nodes):
     return J, mesh, traj[:, 0, :].T, (len(ends), calls)
 
 
-def shooting_jacobian(spec: ProblemSpec, gamma, n_nodes: int = 1001):
-    """Forward-difference Jacobian of gamma -> U(p*; gamma)."""
-    J, _, profiles, _ = _jacobian_batch(spec, gamma, n_nodes)
-    return J, profiles[:, -1]
-
-
 def solve_shooting(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
-                   max_newton: int = 30) -> ProfileSolution:
-    """Newton iteration on the shooting map S(gamma) = U(p*; gamma) - u*.
+                   max_iter: int = 30) -> ProfileSolution:
+    """Newton iteration on the shooting map S(gamma) = U(p*; gamma) - u*,
+    at most ``max_iter`` steps.
 
     The Jacobian condition is checked before accepting convergence, so a
     resonant problem (singular shooting map) raises SingularJacobianError
@@ -669,9 +660,9 @@ def solve_shooting(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
     gamma, j0_norm = _origin_linearization(spec)
     residual = np.inf
     steps = calls = 0
-    for iterations in range(1, max_newton + 1):
+    for iterations in range(1, max_iter + 1):
         # keep the base trajectory: the converged one is the solution
-        J, mesh, profiles, work = _jacobian_batch(spec, gamma, n_nodes)
+        J, mesh, profiles, work = shooting_jacobian(spec, gamma, n_nodes)
         steps, calls = steps + work[0], calls + work[1]
         end = profiles[:, -1]
         # at a resonance the endpoint map loses rank, but discretization
@@ -692,7 +683,7 @@ def solve_shooting(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
         gamma = gamma + np.linalg.solve(J, -S)
     else:
         raise MaxIterationError(
-            f"shooting did not reach {tol:.3e} in {max_newton} Newton iterations "
+            f"shooting did not reach {tol:.3e} in {max_iter} Newton iterations "
             f"(endpoint mismatch {residual:.3e})", last_update=residual)
     return _solution(spec, mesh, profiles, gamma, method="shooting", iterations=iterations,
                      jacobian_condition=cond, integration_steps=steps, rhs_evaluations=calls)
@@ -708,19 +699,19 @@ def allowed_backends(spec: ProblemSpec):
 def solve_two_point(spec: ProblemSpec, backend: str, n_nodes: int, tol: float,
                     bracket_hints=None, max_iter=None, damping=None) -> ProfileSolution:
     """Solve with ``backend``, one of ``allowed_backends(spec)``. ``max_iter``
-    caps its loop (Picard iterations, Newton steps or k-section halvings)
-    and ``damping`` is fixed_point's; None keeps the backend's default. The
-    backends are looked up in this module at each call, so a wrapper
-    installed here sees every solve."""
-    def given(**options):
-        return {key: value for key, value in options.items() if value is not None}
-
+    caps its loop (Picard iterations, Newton steps or k-section halvings),
+    ``damping`` is fixed_point's and ``bracket_hints`` scalar_bisection's;
+    None keeps the backend's default. The backends are looked up in this
+    module at each call, so a wrapper installed here sees every solve."""
+    options = {} if max_iter is None else {"max_iter": max_iter}
     if backend == "fixed_point":
-        return solve_fixed_point(spec, n_nodes, tol, **given(max_iter=max_iter, damping=damping))
+        if damping is not None:
+            options["damping"] = damping
+        return solve_fixed_point(spec, n_nodes, tol, **options)
     if backend == "shooting":
-        return solve_shooting(spec, n_nodes, tol, **given(max_newton=max_iter))
+        return solve_shooting(spec, n_nodes, tol, **options)
     if backend == "scalar_bisection":
-        return solve_scalar(spec, bracket_hints, n_nodes, tol, **given(max_bisect=max_iter))
+        return solve_scalar(spec, n_nodes, tol, bracket_hints=bracket_hints, **options)
     raise ValueError(f"unknown two-point backend '{backend}'")
 
 
@@ -737,8 +728,8 @@ def _check_f_positive(spec: ProblemSpec):
             f"F = b_next/a must be positive on the sampled rectangle; min sampled value {fmin:.6g}")
 
 
-def solve_scalar(spec: ProblemSpec, bracket_hints=None, n_nodes: int = 1001,
-                 tol: float = 1e-10, max_bisect: int = 200) -> ProfileSolution:
+def solve_scalar(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
+                 max_iter: int = 200, bracket_hints=None) -> ProfileSolution:
     """Batched k-section on gamma for dU/dp = gamma*F(U,p), F = b_next/a > 0,
     the darcy problems with n = 1 and b absent (the ``scalar`` spelling).
 
@@ -749,8 +740,8 @@ def solve_scalar(spec: ProblemSpec, bracket_hints=None, n_nodes: int = 1001,
     ends in one batch, then KSECTION_WIDTH interior candidates per pass, and
     no gamma twice. Once the bracket straddles u*, its batch's step sequence
     is frozen: every later candidate replays it, so all the endpoints
-    compared come from one discrete map. ``max_bisect`` halvings buy
-    ceil(max_bisect / 5) passes. The returned profile is the winning
+    compared come from one discrete map. ``max_iter`` halvings buy
+    ceil(max_iter / 5) passes. The returned profile is the winning
     candidate's own trajectory, kept from its batch. The endpoint map's
     strict monotonicity in gamma is asserted on every sampled pair.
     """
@@ -804,7 +795,7 @@ def solve_scalar(spec: ProblemSpec, bracket_hints=None, n_nodes: int = 1001,
     frozen = last
     passes, best_miss = 0, math.inf
     while gamma is None:
-        if passes == math.ceil(max_bisect / 5):
+        if passes == math.ceil(max_iter / 5):
             raise MaxIterationError(f"k-section did not reach {tol:.3e} in {passes} passes",
                                     last_update=best_miss)
         passes += 1

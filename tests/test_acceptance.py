@@ -121,7 +121,7 @@ def test_criterion_3_shooting_solver():
         spec = ProblemSpec.from_strings(
             2, [["1", "0"], ["0", "1"]], b=["-u2", "u1"], b_next="1",
             u_star=(0.0, 0.0), p_star=p_star, mode="darcy")
-        J, _ = shooting_jacobian(spec, np.zeros(2), 1001)
+        J = shooting_jacobian(spec, np.zeros(2), 1001)[0]
         det_errs.append(abs(np.linalg.det(J) - 2.0 * (1.0 - math.cos(p_star))))
     det_err = max(det_errs)
 

@@ -17,12 +17,14 @@ from funcsol import cli
 from funcsol.cli import main, read_field_csv, write_field_csv
 from funcsol.config import ProblemConfig, load_config
 from funcsol.errors import ConfigError, ShapeMismatchError, UnknownVariableError
+from funcsol.exprlang import FUNCTIONS
 from funcsol.geometry import build_annulus, build_rectangle
 from funcsol.pivot import solve_pivot
 from funcsol.reconstruct import compose_fields, darcy_reconstruct
-from funcsol.twopoint import solve_two_point
+from funcsol.twopoint import ProblemSpec, allowed_backends, solve_two_point
 
 DATA = pathlib.Path(__file__).parent / "data"
+DARCY = "darcy_rectangle_fluxes"
 
 MOLECULAR_CFG = """
 [geometry]
@@ -83,6 +85,14 @@ def write_cfg(tmp_path, text, name="case.ini"):
     path = tmp_path / name
     path.write_text(text.format(out=tmp_path / "out"))
     return path
+
+
+def config_text(data, tmp_path):
+    """The text of the tests/data config ``data``, or of EQUAL_COEFF_CFG,
+    which reads the bracket hints, for ``data = "equal_coeff"``."""
+    if data == "equal_coeff":
+        return EQUAL_COEFF_CFG.format(out=tmp_path / "out")
+    return (DATA / f"{data}.ini").read_text()
 
 
 def test_load_config_molecular(tmp_path):
@@ -555,8 +565,15 @@ def test_output_flag_rejects_invalid_value(tmp_path, key):
 def test_config_rejects_non_finite_numbers(tmp_path, key, value, extra):
     """Every number in a config is finite. Before, these ended as solver
     errors with misleading messages (exit 2), a 200-iteration Newton spin
-    toward tol = nan, or a silent success that ignored the bracket hint."""
-    text = (DATA / "darcy_rectangle_fluxes.ini").read_text()
+    toward tol = nan, or a silent success that ignored the bracket hint.
+    Each key goes on a config whose backend reads it."""
+    if key == "damping":
+        text = config_text("molecular_annulus_fluxes", tmp_path)
+    elif key in ("r_integral", "q_integral"):
+        text = config_text("equal_coeff", tmp_path).replace(
+            "r_integral = 1.0\nq_integral = 1.0\n", "")
+    else:
+        text = config_text(DARCY, tmp_path)
     line = f"{key} = {value}\n" + (f"{extra}\n" if extra else "")
     if f"\n{key} = " in text:
         head, _, rest = text.partition(f"\n{key} = ")
@@ -571,29 +588,39 @@ def test_config_rejects_non_finite_numbers(tmp_path, key, value, extra):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("old, new, message", [
-    ("n1 = 33\n", "", "[geometry] is missing 'n1'"),
-    ("n1 = 33", "n1 = 33.5", "[geometry] n1: cannot parse '33.5'"),
-    ("u_star = 0.8", "u_star = 0.8 0.1", "[problem] u_star: expected 1 values, got 2"),
-    ("; Darcy", "; Darc\xe9", "config is not UTF-8"),
-    ("n2 = 33", "n2 = 33\nn2 = 33", "option 'n2' in section 'geometry' already exists"),
-    ("family = rectangle", "family = disk", "[geometry] family: unknown family 'disk'"),
-    ("mode = darcy", "mode = stokes", "[problem] mode: unknown mode 'stokes'"),
-    ("\nn = 1\n", "\nn = 10\n", "[problem] n: must be between 1 and 9, got 10"),
-    ("n = 1\na11 = 1+0.5*u1", "n = 2\na11 = 1+0.5*u1\na12 = 0\na21 = 0\na22 = 1",
+@pytest.mark.parametrize("data, old, new, message", [
+    (DARCY, "n1 = 33\n", "", "[geometry] is missing 'n1'"),
+    (DARCY, "n1 = 33", "n1 = 33.5", "[geometry] n1: cannot parse '33.5'"),
+    (DARCY, "u_star = 0.8", "u_star = 0.8 0.1", "[problem] u_star: expected 1 values, got 2"),
+    (DARCY, "; Darcy", "; Darc\xe9", "config is not UTF-8"),
+    (DARCY, "n2 = 33", "n2 = 33\nn2 = 33", "option 'n2' in section 'geometry' already exists"),
+    (DARCY, "family = rectangle", "family = disk", "[geometry] family: unknown family 'disk'"),
+    (DARCY, "mode = darcy", "mode = stokes", "[problem] mode: unknown mode 'stokes'"),
+    (DARCY, "\nn = 1\n", "\nn = 10\n", "[problem] n: must be between 1 and 9, got 10"),
+    (DARCY, "n = 1\na11 = 1+0.5*u1", "n = 2\na11 = 1+0.5*u1\na12 = 0\na21 = 0\na22 = 1",
      "[problem] b coefficients must be given for all equations or none"),
-    ("tol = 1e-10", "tol = 0", "[solver] tol and pivot_tol must be positive, got 0.0 and 1e-10"),
-    ("[solver]\n", "[solver]\ndamping = 1.5\n", "[solver] damping must lie in (0, 1], got 1.5"),
-    ("[solver]\n", "[solver]\nr_integral = 1.0\n",
+    (DARCY, "tol = 1e-10", "tol = 0",
+     "[solver] tol and pivot_tol must be positive, got 0.0 and 1e-10"),
+    ("molecular_annulus_fluxes", "[solver]\n", "[solver]\ndamping = 1.5\n",
+     "[solver] damping must lie in (0, 1], got 1.5"),
+    ("equal_coeff", "q_integral = 1.0\n", "",
      "[solver] bracket hints need both r_integral and q_integral"),
-    ("[solver]\n", "[solver]\nmax_iter = 0\n", "[solver] max_iter must be at least 1, got 0"),
-    ("[solver]\n", "[solver]\nmax_iter = -3\n", "[solver] max_iter must be at least 1, got -3"),
+    (DARCY, "[solver]\n", "[solver]\nmax_iter = 0\n",
+     "[solver] max_iter must be at least 1, got 0"),
+    (DARCY, "[solver]\n", "[solver]\nmax_iter = -3\n",
+     "[solver] max_iter must be at least 1, got -3"),
+    ("equal_coeff", "r_integral = 1.0", "r_integral = -1.0",
+     "[solver] r_integral: must be positive, got -1.0"),
+    ("equal_coeff", "q_integral = 1.0", "q_integral = 0",
+     "[solver] q_integral: must be positive, got 0.0"),
 ], ids=["missing_key", "unparsable_int", "u_star_count", "not_utf8", "parse_error",
         "unknown_family", "unknown_mode", "n_range", "partial_b", "tol", "damping",
-        "one_bracket_hint", "max_iter_zero", "max_iter_negative"])
-def test_config_rejects_invalid_input(tmp_path, caplog, old, new, message):
-    """Each malformed config is a config error (exit 1) that names its key."""
-    text = (DATA / "darcy_rectangle_fluxes.ini").read_text()
+        "one_bracket_hint", "max_iter_zero", "max_iter_negative", "r_integral_negative",
+        "q_integral_zero"])
+def test_config_rejects_invalid_input(tmp_path, caplog, data, old, new, message):
+    """Each malformed config is a config error (exit 1) that names its key.
+    A non-positive bracket hint used to exit 2, after the pivot solve."""
+    text = config_text(data, tmp_path)
     assert old in text
     cfg_path = tmp_path / "case.ini"
     # Latin-1 writes the ASCII cases unchanged, and the e-acute as one
@@ -617,10 +644,18 @@ def test_config_rejects_invalid_input(tmp_path, caplog, old, new, message):
      "unknown section [outputs]"),
     ("darcy_rectangle_fluxes", "N = 1025", "N = 1025\nn_nodes = 33",
      "[solver] n_nodes: N is given too"),
-], ids=["misspelled", "a13_for_n2", "width_on_annulus", "unknown_section", "N_and_n_nodes"])
+    ("darcy_rectangle_fluxes", "tol = 1e-10", "tol = 1e-10\ndamping = 0.3",
+     "[solver] damping: not a key of this problem"),
+    ("darcy_rectangle_fluxes", "tol = 1e-10", "tol = 1e-10\nr_integral = 5.0\nq_integral = 1.0",
+     "[solver] r_integral: not a key of this problem"),
+    ("molecular_annulus_fluxes", "tol = 1e-11", "tol = 1e-11\nr_integral = 5.0\nq_integral = 1.0",
+     "[solver] r_integral: not a key of this problem"),
+], ids=["misspelled", "a13_for_n2", "width_on_annulus", "unknown_section", "N_and_n_nodes",
+        "damping_on_shooting", "hints_on_shooting", "hints_on_fixed_point"])
 def test_config_refuses_what_it_does_not_read(tmp_path, caplog, data, old, new, message):
     """A key the problem does not read is a config error naming it: a
-    misspelled tol, with max_iters = 1, once solved with the defaults."""
+    misspelled tol, with max_iters = 1, once solved with the defaults, and
+    a backend option on a backend that ignored it."""
     text = (DATA / f"{data}.ini").read_text()
     assert old in text
     cfg_path = tmp_path / "case.ini"
@@ -691,3 +726,125 @@ def test_oracle_exits_3_on_a_failing_or_a_crashed_case(tmp_path, monkeypatch, ca
     assert out.endswith("result = FAILURES\n")
     assert (tmp_path / "oracle_report.txt").read_text() == out
     assert sorted(path.name for path in tmp_path.iterdir()) == ["fails", "oracle_report.txt"]
+
+
+# --- the typed-failure contract over generated configs -------------------------
+#
+# Configs come from a small grammar: every mode, n <= 3, both grid families,
+# 9-33 nodes per axis, N <= 1025, coefficient expression trees over the six
+# functions, and every backend that allowed_backends permits. [solver]
+# carries only options its backend reads, except in draws that add one it
+# does not read. Every run of cli.main must end with a documented exit
+# code, never an escaping exception, and every success must round-trip:
+# finite CSV files, exact boundary values, funcsol verify reproducing the
+# residual lines, and a second solve writing the same bytes.
+
+# the options each backend reads beyond n/N, tol, max_iter and pivot_tol
+OWN_OPTIONS = {"fixed_point": ("damping",), "shooting": (),
+               "scalar_bisection": ("r_integral", "q_integral")}
+RESIDUAL_KEYS = ("divergence_residual_linf", "divergence_residual_l2", "boundary_max_error")
+
+numbers = st.sampled_from(["0.5", "1", "2", "0.1", "3"])
+
+
+def expressions(names):
+    """Trees over the numbers, ``names``, + - * / ^ and the six functions."""
+    leaves = numbers | st.sampled_from(names)
+
+    def grow(inner):
+        binary = st.tuples(inner, st.sampled_from("+-*/^"), inner).map(
+            lambda t: f"({t[0]}{t[1]}{t[2]})")
+        call = st.tuples(st.sampled_from(sorted(FUNCTIONS)), inner).map(
+            lambda t: f"{t[0]}({t[1]})")
+        return binary | call
+
+    return st.recursive(leaves, grow, max_leaves=4)
+
+
+@st.composite
+def configs(draw):
+    """(config text with an {out} slot, whether [solver] holds a foreign option)."""
+    mode = draw(st.sampled_from(["molecular", "darcy", "scalar"]))
+    n = 1 if mode == "scalar" else draw(st.integers(1, 3))
+    names = [f"u{i+1}" for i in range(n)] + ([] if mode == "molecular" else ["p"])
+    tree = expressions(names)
+    # a dominant diagonal plus a weighted tree keeps many draws solvable
+    weight = st.sampled_from(["0", "0.1", "1"])
+    a = [[f"{draw(st.sampled_from(['1', '2', '3'])) if i == j else '0'}"
+          f"+{draw(weight)}*{draw(tree)}" for j in range(n)] for i in range(n)]
+    problem = [f"mode = {mode}", f"n = {n}"]
+    problem += [f"a{i+1}{j+1} = {a[i][j]}" for i in range(n) for j in range(n)]
+    b = None
+    if mode == "scalar" or (mode == "darcy" and draw(st.booleans())):
+        b = [f"{'1+' if mode == 'scalar' else ''}{draw(weight)}*{draw(tree)}" for _ in range(n)]
+        problem += [f"b{i+1} = {b[i]}" for i in range(n)]
+    b_next = None
+    if mode == "darcy" and draw(st.booleans()):
+        b_next = f"1+{draw(weight)}*{draw(tree)}"
+        problem.append(f"b_next = {b_next}")
+    u_star = draw(st.lists(st.sampled_from([-1.0, -0.3, 0.0, 0.4, 1.0]), min_size=n, max_size=n))
+    problem.append("u_star = " + " ".join(map(str, u_star)))
+    p_star = 1.0
+    if mode != "molecular":
+        p_star = draw(st.sampled_from([0.5, 1.0, 2.0]))
+        problem.append(f"p_star = {p_star}")
+
+    spec = ProblemSpec.from_strings(n, a, b=b, b_next=b_next, u_star=u_star, p_star=p_star,
+                                    mode=mode)
+    backend = draw(st.sampled_from(allowed_backends(spec)))
+    solver = [f"backend = {backend}", f"N = {draw(st.integers(9, 1025))}",
+              f"tol = {draw(st.sampled_from([1e-6, 1e-8, 1e-10]))}",
+              f"max_iter = {draw(st.integers(1, 40))}"]
+    if draw(st.booleans()):
+        solver.append(f"pivot_tol = {draw(st.sampled_from([1e-6, 1e-10]))}")
+    if backend == "fixed_point" and draw(st.booleans()):
+        solver.append(f"damping = {draw(st.sampled_from([0.25, 0.5, 1.0]))}")
+    if backend == "scalar_bisection" and draw(st.booleans()):
+        r = draw(st.sampled_from([0.5, 1.0]))
+        solver += [f"r_integral = {r}", f"q_integral = {r + draw(st.sampled_from([0.0, 1.0]))}"]
+    foreign = [key for other, keys in OWN_OPTIONS.items() if other != backend for key in keys]
+    stray = draw(st.sampled_from([None] * 6 + foreign))
+    if stray is not None:
+        solver.append(f"{stray} = 0.5")
+
+    family = draw(st.sampled_from(["rectangle", "annulus"]))
+    extents = ("width = 1.0", "height = 2.0") if family == "rectangle" else ("r1 = 1.0",
+                                                                            "r2 = 2.0")
+    geometry = [f"family = {family}", f"n1 = {draw(st.integers(9, 33))}",
+                f"n2 = {draw(st.integers(9, 33))}", *extents]
+    output = ["directory = {out}", f"write_fluxes = {draw(st.booleans())}"]
+    sections = {"geometry": geometry, "problem": problem, "solver": solver, "output": output}
+    text = "".join(f"[{name}]\n" + "".join(f"{line}\n" for line in lines) + "\n"
+                   for name, lines in sections.items())
+    return text, stray is not None
+
+
+def files(directory):
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=configs())
+def test_generated_configs_end_typed_and_round_trip(tmp_path_factory, case):
+    text, has_stray = case
+    root = tmp_path_factory.mktemp("case")
+    cfg_path = root / "case.ini"
+    cfg_path.write_text(text.replace("{out}", str(root / "out")))
+    code = main(["solve", str(cfg_path)])
+    assert code in (0, 1, 2, 3, 4)
+    if has_stray:
+        assert code == 1
+    if code != 0:
+        return
+    out = root / "out"
+    grid = load_config(cfg_path).make_grid()
+    for path in out.glob("*.csv"):
+        assert np.isfinite(read_field_csv(path, grid)).all(), path.name
+    report = read_report(out / "report.txt")
+    assert float(report["boundary_max_error"]) == 0.0
+    assert main(["verify", str(cfg_path), str(out), "--out", str(root / "verify")]) == 0
+    checked = read_report(root / "verify" / "verify_report.txt")
+    assert [checked[key] for key in RESIDUAL_KEYS] == [report[key] for key in RESIDUAL_KEYS]
+    assert main(["solve", str(cfg_path), "--out", str(root / "again")]) == 0
+    assert files(root / "again") == files(out)

@@ -7,7 +7,6 @@ from funcsol.numerics import (
     midpoint_derivatives_4th,
     midpoint_values_4th,
     require_odd,
-    simpson_integral,
 )
 
 
@@ -15,20 +14,6 @@ def test_require_odd():
     assert require_odd(1000) == 1001
     assert require_odd(1001) == 1001
     assert require_odd(2) == 5
-
-
-def test_simpson_exact_for_cubics():
-    x = np.linspace(0.0, 2.0, 9)
-    h = x[1] - x[0]
-    assert simpson_integral(x**3, h) == pytest.approx(4.0, abs=1e-14)
-
-
-def test_simpson_fourth_order():
-    errs = []
-    for m in (33, 65):
-        x = np.linspace(0.0, 1.0, m)
-        errs.append(abs(simpson_integral(np.exp(x), x[1] - x[0]) - (np.e - 1.0)))
-    assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.2)
 
 
 def test_cumulative_exact_for_cubics():
@@ -74,8 +59,6 @@ def test_midpoint_formulas_exact_for_cubics():
 
 
 def test_even_sample_count_rejected():
-    with pytest.raises(ValueError):
-        simpson_integral(np.zeros(10), 0.1)
     with pytest.raises(ValueError):
         cumulative_simpson(np.zeros(10), 0.1)
     with pytest.raises(ValueError, match=">= 5"):

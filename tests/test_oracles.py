@@ -83,7 +83,7 @@ def test_shooting_determinant_matches_printed_solution():
         spec = ProblemSpec.from_strings(
             2, [["1", "0"], ["0", "1"]], b=["-u2", "u1"], b_next="1",
             u_star=(0.0, 0.0), p_star=p_star, mode="darcy")
-        J, _ = shooting_jacobian(spec, np.zeros(2), 1001)
+        J = shooting_jacobian(spec, np.zeros(2), 1001)[0]
         assert abs(np.linalg.det(J) - 2.0 * (1.0 - math.cos(p_star))) <= 1e-8
 
 

@@ -27,6 +27,7 @@ from funcsol.twopoint import (
     solve_fixed_point,
     solve_scalar,
     solve_shooting,
+    solve_two_point,
 )
 
 
@@ -470,7 +471,7 @@ def test_integrate_exactly_singular_node_of_large_entries(n):
 
 def test_shooting_max_iteration_error():
     with pytest.raises(MaxIterationError):
-        solve_shooting(DIAG, n_nodes=257, tol=1e-12, max_newton=1)
+        solve_shooting(DIAG, n_nodes=257, tol=1e-12, max_iter=1)
 
 
 def test_fixed_point_requires_ellipticity():
@@ -481,7 +482,7 @@ def test_fixed_point_requires_ellipticity():
 
 def test_shooting_map_determinant():
     for p_star in (math.pi / 2, math.pi, 1.5 * math.pi):
-        J, _ = shooting_jacobian(sincos(p_star), np.zeros(2), 1001)
+        J = shooting_jacobian(sincos(p_star), np.zeros(2), 1001)[0]
         expected = 2.0 * (1.0 - math.cos(p_star))
         assert np.linalg.det(J) == pytest.approx(expected, abs=1e-8)
 
@@ -575,10 +576,33 @@ def test_scalar_ksection_passes():
     assert sol.boundary_error <= 1e-10
 
 
+def test_scalar_vanishing_a_is_singular():
+    with pytest.raises(SingularMatrixError,
+                       match="scalar coefficient a vanishes on the sampled rectangle"):
+        solve_scalar(scalar_spec("u1", "1", 1.0))
+
+
+def test_scalar_non_positive_bracket_hint():
+    with pytest.raises(BracketFailureError, match="bracket hints must be positive"):
+        solve_scalar(scalar_spec("1+u1^2", "1", 1.0), bracket_hints=(-1.0, 1.0))
+
+
+def test_shooting_b_next_vanishing_at_the_origin():
+    spec = ProblemSpec.from_strings(1, [["1"]], b_next="p", u_star=(1.0,), mode="darcy")
+    with pytest.raises(DegenerateLinearizationError,
+                       match=r"origin value of b_next \(0\.000e\+00\) is degenerate"):
+        solve_shooting(spec)
+
+
+def test_solve_two_point_unknown_backend():
+    with pytest.raises(ValueError, match="unknown two-point backend 'nope'"):
+        solve_two_point(DIAG, "nope", 65, 1e-10)
+
+
 def test_scalar_ksection_pass_budget():
-    # max_bisect counts halvings; 5 of them buy a single 32-fold pass
+    # max_iter counts halvings; 5 of them buy a single 32-fold pass
     with pytest.raises(MaxIterationError):
-        solve_scalar(scalar_spec("exp(u1)", "1", 1.0), n_nodes=65, tol=1e-10, max_bisect=5)
+        solve_scalar(scalar_spec("exp(u1)", "1", 1.0), n_nodes=65, tol=1e-10, max_iter=5)
 
 
 @pytest.mark.parametrize("u_star,solvable", [(0.25, True), (0.7, False)])
