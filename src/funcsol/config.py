@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .geometry import Grid, build_annulus, build_rectangle
-from .twopoint import MODES, ProblemSpec, allowed_backends
+from .twopoint import MAX_ITER, MODES, ProblemSpec, allowed_backends
 
 
 @dataclass
@@ -33,7 +33,7 @@ class ProblemConfig:
     backend: str
     n_nodes: int = 1001
     tol: float = 1e-10
-    max_iter: int = 200
+    max_iter: int | None = None     # None takes the backend's own cap
     damping: float = 1.0
     pivot_tol: float = 1e-10
     bracket_hints: tuple | None = None
@@ -48,7 +48,9 @@ class ProblemConfig:
                               f"got {self.tol} and {self.pivot_tol}")
         if not 0.0 < self.damping <= 1.0:
             raise ConfigError(f"[solver] damping must lie in (0, 1], got {self.damping}")
-        if self.max_iter < 1:
+        if self.max_iter is None:
+            self.max_iter = MAX_ITER.get(self.backend)
+        elif self.max_iter < 1:
             raise ConfigError(f"[solver] max_iter must be at least 1, got {self.max_iter}")
 
     def make_grid(self) -> Grid:

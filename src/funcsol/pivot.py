@@ -12,12 +12,16 @@ and is reused by the direct coupled solver and the residual checker. Rows
 are symmetrized with half weights on Neumann edges (and a factor r on
 polar grids), which makes the reduced system SPD. Every linear solve is
 conjugate gradients preconditioned by a separable fast solver, exact for
-the pivot (DivergenceStencil._fast_inverse); what it and the stencil need
-of the grid alone is built once per grid (_GridFactors).
+the pivot (DivergenceStencil._fast_inverse): a cosine transform across
+axis 2, a DCT-I taken as the rfft of each row's even extension, and per
+cosine mode a tridiagonal solve along axis 1, whose two sweeps run as a
+two-level blocked scan. What it and the stencil need of the grid alone is
+built once per grid (_GridFactors).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -64,26 +68,35 @@ class _GridFactors:
 
     @cached_property
     def inverse(self):
-        """The cosine basis phi, K1's off-diagonal, the forward multipliers
-        off[i-1] * piv[i-1], the Thomas pivots per mode (inverted but the
-        last) and the unit-face diagonal over w_edge, a column."""
+        """What _fast_inverse needs besides its scale: the block size
+        B = max(2, isqrt(m)) of the m = n1 - 2 equation rows, the last of
+        the q blocks padded with zero rows; the LU multipliers mult, mult[i]
+        being row i's share of row i - 1 in the forward sweep and mult[i + 1]
+        its share of row i + 1 in the backward one; their in-block products
+        up to each row (forward carries, (q, B, n2)) and from each row on
+        (backward carries); the inverted pivots of K1 + lambda_k/r per mode
+        k, times the transforms' 1/(2(n2-1)); and the unit-face diagonal over
+        w_edge, a column."""
         n1, n2 = self.rvec.size, self.w_edge.size
+        m = n1 - 2
+        block = max(2, math.isqrt(m))
+        padded = -(-m // block) * block
         off = -self.rface[1:-1, None] / self.h1sq
         k1_diag = (self.rface[1:, None] + self.rface[:-1, None]) / self.h1sq
-        # phi[j, k] = cos(pi j k/(n2-1)), the angle reduced modulo 2 pi exactly
         k = np.arange(n2, dtype=float)
-        phi = np.multiply.outer(k, k)
-        np.fmod(phi, 2 * (n2 - 1), out=phi)
-        phi *= np.pi / (n2 - 1)
-        np.cos(phi, out=phi)
-        phi *= np.sqrt(2.0 / (n2 - 1) * self.w_edge)
         lam = (2.0 - 2.0 * np.cos(np.pi / (n2 - 1) * k)) / self.h2**2
         piv = lam / self.rvec[1:-1, None]
         piv += k1_diag
-        for i in range(1, n1 - 2):
+        for i in range(1, m):
             piv[i - 1] = 1.0 / piv[i - 1]
             piv[i] -= off[i - 1] ** 2 * piv[i - 1]
-        return phi, off, off * piv[:-1], piv, k1_diag + 2.0 / self.h2r[1:-1, None]
+        piv[-1] = 1.0 / piv[-1]
+        mult = np.zeros((padded + 1, n2))
+        np.multiply(off, -piv[:-1], out=mult[1:m])
+        fwd_carry = np.cumprod(mult[:-1].reshape(-1, block, n2), axis=1)
+        bwd_carry = np.cumprod(mult[:0:-1].reshape(-1, block, n2), axis=1)[::-1, ::-1].copy()
+        piv *= 0.5 / (n2 - 1)
+        return block, mult, fwd_carry, bwd_carry, piv, k1_diag + 2.0 / self.h2r[1:-1, None]
 
 
 class DivergenceStencil:
@@ -144,32 +157,52 @@ class DivergenceStencil:
         tridiagonal along axis 1 and K2 the half-weighted Neumann second
         difference along axis 2. K2's W-orthonormal eigenvectors are cosines
         with eigenvalues (2 - 2cos(pi k/(n2-1)))/h2^2, so the inverse is a
-        cosine transform, a Thomas solve of K1 + lambda_k/r per mode and the
-        transform back. Other faces scale it symmetrically by
-        sqrt(diag(A)/diag(A_unit)) (Concus & Golub, 1973), a factor of exactly
-        one on unit faces. Only that scale depends on the faces; the rest is
-        built once per grid (_GridFactors.inverse). Returns
-        precondition(res, out, work), which writes M^-1 res into out (zero on
-        the Dirichlet rows) and overwrites work; all three have the grid's
-        shape.
+        cosine transform, a tridiagonal solve of K1 + lambda_k/r per mode and
+        the transform back. Each transform is a DCT-I, the rfft of the rows'
+        even extension (edge columns doubled on the way in), which leaves a
+        constant 1/(2(n2-1)) that the pivots carry. Each tridiagonal sweep is
+        a two-level blocked scan (the partition method; H. H. Wang, ACM TOMS
+        7, 1981): the recurrence within every block at once, then across the
+        blocks' boundary rows, then each block's carry times the in-block
+        multiplier products added to its rows. Other faces scale the inverse
+        symmetrically by sqrt(diag(A)/diag(A_unit)) (Concus & Golub, 1973),
+        a factor of exactly one on unit faces. Only that scale depends on the
+        faces; the rest is built once per grid (_GridFactors.inverse).
+        Returns precondition(res, out), which writes M^-1 res into out (zero
+        on the Dirichlet rows); both have the grid's shape.
         """
-        n1 = self.grid.n1
-        phi, off, fwd, piv, k0 = self.factors.inverse
+        block, mult, fwd_carry, bwd_carry, piv, k0 = self.factors.inverse
+        m, n2 = self.grid.n1 - 2, self.grid.n2
         scale = np.sqrt(k0 * self.factors.w_edge / self._sym_diag[1:-1])
+        # the rows' even extensions; both sweeps run in place on their first
+        # n2 columns (g3 in blocks, whose padding rows stay zero)
+        ext = np.zeros((len(mult) - 1, 2 * n2 - 2))
+        g = ext[:m, :n2]
+        g3 = ext.reshape(-1, block, ext.shape[1])[:, :, :n2]
+        fwd3, bwd3 = mult[:-1].reshape(g3.shape), mult[1:].reshape(g3.shape)
 
-        def precondition(res, out, work):
-            rows = np.multiply(res[1:-1], scale, out=out[1:-1])
-            # row by row (BLAS gemv): a matrix-matrix product would leave
-            # about 1 MB of BLAS packing buffers resident for good
-            g = np.matmul(rows[:, None], phi, out=work[1:-1, None])[:, 0]
-            for i in range(1, n1 - 2):
-                g[i] -= fwd[i - 1] * g[i - 1]
-            g[-1] /= piv[-1]
-            for i in range(n1 - 4, -1, -1):
-                g[i] = (g[i] - off[i] * g[i + 1]) * piv[i]
-            np.matmul(g[:, None], phi.T, out=out[1:-1, None])
+        def cosine_transform():
+            """DCT-I of the rows of g, from their even extension."""
+            ext[:m, n2:] = ext[:m, n2 - 2:0:-1]
+            return np.fft.rfft(ext[:m]).real
+
+        def precondition(res, out):
+            np.multiply(res[1:-1], scale, out=g)
+            g[:, ::n2 - 1] *= 2.0           # edge columns, which the extension holds once
+            g[:] = cosine_transform()
+            for t in range(1, block):
+                g3[:, t] += fwd3[:, t] * g3[:, t - 1]
+            for b in range(1, len(g3)):
+                g3[b, -1] += fwd_carry[b, -1] * g3[b - 1, -1]
+            g3[1:, :-1] += fwd_carry[1:, :-1] * g3[:-1, -1:]
+            g[:] *= piv
+            for t in range(block - 2, -1, -1):
+                g3[:, t] += bwd3[:, t] * g3[:, t + 1]
+            for b in range(len(g3) - 2, -1, -1):
+                g3[b, 0] += bwd_carry[b, 0] * g3[b + 1, 0]
+            g3[:-1, 1:] += bwd_carry[:-1, 1:] * g3[1:, :1]
+            np.multiply(cosine_transform(), scale, out=out[1:-1])
             out[0] = out[-1] = 0.0
-            out[1:-1] *= scale
             return out
 
         return precondition
@@ -211,7 +244,7 @@ class DivergenceStencil:
         r = self._metric_div(u_dir) * f.w_edge - src * f.w_sym - self._sym_op(x)
         r[f.dirichlet] = 0.0
         precondition = self._fast_inverse()
-        z = precondition(r, np.empty(grid.shape), np.empty(grid.shape))
+        z = precondition(r, np.empty(grid.shape))
         p = z.copy()
         rz = float(np.sum(r * z))
         cap = CG_ITER_FACTOR * int(np.sqrt(f.n_unknowns)) + 10
@@ -232,7 +265,7 @@ class DivergenceStencil:
             if rz < 1e-30:
                 stop = "its residual recurrence fell to roundoff"
                 break
-            precondition(r, z, Ap)
+            precondition(r, z)
             rz_new = float(np.sum(r * z))
             if rz_new <= 0.0 or not np.isfinite(rz_new):
                 stop = "CG broke down"

@@ -68,6 +68,8 @@ SINGULAR_COND_LIMIT = 1e12
 RESONANCE_COND_LIMIT = 1e8
 MIN_DAMPING = 1.0 / 16.0
 KSECTION_WIDTH = 31         # interior candidates per batched k-section pass
+# each backend's iteration cap: Picard iterations, Newton steps, k-section halvings
+MAX_ITER = {"fixed_point": 200, "shooting": 30, "scalar_bisection": 200}
 BOX_PAD = 0.5
 RTOL = 1e-15                # error per two-point step, relative to the largest |U| so far
 
@@ -394,7 +396,8 @@ def _solution(spec: ProblemSpec, mesh, profiles, gamma, **stats) -> ProfileSolut
 
 
 def solve_fixed_point(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
-                      max_iter: int = 200, damping: float = 1.0) -> ProfileSolution:
+                      max_iter: int = MAX_ITER["fixed_point"],
+                      damping: float = 1.0) -> ProfileSolution:
     """Damped Picard iteration on T[U], started from the linear ramp z*u*.
 
     The damping halves (down to 1/16) whenever the sup-norm update grows.
@@ -649,7 +652,7 @@ def shooting_jacobian(spec: ProblemSpec, gamma, n_nodes: int = 1001):
 
 
 def solve_shooting(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
-                   max_iter: int = 30) -> ProfileSolution:
+                   max_iter: int = MAX_ITER["shooting"]) -> ProfileSolution:
     """Newton iteration on the shooting map S(gamma) = U(p*; gamma) - u*,
     at most ``max_iter`` steps.
 
@@ -729,7 +732,8 @@ def _check_f_positive(spec: ProblemSpec):
 
 
 def solve_scalar(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
-                 max_iter: int = 200, bracket_hints=None) -> ProfileSolution:
+                 max_iter: int = MAX_ITER["scalar_bisection"],
+                 bracket_hints=None) -> ProfileSolution:
     """Batched k-section on gamma for dU/dp = gamma*F(U,p), F = b_next/a > 0,
     the darcy problems with n = 1 and b absent (the ``scalar`` spelling).
 

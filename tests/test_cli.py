@@ -294,6 +294,18 @@ directory = {out}
     assert main(["solve", str(write_cfg(tmp_path, cfg))]) == 2
 
 
+def test_solve_keeps_the_shooting_cap(tmp_path, caplog):
+    """A config without max_iter gives shooting its own cap of 30 Newton
+    steps, not the 200 of the other backends."""
+    text = (DATA / "darcy_rectangle_fluxes.ini").read_text()
+    assert "tol = 1e-10" in text
+    cfg_path = tmp_path / "case.ini"
+    cfg_path.write_text(text.replace("tol = 1e-10", "tol = 1e-18", 1))
+    assert load_config(cfg_path).max_iter == 30
+    assert main(["solve", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert "in 30 Newton iterations" in caplog.text
+
+
 def test_config_error_exit_code(tmp_path):
     assert main(["solve", str(tmp_path / "missing.ini")]) == 1
 
@@ -672,8 +684,10 @@ def test_config_defaults_are_problem_config_fields():
     cfg = load_config(DATA / "darcy_rectangle_fluxes.ini")
     defaults = {f.name: f.default for f in dataclasses.fields(ProblemConfig)
                 if f.default is not dataclasses.MISSING}
+    # but max_iter, whose None default takes the backend's cap (shooting here)
     assert {name: getattr(cfg, name) for name in defaults} == {
-        **defaults, "n_nodes": 1025, "tol": 1e-10, "write_fields": True, "write_fluxes": True}
+        **defaults, "n_nodes": 1025, "tol": 1e-10, "write_fields": True, "write_fluxes": True,
+        "max_iter": 30}
 
 
 def test_solve_out_naming_a_file_exits_1(tmp_path, caplog):

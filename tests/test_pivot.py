@@ -1,14 +1,23 @@
+import os
+import pathlib
+import subprocess
+import sys
 from functools import cached_property
 
 import numpy as np
 import pytest
 
+import funcsol
 from funcsol import pivot
 from funcsol.errors import PivotConvergenceError
 from funcsol.geometry import build_annulus, build_rectangle
 from funcsol.pivot import DivergenceStencil, PivotField, pivot_residual, solve_pivot, unit_faces
 from funcsol.twopoint import ProblemSpec
 from funcsol.verify import direct_coupled_solve
+
+
+COUPLED_SPEC = ProblemSpec.from_strings(2, [["2+0.5*sin(u1)", "0.3+0.1*u2"],
+                                             ["0.3+0.1*u2", "1.5+0.2*u1"]], u_star=(0.5, 0.3))
 
 
 def annulus_exact(grid):
@@ -107,7 +116,13 @@ def test_nonconvergence_raises(n, polar, tol, max_ops, monkeypatch):
 
 
 @pytest.mark.parametrize("polar", [False, True], ids=["rectangle", "annulus"])
-@pytest.mark.parametrize("n1, n2", [(3, 3), (17, 9), (9, 23), (65, 65)])
+@pytest.mark.parametrize("n1, n2", [
+    (3, 3), (17, 9), (9, 23), (65, 65),
+    # the blocked scan's edges: two equation rows (one block of B = 2);
+    # a prime row count, so the last block is ragged (m = 17, B = 4 and
+    # m = 127, B = 11); long and short rows
+    (4, 9), (19, 13), (129, 129), (257, 9), (9, 257),
+])
 @pytest.mark.parametrize("face_value", [1.0, 2.5])
 def test_fast_inverse_is_exact(n1, n2, polar, face_value):
     """The preconditioner inverts the operator of constant faces exactly.
@@ -119,7 +134,7 @@ def test_fast_inverse_is_exact(n1, n2, polar, face_value):
     cfx, cfy = unit_faces(g)
     stencil = DivergenceStencil(g, face_value * cfx, face_value * cfy)
     res = np.random.default_rng(n1 * n2).normal(size=g.shape) * g.unknown_mask
-    out = stencil._fast_inverse()(res, np.empty(g.shape), np.empty(g.shape))
+    out = stencil._fast_inverse()(res, np.empty(g.shape))
     back = stencil._sym_op(out)
     assert np.all(out[~g.unknown_mask] == 0.0)
     assert np.max(np.abs(back - res)) <= 1e-12 * np.max(np.abs(res))
@@ -132,8 +147,8 @@ def test_fast_inverse_scaled_is_symmetric():
     cfy = np.exp(rng.normal(size=(g.n1, g.n2 - 1)))
     precondition = DivergenceStencil(g, cfx, cfy)._fast_inverse()
     a, b = (rng.normal(size=g.shape) * g.unknown_mask for _ in range(2))
-    ma = precondition(a, np.empty(g.shape), np.empty(g.shape)).copy()
-    mb = precondition(b, np.empty(g.shape), np.empty(g.shape))
+    ma = precondition(a, np.empty(g.shape)).copy()
+    mb = precondition(b, np.empty(g.shape))
     assert abs(np.sum(ma * b) - np.sum(a * mb)) <= 1e-12 * abs(np.sum(a * mb))
     assert np.sum(a * ma) > 0.0
 
@@ -158,15 +173,32 @@ def test_factors_built_once_per_grid(monkeypatch):
     monkeypatch.setattr(pivot, "_GridFactors", Counting)
     monkeypatch.setattr(DivergenceStencil, "_fast_inverse",
                         lambda self: fast_inverses.append(1) or fast_inverse(self))
-    spec = ProblemSpec.from_strings(2, [["2+0.5*sin(u1)", "0.3+0.1*u2"],
-                                        ["0.3+0.1*u2", "1.5+0.2*u1"]], u_star=(0.5, 0.3))
     grid = build_annulus(33, 33, 1.0, 2.0)
     solve_pivot(grid, 1e-10)
-    direct_coupled_solve(spec, grid)
+    direct_coupled_solve(COUPLED_SPEC, grid)
     assert builds == [grid, "inverse"]
     assert len(fast_inverses) > 10
     solve_pivot(build_annulus(33, 33, 1.0, 2.0), 1e-10)
     assert len(builds) == 4
+
+
+def test_direct_solve_work(monkeypatch):
+    """The direct solve of the 33^2 coupled system takes 23 stencil solves
+    and 47 CG iterations in all; a less exact preconditioner would cost
+    iterations here."""
+    iterations = []
+    solve = DivergenceStencil.solve
+
+    def counting(self, *args, **kwargs):
+        values, its = solve(self, *args, **kwargs)
+        iterations.append(its)
+        return values, its
+
+    grid = build_annulus(33, 33, 1.0, 2.0)
+    solve_pivot(grid, 1e-10)
+    monkeypatch.setattr(DivergenceStencil, "solve", counting)
+    direct_coupled_solve(COUPLED_SPEC, grid)
+    assert (len(iterations), sum(iterations)) == (23, 47)
 
 
 @pytest.mark.parametrize("polar", [False, True], ids=["rectangle", "annulus"])
@@ -182,16 +214,42 @@ def test_cached_factors_precondition_bitwise(polar):
     cfy = np.exp(rng.normal(size=(grid.n1, grid.n2 - 1)))
     res = rng.normal(size=grid.shape) * grid.unknown_mask
     first = DivergenceStencil(grid, *unit_faces(grid))
-    first._fast_inverse()(res, np.empty(grid.shape), np.empty(grid.shape))
+    first._fast_inverse()(res, np.empty(grid.shape))
     stencil = DivergenceStencil(grid, cfx, cfy)
     assert stencil.factors is first.factors
     precondition = stencil._fast_inverse()
-    cached = precondition(res, np.empty(grid.shape), np.empty(grid.shape)).copy()
-    again = precondition(res, np.empty(grid.shape), np.empty(grid.shape))
+    cached = precondition(res, np.empty(grid.shape)).copy()
+    again = precondition(res, np.empty(grid.shape))
     fresh_grid = make()
     fresh = DivergenceStencil(fresh_grid, cfx, cfy)._fast_inverse()(
-        res, np.empty(grid.shape), np.empty(grid.shape))
+        res, np.empty(grid.shape))
     assert cached.tobytes() == fresh.tobytes() == again.tobytes()
+
+
+def test_precondition_bytes_do_not_depend_on_blas_threads():
+    """One preconditioner application on a 257^2 annulus writes the same
+    bytes on one BLAS thread as on two (each run in its own process)."""
+    src = str(pathlib.Path(funcsol.__file__).parents[1])
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from funcsol.geometry import build_annulus\n"
+            "from funcsol.pivot import DivergenceStencil\n"
+            "g = build_annulus(257, 257, 1.0, 2.0)\n"
+            "rng = np.random.default_rng(5)\n"
+            "cfx = np.exp(rng.normal(size=(g.n1 - 1, g.n2)))\n"
+            "cfy = np.exp(rng.normal(size=(g.n1, g.n2 - 1)))\n"
+            "res = rng.normal(size=g.shape) * g.unknown_mask\n"
+            "out = DivergenceStencil(g, cfx, cfy)._fast_inverse()(res, np.empty(g.shape))\n"
+            "sys.stdout.buffer.write(out.tobytes())\n")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    outputs = [
+        subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                       env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
+                            "OMP_NUM_THREADS": threads}).stdout
+        for threads in ("1", "2")
+    ]
+    assert len(outputs[0]) == 257 * 257 * 8
+    assert outputs[0] == outputs[1]
 
 
 def test_large_annulus_default_tolerance():
