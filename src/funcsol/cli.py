@@ -151,10 +151,8 @@ def cmd_solve(args) -> int:
     sol = solve_two_point(cfg.spec, cfg.backend, cfg.n_nodes, cfg.tol, cfg.bracket_hints,
                           cfg.max_iter, cfg.damping)
     log.info("two-point solve done: gamma = %s", _fmt_vec(sol.gamma))
-    if cfg.spec.mode == MOLECULAR:
-        fields = compose_fields(sol, piv, cfg.spec, with_fluxes=cfg.write_fluxes)
-    else:
-        fields = darcy_reconstruct(sol, piv, cfg.spec, with_fluxes=cfg.write_fluxes)
+    reconstruct = compose_fields if cfg.spec.mode == MOLECULAR else darcy_reconstruct
+    fields = reconstruct(sol, piv, cfg.spec, with_fluxes=cfg.write_fields and cfg.write_fluxes)
     report = divergence_residual(fields, cfg.spec, grid)
     entries = [
         ("mode", cfg.spec.mode),

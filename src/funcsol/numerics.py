@@ -1,4 +1,4 @@
-"""Shared quadrature and differencing kernels (uniform meshes, odd node counts)."""
+"""Shared quadrature and differencing kernels on uniform meshes."""
 
 from __future__ import annotations
 
@@ -7,16 +7,10 @@ import math
 import numpy as np
 
 
-def require_odd(n_nodes: int) -> int:
-    """The node count of a profile mesh: odd and at least 5, what
-    ``cumulative_simpson`` accepts. Fewer nodes become 5, an even count
-    gains one."""
-    n = int(n_nodes)
-    if n < 5:
-        n = 5
-    if n % 2 == 0:
-        n += 1
-    return n
+def at_least_five_nodes(n_nodes: int) -> int:
+    """The node count of a profile mesh: ``n_nodes`` as given, but at least
+    5, what the 5-point derivative stencils need."""
+    return max(5, int(n_nodes))
 
 
 def range_scale(magnitude: float) -> float:
@@ -34,13 +28,13 @@ def cumulative_simpson(y: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     nodes (one-sided stencils on the first and last interval). This is the
     same order as composite Simpson but the node error varies smoothly,
     without the even/odd sawtooth of pairwise Simpson increments, which
-    downstream finite-difference checks rely on. Needs an odd sample count
-    of at least 5, what ``require_odd`` meshes have.
+    downstream finite-difference checks rely on. Exact for cubics at any
+    sample count of at least 4, odd or even.
     """
     y = np.moveaxis(np.asarray(y, dtype=float), axis, 0)
     m = y.shape[0]
-    if m < 5 or m % 2 == 0:
-        raise ValueError(f"cumulative_simpson needs an odd sample count >= 5, got {m}")
+    if m < 4:
+        raise ValueError(f"cumulative_simpson needs a sample count >= 4, got {m}")
     inc = np.empty_like(y[:-1])
     inc[1:-1] = (h / 24.0) * (-y[:-3] + 13.0 * y[1:-2] + 13.0 * y[2:-1] - y[3:])
     inc[0] = (h / 24.0) * (9.0 * y[0] + 19.0 * y[1] - 5.0 * y[2] + y[3])

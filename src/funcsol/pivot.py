@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PivotConvergenceError
-from .geometry import GAMMA3, POLAR, Grid
+from .geometry import POLAR, Grid
 
 CG_ITER_FACTOR = 50
 
@@ -46,7 +46,7 @@ class PivotField:
 
 class _GridFactors:
     """What a DivergenceStencil needs of its grid alone, built once per grid
-    and shared by its stencils: metric, weights, masks, denominators and,
+    and shared by its stencils: metric, weights, denominators and,
     from the first solve on, the face-independent part of the fast inverse."""
 
     def __init__(self, grid: Grid):
@@ -56,9 +56,7 @@ class _GridFactors:
         self.rvec = np.asarray(grid.x1, dtype=float) if grid.coord_system == POLAR else np.ones(n1)
         self.rface = 0.5 * (self.rvec[:-1] + self.rvec[1:])
         self.h2r = self.h2**2 * self.rvec
-        self.unknown = grid.unknown_mask
-        self.dirichlet = ~self.unknown
-        self.n_unknowns = int(self.unknown.sum())
+        self.n_unknowns = (n1 - 2) * n2
         # row symmetrization weights: half cells on Neumann edges (per
         # column), times the metric r
         self.w_edge = np.ones(n2)
@@ -118,25 +116,28 @@ class DivergenceStencil:
         self.cfy = cfy
 
     def _metric_div(self, u):
-        """r * div(c grad u) on equation rows, zero on Dirichlet rows."""
+        """r * div(c grad u) on the equation rows, zero on the Dirichlet rows
+        (the first and the last)."""
         f = self.factors
         out = np.zeros(self.grid.shape)
+        eq, h2r = out[1:-1], f.h2r[1:-1]
         fx = self.cfx * (u[1:, :] - u[:-1, :])
-        out[1:-1, :] += (fx[1:, :] - fx[:-1, :]) / f.h1sq
-        fy = self.cfy * (u[:, 1:] - u[:, :-1])
-        out[:, 1:-1] += (fy[:, 1:] - fy[:, :-1]) / f.h2r[:, None]
-        out[:, 0] += 2.0 * fy[:, 0] / f.h2r
-        out[:, -1] += -2.0 * fy[:, -1] / f.h2r
-        out[f.dirichlet] = 0.0
+        eq += (fx[1:, :] - fx[:-1, :]) / f.h1sq
+        fy = self.cfy[1:-1] * (u[1:-1, 1:] - u[1:-1, :-1])
+        eq[:, 1:-1] += (fy[:, 1:] - fy[:, :-1]) / h2r[:, None]
+        eq[:, 0] += 2.0 * fy[:, 0] / h2r
+        eq[:, -1] += -2.0 * fy[:, -1] / h2r
         return out
 
     def apply(self, u):
         return self._metric_div(u) / self.factors.rvec[:, None]
 
     def _sym_op(self, v):
-        """SPD operator on masked unknowns: -w_edge * r * div(c grad .)."""
-        f = self.factors
-        return -(self._metric_div(v * f.unknown) * f.w_edge) * f.unknown
+        """SPD operator on the equation rows: -w_edge * r * div(c grad .).
+
+        Every CG vector is zero on the Dirichlet rows and _metric_div returns
+        zero there, so neither side needs masking."""
+        return -(self._metric_div(v) * self.factors.w_edge)
 
     @cached_property
     def _sym_diag(self):
@@ -147,7 +148,7 @@ class DivergenceStencil:
         d[:, 0] += 2.0 * self.cfy[:, 0] / f.h2r
         d[:, -1] += 2.0 * self.cfy[:, -1] / f.h2r
         d *= f.w_edge
-        d[f.dirichlet] = 1.0
+        d[[0, -1]] = 1.0
         return d
 
     def _fast_inverse(self):
@@ -230,19 +231,22 @@ class DivergenceStencil:
         fallen to roundoff, CG broke down, or the iteration cap was reached.
         """
         grid, f = self.grid, self.factors
-        u_dir = np.where(f.unknown, 0.0, dirichlet_values)
+        u_dir = np.array(dirichlet_values, dtype=float)
+        u_dir[1:-1] = 0.0
         src = 0.0 if source is None else source
 
         def phys_residual(x):
             r = self.apply(x + u_dir) - src
-            return float(np.max(np.abs(r[f.unknown])))
+            return float(np.max(np.abs(r[1:-1])))
 
-        x = np.zeros(grid.shape) if x0 is None else np.where(f.unknown, x0, 0.0)
+        x = np.zeros(grid.shape)
+        if x0 is not None:
+            x[1:-1] = x0[1:-1]
         if phys_residual(x) <= tol:
             return x + u_dir, 0
         # A x = w*(r div) of the Dirichlet part - w_sym*src, with A = -w*(r div(.))
         r = self._metric_div(u_dir) * f.w_edge - src * f.w_sym - self._sym_op(x)
-        r[f.dirichlet] = 0.0
+        r[[0, -1]] = 0.0
         precondition = self._fast_inverse()
         z = precondition(r, np.empty(grid.shape))
         p = z.copy()
@@ -292,10 +296,10 @@ def arithmetic_mean_faces(c_nodes: np.ndarray):
 
 
 def dirichlet_targets(grid: Grid, boundary: float):
-    """Every field's Dirichlet data: 0 on gamma1 and ``boundary`` on gamma3,
-    zero on the equation rows."""
+    """Every field's Dirichlet data: 0 on gamma1 (the first row) and
+    ``boundary`` on gamma3 (the last row), zero on the equation rows."""
     d = np.zeros(grid.shape)
-    d[grid.mask(GAMMA3)] = boundary
+    d[-1] = boundary
     return d
 
 
@@ -343,7 +347,7 @@ def pivot_residual_values(grid: Grid, values: np.ndarray) -> float:
     lap[:, 1:-1] += (u[:, :-2] - 2.0 * u[:, 1:-1] + u[:, 2:]) * tfac
     lap[:, 0] += 2.0 * (u[:, 1] - u[:, 0]) * tfac[:, 0]
     lap[:, -1] += 2.0 * (u[:, -2] - u[:, -1]) * tfac[:, 0]
-    return float(np.max(np.abs(lap[grid.unknown_mask])))
+    return float(np.max(np.abs(lap[1:-1])))
 
 
 def pivot_residual(field: PivotField) -> float:

@@ -26,7 +26,7 @@ of a spec come from one compiled (A, b, b_{n+1}) bundle. The backends:
 
 Every initial value problem goes through one integrator: DOP853, batched
 over a stack of gammas that share one step sequence. Its steps end on
-nodes of a uniform odd-count mesh, and its dense output samples the
+nodes of a uniform mesh of N nodes, and its dense output samples the
 profiles at the nodes in between, so the mesh sets the output resolution
 and the error control (RTOL) sets the step count. The reconstruction layer
 treats the node samples as piecewise-linear interpolants.
@@ -53,10 +53,10 @@ from .errors import (
 )
 from .exprlang import collect_variables, parse_expression
 from .numerics import (
+    at_least_five_nodes,
     cumulative_simpson,
     midpoint_derivatives_4th,
     midpoint_values_4th,
-    require_odd,
 )
 
 MOLECULAR = "molecular"
@@ -410,7 +410,7 @@ def solve_fixed_point(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10
         raise ValueError("solve_fixed_point applies to molecular problems")
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must lie in (0, 1], got {damping}")
-    m_nodes = require_odd(n_nodes)
+    m_nodes = at_least_five_nodes(n_nodes)
     mesh = np.linspace(0.0, 1.0, m_nodes)
     box = default_box(spec)
     bounds = ellipticity_bounds(spec, box)
@@ -456,7 +456,7 @@ def solve_fixed_point(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10
 
 def _integrate_batch(spec: ProblemSpec, gammas, n_nodes, steps=None):
     """DOP853 for U' = A^-1 (gamma*b_next - b) from U(0) = 0, batched over a
-    stack of gammas and sampled on the uniform odd-count mesh of ``n_nodes``.
+    stack of gammas and sampled on the uniform mesh of ``n_nodes`` nodes.
 
     Every step runs from one mesh node to a later one, and the columns of
     the batch share one step sequence. The first step tries the whole
@@ -480,7 +480,7 @@ def _integrate_batch(spec: ProblemSpec, gammas, n_nodes, steps=None):
     """
     gammas = np.atleast_2d(np.asarray(gammas, dtype=float))
     k, n = gammas.shape[0], spec.n
-    m = require_odd(n_nodes)
+    m = at_least_five_nodes(n_nodes)
     mesh = np.linspace(0.0, spec.p_star, m)
     traj = np.zeros((m, k * n))
     raw, names, nn = spec.bundle.raw, [f"u{i+1}" for i in range(n)], n * n
@@ -632,9 +632,10 @@ def _origin_linearization(spec: ProblemSpec):
         inv0 = _inverse_along(A, 0.0)[0]
     except SingularMatrixError as exc:
         raise DegenerateLinearizationError(f"origin linearization is degenerate: {exc}") from None
-    if abs(bn0) <= 1e-14:
+    with np.errstate(all="ignore"):
+        gamma0 = (A[0] @ spec.u_star / spec.p_star + b0) / bn0
+    if bn0 == 0.0 or not np.all(np.isfinite(gamma0)):
         raise DegenerateLinearizationError(f"origin value of b_next ({bn0:.3e}) is degenerate")
-    gamma0 = (A[0] @ spec.u_star / spec.p_star + b0) / bn0
     j0_norm = float(np.linalg.norm(spec.p_star * bn0 * inv0, 2))
     return gamma0, j0_norm
 
@@ -825,7 +826,7 @@ def solve_scalar(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
         base = gamma if gamma != 0.0 else 1.0
         batch([base * fac for fac in (0.5, 0.75, 1.25, 1.5)])
     gs = [evals[gam] for gam in sorted(evals)]
-    slack = require_odd(n_nodes) * np.finfo(float).eps * max(abs(v) for v in gs)
+    slack = at_least_five_nodes(n_nodes) * np.finfo(float).eps * max(abs(v) for v in gs)
     if any(g2 <= g1 - slack for g1, g2 in zip(gs, gs[1:])):
         raise FuncsolError(
             "endpoint map is not strictly increasing in gamma; "

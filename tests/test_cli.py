@@ -555,6 +555,34 @@ def test_output_flags_select_files(tmp_path, flags, stems):
     assert (tmp_path / "out" / "report.txt").is_file()
 
 
+@pytest.mark.parametrize("flags, builds", [
+    ("write_fields = no\nwrite_fluxes = yes\n", 0),
+    ("write_fields = yes\nwrite_fluxes = yes\n", 1),
+], ids=["fluxes-unwritten", "fluxes-written"])
+def test_solve_builds_only_the_fluxes_it_writes(tmp_path, monkeypatch, flags, builds):
+    calls = []
+    flux_fields = funcsol.reconstruct._flux_fields
+    monkeypatch.setattr(funcsol.reconstruct, "_flux_fields",
+                        lambda *args: calls.append(1) or flux_fields(*args))
+    assert main(["solve", str(write_cfg(tmp_path, MOLECULAR_CFG + flags))]) == 0
+    assert len(calls) == builds
+    report = (tmp_path / "out" / "report.txt").read_bytes()
+    assert main(["solve", str(write_cfg(tmp_path, MOLECULAR_CFG, "plain.ini"))]) == 0
+    assert report == (tmp_path / "out" / "report.txt").read_bytes()
+
+
+def test_solve_even_n_round_trips_through_verify(tmp_path):
+    cfg_path = write_cfg(tmp_path, MOLECULAR_CFG.replace("n_nodes = 257", "n_nodes = 256"))
+    out, checked = tmp_path / "out", tmp_path / "verify"
+    assert load_config(cfg_path).n_nodes == 256
+    assert main(["solve", str(cfg_path)]) == 0
+    assert main(["verify", str(cfg_path), str(out), "--out", str(checked)]) == 0
+    solved = read_report(out / "report.txt")
+    verified = read_report(checked / "verify_report.txt")
+    for key in ("divergence_residual_linf", "divergence_residual_l2", "boundary_max_error"):
+        assert verified[key] == solved[key]
+
+
 @pytest.mark.parametrize("key", ["write_fields", "write_fluxes"])
 def test_output_flag_rejects_invalid_value(tmp_path, key):
     cfg_path = write_cfg(tmp_path, MOLECULAR_CFG + f"{key} = maybe\n")

@@ -1,27 +1,37 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from funcsol.errors import GridDimensionError, InvalidExtentsError, InvalidRadiiError
-from funcsol.geometry import (
-    GAMMA1,
-    GAMMA2,
-    GAMMA3,
-    INTERIOR,
-    build_annulus,
-    build_rectangle,
-)
+from funcsol.geometry import Grid, build_annulus, build_rectangle
+from funcsol.pivot import dirichlet_targets
+
+
+def _partition(g):
+    """Node masks (gamma1, gamma2, gamma3, interior) read off the grid's
+    equation rows and its Dirichlet data."""
+    unknown = g.unknown_mask
+    gamma3 = dirichlet_targets(g, 1.0) == 1.0
+    gamma1 = ~unknown & ~gamma3
+    edge = np.zeros(g.shape, dtype=bool)
+    edge[:, [0, -1]] = True
+    return gamma1, unknown & edge, gamma3, unknown & ~edge
+
+
+def test_grid_fields_are_the_coordinates():
+    assert [f.name for f in dataclasses.fields(Grid)] == ["coord_system", "x1", "x2"]
 
 
 def test_rectangle_3x3_tag_counts():
     g = build_rectangle(3, 3, 1.0, 1.0)
-    tags = g.node_tags
-    assert tags.size == 9
-    assert int((tags == GAMMA1).sum()) == 3
-    assert int((tags == GAMMA3).sum()) == 3
-    assert int((tags == GAMMA2).sum()) == 2
-    assert int((tags == INTERIOR).sum()) == 1
+    gamma1, gamma2, gamma3, interior = _partition(g)
+    assert g.unknown_mask.shape == (3, 3)
+    assert int(gamma1.sum()) == 3
+    assert int(gamma3.sum()) == 3
+    assert int(gamma2.sum()) == 2
+    assert int(interior.sum()) == 1
 
 
 def test_rectangle_spacing():
@@ -42,10 +52,11 @@ def test_rectangle_bad_extent():
 def test_annulus_tags():
     g = build_annulus(3, 3, 1.0, 2.0)
     assert g.coord_system == "polar"
-    assert np.all(g.node_tags[0, :] == GAMMA1)      # inner arc
-    assert np.all(g.node_tags[-1, :] == GAMMA3)     # outer arc
-    assert np.all(g.node_tags[1, 0] == GAMMA2)      # radial edges
-    assert np.all(g.node_tags[1, -1] == GAMMA2)
+    d = dirichlet_targets(g, 2.0)
+    assert not g.unknown_mask[0].any() and np.all(d[0] == 0.0)      # inner arc
+    assert not g.unknown_mask[-1].any() and np.all(d[-1] == 2.0)    # outer arc
+    assert g.unknown_mask[1, 0] and g.unknown_mask[1, -1]           # radial edges
+    assert np.all(d[1] == 0.0)
 
 
 def test_annulus_spacing():
@@ -69,33 +80,38 @@ def test_annulus_bad_radii():
 def test_boundary_partition_exhaustive(builder, args):
     g = builder(*args)
     n1, n2 = g.shape
+    parts = np.stack(_partition(g))
+    assert np.all(parts.sum(axis=0) == 1)           # every node in exactly one part
     for i in range(n1):
         for j in range(n2):
             on_boundary = i in (0, n1 - 1) or j in (0, n2 - 1)
-            tag = int(g.node_tags[i, j])
-            if on_boundary:
-                assert tag in (GAMMA1, GAMMA2, GAMMA3)
-            else:
-                assert tag == INTERIOR
-    assert (g.node_tags == GAMMA1).any()
-    assert (g.node_tags == GAMMA3).any()
-    assert not ((g.node_tags == GAMMA1) & (g.node_tags == GAMMA3)).any()
+            assert parts[3, i, j] == (not on_boundary)
+    assert parts[0].any() and parts[2].any()
+    assert np.all(parts[0][0]) and np.all(parts[2][-1])
 
 
 def test_dirichlet_corners():
     g = build_rectangle(4, 4, 1.0, 1.0)
-    assert g.node_tags[0, 0] == GAMMA1 and g.node_tags[0, -1] == GAMMA1
-    assert g.node_tags[-1, 0] == GAMMA3 and g.node_tags[-1, -1] == GAMMA3
+    gamma1, _, gamma3, _ = _partition(g)
+    assert gamma1[0, 0] and gamma1[0, -1]
+    assert gamma3[-1, 0] and gamma3[-1, -1]
 
 
 def test_deterministic_rebuild():
     a = build_annulus(9, 7, 1.0, 2.0)
     b = build_annulus(9, 7, 1.0, 2.0)
-    np.testing.assert_array_equal(a.node_tags, b.node_tags)
+    np.testing.assert_array_equal(a.unknown_mask, b.unknown_mask)
     np.testing.assert_array_equal(a.x1, b.x1)
+    np.testing.assert_array_equal(a.x2, b.x2)
 
 
 def test_grid_is_immutable():
     g = build_rectangle(3, 3, 1.0, 1.0)
     with pytest.raises(ValueError):
-        g.node_tags[0, 0] = GAMMA2
+        g.x1[0] = 0.5
+    with pytest.raises(ValueError):
+        g.x2[0] = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.x1 = np.zeros(3)
+    g.unknown_mask[1, 1] = False                    # a fresh array per call
+    assert g.unknown_mask[1, 1]

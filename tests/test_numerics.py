@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 
 from funcsol.numerics import (
+    at_least_five_nodes,
     cumulative_simpson,
     derivative_4th,
     midpoint_derivatives_4th,
     midpoint_values_4th,
-    require_odd,
 )
 
 
-def test_require_odd():
-    assert require_odd(1000) == 1001
-    assert require_odd(1001) == 1001
-    assert require_odd(2) == 5
+def test_at_least_five_nodes():
+    assert at_least_five_nodes(1000) == 1000
+    assert at_least_five_nodes(1001) == 1001
+    assert at_least_five_nodes(2) == 5
 
 
 def test_cumulative_exact_for_cubics():
@@ -58,8 +58,13 @@ def test_midpoint_formulas_exact_for_cubics():
     np.testing.assert_allclose(midpoint_derivatives_4th(y, h), 3 * mids**2 - 1, atol=1e-13)
 
 
-def test_even_sample_count_rejected():
-    with pytest.raises(ValueError):
-        cumulative_simpson(np.zeros(10), 0.1)
-    with pytest.raises(ValueError, match=">= 5"):
+@pytest.mark.parametrize("m", [4, 5, 6, 8, 1000])
+def test_cumulative_exact_for_cubics_at_any_sample_count(m):
+    x = np.linspace(0.0, 1.0, m)
+    c = cumulative_simpson(x**3 - x, x[1] - x[0])
+    np.testing.assert_allclose(c, x**4 / 4.0 - x**2 / 2.0, rtol=0, atol=1e-15)
+
+
+def test_too_few_samples_rejected():
+    with pytest.raises(ValueError, match=">= 4"):
         cumulative_simpson(np.zeros(3), 0.1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from funcsol.errors import NonPositiveWeightError, ProfileRangeError
-from funcsol.geometry import GAMMA1, GAMMA3, build_annulus, build_rectangle
+from funcsol.geometry import build_annulus, build_rectangle
 from funcsol.pivot import solve_pivot
 from funcsol.reconstruct import (
     ThetaMap,
@@ -57,10 +57,9 @@ def test_compose_boundary_exactness(square17):
     prof[:, -1] += 3e-9  # solver-level endpoint error must not leak to gamma3
     sol = make_profiles(CONST, mesh, prof)
     fs = compose_fields(sol, square17, CONST)
-    g = square17.grid
-    assert np.all(fs.u_fields[0][g.mask(GAMMA3)] == 1.0)
-    assert np.all(fs.u_fields[1][g.mask(GAMMA3)] == -0.5)
-    assert np.all(fs.u_fields[0][g.mask(GAMMA1)] == 0.0)
+    assert np.all(fs.u_fields[0][-1] == 1.0)         # gamma3, the last row
+    assert np.all(fs.u_fields[1][-1] == -0.5)
+    assert np.all(fs.u_fields[0][0] == 0.0)          # gamma1, the first row
 
 
 def test_compose_range_error(square17):

@@ -594,6 +594,34 @@ def test_shooting_b_next_vanishing_at_the_origin():
         solve_shooting(spec)
 
 
+@pytest.mark.parametrize("scale", ["1e-15", "1e-30", "1e-200"])
+def test_shooting_tiny_b_next_at_the_origin(scale):
+    """A small b_next is a scale, not a degeneracy: U' = gamma * scale * e^p
+    gives gamma = 1 / (scale * (e - 1))."""
+    spec = ProblemSpec.from_strings(1, [["1"]], b_next=f"{scale}*exp(p)", u_star=(1.0,),
+                                    mode="darcy")
+    exact = 1.0 / (float(scale) * (math.e - 1.0))
+    assert solve_shooting(spec).gamma[0] == pytest.approx(exact, rel=1e-9, abs=0)
+
+
+def test_shooting_b_next_overflowing_gamma0():
+    spec = ProblemSpec.from_strings(1, [["1"]], b_next="1e-310", u_star=(1.0,), mode="darcy")
+    with pytest.raises(DegenerateLinearizationError,
+                       match=r"origin value of b_next \(1\.000e-310\) is degenerate"):
+        solve_shooting(spec)
+
+
+@pytest.mark.parametrize("spec, backend", [
+    (DIAG, "fixed_point"),
+    (DIAG, "shooting"),
+    (scalar_spec("1+u1^2", "1", 1.0), "scalar_bisection"),
+])
+def test_even_node_count_is_kept(spec, backend):
+    sol = solve_two_point(spec, backend, 1000, 1e-10)
+    assert sol.mesh.size == sol.profiles.shape[1] == 1000
+    assert sol.boundary_error <= 1e-10
+
+
 def test_solve_two_point_unknown_backend():
     with pytest.raises(ValueError, match="unknown two-point backend 'nope'"):
         solve_two_point(DIAG, "nope", 65, 1e-10)
