@@ -48,23 +48,29 @@ def write_field_csv(path: Path, grid: Grid, values: np.ndarray):
     """One node per row, x1 outer, header x1,x2,value, every number as %.17g.
 
     Fields u = U(z) repeat a few values along each row, so each distinct
-    value of a row is formatted once and its text reused. Values count as
-    equal when their bit patterns are: -0.0 == 0.0 as floats but prints
-    as -0, and each NaN prints as nan whatever its sign or payload.
+    value of a row is formatted once and its text reused; a row of one
+    value is one join. Values count as equal when their bit patterns are:
+    -0.0 == 0.0 as floats but prints as -0, and each NaN prints as nan
+    whatever its sign or payload.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != grid.shape:
         raise ShapeMismatchError(f"{path}: values of shape {values.shape} on a {grid.shape} grid")
+    all_bits = values.view(np.int64)
+    constant = (all_bits == all_bits[:, :1]).all(axis=1).tolist()
     # after the row's x1 field, x2 fields alternate with value texts, which
     # carry their line's end and the next line's x1; the last one loses it
     parts = [None] * (2 * grid.n2 + 1)
-    parts[1::2] = [f",{_fmt(b)}," for b in grid.x2]
+    parts[1::2] = x2_cells = [f",{_fmt(b)}," for b in grid.x2]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x1,x2,value\n")
-        for a, row in zip(grid.x1, values):
+        for a, row, row_bits, same in zip(grid.x1, values, all_bits, constant):
             x1 = parts[0] = _fmt(a)
+            if same:
+                text = "%.17g\n" % row[0]
+                fh.write(x1 + (text + x1).join(x2_cells) + text)
+                continue
             # what np.unique(..., return_inverse=True) gives, in fewer numpy calls
-            row_bits = row.view(np.int64)
             bits = np.sort(row_bits)
             bits = bits[np.concatenate(([True], bits[1:] != bits[:-1]))]
             texts = ((f"%.17g\n{x1}\0" * bits.size)

@@ -34,6 +34,7 @@ treats the node samples as piecewise-linear interpolants.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -740,7 +741,8 @@ def solve_scalar(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
 
     ``bracket_hints``, when given, are the integrals (int_0^p* r, int_0^p* q)
     of lower/upper bounds r <= F <= q, yielding the analytic initial bracket
-    [u*/int q, u*/int r]. Otherwise the bracket grows geometrically from 0.
+    [u*/int q, u*/int r]. Otherwise the bracket grows geometrically from 0
+    while its ends stay finite.
     Every gamma goes through one memoized batch integration: both bracket
     ends in one batch, then KSECTION_WIDTH interior candidates per pass, and
     no gamma twice. Once the bracket straddles u*, its batch's step sequence
@@ -781,21 +783,19 @@ def solve_scalar(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
         lo = hi = 0.0
     # the endpoint map increases in gamma: move whichever end is short
     step = abs(u_star) / spec.p_star
-    for grow in range(61):
+    for grow in itertools.count():
         evals.clear()           # both ends from one batch, so on one step sequence
         hits.clear()
         miss_lo, miss_hi = (end - u_star for end in batch([lo, hi]))
         gamma = next((c for c in (lo, hi) if c in hits), None)
         if gamma is not None or miss_lo * miss_hi < 0.0:
             break
-        if grow == 60:
+        next_end = hi + step if miss_hi < 0.0 else lo - step
+        if not math.isfinite(next_end):
             raise BracketFailureError(
-                f"no sign change in the endpoint map after {grow} expansions "
-                f"(gamma in [{lo:.6g}, {hi:.6g}])")
-        if miss_hi < 0.0:
-            hi += step
-        else:
-            lo -= step
+                f"no sign change in the endpoint map after {grow} expansions, the next "
+                f"one out of range (gamma in [{lo:.6g}, {hi:.6g}])")
+        lo, hi = (lo, next_end) if miss_hi < 0.0 else (next_end, hi)
         step *= 2.0
     frozen = last
     passes, best_miss = 0, math.inf

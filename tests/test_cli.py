@@ -391,6 +391,39 @@ def test_write_field_csv_groups_values_by_bit_pattern(tmp_path):
     np.testing.assert_array_equal(np.signbit(read_field_csv(path, grid)[0, :2]), [True, False])
 
 
+NAN_PAYLOADS = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001],
+                        dtype=np.uint64).view(np.float64)
+
+
+@pytest.mark.parametrize("row, one_value, text", [
+    (np.full(6, -0.0), True, b"-0"),
+    (np.full(6, NAN_PAYLOADS[2]), True, b"nan"),
+    (np.full(6, -math.inf), True, b"-inf"),
+    (np.full(6, 5e-324), True, b"4.9406564584124654e-324"),
+    # equal as floats, not bit for bit: each value keeps its own text
+    (np.array([0.0, -0.0, 0.0, 0.0, 0.0, 0.0]), False, None),
+    (np.resize(NAN_PAYLOADS, 6), False, b"nan"),
+], ids=["minus_zero", "one_nan_payload", "minus_inf", "subnormal", "signed_zeros", "nan_payloads"])
+def test_write_field_csv_one_value_rows_by_bit_pattern(tmp_path, monkeypatch, row, one_value,
+                                                       text):
+    grid = build_annulus(3, row.size, 1.0, 2.0)
+    values = np.stack([row, np.arange(row.size, dtype=float), row[::-1]])
+    sorts = []
+    sort = np.sort
+    monkeypatch.setattr(np, "sort", lambda a, *args, **kw: sorts.append(a) or sort(a, *args, **kw))
+    path = tmp_path / "f.csv"
+    write_field_csv(path, grid, values)
+    written = path.read_bytes()
+    assert written == reference_field_csv(grid, values)
+    # a row of one bit pattern is written without the distinct-value sort
+    assert len(sorts) == (1 if one_value else 3)
+    texts = [line.rsplit(b",", 1)[1] for line in written.splitlines()[1:row.size + 1]]
+    if text is not None:
+        assert texts == [text] * row.size
+    else:
+        assert texts == [b"0", b"-0", b"0", b"0", b"0", b"0"]
+
+
 def test_write_field_csv_row_constant_257_wide(tmp_path):
     grid = build_annulus(9, 257, 1.0, 2.0)
     # one value per row, as u = U(z) on either grid family; a stride-0 view
@@ -411,15 +444,18 @@ def test_write_field_csv_all_distinct_257_square(tmp_path):
 
 
 def test_write_field_csv_memory_stays_per_row(tmp_path):
+    # neither the distinct-value rows nor the one-value rows build a file's text
     grid = build_rectangle(257, 257, 1.0, 2.0)
-    values = np.random.default_rng(8).standard_normal(grid.shape)
-    tracemalloc.start()
-    try:
-        write_field_csv(tmp_path / "f.csv", grid, values)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.5e6
+    fields = {"all_distinct": np.random.default_rng(8).standard_normal(grid.shape),
+              "row_constant": np.repeat(np.sqrt(grid.x1)[:, None], grid.n2, axis=1)}
+    for name, values in fields.items():
+        tracemalloc.start()
+        try:
+            write_field_csv(tmp_path / "f.csv", grid, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5e6, name
 
 
 def test_solve_logs_written_files(tmp_path, caplog):

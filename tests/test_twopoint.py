@@ -559,6 +559,12 @@ def test_scalar_bracket_failure(monkeypatch):
     assert len(calls) > 60
 
 
+def test_scalar_unhinted_bracket_grows_past_60_doublings():
+    # gamma = 1/(1e-30 (e - 1)) = 5.8e29 lies about 99 doublings from 0
+    sol = solve_scalar(scalar_spec("1", "1e-30*exp(p)", 1.0), n_nodes=65)
+    assert sol.gamma[0] == pytest.approx(1.0 / (1e-30 * math.expm1(1.0)), rel=1e-9)
+
+
 def test_scalar_unhinted_expansion_hits_root():
     # F = 1, so the first expansion endpoint gamma = u*/p* = 2 is the root
     # exactly; it must be accepted rather than expanded past
