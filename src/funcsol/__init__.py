@@ -8,7 +8,7 @@ the full grid fields.
 
 from .config import ProblemConfig, load_config
 from .geometry import Grid, build_annulus, build_rectangle
-from .pivot import PivotField, pivot_residual, solve_pivot
+from .pivot import PivotField, pivot_residual_values, solve_pivot
 from .reconstruct import (
     FieldSet,
     ThetaMap,
@@ -59,7 +59,7 @@ __all__ = [
     "compose_fields", "darcy_reconstruct", "direct_coupled_solve",
     "divergence_residual", "ellipticity_bounds", "gamma_functional",
     "get_oracle", "integrate_profiles", "kirchhoff_theta", "load_config",
-    "pivot_residual", "pressure_from_pivot", "run_oracle_suite",
+    "pivot_residual_values", "pressure_from_pivot", "run_oracle_suite",
     "shooting_jacobian", "solve_fixed_point", "solve_pivot", "solve_scalar",
     "solve_shooting", "theta_linearity",
 ]

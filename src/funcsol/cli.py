@@ -62,6 +62,7 @@ def write_field_csv(path: Path, grid: Grid, values: np.ndarray):
     # carry their line's end and the next line's x1; the last one loses it
     parts = [None] * (2 * grid.n2 + 1)
     parts[1::2] = x2_cells = [f",{_fmt(b)}," for b in grid.x2]
+    path.unlink(missing_ok=True)        # see write_report
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x1,x2,value\n")
         for a, row, row_bits, same in zip(grid.x1, values, all_bits, constant):
@@ -106,6 +107,8 @@ def read_field_csv(path: Path, grid: Grid) -> np.ndarray:
 
 def write_report(path: Path, entries):
     lines = [f"{key} = {value}" for key, value in entries]
+    # a new file: truncating one in writeback can stall, and a link is not written through
+    path.unlink(missing_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -153,7 +156,7 @@ def cmd_solve(args) -> int:
     grid = cfg.make_grid()
     log.info("solving pivot on %dx%d %s grid", cfg.n1, cfg.n2, cfg.family)
     piv = solve_pivot(grid, cfg.pivot_tol)
-    log.info("pivot done: residual %.3e, %d iterations", piv.achieved_residual, piv.iterations)
+    log.info("pivot done: residual %.3e", piv.achieved_residual)
     sol = solve_two_point(cfg.spec, cfg.backend, cfg.n_nodes, cfg.tol, cfg.bracket_hints,
                           cfg.max_iter, cfg.damping)
     log.info("two-point solve done: gamma = %s", _fmt_vec(sol.gamma))
@@ -168,7 +171,6 @@ def cmd_solve(args) -> int:
         ("boundary_error", _fmt(sol.boundary_error)),
         ("solver_iterations", sol.stats.get("iterations", 0)),
         ("pivot_residual", _fmt(piv.achieved_residual)),
-        ("pivot_iterations", piv.iterations),
         *_residual_entries(report),
     ]
     if cfg.spec.mode == MOLECULAR:

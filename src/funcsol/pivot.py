@@ -1,22 +1,23 @@
-"""Mixed Dirichlet/Neumann solver for the pivot field and its linear machinery.
+"""The pivot field in closed form, and the stencil machinery of the other stages.
 
 The pivot z solves Laplace's equation with z=0 on gamma1, dz/dn=0 on
 gamma2 and z=1 on gamma3, discretized by the 5-point stencil (flux form,
 ghost-node reflection on Neumann edges, identity rows on Dirichlet
 nodes). On polar grids the operator carries the metric terms
 z_rr + z_r/r + z_tt/r^2, which the face-radius flux form reproduces
-node-exactly.
+node-exactly. Gamma1 and gamma3 are whole rows on both grid families, so
+the discrete pivot depends on x1 alone: a 1D sum gives it exactly, with
+no iteration (pivot_values).
 
-The same machinery generalizes to variable coefficients div(c grad u) = s
-and is reused by the direct coupled solver and the residual checker. Rows
-are symmetrized with half weights on Neumann edges (and a factor r on
-polar grids), which makes the reduced system SPD. Every linear solve is
-conjugate gradients preconditioned by a separable fast solver, exact for
-the pivot (DivergenceStencil._fast_inverse): a cosine transform across
-axis 2, a DCT-I taken as the rfft of each row's even extension, and per
-cosine mode a tridiagonal solve along axis 1, whose two sweeps run as a
-two-level blocked scan. What it and the stencil need of the grid alone is
-built once per grid (_GridFactors).
+The stencil generalizes to div(c grad u) = s for the direct coupled
+solver and the residual checker. Rows are symmetrized with half weights on
+Neumann edges (and a factor r on polar grids), which makes the reduced
+system SPD. The direct solver's linear solves are conjugate gradients with
+a separable fast preconditioner, exact for unit faces (_fast_inverse): a
+cosine transform across axis 2, a DCT-I taken as the rfft of each row's
+even extension, and per cosine mode a tridiagonal solve along axis 1 by a
+two-level blocked scan. Its grid-only part is built once per grid
+(_GridFactors).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ class PivotField:
     grid: Grid
     values: np.ndarray
     achieved_residual: float
-    iterations: int
+    iterations: int         # always 0: the closed form takes no iteration
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -220,7 +221,7 @@ class DivergenceStencil:
         row = max(float(diag.max()) * max(1.0, value_scale), float(np.max(np.abs(source))))
         return 30.0 * np.finfo(float).eps * row
 
-    def solve(self, dirichlet_values, source=None, tol=1e-10, x0=None):
+    def solve(self, dirichlet_values, source=0.0, tol=1e-10, x0=None):
         """Solve div(c grad u) = source with the given Dirichlet data.
 
         Returns (values, iterations). Conjugate gradients preconditioned by
@@ -233,10 +234,9 @@ class DivergenceStencil:
         grid, f = self.grid, self.factors
         u_dir = np.array(dirichlet_values, dtype=float)
         u_dir[1:-1] = 0.0
-        src = 0.0 if source is None else source
 
         def phys_residual(x):
-            r = self.apply(x + u_dir) - src
+            r = self.apply(x + u_dir) - source
             return float(np.max(np.abs(r[1:-1])))
 
         x = np.zeros(grid.shape)
@@ -244,8 +244,8 @@ class DivergenceStencil:
             x[1:-1] = x0[1:-1]
         if phys_residual(x) <= tol:
             return x + u_dir, 0
-        # A x = w*(r div) of the Dirichlet part - w_sym*src, with A = -w*(r div(.))
-        r = self._metric_div(u_dir) * f.w_edge - src * f.w_sym - self._sym_op(x)
+        # A x = w*(r div) of the Dirichlet part - w_sym*source, with A = -w*(r div(.))
+        r = self._metric_div(u_dir) * f.w_edge - source * f.w_sym - self._sym_op(x)
         r[[0, -1]] = 0.0
         precondition = self._fast_inverse()
         z = precondition(r, np.empty(grid.shape))
@@ -283,11 +283,6 @@ class DivergenceStencil:
         )
 
 
-def unit_faces(grid: Grid):
-    n1, n2 = grid.shape
-    return np.ones((n1 - 1, n2)), np.ones((n1, n2 - 1))
-
-
 def arithmetic_mean_faces(c_nodes: np.ndarray):
     """Face coefficients as plain arithmetic means of the node values."""
     cfx = 0.5 * (c_nodes[:-1, :] + c_nodes[1:, :])
@@ -303,36 +298,41 @@ def dirichlet_targets(grid: Grid, boundary: float):
     return d
 
 
-def _ramp_guess(grid: Grid):
-    t = (grid.x1 - grid.x1[0]) / (grid.x1[-1] - grid.x1[0])
-    return np.repeat(t[:, None], grid.n2, axis=1)
+def pivot_values(grid: Grid) -> np.ndarray:
+    """The discrete pivot, exactly: constant along each row, with the flux
+    r_face * (z[i+1] - z[i]) / h1 equal on every face, so z = psi / psi[-1]
+    for psi[i] = sum over k < i of h1 / r_face[k] (x1 - x1[0] on rectangles)."""
+    if grid.coord_system == POLAR:
+        rface = 0.5 * (grid.x1[:-1] + grid.x1[1:])      # the stencil's face radii
+        psi = np.concatenate(([0.0], np.cumsum(grid.spacing[0] / rface)))
+    else:
+        psi = grid.x1 - grid.x1[0]
+    return np.repeat((psi / psi[-1])[:, None], grid.n2, axis=1)
 
 
-def solve_pivot(grid: Grid, tol: float, initial_guess: np.ndarray | None = None) -> PivotField:
-    """Solve the mixed pivot problem to a discrete L-inf residual <= tol."""
+def solve_pivot(grid: Grid, tol: float) -> PivotField:
+    """pivot_values, certified by the independent 5-point residual <= tol."""
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    cfx, cfy = unit_faces(grid)
-    stencil = DivergenceStencil(grid, cfx, cfy)
-    bc = dirichlet_targets(grid, 1.0)
-    x0 = _ramp_guess(grid) if initial_guess is None else initial_guess
-    values, iters = stencil.solve(bc, tol=tol, x0=x0)
-    field = PivotField(grid, values, achieved_residual=pivot_residual_values(grid, values),
-                       iterations=iters)
+    values = pivot_values(grid)
+    residual = pivot_residual_values(grid, values)
+    if not residual <= tol:
+        raise PivotConvergenceError(f"the exact discrete pivot has residual {residual:.3e}: "
+                                    f"the target {tol:.3e} lies below this grid's roundoff floor")
     vmin, vmax = float(values.min()), float(values.max())
     if vmin < 0.0 or vmax > 1.0:
         raise PivotConvergenceError(
             f"discrete maximum principle violated: values span [{vmin}, {vmax}]"
         )
-    return field
+    return PivotField(grid, values, achieved_residual=residual, iterations=0)
 
 
 def pivot_residual_values(grid: Grid, values: np.ndarray) -> float:
     """L-inf norm of the plain 5-point residual, recomputed independently.
 
     Uses the non-conservative stencil (second differences plus metric
-    terms) rather than the solver's flux form; the two agree node-exactly,
-    which makes this an independent check of the assembly.
+    terms) rather than the flux form that pivot_values solves; the two agree
+    node-exactly, which makes this an independent check of the closed form.
     """
     h1, h2 = grid.spacing
     u = values
@@ -348,7 +348,3 @@ def pivot_residual_values(grid: Grid, values: np.ndarray) -> float:
     lap[:, 0] += 2.0 * (u[:, 1] - u[:, 0]) * tfac[:, 0]
     lap[:, -1] += 2.0 * (u[:, -2] - u[:, -1]) * tfac[:, 0]
     return float(np.max(np.abs(lap[1:-1])))
-
-
-def pivot_residual(field: PivotField) -> float:
-    return pivot_residual_values(field.grid, field.values)

@@ -33,8 +33,7 @@ import numpy as np
 from .errors import OuterDivergenceError, ShapeMismatchError
 from .geometry import Grid
 from .numerics import cumulative_simpson, derivative_4th, range_scale
-from .pivot import (DivergenceStencil, arithmetic_mean_faces, dirichlet_targets,
-                    unit_faces)
+from .pivot import DivergenceStencil, arithmetic_mean_faces, dirichlet_targets, pivot_values
 from .reconstruct import FieldSet
 from .twopoint import DARCY, MOLECULAR, ProblemSpec, ProfileSolution
 
@@ -169,7 +168,7 @@ def direct_coupled_solve(spec: ProblemSpec, grid: Grid, tol: float = 1e-9,
                              tol=eff, x0=x0)[0]
 
     # initial fields: the constant-coefficient solution u_i = u_i* z, p = p* z
-    z0 = solve_eq(DivergenceStencil(grid, *unit_faces(grid)), 1.0, 0.0, None)
+    z0 = pivot_values(grid)
     fields = [boundary * z0 for _, boundary, _ in laws]
 
     grow_streak = 0

@@ -458,6 +458,40 @@ def test_write_field_csv_memory_stays_per_row(tmp_path):
         assert peak < 0.5e6, name
 
 
+def test_writers_replace_links_instead_of_writing_through(tmp_path):
+    """An existing output path is replaced by a new file: a symlink or a hard
+    link at it is not followed, and the file it pointed to keeps its bytes."""
+    grid = build_rectangle(3, 3, 1.0, 1.0)
+    target = tmp_path / "target.txt"
+    target.write_text("keep\n")
+    hard = tmp_path / "hard.csv"
+    os.link(target, hard)
+    soft = tmp_path / "report.txt"
+    soft.symlink_to(target)
+    write_field_csv(hard, grid, np.zeros(grid.shape))
+    cli.write_report(soft, [("key", "value")])
+    assert target.read_text() == "keep\n"
+    assert not soft.is_symlink() and soft.read_text() == "key = value\n"
+    assert hard.read_bytes() == reference_field_csv(grid, np.zeros(grid.shape))
+
+
+@pytest.mark.parametrize("command", ["solve", "pivot"])
+def test_pivot_tol_below_roundoff_exits_2(tmp_path, caplog, command):
+    annulus = MOLECULAR_CFG.replace("family = rectangle", "family = annulus").replace(
+        "width = 1.0\nheight = 1.0", "r1 = 1.0\nr2 = 2.0").replace(
+        "tol = 1e-10", "tol = 1e-10\npivot_tol = 1e-18")
+    assert main([command, str(write_cfg(tmp_path, annulus))]) == 2
+    assert "PivotConvergenceError" in caplog.text and "roundoff floor" in caplog.text
+
+
+def test_report_has_no_pivot_iterations_line(tmp_path, caplog):
+    caplog.set_level("INFO", logger="funcsol")
+    assert main(["solve", str(write_cfg(tmp_path, MOLECULAR_CFG))]) == 0
+    report = read_report(tmp_path / "out" / "report.txt")
+    assert "pivot_residual" in report and "pivot_iterations" not in report
+    assert "iterations" not in next(m for m in caplog.messages if m.startswith("pivot done"))
+
+
 def test_solve_logs_written_files(tmp_path, caplog):
     caplog.set_level("INFO", logger="funcsol")
     assert main(["solve", str(write_cfg(tmp_path, MOLECULAR_CFG))]) == 0

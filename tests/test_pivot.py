@@ -11,13 +11,20 @@ import funcsol
 from funcsol import pivot
 from funcsol.errors import PivotConvergenceError
 from funcsol.geometry import build_annulus, build_rectangle
-from funcsol.pivot import DivergenceStencil, PivotField, pivot_residual, solve_pivot, unit_faces
+from funcsol.pivot import (DivergenceStencil, dirichlet_targets, pivot_residual_values,
+                           pivot_values, solve_pivot)
 from funcsol.twopoint import ProblemSpec
 from funcsol.verify import direct_coupled_solve
 
 
 COUPLED_SPEC = ProblemSpec.from_strings(2, [["2+0.5*sin(u1)", "0.3+0.1*u2"],
                                              ["0.3+0.1*u2", "1.5+0.2*u1"]], u_star=(0.5, 0.3))
+
+
+def unit_stencil(grid, face_value=1.0):
+    n1, n2 = grid.shape
+    return DivergenceStencil(grid, np.full((n1 - 1, n2), face_value),
+                             np.full((n1, n2 - 1), face_value))
 
 
 def annulus_exact(grid):
@@ -58,7 +65,7 @@ def test_dirichlet_values_exact():
 def test_residual_of_exact_linear_field():
     g = build_rectangle(17, 17, 1.0, 1.0)
     x = g.x1[:, None] * np.ones((1, 17))
-    assert pivot_residual(PivotField(g, x, 0.0, 0)) <= 1e-12
+    assert pivot_residual_values(g, x) <= 1e-12
 
 
 def test_residual_detects_perturbation():
@@ -66,13 +73,13 @@ def test_residual_detects_perturbation():
     x = g.x1[:, None] * np.ones((1, 17))
     x = x.copy()
     x[8, 8] += 0.1
-    assert pivot_residual(PivotField(g, x, 0.0, 0)) > 1e-3
+    assert pivot_residual_values(g, x) > 1e-3
 
 
 def test_solver_meets_requested_residual():
     g = build_annulus(17, 17, 1.0, 2.0)
     f = solve_pivot(g, 1e-10)
-    assert pivot_residual(f) <= 1e-10
+    assert pivot_residual_values(g, f.values) <= 1e-10
     assert f.achieved_residual <= 1e-10
 
 
@@ -86,31 +93,63 @@ def test_grid_convergence_ratio():
 
 
 def test_uniqueness_surrogate():
+    """CG on the pivot's operator reaches one answer from two starts."""
     g = build_annulus(33, 33, 1.0, 2.0)
     tol = 1e-9
-    f1 = solve_pivot(g, tol, initial_guess=np.zeros(g.shape))
-    f2 = solve_pivot(g, tol, initial_guess=np.ones(g.shape))
-    assert np.max(np.abs(f1.values - f2.values)) <= 10.0 * tol
+    bc = dirichlet_targets(g, 1.0)
+    v1, _ = unit_stencil(g).solve(bc, tol=tol, x0=np.zeros(g.shape))
+    v2, _ = unit_stencil(g).solve(bc, tol=tol, x0=np.ones(g.shape))
+    assert np.max(np.abs(v1 - v2)) <= 10.0 * tol
+
+
+@pytest.mark.parametrize("g", [build_rectangle(17, 17, 1.0, 1.0), build_rectangle(65, 33, 2.0, 1.0),
+                               build_annulus(17, 17, 1.0, 2.0), build_annulus(33, 19, 0.3, 1.7),
+                               build_annulus(65, 65, 1.0, 2.0)],
+                         ids=["rectangle17", "rectangle65x33", "annulus17", "annulus33x19",
+                              "annulus65"])
+def test_pivot_values_solve_the_stencil(g):
+    """The closed form is the unit-face stencil's solution: CG from a zero
+    start lands on it, and every row holds one bit pattern."""
+    z = pivot_values(g)
+    stencil = unit_stencil(g)
+    cg, _ = stencil.solve(dirichlet_targets(g, 1.0), tol=stencil.residual_floor())
+    assert np.max(np.abs(z - cg)) <= 1e-14
+    bits = z.view(np.int64)
+    assert np.all(bits == bits[:, :1])
+    assert np.all(z[0] == 0.0) and np.all(z[-1] == 1.0)
+
+
+def test_rectangle_pivot_is_the_ramp_bitwise():
+    g = build_rectangle(65, 33, 2.0, 1.0)
+    ramp = (g.x1 - g.x1[0]) / (g.x1[-1] - g.x1[0])
+    assert solve_pivot(g, 1e-10).values.tobytes() == np.repeat(ramp[:, None], g.n2, 1).tobytes()
+
+
+def test_pivot_tol_below_roundoff_raises():
+    g = build_annulus(33, 33, 1.0, 2.0)
+    with pytest.raises(PivotConvergenceError, match="roundoff floor") as info:
+        solve_pivot(g, 1e-18)
+    assert info.value.exit_code == 2
 
 
 @pytest.mark.parametrize("n, polar, tol, max_ops", [
     # a target far below roundoff on a large annulus
     pytest.param(75, True, 1e-18, None, id="annulus75"),
-    # a small system (1,023 unknowns), target below roundoff; the default
-    # ramp start is exact on a rectangle, so this case starts from zero
+    # a small system (1,023 unknowns), target below roundoff
     pytest.param(33, False, 1e-14, None, id="rectangle33"),
-    # CG gives up once its residual recurrence reaches roundoff (77
-    # iterations here), not at the iteration cap
+    # CG gives up once its residual recurrence reaches roundoff, not at the
+    # iteration cap
     pytest.param(75, True, 1e-18, 200, id="annulus75-op-count"),
 ])
 def test_nonconvergence_raises(n, polar, tol, max_ops, monkeypatch):
+    """CG on the pivot's operator, from a zero start, stops at its roundoff exit."""
     g = build_annulus(n, n, 1.0, 2.0) if polar else build_rectangle(n, n, 1.0, 1.0)
     calls = []
     sym_op = DivergenceStencil._sym_op
     monkeypatch.setattr(DivergenceStencil, "_sym_op",
                         lambda self, v: calls.append(1) or sym_op(self, v))
     with pytest.raises(PivotConvergenceError, match="roundoff"):
-        solve_pivot(g, tol, initial_guess=None if polar else np.zeros(g.shape))
+        unit_stencil(g).solve(dirichlet_targets(g, 1.0), tol=tol)
     if max_ops is not None:
         assert len(calls) < max_ops
 
@@ -131,8 +170,7 @@ def test_fast_inverse_is_exact(n1, n2, polar, face_value):
     constant faces c != 1 too (A = c A_unit).
     """
     g = build_annulus(n1, n2, 1.0, 2.0) if polar else build_rectangle(n1, n2, 2.0, 1.0)
-    cfx, cfy = unit_faces(g)
-    stencil = DivergenceStencil(g, face_value * cfx, face_value * cfy)
+    stencil = unit_stencil(g, face_value)
     res = np.random.default_rng(n1 * n2).normal(size=g.shape) * g.unknown_mask
     out = stencil._fast_inverse()(res, np.empty(g.shape))
     back = stencil._sym_op(out)
@@ -155,7 +193,8 @@ def test_fast_inverse_scaled_is_symmetric():
 
 def test_factors_built_once_per_grid(monkeypatch):
     """The grid-only factors, the fast inverse's included, are built once per
-    grid and shared by every stencil on it; each solve builds only its scale."""
+    grid and shared by every stencil on it; each solve builds only its scale.
+    The pivot builds none."""
     builds, fast_inverses = [], []
     factors = pivot._GridFactors
 
@@ -174,17 +213,19 @@ def test_factors_built_once_per_grid(monkeypatch):
     monkeypatch.setattr(DivergenceStencil, "_fast_inverse",
                         lambda self: fast_inverses.append(1) or fast_inverse(self))
     grid = build_annulus(33, 33, 1.0, 2.0)
-    solve_pivot(grid, 1e-10)
+    assert solve_pivot(grid, 1e-10).iterations == 0
+    assert builds == []         # no stencil, so no CG either
     direct_coupled_solve(COUPLED_SPEC, grid)
     assert builds == [grid, "inverse"]
     assert len(fast_inverses) > 10
-    solve_pivot(build_annulus(33, 33, 1.0, 2.0), 1e-10)
+    other = build_annulus(33, 33, 1.0, 2.0)
+    unit_stencil(other).solve(dirichlet_targets(other, 1.0))
     assert len(builds) == 4
 
 
 def test_direct_solve_work(monkeypatch):
-    """The direct solve of the 33^2 coupled system takes 23 stencil solves
-    and 47 CG iterations in all; a less exact preconditioner would cost
+    """The direct solve of the 33^2 coupled system takes 22 stencil solves
+    and 46 CG iterations in all; a less exact preconditioner would cost
     iterations here."""
     iterations = []
     solve = DivergenceStencil.solve
@@ -195,10 +236,9 @@ def test_direct_solve_work(monkeypatch):
         return values, its
 
     grid = build_annulus(33, 33, 1.0, 2.0)
-    solve_pivot(grid, 1e-10)
     monkeypatch.setattr(DivergenceStencil, "solve", counting)
     direct_coupled_solve(COUPLED_SPEC, grid)
-    assert (len(iterations), sum(iterations)) == (23, 47)
+    assert (len(iterations), sum(iterations)) == (22, 46)
 
 
 @pytest.mark.parametrize("polar", [False, True], ids=["rectangle", "annulus"])
@@ -213,7 +253,7 @@ def test_cached_factors_precondition_bitwise(polar):
     cfx = np.exp(rng.normal(size=(grid.n1 - 1, grid.n2)))
     cfy = np.exp(rng.normal(size=(grid.n1, grid.n2 - 1)))
     res = rng.normal(size=grid.shape) * grid.unknown_mask
-    first = DivergenceStencil(grid, *unit_faces(grid))
+    first = unit_stencil(grid)
     first._fast_inverse()(res, np.empty(grid.shape))
     stencil = DivergenceStencil(grid, cfx, cfy)
     assert stencil.factors is first.factors
@@ -253,11 +293,13 @@ def test_precondition_bytes_do_not_depend_on_blas_threads():
 
 
 def test_large_annulus_default_tolerance():
-    """A 257^2 annulus pivot meets the default 1e-10, in at most 3 iterations."""
+    """A 257^2 annulus pivot meets the default 1e-10, and CG on its operator
+    reaches 1e-10 in at most 3 iterations."""
     g = build_annulus(257, 257, 1.0, 2.0)
     f = solve_pivot(g, 1e-10)
     assert f.achieved_residual <= 1e-10
-    assert f.iterations <= 3
+    _, iterations = unit_stencil(g).solve(dirichlet_targets(g, 1.0), tol=1e-10)
+    assert iterations <= 3
 
 
 def test_bad_tolerance():
