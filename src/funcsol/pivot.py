@@ -225,28 +225,30 @@ class DivergenceStencil:
         """Solve div(c grad u) = source with the given Dirichlet data.
 
         Returns (values, iterations). Conjugate gradients preconditioned by
-        the separable fast inverse (_fast_inverse) stops as soon as the
-        recomputed physical residual drops below tol, checked every
-        iteration. Otherwise it raises PivotConvergenceError at the first
-        exit where more iterations cannot help: the residual recurrence has
-        fallen to roundoff, CG broke down, or the iteration cap was reached.
+        the separable fast inverse (_fast_inverse) updates the residual
+        r = w_sym * (div(c grad u) - source) by recurrence; where its physical
+        size max |r| / w_sym drops below tol, CG recomputes r from the iterate
+        and returns if that is below tol too, or restarts from it (residual
+        replacement; van der Vorst & Ye, SIAM J. Sci. Comput. 22, 2000). It
+        raises PivotConvergenceError at the first exit where more iterations
+        cannot help: a recomputed residual above 2 tol or not below half the
+        previous one, a recurrence fallen to roundoff, a breakdown, the cap.
         """
         grid, f = self.grid, self.factors
         u_dir = np.array(dirichlet_values, dtype=float)
         u_dir[1:-1] = 0.0
+        w_source = source * f.w_sym * grid.unknown_mask
 
-        def phys_residual(x):
-            r = self.apply(x + u_dir) - source
-            return float(np.max(np.abs(r[1:-1])))
+        def residual(x):
+            r = self._metric_div(x + u_dir) * f.w_edge - w_source
+            return r, float(np.max(np.abs(r) / f.w_sym))
 
         x = np.zeros(grid.shape)
         if x0 is not None:
             x[1:-1] = x0[1:-1]
-        if phys_residual(x) <= tol:
+        r, recomputed = residual(x)
+        if recomputed <= tol:
             return x + u_dir, 0
-        # A x = w*(r div) of the Dirichlet part - w_sym*source, with A = -w*(r div(.))
-        r = self._metric_div(u_dir) * f.w_edge - source * f.w_sym - self._sym_op(x)
-        r[[0, -1]] = 0.0
         precondition = self._fast_inverse()
         z = precondition(r, np.empty(grid.shape))
         p = z.copy()
@@ -264,9 +266,15 @@ class DivergenceStencil:
             alpha = rz / pAp
             x += alpha * p
             r -= alpha * Ap
-            if phys_residual(x) <= tol:
-                return x + u_dir, it
-            if rz < 1e-30:
+            if np.max(np.abs(r) / f.w_sym) <= tol:    # a candidate exit
+                r, now = residual(x)
+                if now <= tol:
+                    return x + u_dir, it
+                if not now < min(2.0 * tol, 0.5 * recomputed):
+                    stop = "its recomputed residual stalled at roundoff"
+                    break
+                rz, recomputed = np.inf, now    # restart: the next direction is M^-1 r
+            elif rz < 1e-30:
                 stop = "its residual recurrence fell to roundoff"
                 break
             precondition(r, z)
@@ -276,9 +284,8 @@ class DivergenceStencil:
                 break
             p = z + (rz_new / rz) * p
             rz = rz_new
-        # every exit above follows a failed residual check
         raise PivotConvergenceError(
-            f"linear solve stopped at residual {phys_residual(x):.3e} (target {tol:.3e}) "
+            f"linear solve stopped at residual {residual(x)[1]:.3e} (target {tol:.3e}) "
             f"after {it} CG iterations on {f.n_unknowns} unknowns: {stop}"
         )
 

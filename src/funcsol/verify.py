@@ -150,14 +150,16 @@ def direct_coupled_solve(spec: ProblemSpec, grid: Grid, tol: float = 1e-9,
     Each outer sweep freezes every coefficient at the current fields and
     solves each law of ``spec.laws()`` for its own field, the law's own
     term implicit and its other flux terms on the right-hand side: first
-    the pressure law (if present), then the u_i laws, which read its new
-    value but each other's previous values. Stops when the largest nodewise
-    field update drops below tol; five consecutive growths of the update
-    norm abort with an outer-divergence error. Each linear solve runs to
-    0.005 * tol, or to the stencil's roundoff floor for its source if that
-    is larger: a diverging sweep's source grows with its fields.
+    the pressure law (if present), then the u_i laws, each law reading the
+    newest value of every field (Gauss-Seidel order). Stops when the largest
+    nodewise field update drops below tol; five consecutive growths of the
+    update, or an update past value_scale / sqrt(eps) (or not finite), abort
+    with an outer-divergence error. Each linear solve runs to 0.005 * tol,
+    or to the stencil's roundoff floor for its source if that is larger: a
+    diverging sweep's source grows with its fields.
     """
     value_scale = float(max(np.max(np.abs(spec.u_star)), spec.p_star, 1.0))
+    blow_up = value_scale / np.sqrt(np.finfo(float).eps)
     laws = spec.laws()
     darcy = spec.mode == DARCY
     used = [k for _, _, terms in laws for k, _ in terms]
@@ -176,21 +178,22 @@ def direct_coupled_solve(spec: ProblemSpec, grid: Grid, tol: float = 1e-9,
     for outer in range(1, max_outer + 1):
         faces = _simpson_faces(spec, fields if darcy else [*fields, np.zeros(grid.shape)], used)
         new = list(fields)
-        for stage in (laws[spec.n:], laws[:spec.n]):    # the pressure law first
-            known = list(new)
-            for field, boundary, terms in stage:
-                source = 0.0
-                for k, f in terms:
-                    stencil = DivergenceStencil(grid, *faces.pop(k))    # read once
-                    if f == field:
-                        own = stencil
-                    else:
-                        source = source - stencil.apply(known[f])
-                new[field] = solve_eq(own, boundary, source, known[field])
+        for field, boundary, terms in laws[spec.n:] + laws[:spec.n]:    # the pressure law first
+            source = 0.0
+            for k, f in terms:
+                stencil = DivergenceStencil(grid, *faces.pop(k))    # read once
+                if f == field:
+                    own = stencil
+                else:
+                    source = source - stencil.apply(new[f])
+            new[field] = solve_eq(own, boundary, source, new[field])
         update = max(float(np.max(np.abs(a - b))) for a, b in zip(new, fields))
         fields = new
         if update <= tol:
             break
+        if not update <= blow_up:
+            raise OuterDivergenceError(f"outer Picard update {update:.3e} at sweep {outer} "
+                                       f"left the fields' scale (limit {blow_up:.3e})")
         grow_streak = grow_streak + 1 if update > prev_update else 0
         if grow_streak >= 5:
             raise OuterDivergenceError(

@@ -140,6 +140,9 @@ def test_pivot_tol_below_roundoff_raises():
     # CG gives up once its residual recurrence reaches roundoff, not at the
     # iteration cap
     pytest.param(75, True, 1e-18, 200, id="annulus75-op-count"),
+    # a target the residual recurrence itself cannot reach: it falls to
+    # roundoff first, within a few iterations, not at a breakdown or the cap
+    pytest.param(33, False, 1e-300, 20, id="rectangle33-far-below"),
 ])
 def test_nonconvergence_raises(n, polar, tol, max_ops, monkeypatch):
     """CG on the pivot's operator, from a zero start, stops at its roundoff exit."""
@@ -152,6 +155,38 @@ def test_nonconvergence_raises(n, polar, tol, max_ops, monkeypatch):
         unit_stencil(g).solve(dirichlet_targets(g, 1.0), tol=tol)
     if max_ops is not None:
         assert len(calls) < max_ops
+
+
+def test_missed_candidate_exit_restarts_from_the_recomputed_residual():
+    """On a unit rectangle the ramp is exact in binary. At a target just
+    under the first recomputed residual (1.1e-13), that candidate exit
+    misses; CG restarts from the recomputed residual and lands on the ramp."""
+    g = build_rectangle(33, 33, 1.0, 1.0)
+    values, _ = unit_stencil(g).solve(dirichlet_targets(g, 1.0), tol=1e-13)
+    assert np.array_equal(values, pivot_values(g))
+
+
+@pytest.mark.parametrize("polar", [False, True], ids=["rectangle", "annulus"])
+@pytest.mark.parametrize("tol", [1e-6, 1e-8])
+def test_one_operator_application_per_cg_iteration(polar, tol, monkeypatch):
+    """A converging solve applies the operator once for its first residual,
+    once per CG iteration and once to confirm the recurrence's residual:
+    at most iterations + 2 applications, and it meets tol."""
+    g = build_annulus(33, 29, 1.0, 3.0) if polar else build_rectangle(33, 29, 2.0, 1.0)
+    rng = np.random.default_rng(3)
+    stencil = DivergenceStencil(g, np.exp(rng.normal(size=(g.n1 - 1, g.n2))),
+                                np.exp(rng.normal(size=(g.n1, g.n2 - 1))))
+    source = rng.normal(size=g.shape)
+    calls = []
+    metric_div = DivergenceStencil._metric_div
+    monkeypatch.setattr(DivergenceStencil, "_metric_div",
+                        lambda self, u: calls.append(1) or metric_div(self, u))
+    values, iterations = stencil.solve(dirichlet_targets(g, 1.0), source=source, tol=tol)
+    assert iterations > 3
+    assert len(calls) <= iterations + 2
+    monkeypatch.undo()
+    residual = stencil.apply(values) - source
+    assert np.max(np.abs(residual[1:-1])) <= tol
 
 
 @pytest.mark.parametrize("polar", [False, True], ids=["rectangle", "annulus"])
@@ -224,9 +259,9 @@ def test_factors_built_once_per_grid(monkeypatch):
 
 
 def test_direct_solve_work(monkeypatch):
-    """The direct solve of the 33^2 coupled system takes 22 stencil solves
-    and 46 CG iterations in all; a less exact preconditioner would cost
-    iterations here."""
+    """The direct solve of the 33^2 coupled system takes 12 stencil solves
+    (six Gauss-Seidel sweeps) and 25 CG iterations in all; a less exact
+    preconditioner would cost iterations here."""
     iterations = []
     solve = DivergenceStencil.solve
 
@@ -238,7 +273,7 @@ def test_direct_solve_work(monkeypatch):
     grid = build_annulus(33, 33, 1.0, 2.0)
     monkeypatch.setattr(DivergenceStencil, "solve", counting)
     direct_coupled_solve(COUPLED_SPEC, grid)
-    assert (len(iterations), sum(iterations)) == (22, 46)
+    assert (len(iterations), sum(iterations)) == (12, 25)
 
 
 @pytest.mark.parametrize("polar", [False, True], ids=["rectangle", "annulus"])
