@@ -9,9 +9,13 @@ which keeps every lookup monotone; the sampled Theta map is inverted
 segment-exactly, so the round trip is accurate to rounding (well inside
 the advertised 1e-12 tolerance in eta).
 
-Every field's Dirichlet data and every flux term come from the law table
+Every field's Dirichlet data and every flux name come from the law table
 ``ProblemSpec.laws()``. The data is stamped onto the tagged nodes, so
-reconstructed fields satisfy the Dirichlet conditions exactly.
+reconstructed fields satisfy the Dirichlet conditions exactly. The fluxes
+follow from the functional structure, not from the fields: law i's flux
+sum_j a_ij grad u_j + b_i grad p is gamma_i eta* grad z (eta* = 1 in
+molecular form), and v = -eta* grad z, so their x2 components are exactly
+0. ``funcsol verify`` does not read them.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveWeightError, ProfileRangeError
-from .geometry import POLAR, Grid
+from .geometry import Grid
 from .numerics import cumulative_simpson
 from .pivot import PivotField, dirichlet_targets
 from .twopoint import DARCY, MOLECULAR, ProblemSpec, ProfileSolution
@@ -78,40 +82,30 @@ def _profile_lookup(sol: ProfileSolution, targets: np.ndarray):
     return np.stack([np.interp(clipped, sol.mesh, prof) for prof in sol.profiles])
 
 
-def _gradient(grid: Grid, field: np.ndarray):
-    """Physical gradient by centered differences (one-sided 2nd order at edges)."""
-    h1, h2 = grid.spacing
-    g1 = np.gradient(field, h1, axis=0, edge_order=2)
-    g2 = np.gradient(field, h2, axis=1, edge_order=2)
-    if grid.coord_system == POLAR:
-        g2 = g2 / grid.x1[:, None]
-    return np.stack([g1, g2])
+def _flux_fields(pivot: PivotField, spec: ProblemSpec, gamma, eta_star: float):
+    """The flux vector of each u_i law, gamma_i eta* grad z, plus the
+    transport velocity v = -eta* grad z, the negated flux of the pressure law.
 
-
-def _flux_fields(grid: Grid, spec: ProblemSpec, u_fields, p_field):
-    """The flux vector of each u_i law, plus the transport velocity v, the
-    negated flux of the pressure law."""
-    grads = [_gradient(grid, f) for f in [*u_fields, p_field] if f is not None]
-    values = spec.values(u_fields, 0.0 if p_field is None else p_field)
+    The pivot is constant along each row, so grad z is one x1 derivative per
+    row and its x2 component is exactly 0."""
+    grad_z = np.zeros((2,) + pivot.grid.shape)
+    grad_z[0] = np.gradient(pivot.values[:, :1], pivot.grid.spacing[0], axis=0, edge_order=2)
     fluxes = {}
-    for field, _, terms in spec.laws():
-        q = np.zeros((2,) + grid.shape)
-        for k, f in terms:
-            q += values[k] * grads[f]
+    for field, _, _ in spec.laws():
         if field == spec.n:
-            fluxes["v"] = -q
+            fluxes["v"] = -eta_star * grad_z
         else:
-            fluxes[("q_h", "q_m")[field] if spec.n == 2 else f"q_{field+1}"] = q
+            name = ("q_h", "q_m")[field] if spec.n == 2 else f"q_{field+1}"
+            fluxes[name] = gamma[field] * eta_star * grad_z
     return fluxes
 
 
-def _field_set(grid: Grid, spec: ProblemSpec, u, p, with_fluxes) -> FieldSet:
+def _field_set(grid: Grid, spec: ProblemSpec, u, p, fluxes) -> FieldSet:
     """The FieldSet of u (and p): each law's field takes its Dirichlet data
-    on the Dirichlet nodes, and the fluxes follow when asked for."""
+    on the Dirichlet nodes."""
     dirichlet, fields = ~grid.unknown_mask, [*u, p]
     for field, boundary, _ in spec.laws():
         fields[field][dirichlet] = dirichlet_targets(grid, boundary)[dirichlet]
-    fluxes = _flux_fields(grid, spec, u, p) if with_fluxes else None
     return FieldSet(grid=grid, u_fields=u, p_field=p, flux_fields=fluxes)
 
 
@@ -120,7 +114,8 @@ def compose_fields(sol: ProfileSolution, pivot: PivotField, spec: ProblemSpec,
     """Molecular reconstruction u_i(x) = U_i(z(x))."""
     if spec.mode != MOLECULAR:
         raise ValueError("compose_fields applies to molecular problems")
-    return _field_set(pivot.grid, spec, _profile_lookup(sol, pivot.values), None, with_fluxes)
+    fluxes = _flux_fields(pivot, spec, sol.gamma, 1.0) if with_fluxes else None
+    return _field_set(pivot.grid, spec, _profile_lookup(sol, pivot.values), None, fluxes)
 
 
 def kirchhoff_theta(sol: ProfileSolution, spec: ProblemSpec) -> ThetaMap:
@@ -151,4 +146,5 @@ def darcy_reconstruct(sol: ProfileSolution, pivot: PivotField, spec: ProblemSpec
     """Full darcy-form reconstruction: pressure via Kirchhoff, then u_i = U_i(p)."""
     theta = kirchhoff_theta(sol, spec)
     p = pressure_from_pivot(theta, pivot)
-    return _field_set(pivot.grid, spec, _profile_lookup(sol, p), p, with_fluxes)
+    fluxes = _flux_fields(pivot, spec, sol.gamma, theta.eta_star) if with_fluxes else None
+    return _field_set(pivot.grid, spec, _profile_lookup(sol, p), p, fluxes)

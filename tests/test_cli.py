@@ -600,6 +600,21 @@ def test_solve_flux_files_read_back_to_library_fluxes(tmp_path, cfg_path):
                                           vec[k - 1])
 
 
+@pytest.mark.parametrize("cfg_path", sorted(DATA.glob("*.ini")), ids=lambda path: path.stem)
+def test_solve_flux_files_are_row_constant_with_zero_x2_components(tmp_path, cfg_path):
+    # every flux is gamma_i eta* grad z, and the pivot z is constant along each row
+    out = tmp_path / "out"
+    assert main(["solve", str(cfg_path), "--out", str(out)]) == 0
+    grid = load_config(cfg_path).make_grid()
+    paths = sorted([*out.glob("q_*.csv"), *out.glob("v_*.csv")])
+    assert any(path.stem.endswith("_2") for path in paths)
+    for path in paths:
+        bits = read_field_csv(path, grid).view(np.int64)
+        assert np.all(bits == bits[:, :1]), path.name
+        if path.stem.endswith("_2"):
+            assert np.all(read_field_csv(path, grid) == 0.0), path.name
+
+
 def test_verify_darcy_output_reproduces_solve_report(tmp_path):
     cfg_path = DATA / "darcy_rectangle_fluxes.ini"
     out, checked = tmp_path / "out", tmp_path / "verify"

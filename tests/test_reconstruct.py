@@ -8,7 +8,6 @@ from funcsol.geometry import build_annulus, build_rectangle
 from funcsol.pivot import solve_pivot
 from funcsol.reconstruct import (
     ThetaMap,
-    _gradient,
     compose_fields,
     darcy_reconstruct,
     kirchhoff_theta,
@@ -17,8 +16,10 @@ from funcsol.reconstruct import (
 from funcsol.twopoint import ProblemSpec, ProfileSolution, solve_scalar, solve_shooting
 
 
-def make_profiles(spec, mesh, values):
-    return ProfileSolution(mesh=mesh, profiles=values, gamma=np.zeros(spec.n),
+def make_profiles(spec, mesh, values, gamma=None):
+    """Hand-built profiles; ``gamma`` must match them where fluxes are read."""
+    gamma = np.zeros(spec.n) if gamma is None else np.asarray(gamma, dtype=float)
+    return ProfileSolution(mesh=mesh, profiles=values, gamma=gamma,
                            two_point_residual=0.0, boundary_error=0.0)
 
 
@@ -185,7 +186,7 @@ def test_darcy_sincos_trivial_fields(square17):
 def test_darcy_flux_fields(square17):
     spec = darcy1("1", p_star=1.0)
     mesh = np.linspace(0.0, 1.0, 101)
-    sol = make_profiles(spec, mesh, mesh[None, :].copy())
+    sol = make_profiles(spec, mesh, mesh[None, :].copy(), gamma=(1.0,))
     fs = darcy_reconstruct(sol, square17, spec, with_fluxes=True)
     assert "v" in fs.flux_fields
     # v = -grad p : p = z = x on the square, so v = (-1, 0)
@@ -196,7 +197,8 @@ def test_darcy_flux_fields(square17):
 def test_molecular_flux_fields(square17):
     # u = (x, -0.5 x) under A = [[2, 1], [1, 2]]: q_h = (2 - 0.5, 0), q_m = (1 - 1, 0)
     mesh = np.linspace(0.0, 1.0, 101)
-    sol = make_profiles(CONST, mesh, mesh[None, :] * np.array([[1.0], [-0.5]]))
+    sol = make_profiles(CONST, mesh, mesh[None, :] * np.array([[1.0], [-0.5]]),
+                        gamma=(1.5, 0.0))
     fs = compose_fields(sol, square17, CONST, with_fluxes=True)
     assert list(fs.flux_fields) == ["q_h", "q_m"]
     np.testing.assert_allclose(fs.flux_fields["q_h"][0], 1.5, atol=1e-9)
@@ -211,7 +213,8 @@ def test_darcy_flux_fields_with_pressure_term(square17):
     spec = ProblemSpec.from_strings(1, [["1"]], b=["2"], b_next="3", u_star=(u_star,),
                                     p_star=p_star, mode="darcy")
     mesh = np.linspace(0.0, p_star, 101)
-    sol = make_profiles(spec, mesh, (u_star / p_star) * mesh[None, :])
+    sol = make_profiles(spec, mesh, (u_star / p_star) * mesh[None, :],
+                        gamma=((u_star / p_star + 2.0) / 3.0,))
     fs = darcy_reconstruct(sol, square17, spec, with_fluxes=True)
     assert list(fs.flux_fields) == ["q_1", "v"]
     np.testing.assert_allclose(fs.flux_fields["q_1"][0], u_star + 2.0 * p_star, atol=1e-9)
@@ -220,15 +223,20 @@ def test_darcy_flux_fields_with_pressure_term(square17):
     np.testing.assert_allclose(fs.flux_fields["v"][1], 0.0, atol=1e-9)
 
 
-def test_polar_gradient_of_r_cos_theta():
-    # functional fields do not depend on theta, so only a field that does
-    # checks the 1/r of the angular component: grad(r cos t) = (cos t, -sin t)
-    angular = []
-    for n in (17, 33):
+def test_structural_flux_against_closed_form_on_annulus():
+    # a = 1, b1 = 0, b_next = exp(p), u* = p* = 1 on 1 <= r <= 2: eta* = e - 1
+    # and z = ln(r)/ln 2, so v = -eta* grad z = (-(e - 1)/(r ln 2), 0)
+    spec = ProblemSpec.from_strings(1, [["1"]], b=["0"], b_next="exp(p)", u_star=(1.0,),
+                                    p_star=1.0, mode="darcy")
+    sol = solve_shooting(spec, n_nodes=1025, tol=1e-12)
+    errors = []
+    for n, limit in ((33, 2e-3), (65, 5e-4), (129, 1.3e-4)):
         grid = build_annulus(n, n, 1.0, 2.0)
-        t = grid.x2[None, :]
-        g1, g2 = _gradient(grid, grid.x1[:, None] * np.cos(t))
-        np.testing.assert_allclose(g1, np.broadcast_to(np.cos(t), g1.shape), atol=1e-12)
-        angular.append(np.max(np.abs(g2 + np.sin(t))))
-    assert angular[0] < 4e-3
-    assert angular[0] / angular[1] == pytest.approx(4.0, rel=0.05)     # O(h^2)
+        fs = darcy_reconstruct(sol, solve_pivot(grid, 1e-10), spec, with_fluxes=True)
+        v = fs.flux_fields["v"]
+        exact = -(math.e - 1.0) / (grid.x1[:, None] * math.log(2.0))
+        errors.append(np.max(np.abs(v[0] - exact)))
+        assert errors[-1] <= limit
+        assert np.all(v[1] == 0.0)
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.5 <= coarse / fine <= 4.5                                 # O(h^2)

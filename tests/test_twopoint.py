@@ -545,7 +545,7 @@ def test_scalar_non_positive_f():
 
 def test_scalar_bracket_failure(monkeypatch):
     # a bounded endpoint map can never straddle an out-of-range target;
-    # the expansion must give up after its 60 tries
+    # the expansion must give up when its next bracket end would not be finite
     import funcsol.twopoint as tp
     calls = []
 
