@@ -44,40 +44,36 @@ def _fmt_vec(values) -> str:
     return " ".join(_fmt(v) for v in np.atleast_1d(values))
 
 
+def _open_new(path: Path):
+    """``path`` opened as a new UTF-8 text file with \\n line ends. An existing
+    file there is unlinked first: truncating one in writeback can stall, and
+    a link is not written through."""
+    path.unlink(missing_ok=True)
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
 def write_field_csv(path: Path, grid: Grid, values: np.ndarray):
     """One node per row, x1 outer, header x1,x2,value, every number as %.17g.
 
-    Fields u = U(z) repeat a few values along each row, so each distinct
-    value of a row is formatted once and its text reused; a row of one
-    value is one join. Values count as equal when their bit patterns are:
-    -0.0 == 0.0 as floats but prints as -0, and each NaN prints as nan
-    whatever its sign or payload.
+    Every field funcsol writes is constant along each row, as the pivot z
+    is, so a row whose values share one bit pattern is one join around that
+    value's text; any other row is one % format. Bit patterns decide, not
+    float equality: -0.0 == 0.0 but prints as -0.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != grid.shape:
         raise ShapeMismatchError(f"{path}: values of shape {values.shape} on a {grid.shape} grid")
-    all_bits = values.view(np.int64)
-    constant = (all_bits == all_bits[:, :1]).all(axis=1).tolist()
-    # after the row's x1 field, x2 fields alternate with value texts, which
-    # carry their line's end and the next line's x1; the last one loses it
-    parts = [None] * (2 * grid.n2 + 1)
-    parts[1::2] = x2_cells = [f",{_fmt(b)}," for b in grid.x2]
-    path.unlink(missing_ok=True)        # see write_report
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    bits = values.view(np.int64)
+    constant = (bits == bits[:, :1]).all(axis=1).tolist()
+    x2_cells = [f",{_fmt(b)}," for b in grid.x2]
+    with _open_new(path) as fh:
         fh.write("x1,x2,value\n")
-        for a, row, row_bits, same in zip(grid.x1, values, all_bits, constant):
-            x1 = parts[0] = _fmt(a)
-            if same:
-                text = "%.17g\n" % row[0]
-                fh.write(x1 + (text + x1).join(x2_cells) + text)
-                continue
-            # what np.unique(..., return_inverse=True) gives, in fewer numpy calls
-            bits = np.sort(row_bits)
-            bits = bits[np.concatenate(([True], bits[1:] != bits[:-1]))]
-            texts = ((f"%.17g\n{x1}\0" * bits.size)
-                     % tuple(bits.view(np.float64).tolist())).split("\0")
-            parts[2::2] = [texts[i] for i in bits.searchsorted(row_bits).tolist()]
-            fh.write("".join(parts)[:-len(x1)])
+        for a, row, same in zip(grid.x1, values, constant):
+            x1 = _fmt(a)
+            # no x1 or x2 text holds a %, so a non-constant row's line is its format
+            text = "%.17g\n" % row[0] if same else "%.17g\n"
+            line = x1 + (text + x1).join(x2_cells) + text
+            fh.write(line if same else line % tuple(row.tolist()))
 
 
 def read_field_csv(path: Path, grid: Grid) -> np.ndarray:
@@ -107,9 +103,8 @@ def read_field_csv(path: Path, grid: Grid) -> np.ndarray:
 
 def write_report(path: Path, entries):
     lines = [f"{key} = {value}" for key, value in entries]
-    # a new file: truncating one in writeback can stall, and a link is not written through
-    path.unlink(missing_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with _open_new(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _output_dir(default, override=None) -> Path:
@@ -228,7 +223,8 @@ def cmd_oracle(args) -> int:
         case_dir = out / result.name
         case_dir.mkdir(parents=True, exist_ok=True)
         _write_fields(case_dir, result.pivot, result.fields)
-    (out / "oracle_report.txt").write_text(suite.format_text(), encoding="utf-8")
+    with _open_new(out / "oracle_report.txt") as fh:
+        fh.write(suite.format_text())
     sys.stdout.write(suite.format_text())
     if not suite.all_passed:
         failed = [result.name for result in suite.results if not result.passed]

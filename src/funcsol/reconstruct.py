@@ -10,12 +10,12 @@ segment-exactly, so the round trip is accurate to rounding (well inside
 the advertised 1e-12 tolerance in eta).
 
 Every field's Dirichlet data and every flux name come from the law table
-``ProblemSpec.laws()``. The data is stamped onto the tagged nodes, so
-reconstructed fields satisfy the Dirichlet conditions exactly. The fluxes
-follow from the functional structure, not from the fields: law i's flux
-sum_j a_ij grad u_j + b_i grad p is gamma_i eta* grad z (eta* = 1 in
-molecular form), and v = -eta* grad z, so their x2 components are exactly
-0. ``funcsol verify`` does not read them.
+``ProblemSpec.laws()``. The data is copied onto the Dirichlet nodes, the
+first and last rows, so reconstructed fields satisfy the Dirichlet
+conditions exactly. The fluxes follow from the functional structure, not
+from the fields: law i's flux sum_j a_ij grad u_j + b_i grad p is
+gamma_i eta* grad z (eta* = 1 in molecular form), and v = -eta* grad z,
+so their x2 components are exactly 0. ``funcsol verify`` does not read them.
 """
 
 from __future__ import annotations
@@ -78,8 +78,7 @@ def _profile_lookup(sol: ProfileSolution, targets: np.ndarray):
         raise ProfileRangeError(
             f"pivot values span [{tmin:.6g}, {tmax:.6g}] but the profile mesh "
             f"covers [{lo:.6g}, {hi:.6g}]")
-    clipped = np.clip(targets, lo, hi)
-    return np.stack([np.interp(clipped, sol.mesh, prof) for prof in sol.profiles])
+    return np.stack([np.interp(targets, sol.mesh, prof) for prof in sol.profiles])
 
 
 def _flux_fields(pivot: PivotField, spec: ProblemSpec, gamma, eta_star: float):

@@ -395,28 +395,22 @@ NAN_PAYLOADS = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000
                         dtype=np.uint64).view(np.float64)
 
 
-@pytest.mark.parametrize("row, one_value, text", [
-    (np.full(6, -0.0), True, b"-0"),
-    (np.full(6, NAN_PAYLOADS[2]), True, b"nan"),
-    (np.full(6, -math.inf), True, b"-inf"),
-    (np.full(6, 5e-324), True, b"4.9406564584124654e-324"),
+@pytest.mark.parametrize("row, text", [
+    (np.full(6, -0.0), b"-0"),
+    (np.full(6, NAN_PAYLOADS[2]), b"nan"),
+    (np.full(6, -math.inf), b"-inf"),
+    (np.full(6, 5e-324), b"4.9406564584124654e-324"),
     # equal as floats, not bit for bit: each value keeps its own text
-    (np.array([0.0, -0.0, 0.0, 0.0, 0.0, 0.0]), False, None),
-    (np.resize(NAN_PAYLOADS, 6), False, b"nan"),
+    (np.array([0.0, -0.0, 0.0, 0.0, 0.0, 0.0]), None),
+    (np.resize(NAN_PAYLOADS, 6), b"nan"),
 ], ids=["minus_zero", "one_nan_payload", "minus_inf", "subnormal", "signed_zeros", "nan_payloads"])
-def test_write_field_csv_one_value_rows_by_bit_pattern(tmp_path, monkeypatch, row, one_value,
-                                                       text):
+def test_write_field_csv_one_value_rows_by_bit_pattern(tmp_path, row, text):
     grid = build_annulus(3, row.size, 1.0, 2.0)
     values = np.stack([row, np.arange(row.size, dtype=float), row[::-1]])
-    sorts = []
-    sort = np.sort
-    monkeypatch.setattr(np, "sort", lambda a, *args, **kw: sorts.append(a) or sort(a, *args, **kw))
     path = tmp_path / "f.csv"
     write_field_csv(path, grid, values)
     written = path.read_bytes()
     assert written == reference_field_csv(grid, values)
-    # a row of one bit pattern is written without the distinct-value sort
-    assert len(sorts) == (1 if one_value else 3)
     texts = [line.rsplit(b",", 1)[1] for line in written.splitlines()[1:row.size + 1]]
     if text is not None:
         assert texts == [text] * row.size
@@ -600,19 +594,36 @@ def test_solve_flux_files_read_back_to_library_fluxes(tmp_path, cfg_path):
                                           vec[k - 1])
 
 
+def assert_row_constant(out):
+    """Every CSV in ``out`` holds one bit pattern per row of its grid: the
+    traffic write_field_csv's one-join row is built for."""
+    paths = sorted(out.glob("*.csv"))
+    assert paths
+    for path in paths:
+        table = np.loadtxt(path, delimiter=",", skiprows=1)
+        bits = table[:, 2].reshape(-1, np.unique(table[:, 1]).size).view(np.int64)
+        assert np.all(bits == bits[:, :1]), path
+
+
 @pytest.mark.parametrize("cfg_path", sorted(DATA.glob("*.ini")), ids=lambda path: path.stem)
 def test_solve_flux_files_are_row_constant_with_zero_x2_components(tmp_path, cfg_path):
-    # every flux is gamma_i eta* grad z, and the pivot z is constant along each row
+    # z, u = U(z) and p depend on x1 alone, every flux is gamma_i eta* grad z
     out = tmp_path / "out"
     assert main(["solve", str(cfg_path), "--out", str(out)]) == 0
+    assert_row_constant(out)
     grid = load_config(cfg_path).make_grid()
-    paths = sorted([*out.glob("q_*.csv"), *out.glob("v_*.csv")])
-    assert any(path.stem.endswith("_2") for path in paths)
-    for path in paths:
-        bits = read_field_csv(path, grid).view(np.int64)
-        assert np.all(bits == bits[:, :1]), path.name
-        if path.stem.endswith("_2"):
-            assert np.all(read_field_csv(path, grid) == 0.0), path.name
+    x2_components = sorted(out.glob("*_2.csv"))
+    assert x2_components
+    for path in x2_components:
+        assert np.all(read_field_csv(path, grid) == 0.0), path.name
+
+
+def test_oracle_files_are_row_constant(tmp_path):
+    assert main(["oracle", "--grid", "17", "--out", str(tmp_path)]) == 0
+    cases = sorted(path for path in tmp_path.iterdir() if path.is_dir())
+    assert len(cases) >= 8
+    for case in cases:
+        assert_row_constant(case)
 
 
 def test_verify_darcy_output_reproduces_solve_report(tmp_path):
@@ -853,6 +864,19 @@ def test_oracle_exits_3_on_a_failing_or_a_crashed_case(tmp_path, monkeypatch, ca
     assert out.endswith("result = FAILURES\n")
     assert (tmp_path / "oracle_report.txt").read_text() == out
     assert sorted(path.name for path in tmp_path.iterdir()) == ["fails", "oracle_report.txt"]
+
+
+def test_oracle_report_replaces_a_link_instead_of_writing_through(tmp_path, capsys):
+    target = tmp_path / "target.txt"
+    target.write_text("keep\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    report = out / "oracle_report.txt"
+    report.symlink_to(target)
+    assert main(["oracle", "--grid", "17", "--out", str(out)]) == 0
+    assert target.read_text() == "keep\n"
+    assert not report.is_symlink() and report.is_file()
+    assert report.read_text() == capsys.readouterr().out
 
 
 # --- the typed-failure contract over generated configs -------------------------
