@@ -7,7 +7,8 @@ FUNCSOL_OUTPUT_DIR environment variable when set.
 
 Exit codes, each carried by its error class: 0 success, 1 config errors,
 2 solver errors, 3 verification failures, 4 resonance (singular shooting
-Jacobian).
+Jacobian). numpy's LinAlgError, FloatingPointError and MemoryError exit 2,
+as solver errors, with one log line.
 """
 
 from __future__ import annotations
@@ -273,7 +274,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         log.error("%s: %s", type(exc).__name__, exc)
         return ConfigError.exit_code
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (np.linalg.LinAlgError, FloatingPointError, MemoryError) as exc:
         log.error("%s in funcsol %s: %s", type(exc).__name__, args.command, exc)
         return FuncsolError.exit_code
 

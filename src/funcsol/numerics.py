@@ -9,7 +9,8 @@ import numpy as np
 
 def at_least_five_nodes(n_nodes: int) -> int:
     """The node count of a profile mesh: ``n_nodes`` as given, but at least
-    5, what the 5-point derivative stencils need."""
+    5, so that the collocation residual has interior intervals, each with
+    two nodes on either side."""
     return max(5, int(n_nodes))
 
 
@@ -44,35 +45,22 @@ def cumulative_simpson(y: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-_FWD0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-_FWD1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
-
-
-def derivative_4th(y: np.ndarray, h: float, axis: int = -1) -> np.ndarray:
-    """4th-order first derivative on a uniform mesh (5-point one-sided ends)."""
-    y = np.moveaxis(np.asarray(y, dtype=float), axis, -1)
-    if y.shape[-1] < 5:
-        raise ValueError("derivative_4th needs at least 5 samples")
-    d = np.empty_like(y)
-    d[..., 2:-2] = (y[..., :-4] - 8.0 * y[..., 1:-3] + 8.0 * y[..., 3:-1] - y[..., 4:]) / (12.0 * h)
-    d[..., 0] = y[..., :5] @ _FWD0 / h
-    d[..., 1] = y[..., :5] @ _FWD1 / h
-    d[..., -1] = -(y[..., -5:][..., ::-1] @ _FWD0) / h
-    d[..., -2] = -(y[..., -5:][..., ::-1] @ _FWD1) / h
-    return np.moveaxis(d, -1, axis)
-
-
-def midpoint_values_4th(y: np.ndarray) -> np.ndarray:
-    """Cubic-accurate values at interior interval midpoints (axis -1).
-
-    For nodes y_0..y_{m-1} this covers the midpoints of intervals
-    1..m-3, i.e. those with two neighbours on each side.
-    """
+def midpoint_cubic(y: np.ndarray, h: float):
+    """Values and slopes (axis -1) at the midpoint of every interval, each
+    from the cubic through the four nearest nodes: two on each side of an
+    interior interval, one-sided stencils on the first and last interval, as
+    in ``cumulative_simpson``. Both are exact for cubics; the slopes are
+    4th-order accurate in the interior, 3rd-order at the two ends."""
     y = np.asarray(y, dtype=float)
-    return (-y[..., :-3] + 9.0 * y[..., 1:-2] + 9.0 * y[..., 2:-1] - y[..., 3:]) / 16.0
-
-
-def midpoint_derivatives_4th(y: np.ndarray, h: float) -> np.ndarray:
-    """4th-order first derivative at interior interval midpoints (axis -1)."""
-    y = np.asarray(y, dtype=float)
-    return (y[..., :-3] - 27.0 * y[..., 1:-2] + 27.0 * y[..., 2:-1] - y[..., 3:]) / (24.0 * h)
+    if y.shape[-1] < 4:
+        raise ValueError(f"midpoint_cubic needs a sample count >= 4, got {y.shape[-1]}")
+    values = np.empty(y.shape[:-1] + (y.shape[-1] - 1,))
+    slopes = np.empty_like(values)
+    y0, y1, y2, y3 = y[..., :-3], y[..., 1:-2], y[..., 2:-1], y[..., 3:]
+    values[..., 1:-1] = (-y0 + 9.0 * y1 + 9.0 * y2 - y3) / 16.0
+    slopes[..., 1:-1] = (y0 - 27.0 * y1 + 27.0 * y2 - y3) / (24.0 * h)
+    for end, nodes, sign in ((0, range(4), 1.0), (-1, range(-1, -5, -1), -1.0)):
+        y0, y1, y2, y3 = (y[..., k] for k in nodes)
+        values[..., end] = (5.0 * y0 + 15.0 * y1 - 5.0 * y2 + y3) / 16.0
+        slopes[..., end] = sign * (-23.0 * y0 + 21.0 * y1 + 3.0 * y2 - y3) / (24.0 * h)
+    return values, slopes

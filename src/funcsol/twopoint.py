@@ -30,6 +30,10 @@ nodes of a uniform mesh of N nodes, and its dense output samples the
 profiles at the nodes in between, so the mesh sets the output resolution
 and the error control (RTOL) sets the step count. The reconstruction layer
 treats the node samples as piecewise-linear interpolants.
+
+Every backend's ``two_point_residual`` measures its profile through
+``collocation_defect``: the equation defect at each interval midpoint,
+with states and slopes from the cubic through the four nearest nodes.
 """
 
 from __future__ import annotations
@@ -53,12 +57,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .exprlang import collect_variables, parse_expression
-from .numerics import (
-    at_least_five_nodes,
-    cumulative_simpson,
-    midpoint_derivatives_4th,
-    midpoint_values_4th,
-)
+from .numerics import at_least_five_nodes, cumulative_simpson, midpoint_cubic
 
 MOLECULAR = "molecular"
 DARCY = "darcy"
@@ -72,6 +71,7 @@ KSECTION_WIDTH = 31         # interior candidates per batched k-section pass
 # each backend's iteration cap: Picard iterations, Newton steps, k-section halvings
 MAX_ITER = {"fixed_point": 200, "shooting": 30, "scalar_bisection": 200}
 BOX_PAD = 0.5
+MAX_LATTICE_POINTS = 33**3  # the largest sampling lattice, 33 points on each of 3 axes
 RTOL = 1e-15                # error per two-point step, relative to the largest |U| so far
 
 # DOP853: the explicit 8(5,3) Runge-Kutta pair with 7th order dense output of
@@ -272,7 +272,10 @@ def _sample_box(spec: ProblemSpec, box, variables, samples: int):
     """``spec.coefficients`` on the lattice of ``samples`` points per axis
     over the ``box`` ranges of ``variables``, flattened. The other variables
     sit at the launch point, 0, where the solvers evaluate every coefficient
-    anyway."""
+    anyway. Fewer points per axis are taken where the lattice would
+    otherwise exceed MAX_LATTICE_POINTS."""
+    while samples > 2 and samples ** len(variables) > MAX_LATTICE_POINTS:
+        samples -= 1
     axes = [np.linspace(*box[v], samples) for v in variables]
     lattice = {v: g.ravel() for v, g in zip(variables, np.meshgrid(*axes, indexing="ij"))}
     return spec.coefficients([lattice.get(f"u{i+1}", 0.0) for i in range(spec.n)],
@@ -282,9 +285,9 @@ def _sample_box(spec: ProblemSpec, box, variables, samples: int):
 def ellipticity_bounds(spec: ProblemSpec, box=None, samples: int = 33) -> EllipticityBounds:
     """Sampled eigenvalue bounds of the symmetrized coefficient matrix.
 
-    Sweeps a lattice over the variables the matrix actually references and
-    raises NonEllipticError when the smallest sampled eigenvalue is not
-    positive.
+    Sweeps a lattice of at most MAX_LATTICE_POINTS points over the variables
+    the matrix actually references and raises NonEllipticError when the
+    smallest sampled eigenvalue is not positive.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples per axis")
@@ -363,25 +366,28 @@ def apply_fixed_point_operator(mesh, profiles, spec: ProblemSpec):
     return out
 
 
-def collocation_residual(mesh, profiles, gamma, spec: ProblemSpec) -> float:
-    """Max equation defect at interior interval midpoints.
+def collocation_defect(mesh, profiles, gamma, spec: ProblemSpec) -> np.ndarray:
+    """The equation defect A(U) U' + b(U, p) - gamma b_{n+1}(U, p), shaped
+    (n, m - 1), at the midpoint of every interval of the mesh.
 
-    Midpoint states and slopes come from 4th-order formulas, so the defect
-    is O(h^4) in the mesh spacing instead of the piecewise-linear
-    interpolation error's O(h^2).
+    Midpoint states and slopes come from ``midpoint_cubic``, so the defect
+    is O(h^4) in the interior and O(h^3) on the end intervals, not the
+    piecewise-linear interpolation error's O(h^2). Its interior maximum is
+    ``collocation_residual``; its running integral is ``theta_linearity``'s.
     """
-    profiles = np.asarray(profiles, dtype=float)
-    h = mesh[1] - mesh[0]
-    u_mid = midpoint_values_4th(profiles)
-    du_mid = midpoint_derivatives_4th(profiles, h)
-    p_mid = midpoint_values_4th(mesh[None, :])[0]
-    A, b, b_next = spec.coefficients(u_mid, p_mid)
-    gamma = np.asarray(gamma, dtype=float)
-    defect = np.einsum("kij,jk->ik", A, du_mid)
+    mid, slopes = midpoint_cubic(np.vstack([profiles, mesh]), mesh[1] - mesh[0])
+    A, b, b_next = spec.coefficients(mid[:-1], mid[-1])
+    defect = np.einsum("kij,jk->ik", A, slopes[:-1], order="C")   # rows contiguous, for cumsum
     if b is not None:
         defect += b.T
-    defect -= gamma[:, None] * b_next[None, :]
-    return float(np.max(np.abs(defect)))
+    defect -= np.asarray(gamma, dtype=float)[:, None] * b_next[None, :]
+    return defect
+
+
+def collocation_residual(mesh, profiles, gamma, spec: ProblemSpec) -> float:
+    """Max |``collocation_defect``| over the interior intervals, those with
+    two nodes on each side."""
+    return float(np.max(np.abs(collocation_defect(mesh, profiles, gamma, spec)[:, 1:-1])))
 
 
 def _solution(spec: ProblemSpec, mesh, profiles, gamma, **stats) -> ProfileSolution:

@@ -10,7 +10,9 @@ amplifies by 1/h^2, so refinement studies need the profile mesh fine
 enough that h_profile^2 stays well below h^2 * (target residual).
 ``theta_linearity`` runs the transformed-flux diagnostic for molecular
 solutions: the cumulative flux integrals must be linear in the pivot with
-slopes gamma_i.
+slopes gamma_i. It integrates the two-point defect of
+``twopoint.collocation_defect``, the one defect whose interior maximum is
+the solution's ``two_point_residual``, and evaluates no coefficient itself.
 
 ``direct_coupled_solve`` attacks the same laws head on (frozen
 coefficient Picard iterations around the pivot module's linear machinery)
@@ -32,10 +34,10 @@ import numpy as np
 
 from .errors import OuterDivergenceError, ShapeMismatchError
 from .geometry import Grid
-from .numerics import cumulative_simpson, derivative_4th, range_scale
+from .numerics import range_scale
 from .pivot import DivergenceStencil, arithmetic_mean_faces, dirichlet_targets, pivot_values
 from .reconstruct import FieldSet
-from .twopoint import DARCY, MOLECULAR, ProblemSpec, ProfileSolution
+from .twopoint import DARCY, MOLECULAR, ProblemSpec, ProfileSolution, collocation_defect
 
 
 @dataclass(frozen=True)
@@ -96,17 +98,15 @@ def theta_linearity(sol: ProfileSolution, spec: ProblemSpec) -> np.ndarray:
     """Deviation of the cumulative transformed fluxes from gamma_i * z.
 
     theta_i(z) = int_0^z sum_j a_ij(U(t)) U_j'(t) dt must equal gamma_i z
-    for an exact solution; the returned vector holds max_z |theta_i - gamma_i z|.
+    for an exact solution. theta_i - gamma_i z is the running integral of
+    the two-point defect d_i = sum_j a_ij U_j' - gamma_i, which
+    ``twopoint.collocation_defect`` gives at every interval midpoint; the
+    returned vector holds max_z |h cumsum(d_i)|, its midpoint-rule integral.
     """
     if spec.mode != MOLECULAR:
         raise ValueError("the theta diagnostic applies to molecular problems")
-    mesh, U = sol.mesh, sol.profiles
-    h = mesh[1] - mesh[0]
-    dU = derivative_4th(U, h, axis=-1)
-    A = spec.coefficients(U, mesh)[0]
-    integrand = np.einsum("kij,jk->ik", A, dU)
-    theta = cumulative_simpson(integrand, h, axis=-1)
-    return np.max(np.abs(theta - sol.gamma[:, None] * mesh[None, :]), axis=-1)
+    d = collocation_defect(sol.mesh, sol.profiles, sol.gamma, spec)
+    return (sol.mesh[1] - sol.mesh[0]) * np.max(np.abs(np.cumsum(d, axis=-1)), axis=-1)
 
 
 def compare_fields(a: FieldSet, b: FieldSet) -> dict:

@@ -4,9 +4,7 @@ import pytest
 from funcsol.numerics import (
     at_least_five_nodes,
     cumulative_simpson,
-    derivative_4th,
-    midpoint_derivatives_4th,
-    midpoint_values_4th,
+    midpoint_cubic,
 )
 
 
@@ -37,25 +35,14 @@ def test_cumulative_error_is_smooth():
     assert second_diff < 10.0 * np.abs(err).max()
 
 
-def test_derivative_4th():
-    x = np.linspace(0.0, 1.0, 51)
-    d = derivative_4th(np.sin(3 * x), x[1] - x[0])
-    assert np.max(np.abs(d - 3 * np.cos(3 * x))) < 1e-5
-    # fourth order: quartering h cuts the error by ~256
-    x2 = np.linspace(0.0, 1.0, 201)
-    d2 = derivative_4th(np.sin(3 * x2), x2[1] - x2[0])
-    e1 = np.max(np.abs(d - 3 * np.cos(3 * x)))
-    e2 = np.max(np.abs(d2 - 3 * np.cos(3 * x2)))
-    assert e1 / e2 == pytest.approx(256.0, rel=0.5)
-
-
 def test_midpoint_formulas_exact_for_cubics():
-    x = np.linspace(0.0, 1.0, 9)
-    h = x[1] - x[0]
-    y = x**3 - x
-    mids = 0.5 * (x[1:-2] + x[2:-1])
-    np.testing.assert_allclose(midpoint_values_4th(y), mids**3 - mids, atol=1e-14)
-    np.testing.assert_allclose(midpoint_derivatives_4th(y, h), 3 * mids**2 - 1, atol=1e-13)
+    # every interval, the one-sided first and last ones included
+    for m in (4, 5, 9):
+        x = np.linspace(0.0, 1.0, m)
+        mids = 0.5 * (x[:-1] + x[1:])
+        values, slopes = midpoint_cubic(np.stack([x**3 - x, 2 * x**3]), x[1] - x[0])
+        np.testing.assert_allclose(values, [mids**3 - mids, 2 * mids**3], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(slopes, [3 * mids**2 - 1, 6 * mids**2], rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("m", [4, 5, 6, 8, 1000])
@@ -68,3 +55,5 @@ def test_cumulative_exact_for_cubics_at_any_sample_count(m):
 def test_too_few_samples_rejected():
     with pytest.raises(ValueError, match=">= 4"):
         cumulative_simpson(np.zeros(3), 0.1)
+    with pytest.raises(ValueError, match=">= 4"):
+        midpoint_cubic(np.zeros(3), 0.1)

@@ -13,7 +13,7 @@ import pytest
 from funcsol.geometry import build_annulus, build_rectangle
 from funcsol.pivot import DivergenceStencil, solve_pivot
 from funcsol.reconstruct import compose_fields
-from funcsol.twopoint import ProblemSpec, solve_fixed_point, solve_shooting
+from funcsol.twopoint import ProblemSpec, collocation_defect, solve_fixed_point, solve_shooting
 from funcsol.verify import (
     compare_fields,
     direct_coupled_solve,
@@ -45,6 +45,18 @@ def test_coupled_diagnostics(fp_solution):
     assert fp_solution.boundary_error == 0.0
     assert fp_solution.stats["iterate_bound_ratio"] <= 1.0
     assert np.max(theta_linearity(fp_solution, COUPLED)) <= 1e-9
+
+
+def test_theta_and_two_point_residual_read_one_defect(fp_solution):
+    # theta_i - gamma_i z is the running integral of the two-point defect,
+    # whose interior maximum is the two-point residual
+    mesh = fp_solution.mesh
+    d = collocation_defect(mesh, fp_solution.profiles, fp_solution.gamma, COUPLED)
+    assert d.shape == (COUPLED.n, mesh.size - 1)
+    running = (mesh[1] - mesh[0]) * np.cumsum(d, axis=-1)
+    np.testing.assert_array_equal(theta_linearity(fp_solution, COUPLED),
+                                  np.max(np.abs(running), axis=-1))
+    assert fp_solution.two_point_residual == np.max(np.abs(d[:, 1:-1]))
 
 
 def test_coupled_direct_solver_agrees(fp_solution):

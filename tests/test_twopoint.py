@@ -1,9 +1,15 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import numpy as np
 import pytest
 
+import funcsol
 from funcsol.errors import (
     BracketFailureError,
     DegenerateLinearizationError,
@@ -113,6 +119,40 @@ def test_ellipticity_failure():
     spec = molecular([["u1", "0"], ["0", "1"]], (1.0, 0.0))
     with pytest.raises(NonEllipticError):
         ellipticity_bounds(spec, box={"u1": (-1.0, 1.0)}, samples=5)
+
+
+# n = 5, with a_11 referencing all five variables
+FIVE_VARIABLE_A = [["2+" + "+".join(f"0.01*u{k}^2" for k in range(1, 6)) if i == j == 0
+                    else f"2+0.1*u{i+1}^2" if i == j else "0.1" for j in range(5)]
+                   for i in range(5)]
+
+
+def test_ellipticity_lattice_is_capped():
+    # 33^3 points for three referenced variables; 8^5 for five, not 33^5
+    import funcsol.twopoint as tp
+    spec = molecular(FIVE_VARIABLE_A, (1.0,) * 5)
+    box = tp.default_box(spec)
+    for k, points in ((3, 33**3), (4, 13**4), (5, 8**5)):
+        variables = [f"u{i}" for i in range(1, k + 1)]
+        assert tp._sample_box(spec, box, variables, 33)[0].shape[0] == points
+
+
+def test_ellipticity_five_variables_under_an_address_space_limit():
+    # the uncapped 33^5 lattice needs gigabytes and fails under a 1 GiB limit
+    code = textwrap.dedent(f"""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from funcsol.twopoint import ProblemSpec, ellipticity_bounds
+        bounds = ellipticity_bounds(ProblemSpec.from_strings(5, {FIVE_VARIABLE_A!r},
+                                                             u_star=(1.0,) * 5))
+        assert 0.0 < bounds.m <= bounds.M
+        """)
+    src = str(pathlib.Path(funcsol.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stderr
 
 
 # --- gamma functional and the fixed point operator ---------------------------

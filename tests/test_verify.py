@@ -93,7 +93,9 @@ def test_theta_detects_perturbation():
     prof = sol.profiles + sol.mesh * (1 - sol.mesh) * 0.05
     bad = ProfileSolution(mesh=sol.mesh, profiles=prof, gamma=gamma,
                           two_point_residual=0.0, boundary_error=0.0)
-    assert np.max(theta_linearity(bad, CONST)) > 1e-3
+    # d = A U' - gamma = 0.15 (1 - 2z) in both rows, linear in z, so the
+    # midpoint rule integrates it exactly: max 0.15 z (1 - z) = 0.0375 at z = 1/2
+    np.testing.assert_allclose(theta_linearity(bad, CONST), 0.0375, rtol=0, atol=1e-12)
 
 
 def test_theta_converged_solution():
