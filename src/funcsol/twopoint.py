@@ -22,7 +22,9 @@ of a spec come from one compiled (A, b, b_{n+1}) bundle. The backends:
   n = 1 and b absent, dU/dp = gamma*F(U, p) with F = b_{n+1}/a > 0, using
   the strict monotonicity of the endpoint in gamma. A stack of gammas
   integrates for about the cost of one, so each pass integrates
-  KSECTION_WIDTH candidates at once.
+  KSECTION_WIDTH candidates at once: a uniform pass shrinks the bracket
+  32-fold, a pass aimed at the root of the endpoints already sampled to
+  its window's spacing.
 
 Every initial value problem goes through one integrator: DOP853, batched
 over a stack of gammas that share one step sequence. Its steps end on
@@ -739,6 +741,25 @@ def _check_f_positive(spec: ProblemSpec):
             f"F = b_next/a must be positive on the sampled rectangle; min sampled value {fmin:.6g}")
 
 
+def _aimed_window(gammas, ends, u_star, tol, lo, hi):
+    """The window (a, b) of an aimed k-section pass: around the root of the
+    inverse cubic gamma(U) through four (gamma, U(p*)) samples, by Neville's
+    scheme at U = u*, with half-width 4 times the cubic's change from the
+    quadratic through the first three, at least 16 tol in U, clipped strictly
+    inside the bracket (lo, hi). NaN when the samples do not increase or the
+    estimate is NaN: max and min keep a NaN first argument."""
+    if not ends[0] < ends[1] < ends[2] < ends[3]:
+        return math.nan, math.nan
+    g = list(gammas)
+    for k in (1, 2, 3):
+        quadratic = g[0]        # after k = 2: the quadratic through the first three
+        g = [((u_star - ends[i + k]) * g[i] + (ends[i] - u_star) * g[i + 1])
+             / (ends[i] - ends[i + k]) for i in range(4 - k)]
+    half = max(4.0 * abs(g[0] - quadratic),
+               16.0 * tol * (gammas[2] - gammas[1]) / (ends[2] - ends[1]))
+    return max(g[0] - half, math.nextafter(lo, hi)), min(g[0] + half, math.nextafter(hi, lo))
+
+
 def solve_scalar(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
                  max_iter: int = MAX_ITER["scalar_bisection"],
                  bracket_hints=None) -> ProfileSolution:
@@ -753,10 +774,15 @@ def solve_scalar(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
     ends in one batch, then KSECTION_WIDTH interior candidates per pass, and
     no gamma twice. Once the bracket straddles u*, its batch's step sequence
     is frozen: every later candidate replays it, so all the endpoints
-    compared come from one discrete map. ``max_iter`` halvings buy
-    ceil(max_iter / 5) passes. The returned profile is the winning
-    candidate's own trajectory, kept from its batch. The endpoint map's
-    strict monotonicity in gamma is asserted on every sampled pair.
+    compared come from one discrete map. A uniform pass shrinks the bracket
+    32-fold. A pass whose sign change falls between two of its candidates
+    aims the next one over ``_aimed_window``, which shrinks the bracket to
+    the window's spacing or, on a miss, to the side beside it; the pass
+    after a miss, or after an empty or NaN window, is uniform again.
+    ``max_iter`` halvings buy ceil(max_iter / 5) passes, aimed or not. The
+    returned profile is the winning candidate's own trajectory, kept from
+    its batch. The endpoint map's strict monotonicity in gamma is asserted
+    on every sampled pair.
     """
     if "scalar_bisection" not in allowed_backends(spec):
         raise ValueError("solve_scalar applies to darcy problems with n = 1 and no b")
@@ -804,13 +830,16 @@ def solve_scalar(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
         lo, hi = (lo, next_end) if miss_hi < 0.0 else (next_end, hi)
         step *= 2.0
     frozen = last
-    passes, best_miss = 0, math.inf
+    passes, best_miss, aim = 0, math.inf, None
     while gamma is None:
         if passes == math.ceil(max_iter / 5):
             raise MaxIterationError(f"k-section did not reach {tol:.3e} in {passes} passes",
                                     last_update=best_miss)
         passes += 1
         nodes = np.linspace(lo, hi, KSECTION_WIDTH + 2)
+        a, b = (math.nan, math.nan) if aim is None else _aimed_window(*aim, u_star, tol, lo, hi)
+        if a < b:
+            nodes[1:-1] = np.linspace(a, b, KSECTION_WIDTH)
         ends = np.array(batch(nodes[1:-1].tolist()))
         miss = np.abs(ends - u_star)
         best = int(np.argmin(miss))
@@ -824,6 +853,9 @@ def solve_scalar(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
                 f"k-section bracket [{lo:.17g}, {hi:.17g}] stopped shrinking before "
                 f"the endpoint reached {tol:.3e}", last_update=best_miss)
         lo, hi = float(nodes[below]), float(nodes[below + 1])
+        # aim the next pass when the sign change fell between two candidates
+        near = nodes[below - 1:below + 3].tolist()
+        aim = (near, batch(near)) if 0 < below < KSECTION_WIDTH else None
 
     # monotonicity witness: at least 5 sampled gamma pairs of the one discrete
     # map, strictly increasing beyond the rounding noise of its at most m - 1

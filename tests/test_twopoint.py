@@ -613,11 +613,12 @@ def test_scalar_unhinted_expansion_hits_root():
 
 
 def test_scalar_ksection_passes():
-    # each pass shrinks the bracket 32-fold: from width e - 1 to 1e-10 in
-    # about 7 passes, plus the two hint endpoints
+    # a uniform pass shrinks the bracket 32-fold and an aimed one to its
+    # window's spacing: from width e - 1 to 1e-10 in 3 passes, one uniform
+    # and two aimed, plus the batch of the two hint endpoints
     sol = solve_scalar(scalar_spec("exp(u1)", "1", 1.0),
                        bracket_hints=(math.exp(-1.0), 1.0), n_nodes=257, tol=1e-10)
-    assert sol.stats["iterations"] <= 10
+    assert sol.stats["iterations"] <= 5
     assert sol.stats["endpoint_evaluations"] == sol.stats["monotone_samples"] >= 6
     assert sol.boundary_error <= 1e-10
 
@@ -696,7 +697,7 @@ def test_scalar_tol_below_roundoff(u_star, solvable, monkeypatch):
             return None, np.where(g < u_star, g, g + 1e-9)[None], (n_nodes - 1,), 0
 
         monkeypatch.setattr(tp, "_integrate_batch", stepped_endpoints)
-        with pytest.raises(MaxIterationError):
+        with pytest.raises(MaxIterationError, match="stopped shrinking"):
             tp.solve_scalar(spec, n_nodes=65, tol=1e-30)
 
 
@@ -729,18 +730,62 @@ def hinted_scalar_batches(monkeypatch):
 
 def test_scalar_integrates_each_gamma_once(monkeypatch):
     # the bracket ends share one batch, every pass adds KSECTION_WIDTH new
-    # candidates, and the profile is the winner's trajectory from its pass:
-    # a rerun of the winner alone on the solve's frozen steps gives its bytes
+    # candidates (one uniform pass, then two aimed at the root), and the
+    # profile is the winner's trajectory from its pass: a rerun of the
+    # winner alone on the solve's frozen steps gives its bytes
     import funcsol.twopoint as tp
     spec, sol, batches = hinted_scalar_batches(monkeypatch)
     seen = [gam for gams, _, _ in batches for gam in gams]
     assert len(seen) == len(set(seen))
     assert sol.stats["iterations"] == len(batches)
-    assert [len(gams) for gams, _, _ in batches] == [2] + [tp.KSECTION_WIDTH] * (len(batches) - 1)
+    assert [len(gams) for gams, _, _ in batches] == [2] + [tp.KSECTION_WIDTH] * 3
     assert sol.boundary_error <= 1e-11
+    # U(p*) = exp(gamma) - 1 = 1 at gamma = ln 2
+    assert abs(sol.gamma[0] - math.log(2.0)) <= 4 * math.ulp(math.log(2.0))
     frozen = batches[-1][1]
     rerun = tp._integrate_batch(spec, sol.gamma[None, :], 2049, frozen)[1][:, 0, :].T
     assert rerun.tobytes() == sol.profiles.tobytes()
+
+
+def test_scalar_missed_window_is_followed_by_a_uniform_pass(monkeypatch):
+    # a window that excludes the root still shrinks the bracket to the side
+    # beside it, and the pass after the miss spreads its candidates evenly
+    # over the whole bracket again; the solve still reaches tol
+    import funcsol.twopoint as tp
+    root, windows, passes = math.log(2.0), [], []
+
+    def missing_window(gammas, ends, u_star, tol, lo, hi):
+        w = hi - lo
+        windows.append((lo + w / 8, lo + w / 4) if root > lo + w / 2 else (hi - w / 4, hi - w / 8))
+        assert not windows[-1][0] <= root <= windows[-1][1]
+        return windows[-1]
+
+    integrate = tp._integrate_batch
+
+    def recorded(spec, gammas, n_nodes, steps=None):
+        passes.append(np.ravel(gammas).tolist())
+        return integrate(spec, gammas, n_nodes, steps)
+
+    monkeypatch.setattr(tp, "_aimed_window", missing_window)
+    monkeypatch.setattr(tp, "_integrate_batch", recorded)
+    sol = tp.solve_scalar(scalar_spec("1", "1+u1", 1.0), bracket_hints=(1.0, 2.0),
+                          n_nodes=2049, tol=1e-11)
+    aimed = [any(gams == np.linspace(a, b, tp.KSECTION_WIDTH).tolist() for a, b in windows)
+             for gams in passes[1:]]
+    assert len(windows) >= 2
+    assert aimed == [k % 2 == 1 for k in range(len(aimed))]
+    assert sol.boundary_error <= 1e-11
+    assert abs(sol.gamma[0] - root) <= 1e-11
+
+
+@pytest.mark.parametrize("ends", [[0.0, 0.0, 2.0, 3.0], [0.0, 1.0, 2.0, math.inf]],
+                         ids=["tied", "infinite"])
+def test_scalar_degenerate_samples_give_no_window(ends):
+    # a tie or an infinite endpoint gives no aimed window, so the pass stays
+    # uniform, and raises nothing on the way
+    from funcsol.twopoint import _aimed_window
+    a, b = _aimed_window([0.0, 1.0, 2.0, 3.0], ends, 1.5, 1e-10, 1.0, 2.0)
+    assert not a < b
 
 
 def test_scalar_endpoints_share_one_step_sequence(monkeypatch):
