@@ -24,14 +24,15 @@ of a spec come from one compiled (A, b, b_{n+1}) bundle. The backends:
   integrates for about the cost of one, so each pass integrates
   KSECTION_WIDTH candidates at once: a uniform pass shrinks the bracket
   32-fold, a pass aimed at the root of the endpoints already sampled to
-  its window's spacing.
+  its window's spacing. The bracket's own batch carries the first pass.
 
 Every initial value problem goes through one integrator: DOP853, batched
-over a stack of gammas that share one step sequence. Its steps end on
-nodes of a uniform mesh of N nodes, and its dense output samples the
-profiles at the nodes in between, so the mesh sets the output resolution
-and the error control (RTOL) sets the step count. The reconstruction layer
-treats the node samples as piecewise-linear interpolants.
+over a stack of gammas that share one step sequence. It returns every
+column's endpoint. Its steps end on nodes of a uniform mesh of N nodes,
+and its dense output fills the nodes in between for the columns a caller
+keeps, so the mesh sets the output resolution and the error control
+(RTOL) sets the step count. The reconstruction layer treats the node
+samples as piecewise-linear interpolants.
 
 Every backend's ``two_point_residual`` measures its profile through
 ``collocation_defect``: the equation defect at each interval midpoint,
@@ -475,23 +476,25 @@ def _integrate_batch(spec: ProblemSpec, gammas, n_nodes, steps=None):
     exceeds RTOL times the largest |U| seen in that column. A one-interval
     step is accepted whatever its estimate, so there are at most m - 1
     steps and the guards below still meet every node a trajectory cannot
-    step over. Dense output fills the nodes inside a step; its end node
-    gets the step's own value. ``steps``, the step-end node indices of an
-    earlier batch, replays that sequence instead of running the controller.
+    step over. ``steps``, the step-end node indices of an earlier batch,
+    replays that sequence instead of running the controller.
 
     Every stage runs the singularity guards under one raising numpy error
     state. A floating point exception or a tripped guard rejects a
     controlled step of more than one interval; anywhere else the guard
     raises its SingularMatrixError and the exception an EvalDomainError
-    naming the coefficient at fault, if one is. Returns the mesh, the
-    (m, k, n) trajectory, the step-end node indices and the number of
-    right-hand-side evaluations.
+    naming the coefficient at fault, if one is. Returns the (k, n)
+    endpoints U(p*), the step-end node indices, the number of
+    right-hand-side evaluations and ``profile``, which gives the mesh and
+    column c's (n, m) trajectory as ``profile(c)``: each step's own end
+    value and, inside the step, the dense output of its kept stages. It
+    is elementwise, so a column's trajectory does not depend on the width
+    of its batch, and only the columns a caller keeps pay for the mesh.
     """
     gammas = np.atleast_2d(np.asarray(gammas, dtype=float))
     k, n = gammas.shape[0], spec.n
     m = at_least_five_nodes(n_nodes)
     mesh = np.linspace(0.0, spec.p_star, m)
-    traj = np.zeros((m, k * n))
     raw, names, nn = spec.bundle.raw, [f"u{i+1}" for i in range(n)], n * n
     has_b = spec.b is not None
     env = dict.fromkeys(names + ["p"], 0.0)         # the launch point
@@ -547,16 +550,16 @@ def _integrate_batch(spec: ProblemSpec, gammas, n_nodes, steps=None):
     def stage(s, p, y, H, K0):
         dK[:, s - 1] = slope(p, y + H * (_DOP_C[s] * K0 + combine(_DOP_A[s]))) - K0
 
-    ends = []
+    ends, records = [], []              # each accepted step's dense output data
     peak = np.zeros(k)                  # the largest |U| seen in each column
-    i, span, rejected = 0, float(m - 1), False
+    i, span, rejected, y = 0, float(m - 1), False, np.zeros(k * n)
     try:
         with np.errstate(**exprlang.RAISE):
-            K0 = slope(0.0, traj[0])
+            K0 = slope(0.0, y)
             while i < m - 1:
                 j = min(max(int(span), 1), m - 1 - i) if steps is None else steps[len(ends)] - i
                 p0, p1 = mesh[i], mesh[i + j]
-                H, y = p1 - p0, traj[i]
+                H = p1 - p0
                 try:
                     for s in range(1, 12):
                         stage(s, p1 if _DOP_C[s] == 1.0 else p0 + _DOP_C[s] * H, y, H, K0)
@@ -581,28 +584,38 @@ def _integrate_batch(spec: ProblemSpec, gammas, n_nodes, steps=None):
                     rejected = not accept
                 if not accept:
                     continue
-                if j > 1:
-                    # the 7th order dense output with its linear part (p - p0) K_0
-                    # split off, so that a constant F stays exact
-                    F = H * (dK * _DOP_D[:, None, :]).sum(axis=2)
-                    x = ((mesh[i + 1:i + j] - p0) / H)[:, None]
-                    q = F[2] + x * F[3]
-                    q = F[1] + (1.0 - x) * q
-                    q = F[0] + x * q
-                    q = 2.0 * delta - H * dK[:, 11] + (1.0 - x) * q
-                    q = -delta + x * q
-                    q = delta + (1.0 - x) * q
-                    traj[i + 1:i + j] = y + (mesh[i + 1:i + j, None] - p0) * K0 + x * q
-                traj[i + j] = y1
+                records.append((i, j, y, K0, dK.copy() if j > 1 else None, delta, y1))
                 peak = np.maximum(peak, np.abs(y1).reshape(k, n).max(axis=1))
-                K0 = K0 + dK[:, 11]
+                y, K0 = y1, K0 + dK[:, 11]
                 i += j
                 ends.append(i)
     except (FloatingPointError, ZeroDivisionError) as exc:
         spec.bundle(env)        # raises the EvalDomainError naming the coefficient at fault
         raise EvalDomainError(f"the two-point integration left the floating point range "
                               f"near p = {float(env['p']):.6g}: {exc}") from None
-    return mesh, traj.reshape(m, k, n), tuple(ends), calls
+
+    def profile(c):
+        cols, out = slice(c * n, (c + 1) * n), np.zeros((n, m))
+        for i, j, y, K0, dK, delta, y1 in records:
+            if j > 1:
+                p0 = mesh[i]
+                H = mesh[i + j] - p0
+                # the 7th order dense output with its linear part (p - p0) K_0
+                # split off, so that a constant F stays exact
+                F = H * (dK[cols] * _DOP_D[:, None, :]).sum(axis=2)
+                x = ((mesh[i + 1:i + j] - p0) / H)[:, None]
+                q = F[2] + x * F[3]
+                q = F[1] + (1.0 - x) * q
+                q = F[0] + x * q
+                q = 2.0 * delta[cols] - H * dK[cols, 11] + (1.0 - x) * q
+                q = -delta[cols] + x * q
+                q = delta[cols] + (1.0 - x) * q
+                out[:, i + 1:i + j] = (y[cols] + (mesh[i + 1:i + j, None] - p0) * K0[cols]
+                                       + x * q).T
+            out[:, i + j] = y1[cols]
+        return mesh, out
+
+    return y.reshape(k, n), tuple(ends), calls, profile
 
 
 def _error_ratio(err5, err3, y1, peak, k, n):
@@ -620,8 +633,7 @@ def _error_ratio(err5, err3, y1, peak, k, n):
 
 def integrate_profiles(spec: ProblemSpec, gamma, n_nodes: int):
     """Integrate the initial value problem for a given gamma; returns (mesh, profiles)."""
-    mesh, traj = _integrate_batch(spec, np.asarray(gamma, dtype=float)[None, :], n_nodes)[:2]
-    return mesh, traj[:, 0, :].T
+    return _integrate_batch(spec, np.asarray(gamma, dtype=float)[None, :], n_nodes)[3](0)
 
 
 def _origin_linearization(spec: ProblemSpec):
@@ -650,15 +662,16 @@ def _origin_linearization(spec: ProblemSpec):
 
 
 def shooting_jacobian(spec: ProblemSpec, gamma, n_nodes: int = 1001):
-    """Forward-difference Jacobian of gamma -> U(p*; gamma), with the mesh
-    and the (n, m) profiles of the unperturbed run, from one batch; also
-    the batch's step count and right-hand-side evaluations."""
+    """Forward-difference Jacobian of gamma -> U(p*; gamma) from the
+    endpoints of one batch, with the mesh and the (n, m) profiles of the
+    unperturbed run, the one column whose mesh is filled; also the batch's
+    step count and right-hand-side evaluations."""
     gamma = np.asarray(gamma, dtype=float)
     shifts = 1e-6 * (1.0 + np.abs(gamma))
     gammas = np.vstack([gamma, gamma + np.diag(shifts)])
-    mesh, traj, ends, calls = _integrate_batch(spec, gammas, n_nodes)
-    J = (traj[-1, 1:] - traj[-1, 0]).T / shifts[None, :]
-    return J, mesh, traj[:, 0, :].T, (len(ends), calls)
+    U, steps, calls, profile = _integrate_batch(spec, gammas, n_nodes)
+    J = (U[1:] - U[0]).T / shifts[None, :]
+    return J, *profile(0), (len(steps), calls)
 
 
 def solve_shooting(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
@@ -770,26 +783,29 @@ def solve_scalar(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
     of lower/upper bounds r <= F <= q, yielding the analytic initial bracket
     [u*/int q, u*/int r]. Otherwise the bracket grows geometrically from 0
     while its ends stay finite.
-    Every gamma goes through one memoized batch integration: both bracket
-    ends in one batch, then KSECTION_WIDTH interior candidates per pass, and
-    no gamma twice. Once the bracket straddles u*, its batch's step sequence
-    is frozen: every later candidate replays it, so all the endpoints
-    compared come from one discrete map. A uniform pass shrinks the bracket
-    32-fold. A pass whose sign change falls between two of its candidates
-    aims the next one over ``_aimed_window``, which shrinks the bracket to
-    the window's spacing or, on a miss, to the side beside it; the pass
-    after a miss, or after an empty or NaN window, is uniform again.
-    ``max_iter`` halvings buy ceil(max_iter / 5) passes, aimed or not. The
-    returned profile is the winning candidate's own trajectory, kept from
-    its batch. The endpoint map's strict monotonicity in gamma is asserted
-    on every sampled pair.
+    Every gamma goes through one memoized batch integration, and no gamma
+    twice. Each bracket's batch holds its two ends and the KSECTION_WIDTH
+    interior candidates of the first uniform pass, so that pass costs no
+    integration of its own; every later pass integrates its KSECTION_WIDTH
+    candidates. Once the bracket straddles u*, its controlled batch's step
+    sequence is frozen: every later candidate replays it, so all the
+    endpoints compared come from one discrete map. A uniform pass shrinks
+    the bracket 32-fold. A pass whose sign change falls between two of its
+    candidates aims the next one over ``_aimed_window``, which shrinks the
+    bracket to the window's spacing or, on a miss, to the side beside it;
+    the pass after a miss, or after an empty or NaN window, is uniform
+    again.
+    ``max_iter`` halvings buy ceil(max_iter / 5) passes, aimed or not, the
+    first one counted too. The returned profile is the winning candidate's
+    own trajectory, the one mesh its batch fills. The endpoint map's strict
+    monotonicity in gamma is asserted on every sampled pair.
     """
     if "scalar_bisection" not in allowed_backends(spec):
         raise ValueError("solve_scalar applies to darcy problems with n = 1 and no b")
     _check_f_positive(spec)
     u_star = float(spec.u_star[0])
     evals = {}                  # gamma -> endpoint U(p*)
-    hits = {}                   # gamma -> (mesh, profiles) of the endpoints within tol
+    hits = {}                   # gamma -> (profile, column) of the endpoints within tol
     runs = taken = calls = 0    # integrations, each of one batch of gammas, and their work
     frozen = last = None        # the step sequence every candidate replays; the latest one
 
@@ -797,13 +813,13 @@ def solve_scalar(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
         nonlocal runs, taken, calls, last
         new = [gam for gam in dict.fromkeys(gams) if gam not in evals]
         if new:
-            mesh, traj, last, work = _integrate_batch(spec, np.array(new)[:, None], n_nodes,
+            U, last, work, profile = _integrate_batch(spec, np.array(new)[:, None], n_nodes,
                                                       frozen)
             runs, taken, calls = runs + 1, taken + len(last), calls + work
-            for j, (gam, end) in enumerate(zip(new, traj[-1, :, 0].tolist())):
+            for j, (gam, end) in enumerate(zip(new, U[:, 0].tolist())):
                 evals[gam] = end
                 if abs(end - u_star) <= tol:
-                    hits[gam] = mesh, traj[:, j, :].T.copy()
+                    hits[gam] = profile, j
         return [evals[gam] for gam in gams]
 
     if bracket_hints is not None:
@@ -816,9 +832,10 @@ def solve_scalar(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
     # the endpoint map increases in gamma: move whichever end is short
     step = abs(u_star) / spec.p_star
     for grow in itertools.count():
-        evals.clear()           # both ends from one batch, so on one step sequence
+        evals.clear()           # the ends and the first pass from one batch, on one step sequence
         hits.clear()
-        miss_lo, miss_hi = (end - u_star for end in batch([lo, hi]))
+        first = batch(np.linspace(lo, hi, KSECTION_WIDTH + 2).tolist())
+        miss_lo, miss_hi = first[0] - u_star, first[-1] - u_star
         gamma = next((c for c in (lo, hi) if c in hits), None)
         if gamma is not None or miss_lo * miss_hi < 0.0:
             break
@@ -870,7 +887,7 @@ def solve_scalar(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
             "endpoint map is not strictly increasing in gamma; "
             "the positivity of F does not hold along the trajectories")
 
-    mesh, profiles = hits[gamma]
-    return _solution(spec, mesh, profiles, np.array([gamma]), method="scalar_bisection",
+    profile, column = hits[gamma]
+    return _solution(spec, *profile(column), np.array([gamma]), method="scalar_bisection",
                      iterations=runs, endpoint_evaluations=len(evals), monotone_samples=len(gs),
                      integration_steps=taken, rhs_evaluations=calls)

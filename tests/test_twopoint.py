@@ -392,6 +392,30 @@ def test_dop853_tableau_implied_column():
                                19.985053242002433, -25.69393346270375], rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("spec, gammas", [
+    (ProblemSpec.from_strings(1, [["exp(u1)"]], b_next="1+p", u_star=(1.0,), mode="darcy"),
+     np.linspace(0.5, 2.0, 31)[:, None]),
+    (ProblemSpec.from_strings(2, [["1+u1^2", "0.5*u2"], ["-0.5*u2", "exp(u1)"]], b=["p", "0"],
+                              b_next="2+p", u_star=(1.0, 0.5), mode="darcy"),
+     np.column_stack([np.linspace(0.5, 2.0, 31), np.linspace(-1.0, 1.0, 31)])),
+], ids=["n1", "n2"])
+def test_filled_column_is_the_gamma_integrated_alone(spec, gammas):
+    # a batch fills the mesh for the columns a caller keeps; each filled
+    # column, and its endpoint, is the bytes of that gamma integrated alone
+    # on the batch's steps, however wide the batch
+    import funcsol.twopoint as tp
+    U, steps, _, profile = tp._integrate_batch(spec, gammas, 257)
+    assert len(steps) > 2
+    for c in (0, 13, 30):
+        alone, alone_steps, _, alone_profile = tp._integrate_batch(spec, gammas[c:c + 1], 257,
+                                                                   steps)
+        (mesh, prof), (alone_mesh, alone_prof) = profile(c), alone_profile(0)
+        assert alone_steps == steps
+        assert U[c].tobytes() == alone[0].tobytes() == prof[:, -1].tobytes()
+        assert prof.tobytes() == alone_prof.tobytes()
+        assert mesh.tobytes() == alone_mesh.tobytes()
+
+
 # --- shooting -------------------------------------------------------------------
 
 def test_shooting_sincos_regular():
@@ -445,8 +469,8 @@ def test_shooting_stats_sum_over_batches(monkeypatch):
     monkeypatch.setattr(tp, "_integrate_batch", recorded)
     sol = tp.solve_shooting(DIAG, n_nodes=257, tol=1e-10)
     assert len(runs) == sol.stats["iterations"]
-    assert sol.stats["integration_steps"] == sum(len(ends) for _, _, ends, _ in runs)
-    assert sol.stats["rhs_evaluations"] == sum(calls for *_, calls in runs) > 0
+    assert sol.stats["integration_steps"] == sum(len(steps) for _, steps, _, _ in runs)
+    assert sol.stats["rhs_evaluations"] == sum(calls for _, _, calls, _ in runs) > 0
 
 
 def test_shooting_degenerate_origin():
@@ -591,7 +615,7 @@ def test_scalar_bracket_failure(monkeypatch):
 
     def bounded_endpoint(spec, gammas, n_nodes, steps=None):
         calls.extend(np.ravel(gammas).tolist())
-        return None, np.arctan(np.asarray(gammas, dtype=float))[None], (n_nodes - 1,), 0
+        return np.arctan(np.asarray(gammas, dtype=float)), (n_nodes - 1,), 0, None
 
     monkeypatch.setattr(tp, "_integrate_batch", bounded_endpoint)
     with pytest.raises(BracketFailureError):
@@ -694,7 +718,7 @@ def test_scalar_tol_below_roundoff(u_star, solvable, monkeypatch):
         # so stall on a strictly increasing map that steps over u*
         def stepped_endpoints(spec, gammas, n_nodes, steps=None):
             g = np.asarray(gammas, dtype=float)
-            return None, np.where(g < u_star, g, g + 1e-9)[None], (n_nodes - 1,), 0
+            return np.where(g < u_star, g, g + 1e-9), (n_nodes - 1,), 0, None
 
         monkeypatch.setattr(tp, "_integrate_batch", stepped_endpoints)
         with pytest.raises(MaxIterationError, match="stopped shrinking"):
@@ -705,7 +729,7 @@ def test_scalar_monotone_endpoint_map():
     from funcsol.twopoint import _integrate_batch
     spec = scalar_spec("exp(u1)", "1", 1.0)
     gammas = np.linspace(0.1, 3.0, 6)
-    ends = _integrate_batch(spec, gammas[:, None], 257)[1][-1, :, 0]
+    ends = _integrate_batch(spec, gammas[:, None], 257)[0][:, 0]
     assert all(a < b for a, b in zip(ends, ends[1:]))
 
 
@@ -729,28 +753,31 @@ def hinted_scalar_batches(monkeypatch):
 
 
 def test_scalar_integrates_each_gamma_once(monkeypatch):
-    # the bracket ends share one batch, every pass adds KSECTION_WIDTH new
-    # candidates (one uniform pass, then two aimed at the root), and the
-    # profile is the winner's trajectory from its pass: a rerun of the
-    # winner alone on the solve's frozen steps gives its bytes
+    # the bracket ends share one batch with the first uniform pass's
+    # KSECTION_WIDTH candidates, every later pass adds KSECTION_WIDTH new
+    # ones (two aimed at the root), and the profile is the winner's
+    # trajectory from its pass: a rerun of the winner alone on the solve's
+    # frozen steps gives its bytes
     import funcsol.twopoint as tp
     spec, sol, batches = hinted_scalar_batches(monkeypatch)
     seen = [gam for gams, _, _ in batches for gam in gams]
     assert len(seen) == len(set(seen))
     assert sol.stats["iterations"] == len(batches)
-    assert [len(gams) for gams, _, _ in batches] == [2] + [tp.KSECTION_WIDTH] * 3
+    width = tp.KSECTION_WIDTH
+    assert [len(gams) for gams, _, _ in batches] == [width + 2, width, width]
     assert sol.boundary_error <= 1e-11
     # U(p*) = exp(gamma) - 1 = 1 at gamma = ln 2
     assert abs(sol.gamma[0] - math.log(2.0)) <= 4 * math.ulp(math.log(2.0))
     frozen = batches[-1][1]
-    rerun = tp._integrate_batch(spec, sol.gamma[None, :], 2049, frozen)[1][:, 0, :].T
+    rerun = tp._integrate_batch(spec, sol.gamma[None, :], 2049, frozen)[3](0)[1]
     assert rerun.tobytes() == sol.profiles.tobytes()
 
 
 def test_scalar_missed_window_is_followed_by_a_uniform_pass(monkeypatch):
     # a window that excludes the root still shrinks the bracket to the side
     # beside it, and the pass after the miss spreads its candidates evenly
-    # over the whole bracket again; the solve still reaches tol
+    # over the whole bracket again; the solve still reaches tol. The
+    # bracket's batch carries the first uniform pass
     import funcsol.twopoint as tp
     root, windows, passes = math.log(2.0), [], []
 
@@ -771,7 +798,7 @@ def test_scalar_missed_window_is_followed_by_a_uniform_pass(monkeypatch):
     sol = tp.solve_scalar(scalar_spec("1", "1+u1", 1.0), bracket_hints=(1.0, 2.0),
                           n_nodes=2049, tol=1e-11)
     aimed = [any(gams == np.linspace(a, b, tp.KSECTION_WIDTH).tolist() for a, b in windows)
-             for gams in passes[1:]]
+             for gams in passes]
     assert len(windows) >= 2
     assert aimed == [k % 2 == 1 for k in range(len(aimed))]
     assert sol.boundary_error <= 1e-11
@@ -792,11 +819,37 @@ def test_scalar_endpoints_share_one_step_sequence(monkeypatch):
     # the bracket ends' batch runs the controller; every later batch (the
     # k-section passes, the monotonicity witness) replays its steps
     spec, sol, batches = hinted_scalar_batches(monkeypatch)
-    (_, steps, (_, _, first, _)), later = batches[0], batches[1:]
+    (_, steps, (_, first, _, _)), later = batches[0], batches[1:]
     assert steps is None and later
-    assert all(steps == first and ends == first for _, steps, (_, _, ends, _) in later)
+    assert all(steps == first and ends == first for _, steps, (_, ends, _, _) in later)
     assert sol.stats["integration_steps"] == len(first) * len(batches)
-    assert sol.stats["rhs_evaluations"] == sum(out[3] for _, _, out in batches)
+    assert sol.stats["rhs_evaluations"] == sum(out[2] for _, _, out in batches)
+
+
+@pytest.mark.parametrize("hints", [(4.0, 8.0), (0.25, 0.5)], ids=["below", "above"])
+def test_scalar_wrong_hints_grow_the_bracket(hints, monkeypatch):
+    # hints whose bracket, [1/8, 1/4] or [2, 4], misses the root ln 2 of
+    # U' = gamma (1 + U): the bracket grows until its ends straddle u*, each
+    # bracket's batch carrying its first pass, and the solve reaches tol
+    import funcsol.twopoint as tp
+    batches = []
+    integrate = tp._integrate_batch
+
+    def recorded(spec, gammas, n_nodes, steps=None):
+        batches.append((np.ravel(gammas).tolist(), steps))
+        return integrate(spec, gammas, n_nodes, steps)
+
+    monkeypatch.setattr(tp, "_integrate_batch", recorded)
+    sol = tp.solve_scalar(scalar_spec("1", "1+u1", 1.0), bracket_hints=hints, n_nodes=257,
+                          tol=1e-11)
+    lo, hi = sorted((1.0 / hints[1], 1.0 / hints[0]))
+    assert batches[0] == (np.linspace(lo, hi, tp.KSECTION_WIDTH + 2).tolist(), None)
+    grown = [gams for gams, steps in batches if steps is None]
+    assert len(grown) >= 2
+    assert all(len(gams) == tp.KSECTION_WIDTH + 2 for gams in grown)
+    assert grown[-1][0] < math.log(2.0) < grown[-1][-1]
+    assert sol.boundary_error <= 1e-11
+    assert abs(sol.gamma[0] - math.log(2.0)) <= 1e-11
 
 
 # --- the scalar spelling is darcy with n = 1 ----------------------------------
@@ -909,9 +962,9 @@ def test_scalar_refuses_a_non_monotone_endpoint_map(monkeypatch):
     real = tp._integrate_batch
 
     def bent(spec, gammas, n_nodes, steps=None):
-        mesh, traj, ends, calls = real(spec, gammas, n_nodes, steps)
-        traj[:, np.ravel(gammas) >= 1.45, :] *= 0.8
-        return mesh, traj, ends, calls
+        U, ends, calls, profile = real(spec, gammas, n_nodes, steps)
+        U[np.ravel(gammas) >= 1.45] *= 0.8
+        return U, ends, calls, profile
 
     monkeypatch.setattr(tp, "_integrate_batch", bent)
     with pytest.raises(FuncsolError, match="endpoint map is not strictly increasing"):
