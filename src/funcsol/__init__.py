@@ -18,12 +18,10 @@ from .reconstruct import (
     pressure_from_pivot,
 )
 from .twopoint import (
-    EllipticityBounds,
     ProblemSpec,
     ProfileSolution,
     apply_fixed_point_operator,
     collocation_residual,
-    ellipticity_bounds,
     gamma_functional,
     integrate_profiles,
     shooting_jacobian,
@@ -52,14 +50,13 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "EllipticityBounds", "FieldSet", "Grid", "OracleCase", "PivotField",
-    "ProblemConfig", "ProblemSpec", "ProfileSolution", "ResidualReport",
-    "ThetaMap", "apply_fixed_point_operator", "build_annulus",
-    "build_rectangle", "collocation_residual", "compare_fields",
-    "compose_fields", "darcy_reconstruct", "direct_coupled_solve",
-    "divergence_residual", "ellipticity_bounds", "gamma_functional",
-    "get_oracle", "integrate_profiles", "kirchhoff_theta", "load_config",
-    "pivot_residual_values", "pressure_from_pivot", "run_oracle_suite",
-    "shooting_jacobian", "solve_fixed_point", "solve_pivot", "solve_scalar",
-    "solve_shooting", "theta_linearity",
+    "FieldSet", "Grid", "OracleCase", "PivotField", "ProblemConfig",
+    "ProblemSpec", "ProfileSolution", "ResidualReport", "ThetaMap",
+    "apply_fixed_point_operator", "build_annulus", "build_rectangle",
+    "collocation_residual", "compare_fields", "compose_fields",
+    "darcy_reconstruct", "direct_coupled_solve", "divergence_residual",
+    "gamma_functional", "get_oracle", "integrate_profiles", "kirchhoff_theta",
+    "load_config", "pivot_residual_values", "pressure_from_pivot",
+    "run_oracle_suite", "shooting_jacobian", "solve_fixed_point", "solve_pivot",
+    "solve_scalar", "solve_shooting", "theta_linearity",
 ]

@@ -26,6 +26,13 @@ of a spec come from one compiled (A, b, b_{n+1}) bundle. The backends:
   32-fold, a pass aimed at the root of the endpoints already sampled to
   its window's spacing. The bracket's own batch carries the first pass.
 
+Each backend checks its precondition where the solution lives, and samples
+no box around it: first at the launch point U = 0, p = 0, where every
+profile starts, then along the profile it returns. The fixed point needs
+A(U) elliptic, and takes the m and M of its operator bound along the
+converged U; the k-section needs F > 0, and checks it at the nodes of the
+winner's trajectory.
+
 Every initial value problem goes through one integrator: DOP853, batched
 over a stack of gammas that share one step sequence. It returns every
 column's endpoint. Its steps end on nodes of a uniform mesh of N nodes,
@@ -73,8 +80,6 @@ MIN_DAMPING = 1.0 / 16.0
 KSECTION_WIDTH = 31         # interior candidates per batched k-section pass
 # each backend's iteration cap: Picard iterations, Newton steps, k-section halvings
 MAX_ITER = {"fixed_point": 200, "shooting": 30, "scalar_bisection": 200}
-BOX_PAD = 0.5
-MAX_LATTICE_POINTS = 33**3  # the largest sampling lattice, 33 points on each of 3 axes
 RTOL = 1e-15                # error per two-point step, relative to the largest |U| so far
 
 # DOP853: the explicit 8(5,3) Runge-Kutta pair with 7th order dense output of
@@ -247,12 +252,6 @@ class ProblemSpec:
 
 
 @dataclass(frozen=True)
-class EllipticityBounds:
-    m: float
-    M: float
-
-
-@dataclass(frozen=True)
 class ProfileSolution:
     mesh: np.ndarray            # (m,) strictly increasing, 0 .. p_star
     profiles: np.ndarray        # (n, m) sampled U_i
@@ -260,54 +259,6 @@ class ProfileSolution:
     two_point_residual: float
     boundary_error: float
     stats: dict = field(default_factory=dict)
-
-
-def default_box(spec: ProblemSpec):
-    """Per-variable sampling ranges around the data the iterates visit."""
-    box = {}
-    for i, us in enumerate(spec.u_star):
-        box[f"u{i+1}"] = (min(0.0, us) - BOX_PAD, max(0.0, us) + BOX_PAD)
-    box["p"] = (0.0, spec.p_star)
-    return box
-
-
-def _sample_box(spec: ProblemSpec, box, variables, samples: int):
-    """``spec.coefficients`` on the lattice of ``samples`` points per axis
-    over the ``box`` ranges of ``variables``, flattened. The other variables
-    sit at the launch point, 0, where the solvers evaluate every coefficient
-    anyway. Fewer points per axis are taken where the lattice would
-    otherwise exceed MAX_LATTICE_POINTS."""
-    while samples > 2 and samples ** len(variables) > MAX_LATTICE_POINTS:
-        samples -= 1
-    axes = [np.linspace(*box[v], samples) for v in variables]
-    lattice = {v: g.ravel() for v, g in zip(variables, np.meshgrid(*axes, indexing="ij"))}
-    return spec.coefficients([lattice.get(f"u{i+1}", 0.0) for i in range(spec.n)],
-                             lattice.get("p", 0.0))
-
-
-def ellipticity_bounds(spec: ProblemSpec, box=None, samples: int = 33) -> EllipticityBounds:
-    """Sampled eigenvalue bounds of the symmetrized coefficient matrix.
-
-    Sweeps a lattice of at most MAX_LATTICE_POINTS points over the variables
-    the matrix actually references and raises NonEllipticError when the
-    smallest sampled eigenvalue is not positive.
-    """
-    if samples < 2:
-        raise ValueError("need at least 2 samples per axis")
-    if box is None:
-        box = default_box(spec)
-    used = sorted(set().union(*(collect_variables(e) for row in spec.a for e in row)))
-    missing = [v for v in used if v not in box]
-    if missing:
-        raise ValueError(f"box is missing ranges for {missing}")
-    A = _sample_box(spec, box, used, samples)[0]
-    sym = 0.5 * (A + np.swapaxes(A, -1, -2))
-    eigs = np.linalg.eigvalsh(sym)
-    m = float(eigs.min())
-    M = float(eigs.max())
-    if m <= 0.0:
-        raise NonEllipticError(f"sampled ellipticity failed: smallest eigenvalue {m:.6g} <= 0")
-    return EllipticityBounds(m=m, M=M)
 
 
 def _singular_at(p, kappa):
@@ -405,16 +356,28 @@ def _solution(spec: ProblemSpec, mesh, profiles, gamma, **stats) -> ProfileSolut
     )
 
 
+def _ellipticity(spec: ProblemSpec, mesh, profiles):
+    """m and M, the extreme eigenvalues of the symmetrized A(U) at the nodes
+    of a molecular profile, refusing m <= 0 with the node where it fails."""
+    A = spec.coefficients(np.asarray(profiles, dtype=float), mesh)[0]
+    eigs = np.linalg.eigvalsh(0.5 * (A + np.swapaxes(A, -1, -2)))
+    k = int(np.argmin(eigs[:, 0]))
+    m, M = float(eigs[k, 0]), float(eigs[:, -1].max())
+    if m <= 0.0:
+        raise NonEllipticError(f"A(U) is not elliptic at z = {mesh[k]:.6g}: "
+                               f"smallest eigenvalue {m:.6g} <= 0")
+    return m, M
+
+
 def solve_fixed_point(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
                       max_iter: int = MAX_ITER["fixed_point"],
                       damping: float = 1.0) -> ProfileSolution:
     """Damped Picard iteration on T[U], started from the linear ramp z*u*.
 
     The damping halves (down to 1/16) whenever the sup-norm update grows.
-    Every iterate is checked against the operator bound
-    sup_z |T[U](z)|_2 <= (M/m) |u*|_2 from the sampled ellipticity
-    constants; if an iterate leaves the sampling box, the box grows and
-    the bounds are re-sampled.
+    Ellipticity is checked where the solution lives: at the launch point
+    U = 0 before iterating, and along the converged U, whose m and M give
+    the operator bound sup_z |U(z)|_2 <= (M/m) |u*|_2 it is checked against.
     """
     if spec.mode != MOLECULAR:
         raise ValueError("solve_fixed_point applies to molecular problems")
@@ -422,31 +385,11 @@ def solve_fixed_point(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10
         raise ValueError(f"damping must lie in (0, 1], got {damping}")
     m_nodes = at_least_five_nodes(n_nodes)
     mesh = np.linspace(0.0, 1.0, m_nodes)
-    box = default_box(spec)
-    bounds = ellipticity_bounds(spec, box)
-    u_norm = float(np.linalg.norm(spec.u_star))
+    _ellipticity(spec, mesh[:1], np.zeros((spec.n, 1)))
     U = mesh[None, :] * spec.u_star[:, None]
     prev_update = update = np.inf
-    bound_ratio = 0.0
     for iterations in range(1, max_iter + 1):
-        # keep the sampled bounds valid for whatever the iterates visit
-        for i in range(spec.n):
-            lo, hi = box[f"u{i+1}"]
-            umin, umax = float(U[i].min()), float(U[i].max())
-            if umin < lo or umax > hi:
-                box[f"u{i+1}"] = (min(lo, umin) - BOX_PAD, max(hi, umax) + BOX_PAD)
-                bounds = ellipticity_bounds(spec, box)
-        TU = apply_fixed_point_operator(mesh, U, spec)
-        limit = (bounds.M / bounds.m) * u_norm
-        sup = float(np.max(np.linalg.norm(TU, axis=0)))
-        if u_norm > 0.0:
-            bound_ratio = max(bound_ratio, sup / limit)
-            if sup > limit * (1.0 + 1e-9):
-                raise FuncsolError(
-                    f"fixed point iterate escaped the operator bound: "
-                    f"sup |T[U]| = {sup:.6g} > (M/m)|u*| = {limit:.6g}"
-                )
-        U_new = (1.0 - damping) * U + damping * TU
+        U_new = (1.0 - damping) * U + damping * apply_fixed_point_operator(mesh, U, spec)
         update = float(np.max(np.abs(U_new - U)))
         U = U_new
         if update <= tol:
@@ -458,10 +401,17 @@ def solve_fixed_point(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10
         raise MaxIterationError(
             f"fixed point iteration did not reach {tol:.3e} in {max_iter} iterations "
             f"(last update {update:.3e})", last_update=update)
+    m, M = _ellipticity(spec, mesh, U)
+    limit = (M / m) * float(np.linalg.norm(spec.u_star))
+    sup = float(np.max(np.linalg.norm(U, axis=0)))
+    if sup > limit * (1.0 + 1e-9):
+        raise FuncsolError(f"fixed point solution escaped the operator bound: "
+                           f"sup |U| = {sup:.6g} > (M/m)|u*| = {limit:.6g}")
     return _solution(spec, mesh, U, gamma_functional(mesh, U, spec), method="fixed_point",
                      iterations=iterations, final_update=update, damping_final=damping,
-                     ellipticity_m=bounds.m, ellipticity_M=bounds.M,
-                     iterate_bound_ratio=bound_ratio, integration_steps=0, rhs_evaluations=0)
+                     ellipticity_m=m, ellipticity_M=M,
+                     iterate_bound_ratio=sup / limit if limit > 0.0 else 0.0,
+                     integration_steps=0, rhs_evaluations=0)
 
 
 def _integrate_batch(spec: ProblemSpec, gammas, n_nodes, steps=None):
@@ -741,17 +691,17 @@ def solve_two_point(spec: ProblemSpec, backend: str, n_nodes: int, tol: float,
     raise ValueError(f"unknown two-point backend '{backend}'")
 
 
-def _check_f_positive(spec: ProblemSpec):
-    A, _, b_next = _sample_box(spec, default_box(spec), ("u1", "p"), 65)
-    a = A[..., 0, 0]
-    if not np.all(a):
-        raise SingularMatrixError("scalar coefficient a vanishes on the sampled rectangle")
-    with np.errstate(over="ignore"):        # an infinite F is still positive
-        F = b_next / a
-    fmin = float(np.min(F))
-    if fmin <= 0.0:
-        raise NonPositiveFError(
-            f"F = b_next/a must be positive on the sampled rectangle; min sampled value {fmin:.6g}")
+def _check_f_positive(spec: ProblemSpec, mesh, profiles):
+    """Refuse F = b_next/a <= 0 at the nodes of a scalar profile (1, k). A
+    vanishing a is left to ``_integrate_batch``'s launch guard, the one
+    singularity rule, so a NaN F (a = b_next = 0) passes here."""
+    A, _, b_next = spec.coefficients(profiles, mesh)
+    with np.errstate(all="ignore"):         # an infinite F is still positive
+        F = b_next / A[..., 0, 0]
+    k = int(np.argmin(np.where(F <= 0.0, F, np.inf)))
+    if F[k] <= 0.0:
+        raise NonPositiveFError(f"F = b_next/a must be positive; it is {F[k]:.6g} "
+                                f"at u1 = {profiles[0, k]:.6g}, p = {mesh[k]:.6g}")
 
 
 def _aimed_window(gammas, ends, u_star, tol, lo, hi):
@@ -797,12 +747,14 @@ def solve_scalar(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
     again.
     ``max_iter`` halvings buy ceil(max_iter / 5) passes, aimed or not, the
     first one counted too. The returned profile is the winning candidate's
-    own trajectory, the one mesh its batch fills. The endpoint map's strict
-    monotonicity in gamma is asserted on every sampled pair.
+    own trajectory, the one mesh its batch fills. F > 0 is checked at the
+    launch point before the first batch and at the nodes of that trajectory
+    before returning; the endpoint map's strict monotonicity in gamma is
+    asserted on every sampled pair.
     """
     if "scalar_bisection" not in allowed_backends(spec):
         raise ValueError("solve_scalar applies to darcy problems with n = 1 and no b")
-    _check_f_positive(spec)
+    _check_f_positive(spec, np.zeros(1), np.zeros((1, 1)))     # the launch point
     u_star = float(spec.u_star[0])
     evals = {}                  # gamma -> endpoint U(p*)
     hits = {}                   # gamma -> (profile, column) of the endpoints within tol
@@ -874,6 +826,9 @@ def solve_scalar(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
         near = nodes[below - 1:below + 3].tolist()
         aim = (near, batch(near)) if 0 < below < KSECTION_WIDTH else None
 
+    profile, column = hits[gamma]
+    mesh, profiles = profile(column)
+    _check_f_positive(spec, mesh, profiles)
     # monotonicity witness: at least 5 sampled gamma pairs of the one discrete
     # map, strictly increasing beyond the rounding noise of its at most m - 1
     # steps (tol may lie below it)
@@ -887,7 +842,6 @@ def solve_scalar(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
             "endpoint map is not strictly increasing in gamma; "
             "the positivity of F does not hold along the trajectories")
 
-    profile, column = hits[gamma]
-    return _solution(spec, *profile(column), np.array([gamma]), method="scalar_bisection",
+    return _solution(spec, mesh, profiles, np.array([gamma]), method="scalar_bisection",
                      iterations=runs, endpoint_evaluations=len(evals), monotone_samples=len(gs),
                      integration_steps=taken, rhs_evaluations=calls)

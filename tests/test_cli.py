@@ -231,6 +231,15 @@ def test_import_leaves_the_oracle_registry_unbuilt():
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": path})
 
 
+def test_every_exported_name_resolves():
+    """A name left in __all__ after its object is gone breaks the star import."""
+    for name in funcsol.__all__:
+        getattr(funcsol, name)
+    namespace = {}
+    exec("from funcsol import *", namespace)
+    assert set(funcsol.__all__) <= namespace.keys()
+
+
 def test_solve_resonant_exit_code(tmp_path):
     cfg = """
 [geometry]

@@ -26,7 +26,6 @@ from funcsol.twopoint import (
     ProblemSpec,
     apply_fixed_point_operator,
     collocation_residual,
-    ellipticity_bounds,
     gamma_functional,
     integrate_profiles,
     shooting_jacobian,
@@ -96,29 +95,32 @@ def test_spec_rejects_non_finite_data(u_star, p_star):
 
 
 # --- ellipticity ----------------------------------------------------------------
+# solve_fixed_point takes m and M along the solution it returns
 
 def test_ellipticity_constant_matrix():
-    b = ellipticity_bounds(CONST, samples=3)
-    assert b.m == pytest.approx(1.0)
-    assert b.M == pytest.approx(3.0)
+    sol = solve_fixed_point(CONST, n_nodes=65)
+    assert sol.stats["ellipticity_m"] == pytest.approx(1.0)
+    assert sol.stats["ellipticity_M"] == pytest.approx(3.0)
 
 
 def test_ellipticity_identity():
-    b = ellipticity_bounds(molecular([["1", "0"], ["0", "1"]], (1.0, 0.0)), samples=2)
-    assert (b.m, b.M) == (1.0, 1.0)
-
-
-def test_ellipticity_sampled_sine():
-    spec = molecular([["2+sin(u1)", "0"], ["0", "1"]], (0.0, 0.0))
-    b = ellipticity_bounds(spec, box={"u1": (-math.pi, math.pi)}, samples=10001)
-    assert b.m == pytest.approx(1.0, abs=1e-6)
-    assert b.M == pytest.approx(3.0, abs=1e-6)
+    sol = solve_fixed_point(molecular([["1", "0"], ["0", "1"]], (1.0, 0.0)), n_nodes=65)
+    assert (sol.stats["ellipticity_m"], sol.stats["ellipticity_M"]) == (1.0, 1.0)
 
 
 def test_ellipticity_failure():
-    spec = molecular([["u1", "0"], ["0", "1"]], (1.0, 0.0))
+    # symmetric with eigenvalues -1 and 3: refused at the launch point
+    spec = molecular([["1", "2"], ["2", "1"]], (1.0, 0.0))
+    with pytest.raises(NonEllipticError, match="at z = 0: smallest eigenvalue -1"):
+        solve_fixed_point(spec)
+
+
+def test_ellipticity_checked_along_the_solution():
+    # the symmetrized A has eigenvalues 1 -+ u1: elliptic at the launch
+    # point, but m = 0 at z = 1 on the solution, where u1 = 1
+    spec = molecular([["1", "2*u1"], ["0", "1"]], (1.0, 1.0))
     with pytest.raises(NonEllipticError):
-        ellipticity_bounds(spec, box={"u1": (-1.0, 1.0)}, samples=5)
+        solve_fixed_point(spec, n_nodes=257)
 
 
 # n = 5, with a_11 referencing all five variables
@@ -127,25 +129,17 @@ FIVE_VARIABLE_A = [["2+" + "+".join(f"0.01*u{k}^2" for k in range(1, 6)) if i ==
                    for i in range(5)]
 
 
-def test_ellipticity_lattice_is_capped():
-    # 33^3 points for three referenced variables; 8^5 for five, not 33^5
-    import funcsol.twopoint as tp
-    spec = molecular(FIVE_VARIABLE_A, (1.0,) * 5)
-    box = tp.default_box(spec)
-    for k, points in ((3, 33**3), (4, 13**4), (5, 8**5)):
-        variables = [f"u{i}" for i in range(1, k + 1)]
-        assert tp._sample_box(spec, box, variables, 33)[0].shape[0] == points
-
-
 def test_ellipticity_five_variables_under_an_address_space_limit():
-    # the uncapped 33^5 lattice needs gigabytes and fails under a 1 GiB limit
+    # the bounds along the solution cost one eigvalsh per mesh node, not a
+    # lattice over five variables
     code = textwrap.dedent(f"""
         import resource
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-        from funcsol.twopoint import ProblemSpec, ellipticity_bounds
-        bounds = ellipticity_bounds(ProblemSpec.from_strings(5, {FIVE_VARIABLE_A!r},
-                                                             u_star=(1.0,) * 5))
-        assert 0.0 < bounds.m <= bounds.M
+        from funcsol.twopoint import ProblemSpec, solve_fixed_point
+        sol = solve_fixed_point(ProblemSpec.from_strings(5, {FIVE_VARIABLE_A!r},
+                                                         u_star=(1.0,) * 5))
+        assert 0.0 < sol.stats["ellipticity_m"] <= sol.stats["ellipticity_M"]
+        assert sol.stats["iterate_bound_ratio"] <= 1.0 and sol.boundary_error == 0.0
         """)
     src = str(pathlib.Path(funcsol.__file__).parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -538,6 +532,19 @@ def test_shooting_max_iteration_error():
         solve_shooting(DIAG, n_nodes=257, tol=1e-12, max_iter=1)
 
 
+@pytest.mark.parametrize("a, u_star, gamma", [
+    ([["1+2*u1", "0"], ["0", "1"]], (1.0, 0.0), (2.0, 0.0)),
+    # U2 = z, so U1' + 2 U1 = gamma1
+    ([["1", "2*u1"], ["0", "1"]], (0.9, 1.0), (1.8 / -math.expm1(-2.0), 1.0)),
+])
+def test_fixed_point_solves_where_a_fails_off_the_solution(a, u_star, gamma):
+    """At u1 = -0.5, which the solution never reaches, 1 + 2 u1 vanishes and
+    the symmetrized [[1, 2 u1], [0, 1]], eigenvalues 1 -+ u1, is indefinite."""
+    spec = molecular(a, u_star)
+    for sol in (solve_fixed_point(spec, n_nodes=1025), solve_shooting(spec, n_nodes=1025)):
+        np.testing.assert_allclose(sol.gamma, gamma, rtol=1e-9, atol=1e-9)
+
+
 def test_fixed_point_requires_ellipticity():
     spec = molecular([["u1", "0"], ["0", "1"]], (1.0, 0.0))
     with pytest.raises(NonEllipticError):
@@ -603,8 +610,27 @@ def test_scalar_negative_target():
 
 
 def test_scalar_non_positive_f():
-    with pytest.raises(NonPositiveFError):
+    with pytest.raises(NonPositiveFError, match="it is -1 at u1 = 0, p = 0"):
         solve_scalar(scalar_spec("1+u1^2", "-1", 1.0))
+
+
+@pytest.mark.parametrize("hints", [None, (0.1, 1.0)])
+def test_scalar_f_checked_along_the_solution(hints):
+    # F = 1 - 1.5 p is 1 at the launch point and -0.5 at p* on the winner's
+    # trajectory; U(p*) = gamma/4 still increases in gamma
+    with pytest.raises(NonPositiveFError):
+        solve_scalar(scalar_spec("1", "1-1.5*p", 1.0), bracket_hints=hints)
+
+
+@pytest.mark.parametrize("a, u_star, gamma", [
+    ("1+2*u1", 1.0, 2.0), ("1+2*u1", 4.0, 20.0),
+    ("1/(1+2*u1)", 1.0, 0.5 * math.log(3.0)), ("1/(1+2*u1)", 4.0, 0.5 * math.log(9.0)),
+])
+def test_scalar_solves_where_a_fails_off_the_trajectory(a, u_star, gamma):
+    """a vanishes or has a pole at u1 = -0.5, which no trajectory from
+    U(0) = 0 toward u* > 0 reaches; gamma = int_0^u* a."""
+    sol = solve_scalar(scalar_spec(a, "1", u_star), n_nodes=1025, tol=1e-10)
+    assert abs(sol.gamma[0] - gamma) <= 1e-9 * gamma
 
 
 def test_scalar_bracket_failure(monkeypatch):
@@ -648,8 +674,8 @@ def test_scalar_ksection_passes():
 
 
 def test_scalar_vanishing_a_is_singular():
-    with pytest.raises(SingularMatrixError,
-                       match="scalar coefficient a vanishes on the sampled rectangle"):
+    # a(0) = 0: the integrator's launch guard refuses it
+    with pytest.raises(SingularMatrixError, match="p = 0 "):
         solve_scalar(scalar_spec("u1", "1", 1.0))
 
 
@@ -925,31 +951,27 @@ def test_fixed_point_damping_halves_when_the_update_grows():
     assert sol.gamma[0] == pytest.approx((math.exp(5.0) - 1.0) / 5.0, rel=1e-7)
 
 
-def test_fixed_point_box_grows_with_the_iterates(monkeypatch):
-    """U2 swings to about -0.78, past the default box's -0.5, so the box
-    grows and the ellipticity bounds are sampled again."""
-    import funcsol.twopoint as tp
-    boxes = []
-
-    def recorded(spec, box=None, samples=33):
-        boxes.append(dict(box))
-        return ellipticity_bounds(spec, box, samples)
-
-    monkeypatch.setattr(tp, "ellipticity_bounds", recorded)
+def test_fixed_point_bounds_are_taken_along_the_solution():
+    """U2 swings to about -0.78, beyond any fixed box around [0, u*]; m and
+    M are the extreme eigenvalues of the symmetrized A along the solution."""
     spec = molecular([["1+u1^2", "0.9"], ["0.9", "1+u2^2"]], (3.0, 0.0))
     sol = solve_fixed_point(spec, n_nodes=257, tol=1e-9)
-    assert len(boxes) == 2 and boxes[1]["u2"][0] < boxes[0]["u2"][0] == -0.5
-    assert boxes[1]["u2"][0] <= sol.profiles[1].min() - 0.5
+    u1, u2 = sol.profiles
+    A = np.stack([np.stack([1.0 + u1**2, np.full_like(u1, 0.9)], axis=-1),
+                  np.stack([np.full_like(u2, 0.9), 1.0 + u2**2], axis=-1)], axis=-2)
+    eigs = np.linalg.eigvalsh(A)
+    assert sol.profiles[1].min() < -0.7
+    assert sol.stats["ellipticity_m"] == pytest.approx(eigs.min(), rel=1e-14)
+    assert sol.stats["ellipticity_M"] == pytest.approx(eigs.max(), rel=1e-14)
     assert sol.stats["iterate_bound_ratio"] <= 1.0
     assert sol.boundary_error == 0.0
 
 
 def test_fixed_point_refuses_an_iterate_past_the_operator_bound(monkeypatch):
-    """sup|T[U]| <= (M/m)|u*| holds for true ellipticity bounds; with M/m
-    sampled too small the iterate escapes it, and the solver says so."""
+    """sup|U| <= (M/m)|u*| holds for true ellipticity bounds; with M/m
+    taken too small the solution escapes it, and the solver says so."""
     import funcsol.twopoint as tp
-    monkeypatch.setattr(tp, "ellipticity_bounds",
-                        lambda spec, box=None, samples=33: tp.EllipticityBounds(m=2.0, M=1.0))
+    monkeypatch.setattr(tp, "_ellipticity", lambda spec, mesh, profiles: (2.0, 1.0))
     with pytest.raises(FuncsolError, match="escaped the operator bound"):
         solve_fixed_point(DIAG, n_nodes=257)
 
