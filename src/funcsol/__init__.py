@@ -15,7 +15,6 @@ from .reconstruct import (
     compose_fields,
     darcy_reconstruct,
     kirchhoff_theta,
-    pressure_from_pivot,
 )
 from .twopoint import (
     ProblemSpec,
@@ -56,7 +55,7 @@ __all__ = [
     "collocation_residual", "compare_fields", "compose_fields",
     "darcy_reconstruct", "direct_coupled_solve", "divergence_residual",
     "gamma_functional", "get_oracle", "integrate_profiles", "kirchhoff_theta",
-    "load_config", "pivot_residual_values", "pressure_from_pivot",
-    "run_oracle_suite", "shooting_jacobian", "solve_fixed_point", "solve_pivot",
-    "solve_scalar", "solve_shooting", "theta_linearity",
+    "load_config", "pivot_residual_values", "run_oracle_suite",
+    "shooting_jacobian", "solve_fixed_point", "solve_pivot", "solve_scalar",
+    "solve_shooting", "theta_linearity",
 ]

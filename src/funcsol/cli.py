@@ -1,7 +1,9 @@
 """Batch front end: solve / pivot / verify / oracle subcommands.
 
 All data files are deterministic (no timestamps, fixed ordering, 17
-significant digits); log lines with timestamps go to stderr only. The
+significant digits); log lines with timestamps go to stderr only. Each file
+reaches the kernel in blocks of WRITE_BUFFER bytes, not one write(2) per
+row, and a grid's axis texts are formatted once, for every file on it. The
 output directory comes from the config, overridden by the
 FUNCSOL_OUTPUT_DIR environment variable when set.
 
@@ -36,6 +38,9 @@ log = logging.getLogger("funcsol")
 
 OUTPUT_DIR_ENV = "FUNCSOL_OUTPUT_DIR"
 
+# each write(2) has a fixed cost, so a 257^2 field file goes out in 13, not 257
+WRITE_BUFFER = 1 << 18
+
 
 def _fmt(x) -> str:
     return f"{float(x):.17g}"
@@ -50,7 +55,7 @@ def _open_new(path: Path):
     file there is unlinked first: truncating one in writeback can stall, and
     a link is not written through."""
     path.unlink(missing_ok=True)
-    return open(path, "w", encoding="utf-8", newline="\n")
+    return open(path, "w", buffering=WRITE_BUFFER, encoding="utf-8", newline="\n")
 
 
 def write_field_csv(path: Path, grid: Grid, values: np.ndarray):
@@ -66,11 +71,12 @@ def write_field_csv(path: Path, grid: Grid, values: np.ndarray):
         raise ShapeMismatchError(f"{path}: values of shape {values.shape} on a {grid.shape} grid")
     bits = values.view(np.int64)
     constant = (bits == bits[:, :1]).all(axis=1).tolist()
-    x2_cells = [f",{_fmt(b)}," for b in grid.x2]
+    x1_texts, x2_cells = grid.__dict__.get("_axis_texts") or (
+        [_fmt(a) for a in grid.x1], [f",{_fmt(b)}," for b in grid.x2])
+    object.__setattr__(grid, "_axis_texts", (x1_texts, x2_cells))  # once per grid
     with _open_new(path) as fh:
         fh.write("x1,x2,value\n")
-        for a, row, same in zip(grid.x1, values, constant):
-            x1 = _fmt(a)
+        for x1, row, same in zip(x1_texts, values, constant):
             # no x1 or x2 text holds a %, so a non-constant row's line is its format
             text = "%.17g\n" % row[0] if same else "%.17g\n"
             line = x1 + (text + x1).join(x2_cells) + text

@@ -9,9 +9,11 @@ which keeps every lookup monotone; the sampled Theta map is inverted
 segment-exactly, so the round trip is accurate to rounding (well inside
 the advertised 1e-12 tolerance in eta).
 
-Every field's Dirichlet data and every flux name come from the law table
-``ProblemSpec.laws()``. The data is copied onto the Dirichlet nodes, the
-first and last rows, so reconstructed fields satisfy the Dirichlet
+The pivot is constant along each row, so every field is built on the
+pivot's column (n1 values) and returned as a read-only view broadcast
+along x2. Every field's Dirichlet data and every flux name come from the
+law table ``ProblemSpec.laws()``. The data is copied onto the column's
+Dirichlet entries, so reconstructed fields satisfy the Dirichlet
 conditions exactly. The fluxes follow from the functional structure, not
 from the fields: law i's flux sum_j a_ij grad u_j + b_i grad p is
 gamma_i eta* grad z (eta* = 1 in molecular form), and v = -eta* grad z,
@@ -58,7 +60,8 @@ class ThetaMap:
 
 @dataclass(frozen=True)
 class FieldSet:
-    """Reconstructed grid fields: u_i always, p and fluxes when they exist."""
+    """Grid fields: u_i always, p and fluxes when they exist. The arrays
+    stage 3 returns are read-only views, constant along x2."""
 
     grid: Grid
     u_fields: np.ndarray                 # (n, n1, n2)
@@ -87,25 +90,27 @@ def _flux_fields(pivot: PivotField, spec: ProblemSpec, gamma, eta_star: float):
 
     The pivot is constant along each row, so grad z is one x1 derivative per
     row and its x2 component is exactly 0."""
-    grad_z = np.zeros((2,) + pivot.grid.shape)
+    grad_z, shape = np.zeros((2, pivot.grid.n1, 1)), (2,) + pivot.grid.shape
     grad_z[0] = np.gradient(pivot.values[:, :1], pivot.grid.spacing[0], axis=0, edge_order=2)
     fluxes = {}
     for field, _, _ in spec.laws():
         if field == spec.n:
-            fluxes["v"] = -eta_star * grad_z
+            fluxes["v"] = np.broadcast_to(-eta_star * grad_z, shape)
         else:
             name = ("q_h", "q_m")[field] if spec.n == 2 else f"q_{field+1}"
-            fluxes[name] = gamma[field] * eta_star * grad_z
+            fluxes[name] = np.broadcast_to(gamma[field] * eta_star * grad_z, shape)
     return fluxes
 
 
 def _field_set(grid: Grid, spec: ProblemSpec, u, p, fluxes) -> FieldSet:
-    """The FieldSet of u (and p): each law's field takes its Dirichlet data
-    on the Dirichlet nodes."""
-    dirichlet, fields = ~grid.unknown_mask, [*u, p]
+    """The FieldSet of the column fields u (n, n1, 1) and p (n1, 1): each
+    law's column takes its Dirichlet data on the Dirichlet entries."""
+    dirichlet, columns = ~grid.unknown_mask[:, :1], [*u, p]
     for field, boundary, _ in spec.laws():
-        fields[field][dirichlet] = dirichlet_targets(grid, boundary)[dirichlet]
-    return FieldSet(grid=grid, u_fields=u, p_field=p, flux_fields=fluxes)
+        columns[field][dirichlet] = dirichlet_targets(grid, boundary)[:, :1][dirichlet]
+    return FieldSet(grid=grid, u_fields=np.broadcast_to(u, (len(u),) + grid.shape),
+                    p_field=None if p is None else np.broadcast_to(p, grid.shape),
+                    flux_fields=fluxes)
 
 
 def compose_fields(sol: ProfileSolution, pivot: PivotField, spec: ProblemSpec,
@@ -114,7 +119,8 @@ def compose_fields(sol: ProfileSolution, pivot: PivotField, spec: ProblemSpec,
     if spec.mode != MOLECULAR:
         raise ValueError("compose_fields applies to molecular problems")
     fluxes = _flux_fields(pivot, spec, sol.gamma, 1.0) if with_fluxes else None
-    return _field_set(pivot.grid, spec, _profile_lookup(sol, pivot.values), None, fluxes)
+    u = _profile_lookup(sol, pivot.values[:, :1])
+    return _field_set(pivot.grid, spec, u, None, fluxes)
 
 
 def kirchhoff_theta(sol: ProfileSolution, spec: ProblemSpec) -> ThetaMap:
@@ -135,15 +141,11 @@ def kirchhoff_theta(sol: ProfileSolution, spec: ProblemSpec) -> ThetaMap:
     return ThetaMap(p_nodes=sol.mesh.copy(), theta_values=theta, eta_star=float(theta[-1]))
 
 
-def pressure_from_pivot(theta: ThetaMap, pivot: PivotField) -> np.ndarray:
-    """p(x) = Theta^-1(eta* z(x)) on the grid nodes."""
-    return theta.invert(theta.eta_star * pivot.values)
-
-
 def darcy_reconstruct(sol: ProfileSolution, pivot: PivotField, spec: ProblemSpec,
                       with_fluxes: bool = False) -> FieldSet:
-    """Full darcy-form reconstruction: pressure via Kirchhoff, then u_i = U_i(p)."""
+    """Full darcy-form reconstruction: the pressure p = Theta^-1(eta* z) via
+    Kirchhoff, then u_i = U_i(p)."""
     theta = kirchhoff_theta(sol, spec)
-    p = pressure_from_pivot(theta, pivot)
+    p = theta.invert(theta.eta_star * pivot.values[:, :1])
     fluxes = _flux_fields(pivot, spec, sol.gamma, theta.eta_star) if with_fluxes else None
     return _field_set(pivot.grid, spec, _profile_lookup(sol, p), p, fluxes)

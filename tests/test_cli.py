@@ -461,6 +461,25 @@ def test_write_field_csv_memory_stays_per_row(tmp_path):
         assert peak < 0.5e6, name
 
 
+def write_calls():
+    """This process's write(2) count so far, from /proc/self/io."""
+    with open("/proc/self/io", encoding="ascii") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("syscw:"))
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/io"), reason="needs /proc/self/io")
+def test_write_field_csv_writes_in_blocks_not_rows(tmp_path):
+    # one write(2) per 12.7 KB row would take 257
+    grid = build_annulus(257, 257, 1.0, 2.0)
+    values = np.repeat(np.log1p(grid.x1)[:, None], grid.n2, axis=1)
+    before = write_calls()
+    write_field_csv(tmp_path / "f.csv", grid, values)
+    calls = write_calls() - before
+    size = (tmp_path / "f.csv").stat().st_size
+    assert size > 12 * cli.WRITE_BUFFER
+    assert calls <= math.ceil(size / cli.WRITE_BUFFER) + 1
+
+
 def test_writers_replace_links_instead_of_writing_through(tmp_path):
     """An existing output path is replaced by a new file: a symlink or a hard
     link at it is not followed, and the file it pointed to keeps its bytes."""

@@ -5,13 +5,12 @@ import pytest
 
 from funcsol.errors import NonPositiveWeightError, ProfileRangeError
 from funcsol.geometry import build_annulus, build_rectangle
-from funcsol.pivot import solve_pivot
+from funcsol.pivot import dirichlet_targets, solve_pivot
 from funcsol.reconstruct import (
     ThetaMap,
     compose_fields,
     darcy_reconstruct,
     kirchhoff_theta,
-    pressure_from_pivot,
 )
 from funcsol.twopoint import ProblemSpec, ProfileSolution, solve_scalar, solve_shooting
 
@@ -125,8 +124,7 @@ def test_pressure_unit_weight_scales_pivot(square17):
     spec = darcy1("1", p_star=2.5)
     mesh = np.linspace(0.0, 2.5, 101)
     sol = make_profiles(spec, mesh, np.zeros((1, 101)))
-    theta = kirchhoff_theta(sol, spec)
-    p = pressure_from_pivot(theta, square17)
+    p = darcy_reconstruct(sol, square17, spec).p_field
     np.testing.assert_allclose(p, 2.5 * square17.values, atol=1e-12)
 
 
@@ -134,8 +132,7 @@ def test_pressure_exponential_value(square17):
     spec = darcy1("exp(p)")
     mesh = np.linspace(0.0, 1.0, 2001)
     sol = make_profiles(spec, mesh, np.zeros((1, 2001)))
-    theta = kirchhoff_theta(sol, spec)
-    p = pressure_from_pivot(theta, square17)
+    p = darcy_reconstruct(sol, square17, spec).p_field
     assert p[8, 3] == pytest.approx(math.log(1 + (math.e - 1) * 0.5), abs=1e-6)
     assert abs(p[8, 3] - 0.62012) < 1e-4
     # endpoints exact
@@ -147,7 +144,7 @@ def test_pressure_monotone_in_pivot(square17):
     spec = darcy1("1+p^2")
     mesh = np.linspace(0.0, 1.0, 501)
     sol = make_profiles(spec, mesh, np.zeros((1, 501)))
-    p = pressure_from_pivot(kirchhoff_theta(sol, spec), square17)
+    p = darcy_reconstruct(sol, square17, spec).p_field
     order = np.argsort(square17.values.ravel(), kind="stable")
     assert np.all(np.diff(p.ravel()[order]) >= 0.0)
 
@@ -240,3 +237,66 @@ def test_structural_flux_against_closed_form_on_annulus():
         assert np.all(v[1] == 0.0)
     for coarse, fine in zip(errors, errors[1:]):
         assert 3.5 <= coarse / fine <= 4.5                                 # O(h^2)
+
+
+# --- stage 3 on the pivot's column ----------------------------------------------
+
+def full_grid_fields(sol, piv, spec, targets):
+    """Each profile interpolated at all n1 x n2 ``targets``, then each law's
+    field (u_1..u_n, then ``targets`` as p) stamped with its Dirichlet rows."""
+    fields = [*(np.interp(targets, sol.mesh, prof) for prof in sol.profiles), targets]
+    dirichlet = ~piv.grid.unknown_mask
+    for field, boundary, _ in spec.laws():
+        fields[field][dirichlet] = dirichlet_targets(piv.grid, boundary)[dirichlet]
+    return np.stack(fields[:spec.n]), fields[-1]
+
+
+def full_grid_gradient(piv):
+    grad_z = np.zeros((2,) + piv.grid.shape)
+    grad_z[0] = np.gradient(piv.values, piv.grid.spacing[0], axis=0, edge_order=2)
+    return grad_z
+
+
+def assert_column_view(array, expected):
+    """``array`` is bit-equal to ``expected``, strides 0 along x2 and is read-only."""
+    assert array.shape == expected.shape and array.strides[-1] == 0
+    assert array.tobytes() == expected.tobytes()
+    with pytest.raises(ValueError):
+        array[...] = 0.0
+
+
+@pytest.fixture(scope="module")
+def annulus33x17():
+    return solve_pivot(build_annulus(33, 17, 1.0, 2.0), 1e-10)
+
+
+def test_compose_fields_are_column_views_of_the_full_grid_rule(annulus33x17):
+    mesh = np.linspace(0.0, 1.0, 401)
+    profiles = np.vstack([-1 + np.sqrt(1 + 3 * mesh), 0.2 * mesh * (1 - mesh)])
+    profiles[:, [0, -1]] += 3e-9         # endpoint errors the stamping must hide
+    sol = make_profiles(DIAG, mesh, profiles, gamma=(1.5, -0.25))
+    fs = compose_fields(sol, annulus33x17, DIAG, with_fluxes=True)
+    u, _ = full_grid_fields(sol, annulus33x17, DIAG, annulus33x17.values)
+    grad_z = full_grid_gradient(annulus33x17)
+    assert fs.p_field is None
+    assert_column_view(fs.u_fields, u)
+    assert list(fs.flux_fields) == ["q_h", "q_m"]
+    assert_column_view(fs.flux_fields["q_h"], 1.5 * grad_z)
+    assert_column_view(fs.flux_fields["q_m"], -0.25 * grad_z)
+
+
+def test_darcy_fields_are_column_views_of_the_full_grid_rule(annulus33x17):
+    spec = ProblemSpec.from_strings(1, [["1"]], b=["2"], b_next="exp(p)", u_star=(0.75,),
+                                    p_star=1.5, mode="darcy")
+    mesh = np.linspace(0.0, 1.5, 301)
+    sol = make_profiles(spec, mesh, (0.5 * mesh + 0.1 * np.sin(mesh))[None, :], gamma=(0.3,))
+    fs = darcy_reconstruct(sol, annulus33x17, spec, with_fluxes=True)
+    theta = kirchhoff_theta(sol, spec)
+    u, p = full_grid_fields(sol, annulus33x17, spec,
+                            theta.invert(theta.eta_star * annulus33x17.values))
+    grad_z = full_grid_gradient(annulus33x17)
+    assert_column_view(fs.u_fields, u)
+    assert_column_view(fs.p_field, p)
+    assert list(fs.flux_fields) == ["q_1", "v"]
+    assert_column_view(fs.flux_fields["q_1"], 0.3 * theta.eta_star * grad_z)
+    assert_column_view(fs.flux_fields["v"], -theta.eta_star * grad_z)
