@@ -23,23 +23,20 @@ of a spec come from one compiled (A, b, b_{n+1}) bundle. The backends:
   the strict monotonicity of the endpoint in gamma. A stack of gammas
   integrates for about the cost of one, so each pass integrates
   KSECTION_WIDTH candidates at once: a uniform pass shrinks the bracket
-  32-fold, a pass aimed at the root of the endpoints already sampled to
-  its window's spacing. The bracket's own batch carries the first pass.
+  32-fold; one aimed through the AIM_SAMPLES endpoints sampled nearest
+  the root usually lands within tol. The bracket's batch is the first pass.
 
-Each backend checks its precondition where the solution lives, and samples
-no box around it: first at the launch point U = 0, p = 0, where every
-profile starts, then along the profile it returns. The fixed point needs
-A(U) elliptic, and takes the m and M of its operator bound along the
-converged U; the k-section needs F > 0, and checks it at the nodes of the
-winner's trajectory.
+Each backend checks its precondition where the solution lives, at the
+launch point U = 0, p = 0 and then along the profile it returns: A(U)
+elliptic for the fixed point, F > 0 for the k-section.
 
 Every initial value problem goes through one integrator: DOP853, batched
-over a stack of gammas that share one step sequence. It returns every
+over a stack of gammas that share one step sequence, returning every
 column's endpoint. Its steps end on nodes of a uniform mesh of N nodes,
 and its dense output fills the nodes in between for the columns a caller
-keeps, so the mesh sets the output resolution and the error control
-(RTOL) sets the step count. The reconstruction layer treats the node
-samples as piecewise-linear interpolants.
+keeps: the mesh sets the output resolution, the error control (RTOL) the
+step count. The reconstruction layer treats the node samples as
+piecewise-linear interpolants.
 
 Every backend's ``two_point_residual`` measures its profile through
 ``collocation_defect``: the equation defect at each interval midpoint,
@@ -78,6 +75,7 @@ SINGULAR_COND_LIMIT = 1e12
 RESONANCE_COND_LIMIT = 1e8
 MIN_DAMPING = 1.0 / 16.0
 KSECTION_WIDTH = 31         # interior candidates per batched k-section pass
+AIM_SAMPLES = 12            # sampled endpoints an aimed pass is built from
 # each backend's iteration cap: Picard iterations, Newton steps, k-section halvings
 MAX_ITER = {"fixed_point": 200, "shooting": 30, "scalar_bisection": 200}
 RTOL = 1e-15                # error per two-point step, relative to the largest |U| so far
@@ -375,6 +373,8 @@ def solve_fixed_point(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10
     """Damped Picard iteration on T[U], started from the linear ramp z*u*.
 
     The damping halves (down to 1/16) whenever the sup-norm update grows.
+    ``tol`` bounds the update only: gamma is as good as the node quadrature
+    of int A^-1, 2.0e-4 off at 257 nodes on README's example.
     Ellipticity is checked where the solution lives: at the launch point
     U = 0 before iterating, and along the converged U, whose m and M give
     the operator bound sup_z |U(z)|_2 <= (M/m) |u*|_2 it is checked against.
@@ -706,20 +706,21 @@ def _check_f_positive(spec: ProblemSpec, mesh, profiles):
 
 def _aimed_window(gammas, ends, u_star, tol, lo, hi):
     """The window (a, b) of an aimed k-section pass: around the root of the
-    inverse cubic gamma(U) through four (gamma, U(p*)) samples, by Neville's
-    scheme at U = u*, with half-width 4 times the cubic's change from the
-    quadratic through the first three, at least 16 tol in U, clipped strictly
-    inside the bracket (lo, hi). NaN when the samples do not increase or the
-    estimate is NaN: max and min keep a NaN first argument."""
-    if not ends[0] < ends[1] < ends[2] < ends[3]:
+    inverse polynomial gamma(U) through four or more (gamma, U(p*)) samples
+    straddling u*, by Neville's scheme at U = u*, its half-width 4 times the
+    change from the order below, at least 16 tol in U by the straddling
+    pair's slope, clipped strictly inside (lo, hi). NaN when the samples do
+    not increase or the estimate is NaN (max, min keep a NaN)."""
+    if not all(e1 < e2 for e1, e2 in zip(ends, ends[1:])):
         return math.nan, math.nan
     g = list(gammas)
-    for k in (1, 2, 3):
-        quadratic = g[0]        # after k = 2: the quadratic through the first three
+    for k in range(1, len(g)):
+        lower = g[0]            # at the last k: the order below
         g = [((u_star - ends[i + k]) * g[i] + (ends[i] - u_star) * g[i + 1])
-             / (ends[i] - ends[i + k]) for i in range(4 - k)]
-    half = max(4.0 * abs(g[0] - quadratic),
-               16.0 * tol * (gammas[2] - gammas[1]) / (ends[2] - ends[1]))
+             / (ends[i] - ends[i + k]) for i in range(len(g) - 1)]
+    j = min(max(sum(e < u_star for e in ends), 1), len(ends) - 1)
+    half = max(4.0 * abs(g[0] - lower),
+               16.0 * tol * (gammas[j] - gammas[j - 1]) / (ends[j] - ends[j - 1]))
     return max(g[0] - half, math.nextafter(lo, hi)), min(g[0] + half, math.nextafter(hi, lo))
 
 
@@ -734,22 +735,19 @@ def solve_scalar(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
     [u*/int q, u*/int r]. Otherwise the bracket grows geometrically from 0
     while its ends stay finite.
     Every gamma goes through one memoized batch integration, and no gamma
-    twice. Each bracket's batch holds its two ends and the KSECTION_WIDTH
-    interior candidates of the first uniform pass, so that pass costs no
-    integration of its own; every later pass integrates its KSECTION_WIDTH
-    candidates. Once the bracket straddles u*, its controlled batch's step
-    sequence is frozen: every later candidate replays it, so all the
-    endpoints compared come from one discrete map. A uniform pass shrinks
-    the bracket 32-fold. A pass whose sign change falls between two of its
-    candidates aims the next one over ``_aimed_window``, which shrinks the
-    bracket to the window's spacing or, on a miss, to the side beside it;
-    the pass after a miss, or after an empty or NaN window, is uniform
-    again.
-    ``max_iter`` halvings buy ceil(max_iter / 5) passes, aimed or not, the
-    first one counted too. The returned profile is the winning candidate's
-    own trajectory, the one mesh its batch fills. F > 0 is checked at the
-    launch point before the first batch and at the nodes of that trajectory
-    before returning; the endpoint map's strict monotonicity in gamma is
+    twice; each bracket's batch holds its ends and the first uniform pass.
+    Once the bracket straddles u*, its controlled batch's step sequence is
+    frozen: every later candidate replays it, so all the endpoints compared
+    come from one discrete map. A pass whose sign change falls between two
+    of its candidates aims the next over ``_aimed_window`` through its
+    AIM_SAMPLES nodes nearest the change, half on each side unless a pass
+    end is nearer; the window's spacing is about tol in U. A miss shrinks
+    the bracket to the side beside the window; the pass after it, or after
+    an empty or NaN window, is uniform again. ``max_iter`` halvings buy
+    ceil(max_iter / 5) passes, aimed or not, the first counted too.
+    The returned profile is the winner's trajectory, the one mesh its
+    batch fills. F > 0 is checked at the launch point and at the nodes of
+    that trajectory; the endpoint map's strict monotonicity in gamma is
     asserted on every sampled pair.
     """
     if "scalar_bisection" not in allowed_backends(spec):
@@ -822,8 +820,9 @@ def solve_scalar(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
                 f"k-section bracket [{lo:.17g}, {hi:.17g}] stopped shrinking before "
                 f"the endpoint reached {tol:.3e}", last_update=best_miss)
         lo, hi = float(nodes[below]), float(nodes[below + 1])
-        # aim the next pass when the sign change fell between two candidates
-        near = nodes[below - 1:below + 3].tolist()
+        # aim the next pass at a sign change between two candidates
+        start = min(max(below - AIM_SAMPLES // 2 + 1, 0), len(nodes) - AIM_SAMPLES)
+        near = nodes[start:start + AIM_SAMPLES].tolist()
         aim = (near, batch(near)) if 0 < below < KSECTION_WIDTH else None
 
     profile, column = hits[gamma]

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import pathlib
@@ -663,14 +664,42 @@ def test_scalar_unhinted_expansion_hits_root():
 
 
 def test_scalar_ksection_passes():
-    # a uniform pass shrinks the bracket 32-fold and an aimed one to its
-    # window's spacing: from width e - 1 to 1e-10 in 3 passes, one uniform
-    # and two aimed, plus the batch of the two hint endpoints
+    # the hint bracket's batch carries the first uniform pass, and the pass
+    # aimed through its twelve endpoints nearest the root has a spacing of
+    # about tol in U: from width e - 1 to 1e-10 in 2 integrations
     sol = solve_scalar(scalar_spec("exp(u1)", "1", 1.0),
                        bracket_hints=(math.exp(-1.0), 1.0), n_nodes=257, tol=1e-10)
-    assert sol.stats["iterations"] <= 5
+    assert sol.stats["iterations"] == 2
     assert sol.stats["endpoint_evaluations"] == sol.stats["monotone_samples"] >= 6
     assert sol.boundary_error <= 1e-10
+
+
+# a11 and its integral from 0, per c
+SWEEP_A = {"exp(-{c}*u1)": lambda c, u: -math.expm1(-c * u) / c,
+           "1+{c}*u1": lambda c, u: u + 0.5 * c * u * u,
+           "1/(1+{c}*u1)": lambda c, u: math.log1p(c * u) / c}
+
+
+def test_scalar_ksection_solves_the_closed_form_sweep():
+    """Darcy n = 1 with b absent and p* = 1 gives int_0^u* a11 = gamma
+    int_0^1 b_next in closed form. Of the 72 problems of this grid, the 15
+    exp(-c u1) cases with c u* >= 2 (b_next = 1) or c u* >= 1 (b_next =
+    exp(p)) are left out: their first trajectory blows up before p*. The
+    other 57 solve to a relative gamma error of at most 6.5e-11, in fewer
+    than 218 integrations in all."""
+    solved = runs = 0
+    for a, c, u_star, b_next in itertools.product(SWEEP_A, (0.5, 1.0, 2.0),
+                                                  (0.5, 1.0, 2.0, 4.0), ("1", "exp(p)")):
+        if a.startswith("exp") and c * u_star >= (2.0 if b_next == "1" else 1.0):
+            continue
+        spec = ProblemSpec.from_strings(1, [[a.format(c=c)]], b_next=b_next,
+                                        u_star=(u_star,), mode="darcy")
+        gamma = SWEEP_A[a](c, u_star) / (1.0 if b_next == "1" else math.expm1(1.0))
+        sol = solve_scalar(spec, n_nodes=1025, tol=1e-10)
+        assert abs(sol.gamma[0] - gamma) <= 6.5e-11 * gamma, (a, c, u_star, b_next)
+        solved, runs = solved + 1, runs + sol.stats["iterations"]
+    assert solved == 57
+    assert runs < 218
 
 
 def test_scalar_vanishing_a_is_singular():
@@ -780,8 +809,8 @@ def hinted_scalar_batches(monkeypatch):
 
 def test_scalar_integrates_each_gamma_once(monkeypatch):
     # the bracket ends share one batch with the first uniform pass's
-    # KSECTION_WIDTH candidates, every later pass adds KSECTION_WIDTH new
-    # ones (two aimed at the root), and the profile is the winner's
+    # KSECTION_WIDTH candidates, the one later pass adds KSECTION_WIDTH new
+    # ones aimed at the root, and the profile is the winner's
     # trajectory from its pass: a rerun of the winner alone on the solve's
     # frozen steps gives its bytes
     import funcsol.twopoint as tp
@@ -790,7 +819,7 @@ def test_scalar_integrates_each_gamma_once(monkeypatch):
     assert len(seen) == len(set(seen))
     assert sol.stats["iterations"] == len(batches)
     width = tp.KSECTION_WIDTH
-    assert [len(gams) for gams, _, _ in batches] == [width + 2, width, width]
+    assert [len(gams) for gams, _, _ in batches] == [width + 2, width]
     assert sol.boundary_error <= 1e-11
     # U(p*) = exp(gamma) - 1 = 1 at gamma = ln 2
     assert abs(sol.gamma[0] - math.log(2.0)) <= 4 * math.ulp(math.log(2.0))
@@ -827,6 +856,66 @@ def test_scalar_missed_window_is_followed_by_a_uniform_pass(monkeypatch):
              for gams in passes]
     assert len(windows) >= 2
     assert aimed == [k % 2 == 1 for k in range(len(aimed))]
+    assert sol.boundary_error <= 1e-11
+    assert abs(sol.gamma[0] - root) <= 1e-11
+
+
+def test_scalar_aim_through_twelve_samples_meets_the_tol_floor():
+    # U = exp(gamma) - 1 reaches u* = 1 at gamma = ln 2. The inverse
+    # polynomial through the 12 samples nearest it, 6 on each side, errs far
+    # below tol, so the window's half-width is the floor of 16 tol in U over
+    # the straddling pair's slope; the cubic through the nearest 4 is wider
+    from funcsol.twopoint import _aimed_window
+    gammas = np.linspace(0.5, 1.0, 33)
+    ends = np.expm1(gammas)
+    k = int(np.searchsorted(ends, 1.0))
+    assert ends[k - 1] < 1.0 < ends[k]
+    tol = 1e-10
+    floor = 16.0 * tol * (gammas[k] - gammas[k - 1]) / (ends[k] - ends[k - 1])
+
+    def window(samples):
+        near = slice(k - samples // 2, k + samples // 2)
+        return _aimed_window(gammas[near].tolist(), ends[near].tolist(), 1.0, tol, 0.5, 1.0)
+
+    a, b = window(12)
+    assert a < math.log(2.0) < b
+    assert (b - a) / 2.0 == pytest.approx(floor, rel=1e-6)
+    a4, b4 = window(4)
+    assert a4 < math.log(2.0) < b4
+    assert b4 - a4 > 10.0 * (b - a)
+
+
+@pytest.mark.parametrize("below", [2, 29], ids=["low_end", "high_end"])
+def test_scalar_aim_near_a_pass_end_shifts_its_samples_inward(below, monkeypatch):
+    # hints whose bracket puts the root ln 2 of U' = gamma (1 + U) halfway
+    # between nodes ``below`` and ``below + 1`` of the first pass, within 6
+    # nodes of one end: the aim takes that end's 12 nodes, and still lands
+    # within tol, so the solve takes the bracket's batch and one aimed pass
+    import funcsol.twopoint as tp
+    width, root, spacing = tp.KSECTION_WIDTH, math.log(2.0), 1.0 / 64.0
+    lo = root - (below + 0.5) * spacing
+    hints = (1.0 / (lo + (width + 1) * spacing), 1.0 / lo)
+    samples, batches = [], []
+    aim, integrate = tp._aimed_window, tp._integrate_batch
+
+    def recorded_aim(gammas, ends, u_star, tol, lo, hi):
+        samples.append(gammas)
+        return aim(gammas, ends, u_star, tol, lo, hi)
+
+    def recorded(spec, gammas, n_nodes, steps=None):
+        batches.append(np.ravel(gammas).tolist())
+        return integrate(spec, gammas, n_nodes, steps)
+
+    monkeypatch.setattr(tp, "_aimed_window", recorded_aim)
+    monkeypatch.setattr(tp, "_integrate_batch", recorded)
+    sol = tp.solve_scalar(scalar_spec("1", "1+u1", 1.0), bracket_hints=hints, n_nodes=257,
+                          tol=1e-11)
+    first = np.linspace(*sorted(1.0 / np.array(hints)), width + 2).tolist()
+    assert batches[0] == first
+    assert first[below] < root < first[below + 1]
+    assert samples == [first[:tp.AIM_SAMPLES] if below < width // 2
+                       else first[-tp.AIM_SAMPLES:]]
+    assert [len(gams) for gams in batches] == [width + 2, width]
     assert sol.boundary_error <= 1e-11
     assert abs(sol.gamma[0] - root) <= 1e-11
 
