@@ -82,7 +82,7 @@ _TOKEN_RE = re.compile(rf"({_NUMBER})|([A-Za-z_][A-Za-z_0-9]*)|(\S)")
 
 
 def _tokenize(text):
-    """Yield (kind, text, position) with 1-based positions."""
+    """Return the list of (kind, text, position) with 1-based positions."""
     tokens = []
     for m in _TOKEN_RE.finditer(text):
         pos = m.start() + 1
@@ -99,102 +99,105 @@ def _tokenize(text):
     return tokens
 
 
-class _Parser:
-    def __init__(self, text, allowed_vars):
-        if not text or not text.strip():
-            raise ExprSyntaxError("empty expression", 1)
-        self.tokens = _tokenize(text)
-        self.idx = 0
-        self.allowed = frozenset(allowed_vars)
-
-    def peek(self):
-        return self.tokens[self.idx]
-
-    def advance(self):
-        tok = self.tokens[self.idx]
-        self.idx += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.advance()
-        if tok[0] != kind:
-            raise ExprSyntaxError(f"expected '{kind}', found '{tok[1] or 'end of input'}'", tok[2])
-        return tok
-
-    def parse(self):
-        node = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ExprSyntaxError(f"unexpected trailing input '{tok[1]}'", tok[2])
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            node = BinOp(op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            node = BinOp(op, node, self.factor())
-        return node
-
-    def factor(self):
-        node = self.unary()
-        if self.peek()[0] == "^":
-            self.advance()
-            node = BinOp("^", node, self.factor())
-        return node
-
-    def unary(self):
-        if self.peek()[0] == "-":
-            self.advance()
-            return Neg(self.atom())
-        return self.atom()
-
-    def atom(self):
-        tok = self.advance()
-        kind, text, pos = tok
-        if kind == "num":
-            return Num(float(text))
-        if kind == "name":
-            if self.peek()[0] == "(":
-                if text not in FUNCTIONS:
-                    raise UnknownFunctionError(text, pos)
-                self.advance()
-                arg = self.expr()
-                self.expect(")")
-                return Call(text, arg)
-            if text in CONSTANTS:
-                return Num(CONSTANTS[text])
-            if text not in self.allowed:
-                raise UnknownVariableError(text, pos)
-            return Var(text)
-        if kind == "(":
-            node = self.expr()
-            self.expect(")")
-            return node
-        raise ExprSyntaxError(f"expected a value, found '{text or 'end of input'}'", pos)
+# grammar levels: expr 0, term 1, factor 2, unary 3, atom 4
+_LEVELS = {"+": 0, "-": 0, "*": 1, "/": 1, "^": 2}
 
 
 def parse_expression(text: str, allowed_vars) -> ExprAST:
-    """Parse ``text`` into an AST; names must come from ``allowed_vars``."""
-    return _Parser(text, allowed_vars).parse()
+    """Parse ``text`` into an AST; names must come from ``allowed_vars``.
+
+    One shunting-yard loop (Dijkstra, 1961): ``ops`` holds pending binary
+    operators and open groups, each group as (negated, function or None).
+    """
+    if not text or not text.strip():
+        raise ExprSyntaxError("empty expression", 1)
+    tokens, allowed = _tokenize(text), frozenset(allowed_vars)
+    operands, ops, i = [], [], 0
+
+    def reduce():
+        right = operands.pop()
+        operands.append(BinOp(ops.pop(), operands.pop(), right))
+
+    while True:
+        # an operand: '-'? then an atom, or the opening of a group
+        kind, word, pos = tokens[i]
+        negated = kind == "-"
+        if negated:
+            i += 1
+            kind, word, pos = tokens[i]
+        i += 1
+        if kind == "name" and tokens[i][0] == "(":
+            if word not in FUNCTIONS:
+                raise UnknownFunctionError(word, pos)
+            ops.append((negated, word))
+            i += 1
+            continue
+        if kind == "(":
+            ops.append((negated, None))
+            continue
+        if kind == "num":
+            node = Num(float(word))
+        elif kind == "name" and word in CONSTANTS:
+            node = Num(CONSTANTS[word])
+        elif kind == "name":
+            if word not in allowed:
+                raise UnknownVariableError(word, pos)
+            node = Var(word)
+        else:
+            raise ExprSyntaxError(f"expected a value, found '{word or 'end of input'}'", pos)
+        operands.append(Neg(node) if negated else node)
+        # closings of groups, then a binary operator or the end
+        while True:
+            kind, word, pos = tokens[i]
+            i += 1
+            if kind in _LEVELS:
+                break
+            while ops and isinstance(ops[-1], str):
+                reduce()
+            if not ops:
+                if kind == "end":
+                    return operands[0]
+                raise ExprSyntaxError(f"unexpected trailing input '{word}'", pos)
+            if kind != ")":
+                raise ExprSyntaxError(f"expected ')', found '{word or 'end of input'}'", pos)
+            negated, func = ops.pop()
+            node = operands.pop() if func is None else Call(func, operands.pop())
+            operands.append(Neg(node) if negated else node)
+        # pending operators of a higher level take their right operand now,
+        # and of an equal one too, except under '^', which is right associative
+        level = _LEVELS[kind]
+        while ops and isinstance(ops[-1], str) and (
+                _LEVELS[ops[-1]] > level or _LEVELS[ops[-1]] == level and kind != "^"):
+            reduce()
+        ops.append(kind)
 
 
-def collect_variables(node: ExprAST) -> frozenset:
-    if isinstance(node, Var):
-        return frozenset((node.name,))
-    if isinstance(node, Neg):
-        return collect_variables(node.operand)
+def _children(node):
     if isinstance(node, BinOp):
-        return collect_variables(node.left) | collect_variables(node.right)
+        return (node.left, node.right)
+    if isinstance(node, Neg):
+        return (node.operand,)
     if isinstance(node, Call):
-        return collect_variables(node.arg)
-    return frozenset()
+        return (node.arg,)
+    return ()
+
+
+def _postorder(roots):
+    """Yield every node of the trees ``roots``, children before their parent
+    and left before right, off an explicit stack."""
+    stack = [(root, False) for root in reversed(roots)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            yield node
+        else:
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(_children(node)))
+
+
+def collect_variables(*nodes) -> frozenset:
+    """The names of the variables that the trees ``nodes`` read."""
+    return frozenset(n.name for n in _postorder(nodes) if isinstance(n, Var))
 
 
 _BINOPS = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "{} / {}", "^": "power({}, {})"}
@@ -212,37 +215,37 @@ def _compile(nodes):
     or scalars, so every operation obeys the caller's numpy error state.
     """
     namespace = {"asarray": np.asarray, "power": np.power, **FUNCTIONS}
-    body, done = [], {}
-
-    def assign(code):
-        body.append(f"t{len(body)} = {code}")
-        return f"t{len(body) - 1}"
+    body, done, temps = [], {}, []
 
     def bind(value):
         namespace[f"k{len(namespace)}"] = value
         return f"k{len(namespace) - 1}"
 
-    def emit(n):
-        key = repr(n)           # unlike ==, tells 0.0 from -0.0
-        if key not in done:
-            done[key] = assign(operation(n))
-        return done[key]
-
-    def operation(n):
+    def operation(n, args):
         if isinstance(n, Num):
             return bind(np.float64(n.value))
         if isinstance(n, Var):
             return f"asarray(env[{bind(n.name)}], float)"
         if isinstance(n, Neg):
-            return f"-{emit(n.operand)}"
+            return f"-{args[0]}"
         if isinstance(n, BinOp) and n.op in _BINOPS:
-            return _BINOPS[n.op].format(emit(n.left), emit(n.right))
+            return _BINOPS[n.op].format(*args)
         if isinstance(n, Call) and n.func in FUNCTIONS:
-            return f"{n.func}({emit(n.arg)})"
-        raise ValueError(f"not an expression node: {n!r}")
+            return f"{n.func}({args[0]})"
+        raise ValueError(f"not an expression node: {type(n).__name__}")
 
-    results = [emit(n) for n in nodes]
-    exec("\n    ".join(["def compiled(env):", *body, f"return ({', '.join(results)},)"]),
+    for n in _postorder(nodes):
+        arity = len(_children(n))
+        args = temps[len(temps) - arity:]
+        del temps[len(temps) - arity:]
+        # an inner node's key is its code over its operands' temporaries; a
+        # leaf's is its repr, which unlike == tells 0.0 from -0.0
+        key = operation(n, args) if arity else repr(n)
+        if key not in done:
+            body.append(f"t{len(body)} = {key if arity else operation(n, args)}")
+            done[key] = f"t{len(body) - 1}"
+        temps.append(done[key])
+    exec("\n    ".join(["def compiled(env):", *body, f"return ({', '.join(temps)},)"]),
          namespace)
     return namespace["compiled"]
 
@@ -287,46 +290,29 @@ def evaluate(node: ExprAST, env):
     return float(out)
 
 
-# Canonical rendering. parse(render(t)) is structurally identical to t for
-# every parser-producible tree; the writers mirror the grammar levels so no
-# precedence information is lost or invented.
-
 def render(node: ExprAST) -> str:
-    return _render_expr(node)
+    """Canonical text: parse(render(t)) is structurally identical to t for
+    every parser-producible tree. Each node is written at its grammar level,
+    and an operand below the level its position needs is parenthesized."""
+    done = []                   # (level, text) of each finished operand
 
+    def at(level, operand):
+        return operand[1] if operand[0] >= level else f"({operand[1]})"
 
-def _render_expr(node):
-    if isinstance(node, BinOp) and node.op in "+-":
-        return f"{_render_expr(node.left)}{node.op}{_render_term(node.right)}"
-    return _render_term(node)
-
-
-def _render_term(node):
-    if isinstance(node, BinOp) and node.op in "*/":
-        return f"{_render_term(node.left)}{node.op}{_render_factor(node.right)}"
-    return _render_factor(node)
-
-
-def _render_factor(node):
-    if isinstance(node, BinOp) and node.op == "^":
-        return f"{_render_unary(node.left)}^{_render_factor(node.right)}"
-    return _render_unary(node)
-
-
-def _render_unary(node):
-    if isinstance(node, Neg):
-        return f"-{_render_atom(node.operand)}"
-    return _render_atom(node)
-
-
-def _render_atom(node):
-    if isinstance(node, Num):
-        if node.value < 0 or not math.isfinite(node.value):
+    for n in _postorder((node,)):
+        if isinstance(n, BinOp):
+            right, left, level = done.pop(), done.pop(), _LEVELS[n.op]
+            lo, hi = (level + 1, level) if n.op == "^" else (level, level + 1)
+            done.append((level, f"{at(lo, left)}{n.op}{at(hi, right)}"))
+        elif isinstance(n, Neg):
+            done.append((3, f"-{at(4, done.pop())}"))
+        elif isinstance(n, Call):
+            done.append((4, f"{n.func}({done.pop()[1]})"))
+        elif isinstance(n, Var):
+            done.append((4, n.name))
+        elif n.value < 0 or not math.isfinite(n.value):
             # not parser-producible; parenthesize so the text stays valid
-            return f"({node.value!r})"
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Call):
-        return f"{node.func}({_render_expr(node.arg)})"
-    return f"({_render_expr(node)})"
+            done.append((4, f"({n.value!r})"))
+        else:
+            done.append((4, repr(n.value)))
+    return done[0][1]

@@ -189,17 +189,14 @@ class ProblemSpec:
             self.mode, self.b, self.b_next = DARCY, None, self.b[0]
         if self.mode == DARCY and self.b_next is None:
             self.b_next = exprlang.Num(1.0)
-        allowed = self.variables
         exprs = [e for row in self.a for e in row] + list(self.b or [])
         exprs.append(exprlang.Num(1.0) if self.b_next is None else self.b_next)
-        for e in exprs:
-            extra = collect_variables(e) - allowed
-            if extra:
-                raise ValueError(f"expression references undeclared variables {sorted(extra)}")
-        if self.mode == MOLECULAR:
-            for e in exprs:
-                if "p" in collect_variables(e):
-                    raise ValueError("molecular coefficients may depend on u_1..u_n only")
+        used = collect_variables(*exprs)
+        extra = used - self.variables
+        if extra:
+            raise ValueError(f"expression references undeclared variables {sorted(extra)}")
+        if self.mode == MOLECULAR and "p" in used:
+            raise ValueError("molecular coefficients may depend on u_1..u_n only")
         self.bundle = exprlang.Bundle(exprs)
 
     @property

@@ -872,6 +872,24 @@ def test_solve_huge_coefficients_end_typed(tmp_path, caplog, capsys):
     assert "Traceback" not in log_text and "OverflowError" not in log_text
 
 
+@pytest.mark.parametrize("key, value", [
+    ("a11", "+".join(["0.0025"] * 400)),
+    ("b1", "(" * 300 + "1+u1" + ")" * 300),
+    ("a11", "^".join(["1"] * 400)),
+], ids=["sum-400", "parentheses-300", "power-chain-400"])
+def test_solve_long_and_deep_coefficients(tmp_path, key, value):
+    """Each coefficient equals the k-section config's own, so gamma = ln 2;
+    a recursive parser and compiler once ended these in a RecursionError."""
+    text = (DATA / "scalar_rectangle_bisection.ini").read_text()
+    text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    assert count == 1
+    cfg_path = tmp_path / "case.ini"
+    cfg_path.write_text(text)
+    assert main(["solve", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    gamma = float(read_report(tmp_path / "out" / "report.txt")["gamma"])
+    assert abs(gamma - math.log(2)) <= 1e-12
+
+
 def test_oracle_exits_3_on_a_failing_or_a_crashed_case(tmp_path, monkeypatch, capsys):
     """A check over its limit and a case that raises are both suite
     failures: exit 3, the report names each, and only the case that got

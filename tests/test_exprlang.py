@@ -1,8 +1,9 @@
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from funcsol.errors import (
     EvalDomainError,
@@ -219,3 +220,64 @@ def test_bundle_error_names_first_user_of_shared_subtree():
     with pytest.raises(EvalDomainError, match="'exp\\(u1\\)\\+1.0'"):
         Bundle((a, b))({"u1": 800.0, "u2": 0.0, "p": 0.0})
     assert Bundle((a, b))({"u1": 0.0}) == (2.0, 2.0)
+
+
+# --- long and deep inputs: nothing recurses -----------------------------------
+
+def _deep(kind, k):
+    """An expression of size k and its value at u1 = 0.5, exact in float64."""
+    if kind == "sum":
+        return ("1" + "".join(f"{'+-'[j % 2]}{j % 3}*u1" for j in range(k)),
+                1 + sum((-1) ** j * (j % 3) * 0.5 for j in range(k)))
+    if kind == "parentheses":
+        return "(" * k + "u1+1" + ")" * k, 1.5
+    if kind == "negated groups":
+        return "-(" * k + "u1" + ")" * k, (-1) ** k * 0.5
+    if kind == "power chain":       # 8.0, were '^' left associative
+        return "2^1" + "^1" * k + "^3", 2.0
+    return "abs(-" * k + "u1" + ")" * k, 0.5     # nested calls
+
+
+def _check_deep(kind, k):
+    text, value = _deep(kind, k)
+    node = parse_expression(text, VARS)
+    assert collect_variables(node) <= {"u1"}
+    assert evaluate(node, {"u1": 0.5}) == value
+    # == on dataclasses recurses, so the round trip compares texts
+    canonical = render(node)
+    assert render(parse_expression(canonical, VARS)) == canonical
+
+
+_DEEP_SIZES = {"sum": 1000, "parentheses": 1000, "negated groups": 1000, "power chain": 400,
+               "nested calls": 1000}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.one_of([st.tuples(st.just(kind), st.integers(0, top))
+                  for kind, top in _DEEP_SIZES.items()]))
+@example(("sum", 1000))
+@example(("parentheses", 1000))
+@example(("power chain", 400))
+def test_long_and_deep_expressions_parse_compile_and_round_trip(case):
+    _check_deep(*case)
+
+
+@pytest.mark.parametrize("kind, k", [("sum", 10_000), ("parentheses", 10_000),
+                                     ("negated groups", 5_000), ("power chain", 5_000),
+                                     ("nested calls", 5_000)])
+def test_no_size_or_depth_limit(kind, k):
+    _check_deep(kind, k)
+
+
+def test_compile_time_is_linear_in_the_number_of_terms():
+    def best_of_3(n):
+        text = "+".join(f"{k}*u1^2" for k in range(n))
+        times = []
+        for _ in range(3):
+            started = time.perf_counter()
+            Bundle((parse_expression(text, VARS),))
+            times.append(time.perf_counter() - started)
+        return min(times)
+
+    # linear reads 4, a quadratic compile about 16
+    assert best_of_3(8000) < 8 * best_of_3(2000)
