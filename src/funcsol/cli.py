@@ -20,6 +20,7 @@ import logging
 import os
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -91,7 +92,10 @@ def read_field_csv(path: Path, grid: Grid) -> np.ndarray:
         if header != "x1,x2,value":
             raise ConfigError(f"{path}: unexpected header '{header}'")
         try:
-            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            with warnings.catch_warnings():
+                # a table of no rows is refused by its shape below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
         except ValueError as exc:
             raise ConfigError(f"{path}: malformed row ({exc})") from None
     n1, n2 = grid.shape

@@ -12,9 +12,12 @@ Numbers accept decimal and exponent forms (``1.5``, ``.5``, ``2e-3``).
 ``pi`` is the only builtin constant and parses directly to its value.
 The callable set is fixed: sin, cos, exp, log, sqrt, abs.
 
-A Bundle of ASTs is compiled once into one straight-line function
-over numpy ufuncs, so variables may be floats or same-shaped
-arrays and the result broadcasts. Leaving the real domain and overflow
+An expression is its postfix program, a tuple of (op, arg) steps:
+("num", value), ("var", name), ("neg", None), ("call", function) or
+(binary operator, None). The parser writes it as it reads the text; no
+tree is built. A Bundle of programs is compiled once into one
+straight-line function over numpy ufuncs, so variables may be floats or
+same-shaped arrays and the result broadcasts. Leaving the real domain and overflow
 anywhere, ``*`` and ``/`` included, raise EvalDomainError instead of
 producing inf or NaN.
 """
@@ -23,8 +26,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -46,36 +47,6 @@ FUNCTIONS = {
 
 CONSTANTS = {"pi": math.pi}
 
-
-@dataclass(frozen=True)
-class Num:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "ExprAST"
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: "ExprAST"
-    right: "ExprAST"
-
-
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: "ExprAST"
-
-
-ExprAST = Union[Num, Var, Neg, BinOp, Call]
 
 _NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _TOKEN_RE = re.compile(rf"({_NUMBER})|([A-Za-z_][A-Za-z_0-9]*)|(\S)")
@@ -103,49 +74,47 @@ def _tokenize(text):
 _LEVELS = {"+": 0, "-": 0, "*": 1, "/": 1, "^": 2}
 
 
-def parse_expression(text: str, allowed_vars) -> ExprAST:
-    """Parse ``text`` into an AST; names must come from ``allowed_vars``.
+def parse_expression(text: str, allowed_vars) -> tuple:
+    """Parse ``text`` into its postfix program; names must come from
+    ``allowed_vars``.
 
-    One shunting-yard loop (Dijkstra, 1961): ``ops`` holds pending binary
-    operators and open groups, each group as (negated, function or None).
+    One shunting-yard loop (Dijkstra, 1961) appends each step once its
+    operands are in: ``ops`` holds pending binary operators and open
+    groups, each group as the list of steps that its closing appends.
     """
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 1)
     tokens, allowed = _tokenize(text), frozenset(allowed_vars)
-    operands, ops, i = [], [], 0
-
-    def reduce():
-        right = operands.pop()
-        operands.append(BinOp(ops.pop(), operands.pop(), right))
-
+    program, ops, i = [], [], 0
     while True:
-        # an operand: '-'? then an atom, or the opening of a group
+        # an operand: '-'? then an atom, or the opening of a group; ``sign``
+        # holds the step that a leading '-' appends after the operand
         kind, word, pos = tokens[i]
-        negated = kind == "-"
-        if negated:
+        sign = [("neg", None)] if kind == "-" else []
+        if sign:
             i += 1
             kind, word, pos = tokens[i]
         i += 1
         if kind == "name" and tokens[i][0] == "(":
             if word not in FUNCTIONS:
                 raise UnknownFunctionError(word, pos)
-            ops.append((negated, word))
+            ops.append([("call", word), *sign])
             i += 1
             continue
         if kind == "(":
-            ops.append((negated, None))
+            ops.append(sign)
             continue
         if kind == "num":
-            node = Num(float(word))
+            step = ("num", float(word))
         elif kind == "name" and word in CONSTANTS:
-            node = Num(CONSTANTS[word])
+            step = ("num", CONSTANTS[word])
         elif kind == "name":
             if word not in allowed:
                 raise UnknownVariableError(word, pos)
-            node = Var(word)
+            step = ("var", word)
         else:
             raise ExprSyntaxError(f"expected a value, found '{word or 'end of input'}'", pos)
-        operands.append(Neg(node) if negated else node)
+        program += [step, *sign]
         # closings of groups, then a binary operator or the end
         while True:
             kind, word, pos = tokens[i]
@@ -153,66 +122,44 @@ def parse_expression(text: str, allowed_vars) -> ExprAST:
             if kind in _LEVELS:
                 break
             while ops and isinstance(ops[-1], str):
-                reduce()
+                program.append((ops.pop(), None))
             if not ops:
                 if kind == "end":
-                    return operands[0]
+                    return tuple(program)
                 raise ExprSyntaxError(f"unexpected trailing input '{word}'", pos)
             if kind != ")":
                 raise ExprSyntaxError(f"expected ')', found '{word or 'end of input'}'", pos)
-            negated, func = ops.pop()
-            node = operands.pop() if func is None else Call(func, operands.pop())
-            operands.append(Neg(node) if negated else node)
+            program += ops.pop()
         # pending operators of a higher level take their right operand now,
         # and of an equal one too, except under '^', which is right associative
         level = _LEVELS[kind]
         while ops and isinstance(ops[-1], str) and (
                 _LEVELS[ops[-1]] > level or _LEVELS[ops[-1]] == level and kind != "^"):
-            reduce()
+            program.append((ops.pop(), None))
         ops.append(kind)
 
 
-def _children(node):
-    if isinstance(node, BinOp):
-        return (node.left, node.right)
-    if isinstance(node, Neg):
-        return (node.operand,)
-    if isinstance(node, Call):
-        return (node.arg,)
-    return ()
-
-
-def _postorder(roots):
-    """Yield every node of the trees ``roots``, children before their parent
-    and left before right, off an explicit stack."""
-    stack = [(root, False) for root in reversed(roots)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            yield node
-        else:
-            stack.append((node, True))
-            stack.extend((child, False) for child in reversed(_children(node)))
-
-
-def collect_variables(*nodes) -> frozenset:
-    """The names of the variables that the trees ``nodes`` read."""
-    return frozenset(n.name for n in _postorder(nodes) if isinstance(n, Var))
+def collect_variables(*programs) -> frozenset:
+    """The names of the variables that ``programs`` read."""
+    return frozenset(arg for program in programs for op, arg in program if op == "var")
 
 
 _BINOPS = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "{} / {}", "^": "power({}, {})"}
+_ARITY = {"neg": 1, "call": 1, **dict.fromkeys(_BINOPS, 2)}
 
 RAISE = {"divide": "raise", "over": "raise", "invalid": "raise", "under": "ignore"}
 
 
-def _compile(nodes):
+def _compile(programs):
     """One straight-line Python function of ``env`` returning the tuple of
-    the values of ``nodes``; equal subtrees, variables included, are
-    computed once for all of them.
+    the values of ``programs``; equal subexpressions, variables included,
+    are computed once for all of them.
 
     Only whitelisted templates and generated names reach ``exec``; names
-    and constants are bound in the namespace. Operands are float64 arrays
-    or scalars, so every operation obeys the caller's numpy error state.
+    and constants are bound in the namespace, and any other step, or a
+    program that does not leave exactly one value, raises ValueError
+    first. Operands are float64 arrays or scalars, so every operation obeys
+    the caller's numpy error state.
     """
     namespace = {"asarray": np.asarray, "power": np.power, **FUNCTIONS}
     body, done, temps = [], {}, []
@@ -221,37 +168,43 @@ def _compile(nodes):
         namespace[f"k{len(namespace)}"] = value
         return f"k{len(namespace) - 1}"
 
-    def operation(n, args):
-        if isinstance(n, Num):
-            return bind(np.float64(n.value))
-        if isinstance(n, Var):
-            return f"asarray(env[{bind(n.name)}], float)"
-        if isinstance(n, Neg):
+    def operation(op, arg, args):
+        if op == "num":
+            return bind(np.float64(arg))
+        if op == "var":
+            return f"asarray(env[{bind(arg)}], float)"
+        if op == "neg":
             return f"-{args[0]}"
-        if isinstance(n, BinOp) and n.op in _BINOPS:
-            return _BINOPS[n.op].format(*args)
-        if isinstance(n, Call) and n.func in FUNCTIONS:
-            return f"{n.func}({args[0]})"
-        raise ValueError(f"not an expression node: {type(n).__name__}")
+        if op in _BINOPS:
+            return _BINOPS[op].format(*args)
+        if op == "call" and arg in FUNCTIONS:
+            return f"{arg}({args[0]})"
+        raise ValueError(f"not a program step: {(op, arg)!r}")
 
-    for n in _postorder(nodes):
-        arity = len(_children(n))
-        args = temps[len(temps) - arity:]
-        del temps[len(temps) - arity:]
-        # an inner node's key is its code over its operands' temporaries; a
-        # leaf's is its repr, which unlike == tells 0.0 from -0.0
-        key = operation(n, args) if arity else repr(n)
-        if key not in done:
-            body.append(f"t{len(body)} = {key if arity else operation(n, args)}")
-            done[key] = f"t{len(body) - 1}"
-        temps.append(done[key])
+    for program in programs:
+        depth = len(temps)
+        for op, arg in program:
+            arity = _ARITY.get(op, 0)
+            if len(temps) - depth < arity:
+                raise ValueError(f"program step {(op, arg)!r} lacks an operand")
+            args = temps[len(temps) - arity:]
+            del temps[len(temps) - arity:]
+            # an inner step's key is its code over its operands' temporaries;
+            # a leaf's is its repr, which unlike == tells 0.0 from -0.0
+            key = operation(op, arg, args) if arity else repr((op, arg))
+            if key not in done:
+                body.append(f"t{len(body)} = {key if arity else operation(op, arg, args)}")
+                done[key] = f"t{len(body) - 1}"
+            temps.append(done[key])
+        if len(temps) != depth + 1:
+            raise ValueError(f"a program leaves one value, not {len(temps) - depth}")
     exec("\n    ".join(["def compiled(env):", *body, f"return ({', '.join(temps)},)"]),
          namespace)
     return namespace["compiled"]
 
 
 class Bundle:
-    """Several ASTs compiled into one straight-line function of ``env``.
+    """Several programs compiled into one straight-line function of ``env``.
 
     Calling the bundle returns the tuple of their values and turns every
     floating point exception but underflow into an EvalDomainError. Hot
@@ -260,9 +213,9 @@ class Bundle:
     raises the EvalDomainError.
     """
 
-    def __init__(self, nodes):
-        self.nodes = tuple(nodes)
-        self.raw = _compile(self.nodes)
+    def __init__(self, programs):
+        self.programs = tuple(programs)
+        self.raw = _compile(self.programs)
 
     def __call__(self, env):
         try:
@@ -272,47 +225,47 @@ class Bundle:
             reason = exc
         except KeyError as exc:
             raise UnknownVariableError(exc.args[0]) from None
-        if len(self.nodes) > 1:
+        if len(self.programs) > 1:
             # evaluate raises for the first expression that fails on its own;
             # the bundle computes each exactly as evaluate does, so one does
-            for node in self.nodes:
-                evaluate(node, env)
-        raise EvalDomainError(f"'{render(self.nodes[0])}' left its real domain: {reason}")
+            for program in self.programs:
+                evaluate(program, env)
+        raise EvalDomainError(f"'{render(self.programs[0])}' left its real domain: {reason}")
 
 
-def evaluate(node: ExprAST, env):
-    """Evaluate one AST, compiled anew on each call (repeated evaluation
+def evaluate(program, env):
+    """Evaluate one program, compiled anew on each call (repeated evaluation
     keeps a Bundle), over floats or numpy arrays. Every floating point
     exception but underflow is an EvalDomainError."""
-    out, = Bundle((node,))(env)
+    out, = Bundle((program,))(env)
     if isinstance(out, np.ndarray) and out.ndim:
         return out
     return float(out)
 
 
-def render(node: ExprAST) -> str:
-    """Canonical text: parse(render(t)) is structurally identical to t for
-    every parser-producible tree. Each node is written at its grammar level,
-    and an operand below the level its position needs is parenthesized."""
+def render(program) -> str:
+    """Canonical text: parse(render(t)) == t for every program the parser
+    writes. Each step's text is written at its grammar level, and an
+    operand below the level its position needs is parenthesized."""
     done = []                   # (level, text) of each finished operand
 
     def at(level, operand):
         return operand[1] if operand[0] >= level else f"({operand[1]})"
 
-    for n in _postorder((node,)):
-        if isinstance(n, BinOp):
-            right, left, level = done.pop(), done.pop(), _LEVELS[n.op]
-            lo, hi = (level + 1, level) if n.op == "^" else (level, level + 1)
-            done.append((level, f"{at(lo, left)}{n.op}{at(hi, right)}"))
-        elif isinstance(n, Neg):
+    for op, arg in program:
+        if op in _LEVELS:
+            right, left, level = done.pop(), done.pop(), _LEVELS[op]
+            lo, hi = (level + 1, level) if op == "^" else (level, level + 1)
+            done.append((level, f"{at(lo, left)}{op}{at(hi, right)}"))
+        elif op == "neg":
             done.append((3, f"-{at(4, done.pop())}"))
-        elif isinstance(n, Call):
-            done.append((4, f"{n.func}({done.pop()[1]})"))
-        elif isinstance(n, Var):
-            done.append((4, n.name))
-        elif n.value < 0 or not math.isfinite(n.value):
+        elif op == "call":
+            done.append((4, f"{arg}({done.pop()[1]})"))
+        elif op == "var":
+            done.append((4, arg))
+        elif arg < 0 or not math.isfinite(arg):
             # not parser-producible; parenthesize so the text stays valid
-            done.append((4, f"({n.value!r})"))
+            done.append((4, f"({arg!r})"))
         else:
-            done.append((4, repr(n.value)))
+            done.append((4, repr(arg)))
     return done[0][1]

@@ -68,6 +68,8 @@ def build_rectangle(n1: int, n2: int, width: float, height: float) -> Grid:
     """Rectangle [0,width]x[0,height]: left edge gamma1, right edge gamma3,
     bottom and top gamma2."""
     _check_dims(n1, n2)
+    if not (math.isfinite(width) and math.isfinite(height)):
+        raise InvalidExtentsError(f"width and height must be finite, got {width}, {height}")
     if width <= 0 or height <= 0:
         raise InvalidExtentsError(f"width and height must be positive, got {width}, {height}")
     return Grid(CARTESIAN, np.linspace(0.0, width, n1), np.linspace(0.0, height, n2))
@@ -77,6 +79,8 @@ def build_annulus(nr: int, ntheta: int, r1: float, r2: float) -> Grid:
     """Quarter annulus r in [r1,r2], angle in [0,pi/2]: inner arc gamma1,
     outer arc gamma3, the two straight radial edges gamma2."""
     _check_dims(nr, ntheta)
+    if not (math.isfinite(r1) and math.isfinite(r2)):
+        raise InvalidRadiiError(f"r1 and r2 must be finite, got r1={r1}, r2={r2}")
     if r1 <= 0 or r2 <= r1:
         raise InvalidRadiiError(f"need 0 < r1 < r2, got r1={r1}, r2={r2}")
     return Grid(POLAR, np.linspace(r1, r2, nr), np.linspace(0.0, math.pi / 2.0, ntheta))

@@ -70,6 +70,7 @@ MOLECULAR = "molecular"
 DARCY = "darcy"
 SCALAR = "scalar"           # a spelling of darcy, lowered by ProblemSpec
 MODES = (MOLECULAR, DARCY, SCALAR)
+_ONE = parse_expression("1", ())  # an absent b_next
 
 SINGULAR_COND_LIMIT = 1e12
 RESONANCE_COND_LIMIT = 1e8
@@ -144,7 +145,7 @@ _DOP_D = np.array((
 class ProblemSpec:
     """Coefficient data for one two-point/PDE problem.
 
-    ``a`` is an n x n matrix of expression ASTs over u_1..u_n and p;
+    ``a`` is an n x n matrix of expression programs over u_1..u_n and p;
     ``b`` is absent (zero) and ``b_next`` absent (one) in the molecular
     case; a darcy ``b_next`` defaults to one. ``mode="scalar"`` is darcy
     with n = 1, its lone coefficient spelled ``b[0]``: it lowers to b
@@ -154,7 +155,7 @@ class ProblemSpec:
     n: int
     a: list
     b: list | None = None
-    b_next: object = None
+    b_next: tuple = None
     u_star: np.ndarray = None
     p_star: float = 1.0
     mode: str = MOLECULAR
@@ -188,9 +189,9 @@ class ProblemSpec:
                                  "b_next is for darcy mode")
             self.mode, self.b, self.b_next = DARCY, None, self.b[0]
         if self.mode == DARCY and self.b_next is None:
-            self.b_next = exprlang.Num(1.0)
+            self.b_next = _ONE
         exprs = [e for row in self.a for e in row] + list(self.b or [])
-        exprs.append(exprlang.Num(1.0) if self.b_next is None else self.b_next)
+        exprs.append(_ONE if self.b_next is None else self.b_next)
         used = collect_variables(*exprs)
         extra = used - self.variables
         if extra:
@@ -218,13 +219,13 @@ class ProblemSpec:
         end with the pressure law div(b_next grad p) = 0. ``field`` indexes
         u_1..u_n, then p; the field is 0 on gamma1 and ``boundary`` on gamma3.
         ``terms`` are (k, field) pairs: ``values(...)[k]``, the value of
-        ``bundle.nodes[k]``, times the gradient of that field.
+        ``bundle.programs[k]``, times the gradient of that field.
         """
         n, nn = self.n, self.n * self.n
         laws = [(i, float(self.u_star[i]), [(i * n + j, j) for j in range(n)]
                  + ([] if self.b is None else [(nn + i, n)])) for i in range(n)]
         if self.mode == DARCY:
-            laws.append((n, self.p_star, [(len(self.bundle.nodes) - 1, n)]))
+            laws.append((n, self.p_star, [(len(self.bundle.programs) - 1, n)]))
         return laws
 
     def values(self, u_values, p_values):
@@ -466,7 +467,7 @@ def _integrate_batch(spec: ProblemSpec, gammas, n_nodes, steps=None):
         # every coefficient's column: A row by row, then b, then b_next.
         # _inverse_along applies the kappa_F rule to A / max|A|, so only a
         # singular A, not a huge or tiny one, stops a step
-        columns = np.empty((k, len(spec.bundle.nodes)))
+        columns = np.empty((k, len(spec.bundle.programs)))
 
         def f(p, state):
             env.update(zip(names, state.T))

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,12 @@ def test_load_config_molecular(tmp_path):
     assert cfg.spec.n == 2
     assert cfg.backend == "fixed_point"
     assert cfg.n_nodes == 257
+
+
+def test_repr_of_a_config_with_a_long_coefficient(tmp_path):
+    long = MOLECULAR_CFG.replace("a11 = 1+u1", "a11 = 1" + "+u1^2" * 2000)
+    cfg = load_config(write_cfg(tmp_path, long))
+    assert repr(cfg).count("('var', 'u1')") == 2000
 
 
 def test_config_backend_mode_mismatch(tmp_path):
@@ -554,6 +561,21 @@ def test_read_field_csv_rejects_malformed(tmp_path, body, message):
     path.write_text("x1,x2,value\n" + body)
     with pytest.raises(ConfigError, match=message):
         read_field_csv(path, build_rectangle(5, 4, 1.0, 2.0))
+
+
+@pytest.mark.parametrize("body", ["", "\n\n\n"], ids=["header-only", "blank-lines"])
+def test_verify_refuses_an_empty_field_without_a_warning(tmp_path, capsys, body):
+    cfg_path = write_cfg(tmp_path, MOLECULAR_CFG)
+    assert main(["solve", str(cfg_path)]) == 0
+    (tmp_path / "out" / "u1.csv").write_text("x1,x2,value\n" + body)
+    with pytest.raises(ConfigError, match="expected 289 rows of 3 fields"):
+        read_field_csv(tmp_path / "out" / "u1.csv", build_rectangle(17, 17, 1.0, 1.0))
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["verify", str(cfg_path), str(tmp_path / "out")]) == 1
+    assert caught == []
+    assert "Warning" not in capsys.readouterr().err
 
 
 def test_verify_rejects_fields_of_another_grid(tmp_path):

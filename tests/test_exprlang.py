@@ -11,18 +11,8 @@ from funcsol.errors import (
     UnknownFunctionError,
     UnknownVariableError,
 )
-from funcsol.exprlang import (
-    BinOp,
-    Bundle,
-    Call,
-    Neg,
-    Num,
-    Var,
-    collect_variables,
-    evaluate,
-    parse_expression,
-    render,
-)
+from funcsol import exprlang
+from funcsol.exprlang import Bundle, collect_variables, evaluate, parse_expression, render
 
 VARS = {"u1", "u2", "p"}
 
@@ -108,8 +98,15 @@ def test_array_evaluation_broadcasts():
 
 
 def test_collect_variables():
-    ast = parse_expression("u1*sin(p)+2", VARS)
-    assert collect_variables(ast) == {"u1", "p"}
+    program = parse_expression("u1*sin(p)+2", VARS)
+    assert collect_variables(program) == {"u1", "p"}
+
+
+def test_programs_are_postfix():
+    assert parse_expression("-(u1+2)^2/sin(p)", VARS) == (
+        ("var", "u1"), ("num", 2.0), ("+", None), ("neg", None), ("num", 2.0), ("^", None),
+        ("var", "p"), ("call", "sin"), ("/", None))
+    assert parse_expression("-pi", VARS) == (("num", math.pi), ("neg", None))
 
 
 # --- parse/render round trip -------------------------------------------------
@@ -119,24 +116,25 @@ _funcs = st.sampled_from(["sin", "cos", "exp", "log", "sqrt", "abs"])
 _nums = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
 
 
-def _asts(depth):
-    leaf = st.one_of(_nums.map(Num), _names.map(Var))
+def _programs(depth):
+    """Postfix programs of expressions nested up to ``depth`` levels."""
+    leaf = st.one_of(_nums.map(lambda v: (("num", v),)), _names.map(lambda v: (("var", v),)))
     if depth == 0:
         return leaf
-    sub = _asts(depth - 1)
+    sub = _programs(depth - 1)
     return st.one_of(
         leaf,
-        sub.map(Neg),
-        st.tuples(_funcs, sub).map(lambda t: Call(*t)),
-        st.tuples(st.sampled_from("+-*/^"), sub, sub).map(lambda t: BinOp(*t)),
+        sub.map(lambda p: p + (("neg", None),)),
+        st.tuples(_funcs, sub).map(lambda t: t[1] + (("call", t[0]),)),
+        st.tuples(st.sampled_from("+-*/^"), sub, sub).map(lambda t: t[1] + t[2] + ((t[0], None),)),
     )
 
 
 @settings(max_examples=300, deadline=None)
-@given(_asts(4))
-def test_parse_render_round_trip(ast):
-    text = render(ast)
-    assert parse_expression(text, VARS) == ast
+@given(_programs(4))
+def test_parse_render_round_trip(program):
+    text = render(program)
+    assert parse_expression(text, VARS) == program
 
 
 def test_render_examples():
@@ -146,7 +144,7 @@ def test_render_examples():
     assert parse_expression(render(t), VARS) == t
 
 
-# --- compiled evaluation against a reference tree walk ------------------------
+# --- compiled evaluation against a reference stack machine ---------------------
 
 class _Undefined(Exception):
     pass
@@ -158,23 +156,29 @@ _REF_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
               "sqrt": np.sqrt, "abs": np.abs}
 
 
-def _reference(node, env):
-    """Node-by-node evaluation; any non-finite intermediate is undefined."""
-    if isinstance(node, Num):
-        return np.float64(node.value)
-    if isinstance(node, Var):
-        return np.asarray(env[node.name], dtype=float)
-    with np.errstate(all="ignore"):
-        if isinstance(node, Neg):
-            out = -_reference(node.operand, env)
-        elif isinstance(node, BinOp):
-            out = _REF_BINOPS[node.op](_reference(node.left, env),
-                                       _reference(node.right, env))
-        else:
-            out = _REF_FUNCS[node.func](_reference(node.arg, env))
-    if not np.all(np.isfinite(out)):
-        raise _Undefined
-    return out
+def _reference(program, env):
+    """Step-by-step evaluation on a stack; a non-finite result of any
+    operation is undefined."""
+    stack = []
+    for op, arg in program:
+        if op == "num":
+            stack.append(np.float64(arg))
+            continue
+        if op == "var":
+            stack.append(np.asarray(env[arg], dtype=float))
+            continue
+        with np.errstate(all="ignore"):
+            if op == "neg":
+                out = -stack.pop()
+            elif op == "call":
+                out = _REF_FUNCS[arg](stack.pop())
+            else:
+                right = stack.pop()
+                out = _REF_BINOPS[op](stack.pop(), right)
+        if not np.all(np.isfinite(out)):
+            raise _Undefined
+        stack.append(out)
+    return stack.pop()
 
 
 _values = st.floats(min_value=-800.0, max_value=800.0, allow_nan=False)
@@ -182,28 +186,28 @@ _bindings = st.one_of(_values, st.lists(_values, min_size=3, max_size=3).map(np.
 
 
 @settings(max_examples=500, deadline=None)
-@given(_asts(4), st.fixed_dictionaries({name: _bindings for name in sorted(VARS)}))
-def test_compiled_matches_reference_walk(ast, env):
+@given(_programs(4), st.fixed_dictionaries({name: _bindings for name in sorted(VARS)}))
+def test_compiled_matches_reference_walk(program, env):
     try:
-        expected = _reference(ast, env)
+        expected = _reference(program, env)
     except _Undefined:
         with pytest.raises(EvalDomainError):
-            evaluate(ast, env)
+            evaluate(program, env)
         return
-    got = evaluate(ast, env)
+    got = evaluate(program, env)
     assert np.shape(got) == np.shape(expected)
     assert np.asarray(got, dtype=float).tobytes() == np.asarray(expected, dtype=float).tobytes()
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.tuples(_asts(4), _asts(4), _asts(4)),
+@given(st.tuples(_programs(4), _programs(4), _programs(4)),
        st.fixed_dictionaries({name: _bindings for name in sorted(VARS)}))
-def test_bundle_matches_single_evaluations(asts, env):
-    bundle = Bundle(asts)
+def test_bundle_matches_single_evaluations(programs, env):
+    bundle = Bundle(programs)
     singles = []
-    for ast in asts:
+    for program in programs:
         try:
-            singles.append(evaluate(ast, env))
+            singles.append(evaluate(program, env))
         except EvalDomainError as exc:
             # the bundle fails too, and names the first expression that fails alone
             with pytest.raises(EvalDomainError) as got:
@@ -240,12 +244,10 @@ def _deep(kind, k):
 
 def _check_deep(kind, k):
     text, value = _deep(kind, k)
-    node = parse_expression(text, VARS)
-    assert collect_variables(node) <= {"u1"}
-    assert evaluate(node, {"u1": 0.5}) == value
-    # == on dataclasses recurses, so the round trip compares texts
-    canonical = render(node)
-    assert render(parse_expression(canonical, VARS)) == canonical
+    program = parse_expression(text, VARS)
+    assert collect_variables(program) <= {"u1"}
+    assert evaluate(program, {"u1": 0.5}) == value
+    assert parse_expression(render(program), VARS) == program
 
 
 _DEEP_SIZES = {"sum": 1000, "parentheses": 1000, "negated groups": 1000, "power chain": 400,
@@ -281,3 +283,39 @@ def test_compile_time_is_linear_in_the_number_of_terms():
 
     # linear reads 4, a quadratic compile about 16
     assert best_of_3(8000) < 8 * best_of_3(2000)
+
+
+def test_equal_and_hash_of_long_programs():
+    text, _ = _deep("sum", 10_000)
+    first, second = parse_expression(text, VARS), parse_expression(text, VARS)
+    assert first == second
+    assert hash(first) == hash(second)
+    assert first != parse_expression(text + "+1", VARS)
+
+
+# --- Bundle compiles only whitelisted steps ------------------------------------
+
+@pytest.mark.parametrize("program", [
+    (("var", "u1"), ("call", "__import__")),
+    (("var", "u1"), ("call", "eval")),
+    (("var", "u1"), ("attr", "__class__")),
+    (("var", "u1"), ("var", "u2"), ("**", None)),
+    (("num", 1.0), ("+", None)),
+    (("neg", None),),
+    (("num", 1.0), ("num", 2.0)),
+    (),
+], ids=["import", "eval", "unknown-op", "unknown-binop", "short-binop", "short-neg",
+        "two-values", "empty"])
+def test_bundle_refuses_a_step_outside_the_whitelist_before_exec(monkeypatch, program):
+    executed = []
+
+    def recording_exec(source, namespace):
+        executed.append(source)
+        exec(source, namespace)
+
+    monkeypatch.setattr(exprlang, "exec", recording_exec, raising=False)
+    with pytest.raises(ValueError):
+        Bundle(((("var", "p"),), program))
+    assert executed == []
+    assert Bundle(((("var", "p"),),))({"p": 2.0}) == (2.0,)
+    assert len(executed) == 1

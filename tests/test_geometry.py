@@ -73,6 +73,24 @@ def test_annulus_bad_radii():
         build_annulus(3, 3, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("builder,args,error", [
+    (build_rectangle, (5, 5, math.nan, 1.0), InvalidExtentsError),
+    (build_rectangle, (5, 5, 1.0, math.nan), InvalidExtentsError),
+    (build_rectangle, (5, 5, math.inf, 1.0), InvalidExtentsError),
+    (build_rectangle, (5, 5, 1.0, math.inf), InvalidExtentsError),
+    (build_annulus, (5, 5, math.nan, 2.0), InvalidRadiiError),
+    (build_annulus, (5, 5, 1.0, math.nan), InvalidRadiiError),
+    (build_annulus, (5, 5, 1.0, math.inf), InvalidRadiiError),
+    (build_annulus, (5, 5, -math.inf, 2.0), InvalidRadiiError),
+], ids=["nan-width", "nan-height", "inf-width", "inf-height", "nan-r1", "nan-r2", "inf-r2",
+        "-inf-r1"])
+def test_non_finite_extents_and_radii_are_refused(builder, args, error):
+    with np.errstate(all="raise"):
+        with pytest.raises(error, match="must be finite") as exc:
+            builder(*args)
+    assert exc.value.exit_code == 1
+
+
 @pytest.mark.parametrize("builder,args", [
     (build_rectangle, (7, 5, 2.0, 1.0)),
     (build_annulus, (6, 9, 1.0, 3.0)),

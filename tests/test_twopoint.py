@@ -975,6 +975,12 @@ def test_scalar_spelling_lowers_to_darcy():
     assert render(spec.b_next) == "2.0+p"
 
 
+def test_repr_of_a_spec_with_a_long_coefficient():
+    a11 = "1" + "+u1^2" * 2000
+    spec = ProblemSpec.from_strings(1, [[a11]], u_star=(1.0,))
+    assert repr(spec).count("('var', 'u1')") == 2000
+
+
 def test_scalar_spelling_rejects_b_next():
     # the two-point problem would use b1 and the pressure law b_next
     with pytest.raises(ValueError, match="b_next"):
