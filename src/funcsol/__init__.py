@@ -11,7 +11,6 @@ from .geometry import Grid, build_annulus, build_rectangle
 from .pivot import PivotField, pivot_residual_values, solve_pivot
 from .reconstruct import (
     FieldSet,
-    ThetaMap,
     compose_fields,
     darcy_reconstruct,
     kirchhoff_theta,
@@ -50,7 +49,7 @@ def __getattr__(name):
 
 __all__ = [
     "FieldSet", "Grid", "OracleCase", "PivotField", "ProblemConfig",
-    "ProblemSpec", "ProfileSolution", "ResidualReport", "ThetaMap",
+    "ProblemSpec", "ProfileSolution", "ResidualReport",
     "apply_fixed_point_operator", "build_annulus", "build_rectangle",
     "collocation_residual", "compare_fields", "compose_fields",
     "darcy_reconstruct", "direct_coupled_solve", "divergence_residual",

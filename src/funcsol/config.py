@@ -22,7 +22,7 @@ from .geometry import Grid, build_annulus, build_rectangle
 from .twopoint import MAX_ITER, MODES, ProblemSpec, allowed_backends
 
 
-@dataclass
+@dataclass(eq=False)
 class ProblemConfig:
     family: str
     n1: int

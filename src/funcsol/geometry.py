@@ -22,7 +22,7 @@ CARTESIAN = "cartesian"
 POLAR = "polar"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
     """Immutable tensor grid: node coordinates per axis."""
 

@@ -22,8 +22,8 @@ def range_scale(magnitude: float) -> float:
     return math.ldexp(1.0, -exponent) if abs(exponent) > 256 else 1.0
 
 
-def cumulative_simpson(y: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
-    """4th-order cumulative integral starting at 0.
+def cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
+    """4th-order cumulative integral along axis 0, starting at 0.
 
     Each interval increment integrates the cubic through the four nearest
     nodes (one-sided stencils on the first and last interval). This is the
@@ -32,7 +32,7 @@ def cumulative_simpson(y: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     downstream finite-difference checks rely on. Exact for cubics at any
     sample count of at least 4, odd or even.
     """
-    y = np.moveaxis(np.asarray(y, dtype=float), axis, 0)
+    y = np.asarray(y, dtype=float)
     m = y.shape[0]
     if m < 4:
         raise ValueError(f"cumulative_simpson needs a sample count >= 4, got {m}")
@@ -42,7 +42,7 @@ def cumulative_simpson(y: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     inc[-1] = (h / 24.0) * (y[-4] - 5.0 * y[-3] + 19.0 * y[-2] + 9.0 * y[-1])
     out = np.zeros_like(y)
     np.cumsum(inc, axis=0, out=out[1:])
-    return np.moveaxis(out, 0, axis)
+    return out
 
 
 def midpoint_cubic(y: np.ndarray, h: float):

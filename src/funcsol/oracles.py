@@ -25,7 +25,7 @@ BACKEND_AGREEMENT_RTOL = 1e-6
 THETA_DEVIATION_LIMIT = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleCase:
     name: str
     description: str
@@ -45,7 +45,7 @@ class OracleCase:
     expect_singular: bool = False
 
 
-@dataclass
+@dataclass(eq=False)
 class CaseResult:
     name: str
     passed: bool
@@ -55,7 +55,7 @@ class CaseResult:
     error: str | None = None
 
 
-@dataclass
+@dataclass(eq=False)
 class SuiteReport:
     grid_size: int
     results: list

@@ -34,15 +34,12 @@ from .geometry import POLAR, Grid
 CG_ITER_FACTOR = 50
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PivotField:
     grid: Grid
     values: np.ndarray
     achieved_residual: float
     iterations: int         # always 0: the closed form takes no iteration
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
 
 
 class _GridFactors:
@@ -299,22 +296,24 @@ def arithmetic_mean_faces(c_nodes: np.ndarray):
 
 def dirichlet_targets(grid: Grid, boundary: float):
     """Every field's Dirichlet data: 0 on gamma1 (the first row) and
-    ``boundary`` on gamma3 (the last row), zero on the equation rows."""
-    d = np.zeros(grid.shape)
+    ``boundary`` on gamma3 (the last row), zero on the equation rows; a
+    read-only view of its (n1, 1) column broadcast along x2."""
+    d = np.zeros((grid.n1, 1))
     d[-1] = boundary
-    return d
+    return np.broadcast_to(d, grid.shape)
 
 
 def pivot_values(grid: Grid) -> np.ndarray:
     """The discrete pivot, exactly: constant along each row, with the flux
     r_face * (z[i+1] - z[i]) / h1 equal on every face, so z = psi / psi[-1]
-    for psi[i] = sum over k < i of h1 / r_face[k] (x1 - x1[0] on rectangles)."""
+    for psi[i] = sum over k < i of h1 / r_face[k] (x1 - x1[0] on rectangles).
+    A read-only view of its (n1, 1) column broadcast along x2."""
     if grid.coord_system == POLAR:
         rface = 0.5 * (grid.x1[:-1] + grid.x1[1:])      # the stencil's face radii
         psi = np.concatenate(([0.0], np.cumsum(grid.spacing[0] / rface)))
     else:
         psi = grid.x1 - grid.x1[0]
-    return np.repeat((psi / psi[-1])[:, None], grid.n2, axis=1)
+    return np.broadcast_to((psi / psi[-1])[:, None], grid.shape)
 
 
 def solve_pivot(grid: Grid, tol: float) -> PivotField:

@@ -5,14 +5,16 @@ scalar spelling included, first recover the pressure through the Kirchhoff
 map Theta(p) = int_0^p b_{n+1}(U(t), t) dt: the transformed variable is
 harmonic, so eta(x) = eta* z(x) and p(x) = Theta^-1(eta* z(x)). Profiles
 are evaluated as piecewise-linear interpolants of their node samples,
-which keeps every lookup monotone; the sampled Theta map is inverted
-segment-exactly, so the round trip is accurate to rounding (well inside
-the advertised 1e-12 tolerance in eta).
+which keeps every lookup monotone. Theta is the array of its values at
+the profile mesh nodes, and p is read off it by one linear interpolation,
+which inverts the piecewise-linear Theta exactly, so the round trip is
+accurate to rounding (well inside the advertised 1e-12 tolerance in eta).
 
-The pivot is constant along each row, so every field is built on the
-pivot's column (n1 values) and returned as a read-only view broadcast
-along x2. Every field's Dirichlet data and every flux name come from the
-law table ``ProblemSpec.laws()``. The data is copied onto the column's
+The pivot and the Dirichlet data are constant along each row, and come
+as read-only views of their (n1, 1) columns broadcast along x2; every
+field is built on the pivot's column and returned the same way. Every
+field's Dirichlet data and every flux name come from the law table
+``ProblemSpec.laws()``. The data is copied onto the column's
 Dirichlet entries, so reconstructed fields satisfy the Dirichlet
 conditions exactly. The fluxes follow from the functional structure, not
 from the fields: law i's flux sum_j a_ij grad u_j + b_i grad p is
@@ -35,30 +37,7 @@ from .twopoint import DARCY, MOLECULAR, ProblemSpec, ProfileSolution
 SPAN_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class ThetaMap:
-    """Sampled Kirchhoff transform with its piecewise-linear inverse."""
-
-    p_nodes: np.ndarray
-    theta_values: np.ndarray
-    eta_star: float
-
-    def __post_init__(self):
-        if np.any(np.diff(self.theta_values) <= 0.0):
-            raise NonPositiveWeightError(
-                "Kirchhoff map is not strictly increasing; the transform "
-                "cannot be inverted")
-        self.p_nodes.setflags(write=False)
-        self.theta_values.setflags(write=False)
-
-    def forward(self, p):
-        return np.interp(p, self.p_nodes, self.theta_values)
-
-    def invert(self, eta):
-        return np.interp(eta, self.theta_values, self.p_nodes)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldSet:
     """Grid fields: u_i always, p and fluxes when they exist. The arrays
     stage 3 returns are read-only views, constant along x2."""
@@ -123,12 +102,10 @@ def compose_fields(sol: ProfileSolution, pivot: PivotField, spec: ProblemSpec,
     return _field_set(pivot.grid, spec, u, None, fluxes)
 
 
-def kirchhoff_theta(sol: ProfileSolution, spec: ProblemSpec) -> ThetaMap:
-    """Cumulative integral of b_{n+1} along the solved profiles.
-
-    The integrand must be strictly positive along the whole profile; zero
-    or negative samples make the map non-invertible and are refused.
-    """
+def kirchhoff_theta(sol: ProfileSolution, spec: ProblemSpec) -> np.ndarray:
+    """Theta(p) = int_0^p b_{n+1} along the solved profiles, at their mesh
+    nodes; Theta[-1] is eta*. A b_{n+1} sample <= 0, or a Theta not strictly
+    increasing, makes the map non-invertible and is refused."""
     if spec.mode != DARCY:
         raise ValueError("the Kirchhoff map applies to darcy problems")
     w = spec.coefficients(sol.profiles, sol.mesh)[2]
@@ -136,9 +113,11 @@ def kirchhoff_theta(sol: ProfileSolution, spec: ProblemSpec) -> ThetaMap:
     if wmin <= 0.0:
         raise NonPositiveWeightError(
             f"b_next must be strictly positive along the profile; sampled minimum {wmin:.6g}")
-    h = sol.mesh[1] - sol.mesh[0]
-    theta = cumulative_simpson(w, h)
-    return ThetaMap(p_nodes=sol.mesh.copy(), theta_values=theta, eta_star=float(theta[-1]))
+    theta = cumulative_simpson(w, sol.mesh[1] - sol.mesh[0])
+    if np.any(np.diff(theta) <= 0.0):
+        raise NonPositiveWeightError(
+            "Kirchhoff map is not strictly increasing; the transform cannot be inverted")
+    return theta
 
 
 def darcy_reconstruct(sol: ProfileSolution, pivot: PivotField, spec: ProblemSpec,
@@ -146,6 +125,6 @@ def darcy_reconstruct(sol: ProfileSolution, pivot: PivotField, spec: ProblemSpec
     """Full darcy-form reconstruction: the pressure p = Theta^-1(eta* z) via
     Kirchhoff, then u_i = U_i(p)."""
     theta = kirchhoff_theta(sol, spec)
-    p = theta.invert(theta.eta_star * pivot.values[:, :1])
-    fluxes = _flux_fields(pivot, spec, sol.gamma, theta.eta_star) if with_fluxes else None
+    p = np.interp(theta[-1] * pivot.values[:, :1], theta, sol.mesh)
+    fluxes = _flux_fields(pivot, spec, sol.gamma, theta[-1]) if with_fluxes else None
     return _field_set(pivot.grid, spec, _profile_lookup(sol, p), p, fluxes)

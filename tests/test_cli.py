@@ -563,6 +563,15 @@ def test_read_field_csv_rejects_malformed(tmp_path, body, message):
         read_field_csv(path, build_rectangle(5, 4, 1.0, 2.0))
 
 
+
+def test_read_field_csv_refuses_another_header(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("x,y,value\n" + "0,0,1\n" * 20)
+    with pytest.raises(ConfigError) as info:
+        read_field_csv(path, build_rectangle(5, 4, 1.0, 2.0))
+    assert type(info.value) is ConfigError
+    assert str(info.value) == f"{path}: unexpected header 'x,y,value'"
+
 @pytest.mark.parametrize("body", ["", "\n\n\n"], ids=["header-only", "blank-lines"])
 def test_verify_refuses_an_empty_field_without_a_warning(tmp_path, capsys, body):
     cfg_path = write_cfg(tmp_path, MOLECULAR_CFG)

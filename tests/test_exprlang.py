@@ -35,6 +35,14 @@ def test_unknown_variable_position():
     assert exc.value.position == 3
 
 
+
+def test_bundle_refuses_an_environment_without_one_of_its_variables():
+    bundle = Bundle([parse_expression("u1+u2", VARS), parse_expression("p", VARS)])
+    with pytest.raises(UnknownVariableError) as info:
+        bundle({"u1": 1.0, "p": 0.0})
+    assert type(info.value) is UnknownVariableError
+    assert str(info.value) == "unknown variable 'u2'" and info.value.position is None
+
 def test_unknown_function():
     with pytest.raises(UnknownFunctionError):
         parse_expression("tanh(u1)", VARS)

@@ -7,10 +7,15 @@ verification diagnostic, and the direct solver's molecular branch with
 off-diagonal flux sources.
 """
 
+import copy
+import pathlib
+
 import numpy as np
 import pytest
 
+from funcsol.config import load_config
 from funcsol.geometry import build_annulus, build_rectangle
+from funcsol.oracles import CaseResult, SuiteReport, get_oracle
 from funcsol.pivot import DivergenceStencil, solve_pivot
 from funcsol.reconstruct import compose_fields
 from funcsol.twopoint import ProblemSpec, collocation_defect, solve_fixed_point, solve_shooting
@@ -98,3 +103,32 @@ def test_coupled_residual_refinement():
         rep = divergence_residual(compose_fields(sol, piv, COUPLED), COUPLED, grid)
         linfs.append(max(rep.per_equation_linf))
     assert 3.0 <= linfs[0] / linfs[1] <= 5.0
+
+
+def identity_compared():
+    """One instance of each data class that holds numpy arrays, or holds such
+    a class."""
+    grid = build_annulus(9, 7, 1.0, 2.0)
+    pivot = solve_pivot(grid, 1e-10)
+    sol = solve_fixed_point(COUPLED, n_nodes=9, tol=1e-8)
+    fields = compose_fields(sol, pivot, COUPLED)
+    case = CaseResult(name="case", passed=True, checks=[], pivot=pivot, fields=fields)
+    return {
+        "Grid": grid, "PivotField": pivot, "ProfileSolution": sol, "FieldSet": fields,
+        "ProblemSpec": COUPLED,
+        "ProblemConfig": load_config(pathlib.Path(__file__).parent / "data"
+                                     / "darcy_annulus_coupled.ini"),
+        "OracleCase": get_oracle("kirchhoff_exp"), "CaseResult": case,
+        "SuiteReport": SuiteReport(grid_size=9, results=[case]),
+    }
+
+
+@pytest.mark.parametrize("name", list(identity_compared()))
+def test_data_classes_compare_by_identity(name):
+    """An instance equals itself alone: a deep copy compares unequal instead
+    of raising numpy's ambiguous truth value, and every instance hashes."""
+    a = identity_compared()[name]
+    other = copy.deepcopy(a)
+    assert a == a and not a != a
+    assert a != other and not a == other
+    assert a in {a} and other not in {a}

@@ -27,6 +27,16 @@ def unit_stencil(grid, face_value=1.0):
                              np.full((n1, n2 - 1), face_value))
 
 
+
+@pytest.mark.parametrize("cfx_shape, cfy_shape", [((9, 9), (9, 8)), ((8, 9), (9, 9))],
+                         ids=["x-faces", "y-faces"])
+def test_refusals(cfx_shape, cfy_shape):
+    g = build_rectangle(9, 9, 1.0, 1.0)
+    with pytest.raises(ValueError) as info:
+        DivergenceStencil(g, np.ones(cfx_shape), np.ones(cfy_shape))
+    assert type(info.value) is ValueError
+    assert str(info.value) == "face coefficient arrays do not match the grid"
+
 def annulus_exact(grid):
     return (np.log(grid.x1) / np.log(2.0))[:, None] * np.ones((1, grid.n2))
 
@@ -109,8 +119,12 @@ def test_uniqueness_surrogate():
                               "annulus65"])
 def test_pivot_values_solve_the_stencil(g):
     """The closed form is the unit-face stencil's solution: CG from a zero
-    start lands on it, and every row holds one bit pattern."""
+    start lands on it, and every row holds one bit pattern: it is a
+    read-only view of its column, as are the Dirichlet data."""
     z = pivot_values(g)
+    for column in (z, solve_pivot(g, 1e-10).values, dirichlet_targets(g, 1.0)):
+        assert column.shape == g.shape and column.strides[1] == 0
+        assert not column.flags.writeable
     stencil = unit_stencil(g)
     cg, _ = stencil.solve(dirichlet_targets(g, 1.0), tol=stencil.residual_floor())
     assert np.max(np.abs(z - cg)) <= 1e-14

@@ -6,12 +6,7 @@ import pytest
 from funcsol.errors import NonPositiveWeightError, ProfileRangeError
 from funcsol.geometry import build_annulus, build_rectangle
 from funcsol.pivot import dirichlet_targets, solve_pivot
-from funcsol.reconstruct import (
-    ThetaMap,
-    compose_fields,
-    darcy_reconstruct,
-    kirchhoff_theta,
-)
+from funcsol.reconstruct import compose_fields, darcy_reconstruct, kirchhoff_theta
 from funcsol.twopoint import ProblemSpec, ProfileSolution, solve_scalar, solve_shooting
 
 
@@ -30,6 +25,8 @@ def square17():
 
 CONST = ProblemSpec.from_strings(2, [["2", "1"], ["1", "2"]], u_star=(1.0, -0.5))
 DIAG = ProblemSpec.from_strings(2, [["1+u1", "0"], ["0", "1"]], u_star=(1.0, 0.0))
+DARCY_1 = ProblemSpec.from_strings(1, [["1"]], b=["0"], b_next="1", u_star=(1.0,), mode="darcy")
+MESH_5 = np.linspace(0.0, 1.0, 5)
 
 
 def test_compose_linear_profiles(square17):
@@ -69,6 +66,18 @@ def test_compose_range_error(square17):
         compose_fields(sol, square17, CONST)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda piv: compose_fields(make_profiles(DARCY_1, MESH_5, np.zeros((1, 5))), piv, DARCY_1),
+     "compose_fields applies to molecular problems"),
+    (lambda piv: kirchhoff_theta(make_profiles(CONST, MESH_5, np.zeros((2, 5))), CONST),
+     "the Kirchhoff map applies to darcy problems"),
+], ids=["compose-on-darcy", "kirchhoff-on-molecular"])
+def test_refusals(square17, call, message):
+    with pytest.raises(ValueError) as info:
+        call(square17)
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
 # --- Kirchhoff map -------------------------------------------------------------
 
 def darcy1(b_next, u_star=1.0, p_star=1.0):
@@ -81,8 +90,8 @@ def test_theta_unit_weight():
     mesh = np.linspace(0.0, 1.0, 101)
     sol = make_profiles(spec, mesh, np.zeros((1, 101)))
     theta = kirchhoff_theta(sol, spec)
-    np.testing.assert_allclose(theta.theta_values, mesh, atol=1e-14)
-    assert theta.eta_star == pytest.approx(1.0)
+    np.testing.assert_allclose(theta, mesh, atol=1e-14)
+    assert theta[-1] == pytest.approx(1.0)
 
 
 def test_theta_exponential_weight():
@@ -90,8 +99,8 @@ def test_theta_exponential_weight():
     mesh = np.linspace(0.0, 1.0, 1001)
     sol = make_profiles(spec, mesh, np.zeros((1, 1001)))
     theta = kirchhoff_theta(sol, spec)
-    np.testing.assert_allclose(theta.theta_values, np.exp(mesh) - 1.0, atol=1e-12)
-    assert theta.eta_star == pytest.approx(math.e - 1.0, abs=1e-12)
+    np.testing.assert_allclose(theta, np.exp(mesh) - 1.0, atol=1e-12)
+    assert theta[-1] == pytest.approx(math.e - 1.0, abs=1e-12)
 
 
 def test_theta_rejects_non_positive_weight():
@@ -103,9 +112,14 @@ def test_theta_rejects_non_positive_weight():
 
 
 def test_theta_map_requires_increasing_values():
-    with pytest.raises(NonPositiveWeightError):
-        ThetaMap(p_nodes=np.linspace(0, 1, 5),
-                 theta_values=np.array([0.0, 0.5, 0.4, 0.8, 1.0]), eta_star=1.0)
+    # b_next > 0 at every node, but the cubic through the nodes (1, 0, 0, 1)
+    # dips below zero between the middle two: that increment is negative
+    spec = ProblemSpec.from_strings(1, [["1"]], b=["0"], b_next="1e-9+u1^2",
+                                    u_star=(1.0,), mode="darcy")
+    mesh = np.linspace(0.0, 1.0, 9)
+    sol = make_profiles(spec, mesh, np.array([[0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0]]))
+    with pytest.raises(NonPositiveWeightError, match="not strictly increasing"):
+        kirchhoff_theta(sol, spec)
 
 
 def test_theta_round_trip():
@@ -115,7 +129,7 @@ def test_theta_round_trip():
     theta = kirchhoff_theta(sol, spec)
     rng = np.random.default_rng(123)
     ps = rng.uniform(0.0, 1.0, 100)
-    assert np.max(np.abs(theta.invert(theta.forward(ps)) - ps)) <= 1e-10
+    assert np.max(np.abs(np.interp(np.interp(ps, mesh, theta), theta, mesh) - ps)) <= 1e-10
 
 
 # --- pressure reconstruction ----------------------------------------------------
@@ -293,10 +307,10 @@ def test_darcy_fields_are_column_views_of_the_full_grid_rule(annulus33x17):
     fs = darcy_reconstruct(sol, annulus33x17, spec, with_fluxes=True)
     theta = kirchhoff_theta(sol, spec)
     u, p = full_grid_fields(sol, annulus33x17, spec,
-                            theta.invert(theta.eta_star * annulus33x17.values))
+                            np.interp(theta[-1] * annulus33x17.values, theta, mesh))
     grad_z = full_grid_gradient(annulus33x17)
     assert_column_view(fs.u_fields, u)
     assert_column_view(fs.p_field, p)
     assert list(fs.flux_fields) == ["q_1", "v"]
-    assert_column_view(fs.flux_fields["q_1"], 0.3 * theta.eta_star * grad_z)
-    assert_column_view(fs.flux_fields["v"], -theta.eta_star * grad_z)
+    assert_column_view(fs.flux_fields["q_1"], 0.3 * theta[-1] * grad_z)
+    assert_column_view(fs.flux_fields["v"], -theta[-1] * grad_z)

@@ -22,7 +22,7 @@ from funcsol.errors import (
     SingularJacobianError,
     SingularMatrixError,
 )
-from funcsol.exprlang import render
+from funcsol.exprlang import parse_expression, render
 from funcsol.twopoint import (
     ProblemSpec,
     apply_fixed_point_operator,
@@ -43,6 +43,40 @@ def molecular(a, u_star):
 
 DIAG = molecular([["1+u1", "0"], ["0", "1"]], (1.0, 0.0))
 CONST = molecular([["2", "1"], ["1", "2"]], (1.0, 0.0))
+
+DARCY_1 = ProblemSpec.from_strings(1, [["1"]], b=["0"], b_next="1", u_star=(1.0,), mode="darcy")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ProblemSpec.from_strings(1, [["1"]], u_star=(1.0,), mode="heat"),
+     "unknown mode 'heat'"),
+    (lambda: ProblemSpec(n=0, a=[]), "n must be at least 1"),
+    (lambda: ProblemSpec.from_strings(2, [["1", "0"]], u_star=(1.0, 0.0)),
+     "coefficient matrix must be 2x2"),
+    (lambda: ProblemSpec.from_strings(1, [["1"]], b=["1"], u_star=(1.0,)),
+     "molecular mode takes no b or b_next coefficients"),
+    (lambda: ProblemSpec.from_strings(1, [["1"]], b_next="1", u_star=(1.0,)),
+     "molecular mode takes no b or b_next coefficients"),
+    (lambda: ProblemSpec.from_strings(2, [["1", "0"], ["0", "1"]], b=["1"],
+                                      u_star=(1.0, 0.0), mode="darcy"),
+     "b must have 2 entries"),
+    (lambda: ProblemSpec.from_strings(1, [["1"]], u_star=(1.0,), mode="scalar"),
+     "scalar mode requires the b coefficient"),
+    (lambda: ProblemSpec(n=1, a=[[parse_expression("u1+u2*q", ("u1", "u2", "q"))]],
+                         u_star=(1.0,)),
+     "expression references undeclared variables ['q', 'u2']"),
+    (lambda: solve_fixed_point(DARCY_1), "solve_fixed_point applies to molecular problems"),
+    (lambda: solve_fixed_point(CONST, damping=0.0), "damping must lie in (0, 1], got 0.0"),
+    (lambda: solve_fixed_point(CONST, damping=1.5), "damping must lie in (0, 1], got 1.5"),
+    (lambda: gamma_functional(np.linspace(0.0, 1.0, 5), np.zeros((1, 5)), DARCY_1),
+     "gamma functional applies to molecular problems"),
+], ids=["unknown-mode", "n-below-1", "non-square-a", "molecular-with-b",
+        "molecular-with-b_next", "b-length", "scalar-without-b", "undeclared-variables",
+        "fixed-point-on-darcy", "damping-0", "damping-above-1", "gamma-functional-on-darcy"])
+def test_refusals(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError and str(info.value) == message
 
 
 def sincos(p_star):
@@ -650,10 +684,22 @@ def test_scalar_bracket_failure(monkeypatch):
     assert len(calls) > 60
 
 
-def test_scalar_unhinted_bracket_grows_past_60_doublings():
-    # gamma = 1/(1e-30 (e - 1)) = 5.8e29 lies about 99 doublings from 0
+def test_scalar_unhinted_bracket_grows_from_the_launch_scale():
+    # gamma = 1/(1e-30 (e - 1)) = 5.8e29 lies about 99 doublings of u*/p*
+    # from 0, but under 1 doubling of the origin guess u*/(p* F(0, 0)) = 1e30
     sol = solve_scalar(scalar_spec("1", "1e-30*exp(p)", 1.0), n_nodes=65)
     assert sol.gamma[0] == pytest.approx(1.0 / (1e-30 * math.expm1(1.0)), rel=1e-9)
+    assert sol.stats["iterations"] <= 5
+
+
+def test_scalar_unhinted_bracket_below_the_float_range():
+    # u*/(p* F(0, 0)) = 1e-330 underflows to 0: the growth starts from the
+    # smallest positive gamma instead, and the unrepresentable root ends the
+    # k-section with a typed error
+    spec = ProblemSpec.from_strings(1, [["1"]], b=["1e300"], u_star=(1.0,), p_star=1e30,
+                                    mode="scalar")
+    with pytest.raises(MaxIterationError, match="stopped shrinking"):
+        solve_scalar(spec, n_nodes=65)
 
 
 def test_scalar_unhinted_expansion_hits_root():

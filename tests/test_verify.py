@@ -54,6 +54,32 @@ def test_residual_shape_mismatch():
         divergence_residual(fields, CONST, grid)
 
 
+
+
+def z_fields(grid, spec, with_p=False):
+    """Every field of ``spec`` (and p, when asked) set to the pivot of ``grid``."""
+    z = solve_pivot(grid, 1e-10).values
+    return FieldSet(grid=grid, u_fields=np.stack([z] * spec.n), p_field=z if with_p else None)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda g: divergence_residual(z_fields(g, EQUAL_AB), CONST, g),
+     ShapeMismatchError, "fields carry 1 components, spec has 2"),
+    (lambda g: divergence_residual(z_fields(g, EQUAL_AB), EQUAL_AB, g),
+     ShapeMismatchError, "darcy mode requires a pressure field"),
+    (lambda g: theta_linearity(linear_solution(EQUAL_AB), EQUAL_AB),
+     ValueError, "the theta diagnostic applies to molecular problems"),
+    (lambda g: compare_fields(z_fields(g, CONST), z_fields(g, EQUAL_AB)),
+     ShapeMismatchError, "component counts differ: 2 vs 1"),
+    (lambda g: compare_fields(z_fields(g, EQUAL_AB, with_p=True), z_fields(g, EQUAL_AB)),
+     ShapeMismatchError, "one field set has a pressure field, the other does not"),
+], ids=["residual-component-count", "residual-without-pressure", "theta-on-darcy",
+        "compare-component-count", "compare-pressure"])
+def test_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call(build_rectangle(9, 9, 1.0, 1.0))
+    assert type(info.value) is error and str(info.value) == message
+
 def test_residual_refinement_ratio_equal_coeff():
     sol = solve_scalar(EQUAL_AB, bracket_hints=(1.0, 1.0), n_nodes=2049, tol=1e-11)
     res = []
