@@ -36,6 +36,9 @@ CG_ITER_FACTOR = 50
 
 @dataclass(frozen=True, eq=False)
 class PivotField:
+    """The pivot z on a grid. ``solve_pivot`` fills ``values`` with
+    ``pivot_values``' read-only broadcast view; one built from another array
+    keeps that array's flags."""
     grid: Grid
     values: np.ndarray
     achieved_residual: float

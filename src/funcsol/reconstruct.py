@@ -104,8 +104,9 @@ def compose_fields(sol: ProfileSolution, pivot: PivotField, spec: ProblemSpec,
 
 def kirchhoff_theta(sol: ProfileSolution, spec: ProblemSpec) -> np.ndarray:
     """Theta(p) = int_0^p b_{n+1} along the solved profiles, at their mesh
-    nodes; Theta[-1] is eta*. A b_{n+1} sample <= 0, or a Theta not strictly
-    increasing, makes the map non-invertible and is refused."""
+    nodes, a new writable array on each call; Theta[-1] is eta*. A b_{n+1}
+    sample <= 0, or a Theta not strictly increasing, makes the map
+    non-invertible and is refused."""
     if spec.mode != DARCY:
         raise ValueError("the Kirchhoff map applies to darcy problems")
     w = spec.coefficients(sol.profiles, sol.mesh)[2]

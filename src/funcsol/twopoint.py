@@ -690,9 +690,9 @@ def solve_two_point(spec: ProblemSpec, backend: str, n_nodes: int, tol: float,
 
 
 def _check_f_positive(spec: ProblemSpec, mesh, profiles):
-    """Refuse F = b_next/a <= 0 at the nodes of a scalar profile (1, k), and
-    return F there. A vanishing a is left to ``_integrate_batch``'s launch
-    guard, the one singularity rule, so a NaN F (a = b_next = 0) passes here."""
+    """Refuse F = b_next/a <= 0 at the nodes of a scalar profile (1, k). A
+    vanishing a is left to ``_integrate_batch``'s launch guard, the one
+    singularity rule, so a NaN F (a = b_next = 0) passes here."""
     A, _, b_next = spec.coefficients(profiles, mesh)
     with np.errstate(all="ignore"):         # an infinite F is still positive
         F = b_next / A[..., 0, 0]
@@ -700,7 +700,6 @@ def _check_f_positive(spec: ProblemSpec, mesh, profiles):
     if F[k] <= 0.0:
         raise NonPositiveFError(f"F = b_next/a must be positive; it is {F[k]:.6g} "
                                 f"at u1 = {profiles[0, k]:.6g}, p = {mesh[k]:.6g}")
-    return F
 
 
 def _aimed_window(gammas, ends, u_star, tol, lo, hi):
@@ -732,8 +731,8 @@ def solve_scalar(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
     ``bracket_hints``, when given, are the integrals (int_0^p* r, int_0^p* q)
     of lower/upper bounds r <= F <= q, yielding the analytic initial bracket
     [u*/int q, u*/int r]. Otherwise the bracket grows geometrically from 0
-    while its ends stay finite, in steps that start at shooting's origin
-    guess |u*| / (p* F(0, 0)) and double.
+    while its ends stay finite, in steps that start at |u*| / p* (the smallest
+    positive float where that underflows) and double.
     Every gamma goes through one memoized batch integration, and no gamma
     twice; each bracket's batch holds its ends and the first uniform pass.
     Once the bracket straddles u*, its controlled batch's step sequence is
@@ -752,7 +751,7 @@ def solve_scalar(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
     """
     if "scalar_bisection" not in allowed_backends(spec):
         raise ValueError("solve_scalar applies to darcy problems with n = 1 and no b")
-    f_launch = float(_check_f_positive(spec, np.zeros(1), np.zeros((1, 1)))[0])
+    _check_f_positive(spec, np.zeros(1), np.zeros((1, 1)))     # the launch point
     u_star = float(spec.u_star[0])
     evals = {}                  # gamma -> endpoint U(p*)
     hits = {}                   # gamma -> (profile, column) of the endpoints within tol
@@ -779,10 +778,9 @@ def solve_scalar(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
         lo, hi = sorted((u_star / q_int, u_star / r_int))
     else:
         lo = hi = 0.0
-    # the endpoint map increases in gamma: move whichever end is short, from
-    # the origin linearization's scale gamma0 = |u*| / (p* F(0, 0)), kept
-    # positive: it underflows to 0 where the root lies below the float range
-    step = max(abs(u_star) / spec.p_star / f_launch, math.ulp(0.0))
+    # the endpoint map increases in gamma: move whichever end is short; a zero
+    # step would never move it
+    step = max(abs(u_star) / spec.p_star, math.ulp(0.0))
     for grow in itertools.count():
         evals.clear()           # the ends and the first pass from one batch, on one step sequence
         hits.clear()

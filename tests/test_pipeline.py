@@ -105,6 +105,11 @@ def test_coupled_residual_refinement():
     assert 3.0 <= linfs[0] / linfs[1] <= 5.0
 
 
+IDENTITY_COMPARED = ["Grid", "PivotField", "ProfileSolution", "FieldSet", "ProblemSpec",
+                     "ProblemConfig", "OracleCase", "CaseResult", "SuiteReport"]
+
+
+@pytest.fixture(scope="module")
 def identity_compared():
     """One instance of each data class that holds numpy arrays, or holds such
     a class."""
@@ -113,22 +118,20 @@ def identity_compared():
     sol = solve_fixed_point(COUPLED, n_nodes=9, tol=1e-8)
     fields = compose_fields(sol, pivot, COUPLED)
     case = CaseResult(name="case", passed=True, checks=[], pivot=pivot, fields=fields)
-    return {
-        "Grid": grid, "PivotField": pivot, "ProfileSolution": sol, "FieldSet": fields,
-        "ProblemSpec": COUPLED,
-        "ProblemConfig": load_config(pathlib.Path(__file__).parent / "data"
-                                     / "darcy_annulus_coupled.ini"),
-        "OracleCase": get_oracle("kirchhoff_exp"), "CaseResult": case,
-        "SuiteReport": SuiteReport(grid_size=9, results=[case]),
-    }
+    return dict(zip(IDENTITY_COMPARED, [
+        grid, pivot, sol, fields, COUPLED,
+        load_config(pathlib.Path(__file__).parent / "data" / "darcy_annulus_coupled.ini"),
+        get_oracle("kirchhoff_exp"), case, SuiteReport(grid_size=9, results=[case]),
+    ]))
 
 
-@pytest.mark.parametrize("name", list(identity_compared()))
-def test_data_classes_compare_by_identity(name):
+@pytest.mark.parametrize("name", IDENTITY_COMPARED)
+def test_data_classes_compare_by_identity(identity_compared, name):
     """An instance equals itself alone: a deep copy compares unequal instead
     of raising numpy's ambiguous truth value, and every instance hashes."""
-    a = identity_compared()[name]
+    a = identity_compared[name]
     other = copy.deepcopy(a)
+    assert type(a).__name__ == name
     assert a == a and not a != a
     assert a != other and not a == other
     assert a in {a} and other not in {a}

@@ -684,22 +684,34 @@ def test_scalar_bracket_failure(monkeypatch):
     assert len(calls) > 60
 
 
-def test_scalar_unhinted_bracket_grows_from_the_launch_scale():
-    # gamma = 1/(1e-30 (e - 1)) = 5.8e29 lies about 99 doublings of u*/p*
-    # from 0, but under 1 doubling of the origin guess u*/(p* F(0, 0)) = 1e30
+def test_scalar_unhinted_bracket_grows_past_60_doublings():
+    # gamma = 1/(1e-30 (e - 1)) = 5.8e29 lies about 99 doublings from 0
     sol = solve_scalar(scalar_spec("1", "1e-30*exp(p)", 1.0), n_nodes=65)
     assert sol.gamma[0] == pytest.approx(1.0 / (1e-30 * math.expm1(1.0)), rel=1e-9)
+
+
+@pytest.mark.parametrize("b_next, u_star, gamma", [
+    ("1e-60+p", 1.0, 2.0),
+    ("1e-12+p*exp(u1)", 0.1, 0.19032516392771),
+], ids=["f-rises-from-1e-60", "f-blows-up-at-gamma-2"])
+def test_scalar_unhinted_bracket_ignores_the_launch_f(b_next, u_star, gamma):
+    """F(0, 0) is tiny beside F along the trajectory, so the origin guess
+    u*/(p* F(0, 0)) overshoots the root by 1e11 or more: started there, the
+    first case runs out of passes and the second's blown-up column fails its
+    batch. Steps of u*/p* bracket both within two doublings."""
+    sol = solve_scalar(scalar_spec("1", b_next, u_star), n_nodes=65)
+    assert sol.gamma[0] == pytest.approx(gamma, rel=1e-9)
     assert sol.stats["iterations"] <= 5
 
 
 def test_scalar_unhinted_bracket_below_the_float_range():
-    # u*/(p* F(0, 0)) = 1e-330 underflows to 0: the growth starts from the
-    # smallest positive gamma instead, and the unrepresentable root ends the
-    # k-section with a typed error
-    spec = ProblemSpec.from_strings(1, [["1"]], b=["1e300"], u_star=(1.0,), p_star=1e30,
+    # u*/p* = 1e-330 underflows to 0, yet u* is not within tol of U(p*; 0):
+    # the growth steps from the smallest positive gamma instead of standing
+    # still, and the unrepresentable root ends the k-section with a typed error
+    spec = ProblemSpec.from_strings(1, [["1"]], b=["1"], u_star=(1e-300,), p_star=1e30,
                                     mode="scalar")
-    with pytest.raises(MaxIterationError, match="stopped shrinking"):
-        solve_scalar(spec, n_nodes=65)
+    with pytest.raises(MaxIterationError):
+        solve_scalar(spec, n_nodes=65, tol=1e-320)
 
 
 def test_scalar_unhinted_expansion_hits_root():
