@@ -161,11 +161,8 @@ def load_config(path) -> ProblemConfig:
         raise ConfigError(
             f"[solver] backend '{backend}' is incompatible with this {spec.mode} problem "
             f"(allowed: {', '.join(allowed)})")
-    n_nodes, alias = sol.typed("n", int), sol.typed("n_nodes", int)
-    if n_nodes is not None and alias is not None:
-        raise ConfigError("[solver] n_nodes: N is given too; both set the profile mesh")
     # None marks a key left out, which takes ProblemConfig's default
-    options = dict(n_nodes=alias if n_nodes is None else n_nodes,
+    options = dict(n_nodes=sol.typed("n", int),
                    tol=sol.typed("tol", float), max_iter=sol.typed("max_iter", int),
                    pivot_tol=sol.typed("pivot_tol", float))
     # a backend's own options are read for it alone, so the others refuse them

@@ -50,37 +50,37 @@ class Grid:
     def shape(self):
         return (self.n1, self.n2)
 
-    @property
-    def unknown_mask(self):
-        """Nodes carrying an equation row: every row but the first (gamma1)
-        and the last (gamma3)."""
-        mask = np.ones(self.shape, dtype=bool)
-        mask[[0, -1]] = False
-        return mask
-
 
 def _check_dims(n1, n2):
     if n1 < 3 or n2 < 3:
         raise GridDimensionError(f"grid needs at least 3 nodes per axis, got {n1}x{n2}")
 
 
+def _squarable(grid: Grid, error, **lengths) -> Grid:
+    """``grid``, once its spacings h1, h2 and ``lengths`` square to positive
+    normal floats: the stencils divide by those squares."""
+    for name, value in dict(zip(("h1", "h2"), grid.spacing), **lengths).items():
+        if not 2.0**-1022 <= value * value < math.inf:       # the smallest normal float
+            raise error(f"{name} = {value:.6g} does not square to a positive normal float")
+    return grid
+
+
 def build_rectangle(n1: int, n2: int, width: float, height: float) -> Grid:
     """Rectangle [0,width]x[0,height]: left edge gamma1, right edge gamma3,
     bottom and top gamma2."""
     _check_dims(n1, n2)
-    if not (math.isfinite(width) and math.isfinite(height)):
-        raise InvalidExtentsError(f"width and height must be finite, got {width}, {height}")
-    if width <= 0 or height <= 0:
-        raise InvalidExtentsError(f"width and height must be positive, got {width}, {height}")
-    return Grid(CARTESIAN, np.linspace(0.0, width, n1), np.linspace(0.0, height, n2))
+    if not (0.0 < width < math.inf and 0.0 < height < math.inf):
+        raise InvalidExtentsError(
+            f"width and height must be finite and positive, got {width}, {height}")
+    return _squarable(Grid(CARTESIAN, np.linspace(0.0, width, n1), np.linspace(0.0, height, n2)),
+                      InvalidExtentsError)
 
 
 def build_annulus(nr: int, ntheta: int, r1: float, r2: float) -> Grid:
     """Quarter annulus r in [r1,r2], angle in [0,pi/2]: inner arc gamma1,
     outer arc gamma3, the two straight radial edges gamma2."""
     _check_dims(nr, ntheta)
-    if not (math.isfinite(r1) and math.isfinite(r2)):
-        raise InvalidRadiiError(f"r1 and r2 must be finite, got r1={r1}, r2={r2}")
-    if r1 <= 0 or r2 <= r1:
-        raise InvalidRadiiError(f"need 0 < r1 < r2, got r1={r1}, r2={r2}")
-    return Grid(POLAR, np.linspace(r1, r2, nr), np.linspace(0.0, math.pi / 2.0, ntheta))
+    if not 0.0 < r1 < r2 < math.inf:
+        raise InvalidRadiiError(f"r1 and r2 must be finite, with 0 < r1 < r2, got r1={r1}, r2={r2}")
+    return _squarable(Grid(POLAR, np.linspace(r1, r2, nr), np.linspace(0.0, math.pi / 2.0, ntheta)),
+                      InvalidRadiiError, r2=r2)

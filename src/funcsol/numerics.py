@@ -16,10 +16,11 @@ def at_least_five_nodes(n_nodes: int) -> int:
 
 def range_scale(magnitude: float) -> float:
     """A power of two that brings ``magnitude`` to [0.5, 1) when it lies
-    outside 2^(+-256), else 1. Scaling by it is exact, and the products and
-    squares of values scaled by it stay inside the floating point range."""
+    outside 2^(+-256), else 1, and at most 2^1023 (a subnormal to >= 2^-51).
+    Scaling by it is exact, and the products and squares of values scaled by
+    it stay inside the floating point range."""
     exponent = math.frexp(magnitude)[1]
-    return math.ldexp(1.0, -exponent) if abs(exponent) > 256 else 1.0
+    return math.ldexp(1.0, min(-exponent, 1023)) if abs(exponent) > 256 else 1.0
 
 
 def cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:

@@ -237,7 +237,8 @@ class DivergenceStencil:
         grid, f = self.grid, self.factors
         u_dir = np.array(dirichlet_values, dtype=float)
         u_dir[1:-1] = 0.0
-        w_source = source * f.w_sym * grid.unknown_mask
+        w_source = source * f.w_sym
+        w_source[[0, -1]] = 0.0
 
         def residual(x):
             r = self._metric_div(x + u_dir) * f.w_edge - w_source
@@ -337,23 +338,22 @@ def solve_pivot(grid: Grid, tol: float) -> PivotField:
 
 
 def pivot_residual_values(grid: Grid, values: np.ndarray) -> float:
-    """L-inf norm of the plain 5-point residual, recomputed independently.
+    """L-inf norm of the plain 5-point residual on the equation rows (every
+    row but the first and the last), recomputed independently.
 
     Uses the non-conservative stencil (second differences plus metric
     terms) rather than the flux form that pivot_values solves; the two agree
     node-exactly, which makes this an independent check of the closed form.
     """
     h1, h2 = grid.spacing
-    u = values
-    lap = np.zeros(grid.shape)
-    lap[1:-1, :] += (u[:-2, :] - 2.0 * u[1:-1, :] + u[2:, :]) / h1**2
-    if grid.coord_system == POLAR:
-        r = grid.x1[:, None]
-        lap[1:-1, :] += (u[2:, :] - u[:-2, :]) / (2.0 * h1 * r[1:-1])
-        tfac = 1.0 / (h2**2 * r**2)
-    else:
-        tfac = np.full((grid.n1, 1), 1.0 / h2**2)
-    lap[:, 1:-1] += (u[:, :-2] - 2.0 * u[:, 1:-1] + u[:, 2:]) * tfac
-    lap[:, 0] += 2.0 * (u[:, 1] - u[:, 0]) * tfac[:, 0]
-    lap[:, -1] += 2.0 * (u[:, -2] - u[:, -1]) * tfac[:, 0]
-    return float(np.max(np.abs(lap[1:-1])))
+    u, mid = values, values[1:-1]
+    polar = grid.coord_system == POLAR
+    r = grid.x1[1:-1, None] if polar else np.ones((grid.n1 - 2, 1))
+    lap = (u[:-2, :] - 2.0 * mid + u[2:, :]) / h1**2
+    if polar:
+        lap += (u[2:, :] - u[:-2, :]) / (2.0 * h1 * r)
+    tfac = 1.0 / (h2**2 * r**2)
+    lap[:, 1:-1] += (mid[:, :-2] - 2.0 * mid[:, 1:-1] + mid[:, 2:]) * tfac
+    lap[:, 0] += 2.0 * (mid[:, 1] - mid[:, 0]) * tfac[:, 0]
+    lap[:, -1] += 2.0 * (mid[:, -2] - mid[:, -1]) * tfac[:, 0]
+    return float(np.max(np.abs(lap)))

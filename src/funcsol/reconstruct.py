@@ -83,10 +83,10 @@ def _flux_fields(pivot: PivotField, spec: ProblemSpec, gamma, eta_star: float):
 
 def _field_set(grid: Grid, spec: ProblemSpec, u, p, fluxes) -> FieldSet:
     """The FieldSet of the column fields u (n, n1, 1) and p (n1, 1): each
-    law's column takes its Dirichlet data on the Dirichlet entries."""
-    dirichlet, columns = ~grid.unknown_mask[:, :1], [*u, p]
+    law's column takes its Dirichlet data on its first and last entries."""
+    columns = [*u, p]
     for field, boundary, _ in spec.laws():
-        columns[field][dirichlet] = dirichlet_targets(grid, boundary)[:, :1][dirichlet]
+        columns[field][[0, -1]] = dirichlet_targets(grid, boundary)[[0, -1], :1]
     return FieldSet(grid=grid, u_fields=np.broadcast_to(u, (len(u),) + grid.shape),
                     p_field=None if p is None else np.broadcast_to(p, grid.shape),
                     flux_fields=fluxes)

@@ -773,7 +773,7 @@ def solve_scalar(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
 
     if bracket_hints is not None:
         r_int, q_int = float(bracket_hints[0]), float(bracket_hints[1])
-        if r_int <= 0 or q_int <= 0:
+        if not (r_int > 0 and q_int > 0):       # NaN too
             raise BracketFailureError("bracket hints must be positive integrals")
         lo, hi = sorted((u_star / q_int, u_star / r_int))
     else:

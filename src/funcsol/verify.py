@@ -39,6 +39,8 @@ from .pivot import DivergenceStencil, arithmetic_mean_faces, dirichlet_targets, 
 from .reconstruct import FieldSet
 from .twopoint import DARCY, MOLECULAR, ProblemSpec, ProfileSolution, collocation_defect
 
+MAX_SWEEPS = 200        # outer Picard sweeps of direct_coupled_solve
+
 
 @dataclass(frozen=True)
 class ResidualReport:
@@ -67,25 +69,25 @@ def divergence_residual(fields: FieldSet, spec: ProblemSpec, grid: Grid) -> Resi
     and the largest boundary-value error of the laws' fields.
 
     Face coefficients are arithmetic means of the node values; gamma2 rows
-    fold in through ghost reflection exactly as the solvers treat them, and
-    norms run over all non-Dirichlet nodes (L2 as the root mean square).
+    fold in through ghost reflection exactly as the solvers treat them, the
+    norms (L2 as the root mean square) run over the equation rows, and the
+    boundary error over the first (gamma1) and last (gamma3) rows.
     """
     _check_fields(fields, spec, grid)
     p = fields.p_field
     state = [*fields.u_fields, p]
     values = spec.values(fields.u_fields, 0.0 if p is None else p)
-    mask = grid.unknown_mask
     linf, l2, berr = [], [], []
     for field, boundary, terms in spec.laws():
         total = np.zeros(grid.shape)
         for k, f in terms:
             total += DivergenceStencil(grid, *arithmetic_mean_faces(values[k])).apply(state[f])
-        vals = total[mask]
+        vals = total[1:-1]
         linf.append(float(np.max(np.abs(vals))))
         scale = range_scale(linf[-1])       # so that vals**2 neither overflows nor underflows
         vals *= scale
         l2.append(float(np.sqrt(np.mean(vals**2))) / scale)
-        berr.append(np.max(np.abs(state[field] - dirichlet_targets(grid, boundary))[~mask]))
+        berr.append(np.max(np.abs(state[field] - dirichlet_targets(grid, boundary))[[0, -1]]))
     return ResidualReport(
         per_equation_linf=tuple(linf),
         per_equation_l2=tuple(l2),
@@ -143,8 +145,7 @@ def _simpson_faces(spec: ProblemSpec, state, used):
                 (c[k][:, :-1] + 4.0 * mid_y[k] + c[k][:, 1:]) / 6.0) for k in used}
 
 
-def direct_coupled_solve(spec: ProblemSpec, grid: Grid, tol: float = 1e-9,
-                         max_outer: int = 200) -> FieldSet:
+def direct_coupled_solve(spec: ProblemSpec, grid: Grid, tol: float = 1e-9) -> FieldSet:
     """Frozen-coefficient Picard iteration on the coupled PDE system.
 
     Each outer sweep freezes every coefficient at the current fields and
@@ -153,10 +154,10 @@ def direct_coupled_solve(spec: ProblemSpec, grid: Grid, tol: float = 1e-9,
     the pressure law (if present), then the u_i laws, each law reading the
     newest value of every field (Gauss-Seidel order). Stops when the largest
     nodewise field update drops below tol; five consecutive growths of the
-    update, or an update past value_scale / sqrt(eps) (or not finite), abort
-    with an outer-divergence error. Each linear solve runs to 0.005 * tol,
-    or to the stencil's roundoff floor for its source if that is larger: a
-    diverging sweep's source grows with its fields.
+    update, an update past value_scale / sqrt(eps) (or not finite), or
+    MAX_SWEEPS sweeps abort with an outer-divergence error. Each linear
+    solve runs to 0.005 * tol, or to the stencil's roundoff floor for its
+    source if larger: a diverging sweep's source grows with its fields.
     """
     value_scale = float(max(np.max(np.abs(spec.u_star)), spec.p_star, 1.0))
     blow_up = value_scale / np.sqrt(np.finfo(float).eps)
@@ -175,7 +176,7 @@ def direct_coupled_solve(spec: ProblemSpec, grid: Grid, tol: float = 1e-9,
 
     grow_streak = 0
     prev_update = np.inf
-    for outer in range(1, max_outer + 1):
+    for outer in range(1, MAX_SWEEPS + 1):
         faces = _simpson_faces(spec, fields if darcy else [*fields, np.zeros(grid.shape)], used)
         new = list(fields)
         for field, boundary, terms in laws[spec.n:] + laws[:spec.n]:    # the pressure law first
@@ -202,7 +203,7 @@ def direct_coupled_solve(spec: ProblemSpec, grid: Grid, tol: float = 1e-9,
         prev_update = update
     else:
         raise OuterDivergenceError(
-            f"outer Picard iteration did not reach {tol:.3e} in {max_outer} sweeps "
+            f"outer Picard iteration did not reach {tol:.3e} in {MAX_SWEEPS} sweeps "
             f"(last update {update:.3e})")
     return FieldSet(grid=grid, u_fields=np.stack(fields[:spec.n]),
                     p_field=fields[-1] if darcy else None)

@@ -47,7 +47,7 @@ p_star = 1.0
 
 [solver]
 backend = fixed_point
-n_nodes = 257
+N = 257
 tol = 1e-10
 
 [output]
@@ -72,7 +72,7 @@ p_star = 1.0
 
 [solver]
 backend = scalar_bisection
-n_nodes = 2049
+N = 2049
 tol = 1e-11
 r_integral = 1.0
 q_integral = 1.0
@@ -271,7 +271,7 @@ p_star = {twopi}
 
 [solver]
 backend = shooting
-n_nodes = 257
+N = 257
 
 [output]
 directory = {out}
@@ -729,7 +729,7 @@ def test_solve_builds_only_the_fluxes_it_writes(tmp_path, monkeypatch, flags, bu
 
 
 def test_solve_even_n_round_trips_through_verify(tmp_path):
-    cfg_path = write_cfg(tmp_path, MOLECULAR_CFG.replace("n_nodes = 257", "n_nodes = 256"))
+    cfg_path = write_cfg(tmp_path, MOLECULAR_CFG.replace("N = 257", "N = 256"))
     out, checked = tmp_path / "out", tmp_path / "verify"
     assert load_config(cfg_path).n_nodes == 256
     assert main(["solve", str(cfg_path)]) == 0
@@ -840,7 +840,7 @@ def test_config_rejects_invalid_input(tmp_path, caplog, data, old, new, message)
     ("darcy_rectangle_fluxes", "[output]", "[outputs]\ndirectory = elsewhere\n\n[output]",
      "unknown section [outputs]"),
     ("darcy_rectangle_fluxes", "N = 1025", "N = 1025\nn_nodes = 33",
-     "[solver] n_nodes: N is given too"),
+     "[solver] n_nodes: not a key of this problem"),
     ("darcy_rectangle_fluxes", "tol = 1e-10", "tol = 1e-10\ndamping = 0.3",
      "[solver] damping: not a key of this problem"),
     ("darcy_rectangle_fluxes", "tol = 1e-10", "tol = 1e-10\nr_integral = 5.0\nq_integral = 1.0",
@@ -901,6 +901,39 @@ def test_solve_huge_coefficients_end_typed(tmp_path, caplog, capsys):
                if key not in ("mode", "backend") for v in value.split())
     log_text = caplog.text + capsys.readouterr().err
     assert "Traceback" not in log_text and "OverflowError" not in log_text
+
+
+@pytest.mark.parametrize("data, key, value, code, message", [
+    ("darcy_rectangle_fluxes", "p_star", "1e-300", 0, None),
+    ("darcy_rectangle_fluxes", "width", "1e300", 1,
+     "InvalidExtentsError: h1 = 3.125e+298 does not square to a positive normal float"),
+    ("darcy_annulus_exp", "r2", "1e300", 1,
+     "InvalidRadiiError: h1 = 7.8125e+297 does not square to a positive normal float"),
+    ("darcy_rectangle_fluxes", "width", "1e-300", 1,
+     "InvalidExtentsError: h1 = 3.125e-302 does not square to a positive normal float"),
+    ("darcy_annulus_exp", "r1", "1e-300", 0, None),
+], ids=["tiny-p_star", "huge-width", "huge-r2", "tiny-width", "tiny-r1"])
+def test_solve_extreme_scales_end_typed(tmp_path, caplog, capsys, data, key, value, code,
+                                        message):
+    """Each of these once ended in a traceback: an OverflowError from the
+    residual's range scale (p_star) or from a squared spacing (width, r2),
+    or a RuntimeWarning from the pivot's metric terms on the inner arc (r1);
+    a spacing whose square underflows (width = 1e-300) ended in a pivot
+    residual of nan. Each now solves or is refused as a config error."""
+    text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}",
+                          (DATA / f"{data}.ini").read_text(), flags=re.M)
+    assert count == 1
+    cfg_path = tmp_path / "case.ini"
+    cfg_path.write_text(text)
+    assert main(["solve", str(cfg_path), "--out", str(tmp_path / "out")]) == code
+    log_text = caplog.text + capsys.readouterr().err
+    assert "Traceback" not in log_text and "Warning" not in log_text
+    if message is None:
+        report = read_report(tmp_path / "out" / "report.txt")
+        assert all(math.isfinite(float(v)) for key, value in report.items()
+                   if key not in ("mode", "backend") for v in value.split())
+    else:
+        assert message in log_text
 
 
 @pytest.mark.parametrize("key, value", [

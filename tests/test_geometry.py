@@ -11,8 +11,10 @@ from funcsol.pivot import dirichlet_targets
 
 def _partition(g):
     """Node masks (gamma1, gamma2, gamma3, interior) read off the grid's
-    equation rows and its Dirichlet data."""
-    unknown = g.unknown_mask
+    equation rows, every row but the first and the last, and its Dirichlet
+    data."""
+    unknown = np.ones(g.shape, dtype=bool)
+    unknown[[0, -1]] = False
     gamma3 = dirichlet_targets(g, 1.0) == 1.0
     gamma1 = ~unknown & ~gamma3
     edge = np.zeros(g.shape, dtype=bool)
@@ -27,7 +29,7 @@ def test_grid_fields_are_the_coordinates():
 def test_rectangle_3x3_tag_counts():
     g = build_rectangle(3, 3, 1.0, 1.0)
     gamma1, gamma2, gamma3, interior = _partition(g)
-    assert g.unknown_mask.shape == (3, 3)
+    assert g.shape == (3, 3)
     assert int(gamma1.sum()) == 3
     assert int(gamma3.sum()) == 3
     assert int(gamma2.sum()) == 2
@@ -53,9 +55,10 @@ def test_annulus_tags():
     g = build_annulus(3, 3, 1.0, 2.0)
     assert g.coord_system == "polar"
     d = dirichlet_targets(g, 2.0)
-    assert not g.unknown_mask[0].any() and np.all(d[0] == 0.0)      # inner arc
-    assert not g.unknown_mask[-1].any() and np.all(d[-1] == 2.0)    # outer arc
-    assert g.unknown_mask[1, 0] and g.unknown_mask[1, -1]           # radial edges
+    gamma1, gamma2, gamma3, _ = _partition(g)
+    assert gamma1[0].all() and np.all(d[0] == 0.0)      # inner arc
+    assert gamma3[-1].all() and np.all(d[-1] == 2.0)    # outer arc
+    assert gamma2[1, 0] and gamma2[1, -1]               # radial edges
     assert np.all(d[1] == 0.0)
 
 
@@ -73,20 +76,29 @@ def test_annulus_bad_radii():
         build_annulus(3, 3, 0.0, 1.0)
 
 
-@pytest.mark.parametrize("builder,args,error", [
-    (build_rectangle, (5, 5, math.nan, 1.0), InvalidExtentsError),
-    (build_rectangle, (5, 5, 1.0, math.nan), InvalidExtentsError),
-    (build_rectangle, (5, 5, math.inf, 1.0), InvalidExtentsError),
-    (build_rectangle, (5, 5, 1.0, math.inf), InvalidExtentsError),
-    (build_annulus, (5, 5, math.nan, 2.0), InvalidRadiiError),
-    (build_annulus, (5, 5, 1.0, math.nan), InvalidRadiiError),
-    (build_annulus, (5, 5, 1.0, math.inf), InvalidRadiiError),
-    (build_annulus, (5, 5, -math.inf, 2.0), InvalidRadiiError),
+@pytest.mark.parametrize("builder,args,error,match", [
+    (build_rectangle, (5, 5, math.nan, 1.0), InvalidExtentsError, "must be finite"),
+    (build_rectangle, (5, 5, 1.0, math.nan), InvalidExtentsError, "must be finite"),
+    (build_rectangle, (5, 5, math.inf, 1.0), InvalidExtentsError, "must be finite"),
+    (build_rectangle, (5, 5, 1.0, math.inf), InvalidExtentsError, "must be finite"),
+    (build_annulus, (5, 5, math.nan, 2.0), InvalidRadiiError, "must be finite"),
+    (build_annulus, (5, 5, 1.0, math.nan), InvalidRadiiError, "must be finite"),
+    (build_annulus, (5, 5, 1.0, math.inf), InvalidRadiiError, "must be finite"),
+    (build_annulus, (5, 5, -math.inf, 2.0), InvalidRadiiError, "must be finite"),
+    # each of these spacings, or radius, squares to inf or below the normal range
+    (build_rectangle, (5, 5, 1e300, 1.0), InvalidExtentsError,
+     r"^h1 = 2\.5e\+299 does not square to a positive normal float$"),
+    (build_rectangle, (5, 5, 1.0, 1e300), InvalidExtentsError, r"^h2 = 2\.5e\+299 does not"),
+    (build_rectangle, (5, 5, 1e-300, 1.0), InvalidExtentsError, r"^h1 = 2\.5e-301 does not"),
+    (build_annulus, (5, 5, 1.0, 1e300), InvalidRadiiError, r"^h1 = 2\.5e\+299 does not"),
+    (build_annulus, (5, 5, 1e-300, 2e-300), InvalidRadiiError, r"^h1 = 2\.5e-301 does not"),
+    (build_annulus, (5, 5, 1.4e154, 1.5e154), InvalidRadiiError, r"^r2 = 1\.5e\+154 does not"),
 ], ids=["nan-width", "nan-height", "inf-width", "inf-height", "nan-r1", "nan-r2", "inf-r2",
-        "-inf-r1"])
-def test_non_finite_extents_and_radii_are_refused(builder, args, error):
+        "-inf-r1", "huge-h1", "huge-h2", "tiny-h1", "huge-radial-h1", "tiny-radial-h1",
+        "huge-r2"])
+def test_non_finite_extents_and_radii_are_refused(builder, args, error, match):
     with np.errstate(all="raise"):
-        with pytest.raises(error, match="must be finite") as exc:
+        with pytest.raises(error, match=match) as exc:
             builder(*args)
     assert exc.value.exit_code == 1
 
@@ -118,7 +130,7 @@ def test_dirichlet_corners():
 def test_deterministic_rebuild():
     a = build_annulus(9, 7, 1.0, 2.0)
     b = build_annulus(9, 7, 1.0, 2.0)
-    np.testing.assert_array_equal(a.unknown_mask, b.unknown_mask)
+    assert a.shape == b.shape
     np.testing.assert_array_equal(a.x1, b.x1)
     np.testing.assert_array_equal(a.x2, b.x2)
 
@@ -131,5 +143,3 @@ def test_grid_is_immutable():
         g.x2[0] = 0.5
     with pytest.raises(dataclasses.FrozenInstanceError):
         g.x1 = np.zeros(3)
-    g.unknown_mask[1, 1] = False                    # a fresh array per call
-    assert g.unknown_mask[1, 1]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from funcsol.numerics import (
     at_least_five_nodes,
     cumulative_simpson,
     midpoint_cubic,
+    range_scale,
 )
 
 
@@ -12,6 +15,18 @@ def test_at_least_five_nodes():
     assert at_least_five_nodes(1000) == 1000
     assert at_least_five_nodes(1001) == 1001
     assert at_least_five_nodes(2) == 5
+
+
+@pytest.mark.parametrize("magnitude, scale", [
+    (1.0, 1.0), (2.0**255, 1.0), (2.0**-256, 1.0), (1e300, 2.0**-997), (1e-300, 2.0**996),
+    (2.0**-1024, 2.0**1023), (5e-309, 2.0**1023), (math.ulp(0.0), 2.0**1023),
+], ids=["one", "2^255", "2^-256", "1e300", "1e-300", "2^-1024", "5e-309", "least-subnormal"])
+def test_range_scale(magnitude, scale):
+    """A power of two to [0.5, 1) outside 2^(+-256), capped at 2^1023, the
+    largest, which brings every subnormal to at least 2^-51 and squares
+    without underflow."""
+    assert range_scale(magnitude) == scale
+    assert (magnitude * scale) ** 2 > 0.0
 
 
 def test_cumulative_exact_for_cubics():

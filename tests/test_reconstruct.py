@@ -259,9 +259,8 @@ def full_grid_fields(sol, piv, spec, targets):
     """Each profile interpolated at all n1 x n2 ``targets``, then each law's
     field (u_1..u_n, then ``targets`` as p) stamped with its Dirichlet rows."""
     fields = [*(np.interp(targets, sol.mesh, prof) for prof in sol.profiles), targets]
-    dirichlet = ~piv.grid.unknown_mask
     for field, boundary, _ in spec.laws():
-        fields[field][dirichlet] = dirichlet_targets(piv.grid, boundary)[dirichlet]
+        fields[field][[0, -1]] = dirichlet_targets(piv.grid, boundary)[[0, -1]]
     return np.stack(fields[:spec.n]), fields[-1]
 
 

@@ -771,6 +771,15 @@ def test_scalar_non_positive_bracket_hint():
         solve_scalar(scalar_spec("1+u1^2", "1", 1.0), bracket_hints=(-1.0, 1.0))
 
 
+@pytest.mark.parametrize("hints", [(math.nan, 1.0), (1.0, math.nan)], ids=["r", "q"])
+def test_scalar_nan_bracket_hint(monkeypatch, hints):
+    """A NaN hint is refused as not positive, before any integration."""
+    import funcsol.twopoint as tp
+    monkeypatch.setattr(tp, "_integrate_batch", None)
+    with pytest.raises(BracketFailureError, match="^bracket hints must be positive integrals$"):
+        tp.solve_scalar(scalar_spec("1+u1^2", "1", 1.0), bracket_hints=hints)
+
+
 def test_shooting_b_next_vanishing_at_the_origin():
     spec = ProblemSpec.from_strings(1, [["1"]], b_next="p", u_star=(1.0,), mode="darcy")
     with pytest.raises(DegenerateLinearizationError,

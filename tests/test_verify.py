@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from funcsol import verify
 from funcsol.errors import EvalDomainError, OuterDivergenceError, ShapeMismatchError
 from funcsol.geometry import build_annulus, build_rectangle
 from funcsol.pivot import solve_pivot
@@ -223,20 +224,21 @@ def test_direct_darcy_without_optional_terms(b, b_next):
     assert compare_fields(functional, direct)["linf"] <= 1e-6
 
 
-def test_direct_outer_iteration_cap():
-    with pytest.raises(OuterDivergenceError):
-        direct_coupled_solve(EQUAL_AB, build_rectangle(17, 17, 1.0, 1.0),
-                             tol=1e-12, max_outer=2)
+def test_direct_outer_iteration_cap(monkeypatch):
+    monkeypatch.setattr(verify, "MAX_SWEEPS", 2)
+    with pytest.raises(OuterDivergenceError, match=r"did not reach 1\.000e-12 in 2 sweeps"):
+        direct_coupled_solve(EQUAL_AB, build_rectangle(17, 17, 1.0, 1.0), tol=1e-12)
 
 
-def test_direct_outer_iteration_aborts_on_growing_updates():
+def test_direct_outer_iteration_aborts_on_growing_updates(monkeypatch):
     """A = [[1+u2^2, 4u1], [-4u1, 1]] is elliptic, but the skew coupling
     makes the outer updates grow from 0.47 to 38 in four sweeps; from
     there they wander between 6 and 200, never settling nor growing five
     times in a row, and the sweep cap aborts the solve."""
     spec = ProblemSpec.from_strings(2, [["1+u2^2", "4*u1"], ["-4*u1", "1"]], u_star=(1.0, 1.0))
+    monkeypatch.setattr(verify, "MAX_SWEEPS", 60)
     with pytest.raises(OuterDivergenceError, match=r"did not reach 1\.000e-06 in 60 sweeps"):
-        direct_coupled_solve(spec, build_rectangle(17, 17, 1.0, 1.0), tol=1e-6, max_outer=60)
+        direct_coupled_solve(spec, build_rectangle(17, 17, 1.0, 1.0), tol=1e-6)
 
 
 def test_direct_outer_iteration_aborts_on_five_growths():
