@@ -58,10 +58,17 @@ def _check_dims(n1, n2):
 
 def _squarable(grid: Grid, error, **lengths) -> Grid:
     """``grid``, once its spacings h1, h2 and ``lengths`` square to positive
-    normal floats: the stencils divide by those squares."""
+    normal floats, and on the annulus so do the least products of them the
+    metric terms form: h2^2 r on the inner arc and h2^2 r^2 on the first
+    equation row. The stencils divide by each of these."""
     for name, value in dict(zip(("h1", "h2"), grid.spacing), **lengths).items():
         if not 2.0**-1022 <= value * value < math.inf:       # the smallest normal float
             raise error(f"{name} = {value:.6g} does not square to a positive normal float")
+    if grid.coord_system == POLAR:
+        h2sq, r1, r = grid.spacing[1] ** 2, float(grid.x1[0]), float(grid.x1[1])
+        for name, value in (("h2^2 r1", h2sq * r1), (f"h2^2 r^2 at r = {r:.6g}", h2sq * r * r)):
+            if not 2.0**-1022 <= value < math.inf:
+                raise error(f"{name} = {value:.6g} is not a positive normal float")
     return grid
 
 

@@ -34,8 +34,10 @@ Every initial value problem goes through one integrator: DOP853, batched
 over a stack of gammas that share one step sequence, returning every
 column's endpoint. Its steps end on nodes of a uniform mesh of N nodes,
 and its dense output fills the nodes in between for the columns a caller
-keeps: the mesh sets the output resolution, the error control (RTOL) the
-step count. The reconstruction layer treats the node samples as
+keeps: the mesh sets the output resolution, the error control the step
+count. The control's per-step tolerance follows the caller's ``tol``:
+tol / 100 within [RTOL_FLOOR, RTOL_CEILING], the floor when no ``tol``
+is given. The reconstruction layer treats the node samples as
 piecewise-linear interpolants.
 
 Every backend's ``two_point_residual`` measures its profile through
@@ -79,7 +81,9 @@ KSECTION_WIDTH = 31         # interior candidates per batched k-section pass
 AIM_SAMPLES = 12            # sampled endpoints an aimed pass is built from
 # each backend's iteration cap: Picard iterations, Newton steps, k-section halvings
 MAX_ITER = {"fixed_point": 200, "shooting": 30, "scalar_bisection": 200}
-RTOL = 1e-15                # error per two-point step, relative to the largest |U| so far
+# bounds of the error per two-point step, relative to the largest |U| so far; above
+# the ceiling a shooting Jacobian, differenced over a 1e-6 shift, misleads Newton
+RTOL_FLOOR, RTOL_CEILING = 1e-15, 1e-13
 
 # DOP853: the explicit 8(5,3) Runge-Kutta pair with 7th order dense output of
 # Hairer, Norsett & Wanner, Solving ODEs I, II.5-II.6. Column 0 is left out:
@@ -412,7 +416,7 @@ def solve_fixed_point(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10
                      integration_steps=0, rhs_evaluations=0)
 
 
-def _integrate_batch(spec: ProblemSpec, gammas, n_nodes, steps=None):
+def _integrate_batch(spec: ProblemSpec, gammas, n_nodes, steps=None, tol=None):
     """DOP853 for U' = A^-1 (gamma*b_next - b) from U(0) = 0, batched over a
     stack of gammas and sampled on the uniform mesh of ``n_nodes`` nodes.
 
@@ -421,11 +425,13 @@ def _integrate_batch(spec: ProblemSpec, gammas, n_nodes, steps=None):
     interval; each next length comes from the last error estimate (the
     usual 0.9 * err^(-1/8), within [0.2, 10]) rounded down to whole mesh
     intervals. A step is rejected when its estimate, in any column,
-    exceeds RTOL times the largest |U| seen in that column. A one-interval
-    step is accepted whatever its estimate, so there are at most m - 1
-    steps and the guards below still meet every node a trajectory cannot
-    step over. ``steps``, the step-end node indices of an earlier batch,
-    replays that sequence instead of running the controller.
+    exceeds rtol times the largest |U| seen in that column: ``tol`` / 100
+    within [RTOL_FLOOR, RTOL_CEILING], RTOL_FLOOR when ``tol`` is None. A
+    one-interval step is accepted whatever its estimate, so there are at
+    most m - 1 steps and the guards below still meet every node a
+    trajectory cannot step over. ``steps``, the step-end node indices of an earlier batch,
+    replays that sequence instead of running the controller, so ``tol``
+    does not affect it.
 
     Every stage runs the singularity guards under one raising numpy error
     state. A floating point exception or a tripped guard rejects a
@@ -445,6 +451,7 @@ def _integrate_batch(spec: ProblemSpec, gammas, n_nodes, steps=None):
     mesh = np.linspace(0.0, spec.p_star, m)
     raw, names, nn = spec.bundle.raw, [f"u{i+1}" for i in range(n)], n * n
     has_b = spec.b is not None
+    rtol = RTOL_FLOOR if tol is None else max(RTOL_FLOOR, min(RTOL_CEILING, tol / 100.0))
     env = dict.fromkeys(names + ["p"], 0.0)         # the launch point
 
     if n == 1:
@@ -514,7 +521,7 @@ def _integrate_batch(spec: ProblemSpec, gammas, n_nodes, steps=None):
                     delta = H * combine(_DOP_B)
                     y1 = y + (H * K0 + delta)
                     ratio = 0.0 if steps is not None else _error_ratio(
-                        H * combine(_DOP_E5), H * combine(_DOP_E3), y1, peak, k, n)
+                        H * combine(_DOP_E5), H * combine(_DOP_E3), y1, peak, k, n, rtol)
                     accept = j == 1 or ratio <= 1.0
                     if accept:
                         dK[:, 11] = slope(p1, y1) - K0      # K_0 of the next step
@@ -566,15 +573,15 @@ def _integrate_batch(spec: ProblemSpec, gammas, n_nodes, steps=None):
     return y.reshape(k, n), tuple(ends), calls, profile
 
 
-def _error_ratio(err5, err3, y1, peak, k, n):
+def _error_ratio(err5, err3, y1, peak, k, n, rtol):
     """The batch's DOP853 error estimate against its tolerance: the largest
-    over the columns, each measured against RTOL times the largest |U| it
-    has reached. No absolute term, so small finite-difference columns keep
-    their relative accuracy."""
+    over the columns, each measured against ``rtol`` times the largest |U|
+    it has reached. No absolute term, so small finite-difference columns
+    keep their relative accuracy."""
     with np.errstate(all="ignore"):
         sq5 = (err5.reshape(k, n) ** 2).sum(axis=1)
         sq3 = (err3.reshape(k, n) ** 2).sum(axis=1)
-        scale = RTOL * np.maximum(peak, np.abs(y1).reshape(k, n).max(axis=1))
+        scale = rtol * np.maximum(peak, np.abs(y1).reshape(k, n).max(axis=1))
         ratio = np.where(sq5 > 0.0, sq5 / (np.sqrt(sq5 + 0.01 * sq3) * scale), 0.0)
     return float(np.max(ratio))
 
@@ -609,15 +616,15 @@ def _origin_linearization(spec: ProblemSpec):
     return gamma0, j0_norm
 
 
-def shooting_jacobian(spec: ProblemSpec, gamma, n_nodes: int = 1001):
+def shooting_jacobian(spec: ProblemSpec, gamma, n_nodes: int = 1001, tol=None):
     """Forward-difference Jacobian of gamma -> U(p*; gamma) from the
-    endpoints of one batch, with the mesh and the (n, m) profiles of the
-    unperturbed run, the one column whose mesh is filled; also the batch's
-    step count and right-hand-side evaluations."""
+    endpoints of one batch integrated to ``tol``, with the mesh and the
+    (n, m) profiles of the unperturbed run, the one column whose mesh is
+    filled; also the batch's step count and right-hand-side evaluations."""
     gamma = np.asarray(gamma, dtype=float)
     shifts = 1e-6 * (1.0 + np.abs(gamma))
     gammas = np.vstack([gamma, gamma + np.diag(shifts)])
-    U, steps, calls, profile = _integrate_batch(spec, gammas, n_nodes)
+    U, steps, calls, profile = _integrate_batch(spec, gammas, n_nodes, tol=tol)
     J = (U[1:] - U[0]).T / shifts[None, :]
     return J, *profile(0), (len(steps), calls)
 
@@ -636,7 +643,7 @@ def solve_shooting(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
     steps = calls = 0
     for iterations in range(1, max_iter + 1):
         # keep the base trajectory: the converged one is the solution
-        J, mesh, profiles, work = shooting_jacobian(spec, gamma, n_nodes)
+        J, mesh, profiles, work = shooting_jacobian(spec, gamma, n_nodes, tol)
         steps, calls = steps + work[0], calls + work[1]
         end = profiles[:, -1]
         # at a resonance the endpoint map loses rank, but discretization
@@ -763,7 +770,7 @@ def solve_scalar(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
         new = [gam for gam in dict.fromkeys(gams) if gam not in evals]
         if new:
             U, last, work, profile = _integrate_batch(spec, np.array(new)[:, None], n_nodes,
-                                                      frozen)
+                                                      frozen, tol=tol)
             runs, taken, calls = runs + 1, taken + len(last), calls + work
             for j, (gam, end) in enumerate(zip(new, U[:, 0].tolist())):
                 evals[gam] = end

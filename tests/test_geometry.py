@@ -6,7 +6,9 @@ import pytest
 
 from funcsol.errors import GridDimensionError, InvalidExtentsError, InvalidRadiiError
 from funcsol.geometry import Grid, build_annulus, build_rectangle
-from funcsol.pivot import dirichlet_targets
+from funcsol.pivot import dirichlet_targets, solve_pivot
+from funcsol.twopoint import ProblemSpec
+from funcsol.verify import direct_coupled_solve
 
 
 def _partition(g):
@@ -93,13 +95,33 @@ def test_annulus_bad_radii():
     (build_annulus, (5, 5, 1.0, 1e300), InvalidRadiiError, r"^h1 = 2\.5e\+299 does not"),
     (build_annulus, (5, 5, 1e-300, 2e-300), InvalidRadiiError, r"^h1 = 2\.5e-301 does not"),
     (build_annulus, (5, 5, 1.4e154, 1.5e154), InvalidRadiiError, r"^r2 = 1\.5e\+154 does not"),
+    # h1^2, h2^2 and r2^2 are normal, but a product of them the metric terms form is not
+    (build_annulus, (9, 9, 1e-310, 1.0), InvalidRadiiError,
+     r"^h2\^2 r1 = 3\.85531e-312 is not a positive normal float$"),
+    (build_annulus, (5, 1001, 1e-300, 8e-154), InvalidRadiiError,
+     r"^h2\^2 r\^2 at r = 2e-154 = 9\.8696e-314 is not a positive normal float$"),
 ], ids=["nan-width", "nan-height", "inf-width", "inf-height", "nan-r1", "nan-r2", "inf-r2",
         "-inf-r1", "huge-h1", "huge-h2", "tiny-h1", "huge-radial-h1", "tiny-radial-h1",
-        "huge-r2"])
+        "huge-r2", "subnormal-h2sq-r1", "subnormal-h2sq-rsq"])
 def test_non_finite_extents_and_radii_are_refused(builder, args, error, match):
     with np.errstate(all="raise"):
         with pytest.raises(error, match=match) as exc:
             builder(*args)
+    assert exc.value.exit_code == 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda: solve_pivot(build_annulus(5, 1001, 1e-300, 8e-154), 1e-10),
+    lambda: direct_coupled_solve(ProblemSpec.from_strings(1, [["1+u1"]], u_star=(1.0,)),
+                                 build_annulus(9, 9, 1e-310, 1.0)),
+], ids=["pivot", "direct"])
+def test_subnormal_metric_divisors_are_refused_before_a_solve(call):
+    """The pivot residual divides by h2^2 r^2 on the equation rows and the
+    direct solver's diagonal by h2^2 r on every row; each once overflowed
+    there (an error under pytest's filterwarnings), and now the builder
+    refuses the grid as a config error."""
+    with pytest.raises(InvalidRadiiError) as exc:
+        call()
     assert exc.value.exit_code == 1
 
 

@@ -491,8 +491,8 @@ def test_shooting_stats_sum_over_batches(monkeypatch):
     runs = []
     integrate = tp._integrate_batch
 
-    def recorded(*args):
-        runs.append(integrate(*args))
+    def recorded(*args, **kwargs):
+        runs.append(integrate(*args, **kwargs))
         return runs[-1]
 
     monkeypatch.setattr(tp, "_integrate_batch", recorded)
@@ -674,7 +674,7 @@ def test_scalar_bracket_failure(monkeypatch):
     import funcsol.twopoint as tp
     calls = []
 
-    def bounded_endpoint(spec, gammas, n_nodes, steps=None):
+    def bounded_endpoint(spec, gammas, n_nodes, steps=None, tol=None):
         calls.extend(np.ravel(gammas).tolist())
         return np.arctan(np.asarray(gammas, dtype=float)), (n_nodes - 1,), 0, None
 
@@ -838,7 +838,7 @@ def test_scalar_tol_below_roundoff(u_star, solvable, monkeypatch):
         assert solve_scalar(spec, n_nodes=65, tol=1e-30).boundary_error == 0.0
     else:
         # so stall on a strictly increasing map that steps over u*
-        def stepped_endpoints(spec, gammas, n_nodes, steps=None):
+        def stepped_endpoints(spec, gammas, n_nodes, steps=None, tol=None):
             g = np.asarray(gammas, dtype=float)
             return np.where(g < u_star, g, g + 1e-9), (n_nodes - 1,), 0, None
 
@@ -862,8 +862,8 @@ def hinted_scalar_batches(monkeypatch):
     batches = []
     integrate = tp._integrate_batch
 
-    def recorded(spec, gammas, n_nodes, steps=None):
-        out = integrate(spec, gammas, n_nodes, steps)
+    def recorded(spec, gammas, n_nodes, steps=None, tol=None):
+        out = integrate(spec, gammas, n_nodes, steps, tol)
         batches.append((np.ravel(gammas).tolist(), steps, out))
         return out
 
@@ -911,9 +911,9 @@ def test_scalar_missed_window_is_followed_by_a_uniform_pass(monkeypatch):
 
     integrate = tp._integrate_batch
 
-    def recorded(spec, gammas, n_nodes, steps=None):
+    def recorded(spec, gammas, n_nodes, steps=None, tol=None):
         passes.append(np.ravel(gammas).tolist())
-        return integrate(spec, gammas, n_nodes, steps)
+        return integrate(spec, gammas, n_nodes, steps, tol)
 
     monkeypatch.setattr(tp, "_aimed_window", missing_window)
     monkeypatch.setattr(tp, "_integrate_batch", recorded)
@@ -969,9 +969,9 @@ def test_scalar_aim_near_a_pass_end_shifts_its_samples_inward(below, monkeypatch
         samples.append(gammas)
         return aim(gammas, ends, u_star, tol, lo, hi)
 
-    def recorded(spec, gammas, n_nodes, steps=None):
+    def recorded(spec, gammas, n_nodes, steps=None, tol=None):
         batches.append(np.ravel(gammas).tolist())
-        return integrate(spec, gammas, n_nodes, steps)
+        return integrate(spec, gammas, n_nodes, steps, tol)
 
     monkeypatch.setattr(tp, "_aimed_window", recorded_aim)
     monkeypatch.setattr(tp, "_integrate_batch", recorded)
@@ -1017,9 +1017,9 @@ def test_scalar_wrong_hints_grow_the_bracket(hints, monkeypatch):
     batches = []
     integrate = tp._integrate_batch
 
-    def recorded(spec, gammas, n_nodes, steps=None):
+    def recorded(spec, gammas, n_nodes, steps=None, tol=None):
         batches.append((np.ravel(gammas).tolist(), steps))
-        return integrate(spec, gammas, n_nodes, steps)
+        return integrate(spec, gammas, n_nodes, steps, tol)
 
     monkeypatch.setattr(tp, "_integrate_batch", recorded)
     sol = tp.solve_scalar(scalar_spec("1", "1+u1", 1.0), bracket_hints=hints, n_nodes=257,
@@ -1145,11 +1145,56 @@ def test_scalar_refuses_a_non_monotone_endpoint_map(monkeypatch):
     import funcsol.twopoint as tp
     real = tp._integrate_batch
 
-    def bent(spec, gammas, n_nodes, steps=None):
-        U, ends, calls, profile = real(spec, gammas, n_nodes, steps)
+    def bent(spec, gammas, n_nodes, steps=None, tol=None):
+        U, ends, calls, profile = real(spec, gammas, n_nodes, steps, tol)
         U[np.ravel(gammas) >= 1.45] *= 0.8
         return U, ends, calls, profile
 
     monkeypatch.setattr(tp, "_integrate_batch", bent)
     with pytest.raises(FuncsolError, match="endpoint map is not strictly increasing"):
         tp.solve_scalar(scalar_spec("1", "1", 1.0), bracket_hints=(1.0, 1.0), n_nodes=257)
+
+
+# --- the integrator's tolerance follows tol -------------------------------------
+
+# closed forms: U' = gamma (1 + U) gives gamma = log(1 + u*)/p*, and
+# U' = gamma exp(p) gives gamma = u*/(exp(p*) - 1)
+KSECTION_CLOSED_FORM = (scalar_spec("1", "1+u1", 1.5, 1.2), solve_scalar,
+                        math.log1p(1.5) / 1.2)
+SHOOTING_CLOSED_FORM = (ProblemSpec.from_strings(1, [["1"]], b_next="exp(p)", u_star=(1.0,),
+                                                 mode="darcy"),
+                        solve_shooting, 1.0 / math.expm1(1.0))
+
+
+@pytest.mark.parametrize("spec, solve, gamma, bound", [
+    # measured at 257 nodes: 2.1e-13 for the k-section, 3.4e-11 for shooting,
+    # whose bound is the Newton stop's: an endpoint within tol of u*
+    (*KSECTION_CLOSED_FORM, 1e-12),
+    (*SHOOTING_CLOSED_FORM, 1e-10 / math.expm1(1.0)),
+], ids=["ksection", "shooting"])
+def test_a_looser_tol_takes_fewer_steps_within_its_gamma_bound(spec, solve, gamma, bound):
+    loose, tight = solve(spec, n_nodes=257, tol=1e-10), solve(spec, n_nodes=257, tol=1e-13)
+    assert loose.stats["integration_steps"] < tight.stats["integration_steps"]
+    # per batch too, so that fewer Newton steps alone do not pass
+    per_batch = [sol.stats["integration_steps"] / sol.stats["iterations"] for sol in (loose, tight)]
+    assert per_batch[0] < per_batch[1]
+    assert abs(loose.gamma[0] - gamma) <= bound
+    assert abs(tight.gamma[0] - gamma) <= 1e-15
+
+
+@pytest.mark.parametrize("spec, solve, gamma", [KSECTION_CLOSED_FORM, SHOOTING_CLOSED_FORM],
+                         ids=["ksection", "shooting"])
+def test_tol_at_or_below_1e13_integrates_at_the_floor(spec, solve, gamma):
+    # tol / 100 falls to RTOL_FLOOR, the tolerance of a call without a tol,
+    # so the steps, endpoints and profiles are those bytes
+    import funcsol.twopoint as tp
+    gammas = np.linspace(0.5, 1.5, 7)[:, None] * gamma
+    U, steps, calls, profile = tp._integrate_batch(spec, gammas, 257)
+    for tol in (1e-13, 1e-14, 1e-300):
+        U_tol, steps_tol, calls_tol, profile_tol = tp._integrate_batch(spec, gammas, 257, tol=tol)
+        assert (steps_tol, calls_tol) == (steps, calls)
+        assert U_tol.tobytes() == U.tobytes()
+        assert profile_tol(3)[1].tobytes() == profile(3)[1].tobytes()
+    sols = [solve(spec, n_nodes=257, tol=tol) for tol in (1e-13, 1e-14)]
+    assert sols[0].gamma.tobytes() == sols[1].gamma.tobytes()
+    assert sols[0].profiles.tobytes() == sols[1].profiles.tobytes()
