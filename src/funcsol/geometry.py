@@ -20,6 +20,7 @@ from .errors import GridDimensionError, InvalidExtentsError, InvalidRadiiError
 
 CARTESIAN = "cartesian"
 POLAR = "polar"
+MIN_AXIS_NODES = 3      # the fewest nodes an axis may have: two edges and one interior node
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,8 +53,9 @@ class Grid:
 
 
 def _check_dims(n1, n2):
-    if n1 < 3 or n2 < 3:
-        raise GridDimensionError(f"grid needs at least 3 nodes per axis, got {n1}x{n2}")
+    if n1 < MIN_AXIS_NODES or n2 < MIN_AXIS_NODES:
+        raise GridDimensionError(
+            f"grid needs at least {MIN_AXIS_NODES} nodes per axis, got {n1}x{n2}")
 
 
 def _squarable(grid: Grid, error, **lengths) -> Grid:

@@ -1,4 +1,5 @@
-"""Shared quadrature and differencing kernels on uniform meshes."""
+"""Shared quadrature and differencing kernels on uniform meshes, and the
+solvers' one tolerance rule (check_tol)."""
 
 from __future__ import annotations
 
@@ -12,6 +13,14 @@ def at_least_five_nodes(n_nodes: int) -> int:
     5, so that the collocation residual has interior intervals, each with
     two nodes on either side."""
     return max(5, int(n_nodes))
+
+
+def check_tol(tol: float) -> None:
+    """Refuse, as ValueError, a solver tolerance that is not a positive finite
+    number: a stopping test against a nan, negative or infinite target never
+    or always passes."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
 
 
 def range_scale(magnitude: float) -> float:

@@ -12,12 +12,14 @@ no iteration (pivot_values).
 The stencil generalizes to div(c grad u) = s for the direct coupled
 solver and the residual checker. Rows are symmetrized with half weights on
 Neumann edges (and a factor r on polar grids), which makes the reduced
-system SPD. The direct solver's linear solves are conjugate gradients with
-a separable fast preconditioner, exact for unit faces (_fast_inverse): a
-cosine transform across axis 2, a DCT-I taken as the rfft of each row's
-even extension, and per cosine mode a tridiagonal solve along axis 1 by a
-two-level blocked scan. Its grid-only part is built once per grid
-(_GridFactors).
+system SPD. Only the direct solver solves with it (the residual checker
+applies it), by conjugate gradients with a separable fast preconditioner,
+exact for unit faces (_fast_inverse), and on a grid of three x2 columns,
+since every system that solver poses is constant along x2. The
+preconditioner is a cosine transform across axis 2, a DCT-I taken as the
+rfft of each row's even extension, and per cosine mode a tridiagonal solve
+along axis 1 by a two-level blocked scan. Its grid-only part is built once
+per grid (_GridFactors).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import numpy as np
 
 from .errors import PivotConvergenceError
 from .geometry import POLAR, Grid
+from .numerics import check_tol
 
 CG_ITER_FACTOR = 50
 
@@ -322,8 +325,7 @@ def pivot_values(grid: Grid) -> np.ndarray:
 
 def solve_pivot(grid: Grid, tol: float) -> PivotField:
     """pivot_values, certified by the independent 5-point residual <= tol."""
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    check_tol(tol)
     values = pivot_values(grid)
     residual = pivot_residual_values(grid, values)
     if not residual <= tol:

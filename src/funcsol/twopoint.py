@@ -66,7 +66,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .exprlang import collect_variables, parse_expression
-from .numerics import at_least_five_nodes, cumulative_simpson, midpoint_cubic
+from .numerics import at_least_five_nodes, check_tol, cumulative_simpson, midpoint_cubic
 
 MOLECULAR = "molecular"
 DARCY = "darcy"
@@ -385,6 +385,7 @@ def solve_fixed_point(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10
         raise ValueError("solve_fixed_point applies to molecular problems")
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must lie in (0, 1], got {damping}")
+    check_tol(tol)
     m_nodes = at_least_five_nodes(n_nodes)
     mesh = np.linspace(0.0, 1.0, m_nodes)
     _ellipticity(spec, mesh[:1], np.zeros((spec.n, 1)))
@@ -638,6 +639,7 @@ def solve_shooting(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
     resonant problem (singular shooting map) raises SingularJacobianError
     even when the trivial data would satisfy the endpoint immediately.
     """
+    check_tol(tol)
     gamma, j0_norm = _origin_linearization(spec)
     residual = np.inf
     steps = calls = 0
@@ -758,6 +760,7 @@ def solve_scalar(spec: ProblemSpec, n_nodes: int = 1001, tol: float = 1e-10,
     """
     if "scalar_bisection" not in allowed_backends(spec):
         raise ValueError("solve_scalar applies to darcy problems with n = 1 and no b")
+    check_tol(tol)
     _check_f_positive(spec, np.zeros(1), np.zeros((1, 1)))     # the launch point
     u_star = float(spec.u_star[0])
     evals = {}                  # gamma -> endpoint U(p*)

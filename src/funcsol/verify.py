@@ -24,6 +24,13 @@ profiles across a face exactly, which is what makes the linear-profile
 Kirchhoff benchmarks agree with the functional pipeline to solver
 precision instead of to discretization error. Like the checks, it reads
 the spec's compiled coefficients (``ProblemSpec.values``), three calls a sweep.
+Every system it poses is invariant along x2: the Dirichlet data fill whole
+rows with one value each, the gamma2 columns are insulated and the
+coefficients read only the fields. So each sweep's solution is constant
+along x2, and the solver runs on the caller's x1 nodes and first
+MIN_AXIS_NODES x2 nodes (both edge columns, one interior column, the same
+h2); its fields come back as read-only views of their columns broadcast
+over the caller's grid, as stage 3's do.
 """
 
 from __future__ import annotations
@@ -33,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OuterDivergenceError, ShapeMismatchError
-from .geometry import Grid
-from .numerics import range_scale
+from .geometry import MIN_AXIS_NODES, Grid
+from .numerics import check_tol, range_scale
 from .pivot import DivergenceStencil, arithmetic_mean_faces, dirichlet_targets, pivot_values
 from .reconstruct import FieldSet
 from .twopoint import DARCY, MOLECULAR, ProblemSpec, ProfileSolution, collocation_defect
@@ -158,7 +165,12 @@ def direct_coupled_solve(spec: ProblemSpec, grid: Grid, tol: float = 1e-9) -> Fi
     MAX_SWEEPS sweeps abort with an outer-divergence error. Each linear
     solve runs to 0.005 * tol, or to the stencil's roundoff floor for its
     source if larger: a diverging sweep's source grows with its fields.
+    The sweeps run on three x2 columns (exact: module docstring); the fields
+    come back on ``grid`` as read-only views of their (n1, 1) columns.
     """
+    check_tol(tol)
+    # from here on ``grid`` is the three-column grid the sweeps run on
+    caller_grid, grid = grid, Grid(grid.coord_system, grid.x1, grid.x2[:MIN_AXIS_NODES])
     value_scale = float(max(np.max(np.abs(spec.u_star)), spec.p_star, 1.0))
     blow_up = value_scale / np.sqrt(np.finfo(float).eps)
     laws = spec.laws()
@@ -205,5 +217,6 @@ def direct_coupled_solve(spec: ProblemSpec, grid: Grid, tol: float = 1e-9) -> Fi
         raise OuterDivergenceError(
             f"outer Picard iteration did not reach {tol:.3e} in {MAX_SWEEPS} sweeps "
             f"(last update {update:.3e})")
-    return FieldSet(grid=grid, u_fields=np.stack(fields[:spec.n]),
-                    p_field=fields[-1] if darcy else None)
+    u = np.broadcast_to(np.stack(fields[:spec.n])[:, :, :1], (spec.n,) + caller_grid.shape)
+    p = np.broadcast_to(fields[-1][:, :1], caller_grid.shape) if darcy else None
+    return FieldSet(grid=caller_grid, u_fields=u, p_field=p)

@@ -13,12 +13,13 @@ from funcsol.errors import PivotConvergenceError
 from funcsol.geometry import build_annulus, build_rectangle
 from funcsol.pivot import (DivergenceStencil, dirichlet_targets, pivot_residual_values,
                            pivot_values, solve_pivot)
-from funcsol.twopoint import ProblemSpec
+from funcsol.twopoint import ProblemSpec, solve_fixed_point, solve_scalar, solve_shooting
 from funcsol.verify import direct_coupled_solve
 
 
 COUPLED_SPEC = ProblemSpec.from_strings(2, [["2+0.5*sin(u1)", "0.3+0.1*u2"],
                                              ["0.3+0.1*u2", "1.5+0.2*u1"]], u_star=(0.5, 0.3))
+SCALAR_SPEC = ProblemSpec.from_strings(1, [["1+u1"]], b=["1"], u_star=(1.0,), mode="scalar")
 
 
 def on_equation_rows(x):
@@ -256,7 +257,8 @@ def test_fast_inverse_scaled_is_symmetric():
 def test_factors_built_once_per_grid(monkeypatch):
     """The grid-only factors, the fast inverse's included, are built once per
     grid and shared by every stencil on it; each solve builds only its scale.
-    The pivot builds none."""
+    The pivot builds none. The direct solve builds them once, for the caller's
+    x1 nodes and the first three of its x2 nodes."""
     builds, fast_inverses = [], []
     factors = pivot._GridFactors
 
@@ -278,7 +280,11 @@ def test_factors_built_once_per_grid(monkeypatch):
     assert solve_pivot(grid, 1e-10).iterations == 0
     assert builds == []         # no stencil, so no CG either
     direct_coupled_solve(COUPLED_SPEC, grid)
-    assert builds == [grid, "inverse"]
+    assert len(builds) == 2 and builds[1] == "inverse"
+    narrow = builds[0]
+    assert narrow.coord_system == grid.coord_system and narrow.x1 is grid.x1
+    assert narrow.x2.tolist() == grid.x2[:3].tolist()
+    assert "_stencil_factors" not in grid.__dict__
     assert len(fast_inverses) > 10
     other = build_annulus(33, 33, 1.0, 2.0)
     unit_stencil(other).solve(dirichlet_targets(other, 1.0))
@@ -301,6 +307,32 @@ def test_direct_solve_work(monkeypatch):
     monkeypatch.setattr(DivergenceStencil, "solve", counting)
     direct_coupled_solve(COUPLED_SPEC, grid)
     assert (len(iterations), sum(iterations)) == (12, 25)
+
+
+@pytest.mark.parametrize("make", [lambda n2: build_rectangle(33, n2, 2.0, 1.0),
+                                  lambda n2: build_annulus(33, n2, 1.0, 2.0)],
+                         ids=["rectangle", "annulus"])
+def test_solve_with_x2_constant_data_is_x2_constant(make):
+    """Faces, Dirichlet data and source constant along x2 give a solution
+    constant along x2, whose column does not depend on n2: the direct solver
+    runs its sweeps on three columns for this reason. Over ten seeds on
+    these grids the spread along x2 measured exactly 0, and the columns at
+    n2 = 17 and 129 lay within 1.5e-13 of the one at n2 = 3 (1.1e-13 for
+    this seed); CG's sums round differently at each n2."""
+    rng = np.random.default_rng(3)
+    n1 = 33
+    cfx, cfy = np.exp(rng.normal(size=(2, n1, 1)))
+    data, source = rng.normal(size=(2, n1, 1))
+    columns = []
+    for n2 in (3, 17, 129):
+        grid = make(n2)
+        stencil = DivergenceStencil(grid, np.repeat(cfx[1:], n2, axis=1),
+                                    np.repeat(cfy, n2 - 1, axis=1))
+        u, _ = stencil.solve(np.broadcast_to(data, grid.shape),
+                             source=np.repeat(source, n2, axis=1), tol=1e-10)
+        assert np.max(np.abs(u - u[:, :1])) <= 1e-15
+        columns.append(u[:, 0])
+    assert max(np.max(np.abs(c - columns[0])) for c in columns[1:]) <= 2e-12
 
 
 @pytest.mark.parametrize("polar", [False, True], ids=["rectangle", "annulus"])
@@ -367,5 +399,23 @@ def test_large_annulus_default_tolerance():
 
 def test_bad_tolerance():
     g = build_rectangle(5, 5, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        solve_pivot(g, 0.0)
+    for tol in (0.0, np.nan, -1.0, np.inf):
+        with pytest.raises(ValueError, match=f"^tol must be a positive finite number, got {tol}$"):
+            solve_pivot(g, tol)
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf, 0.0])
+@pytest.mark.parametrize("solve", [
+    lambda tol: direct_coupled_solve(COUPLED_SPEC, build_rectangle(5, 5, 1.0, 1.0), tol),
+    lambda tol: solve_fixed_point(COUPLED_SPEC, 9, tol),
+    lambda tol: solve_shooting(COUPLED_SPEC, 9, tol),
+    lambda tol: solve_scalar(SCALAR_SPEC, 9, tol),
+], ids=["direct", "fixed_point", "shooting", "scalar"])
+def test_solvers_refuse_a_bad_tolerance(solve, tol):
+    """Every solver entry point refuses a tolerance that is not a positive
+    finite number with one ValueError, before any work: a stopping test
+    against such a target never or always passes."""
+    with pytest.raises(ValueError) as info:
+        solve(tol)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"tol must be a positive finite number, got {tol}"

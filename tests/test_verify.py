@@ -289,6 +289,20 @@ def test_direct_darcy_coupled_agrees_with_functional(grid, limit, darcy_coupled_
     assert compare_fields(functional, direct)["linf"] <= limit
 
 
+@pytest.mark.parametrize("grid", [build_rectangle(17, 9, 2.0, 1.0), build_annulus(17, 9, 1.0, 2.0)],
+                         ids=["rectangle", "annulus"])
+def test_direct_fields_are_column_views(grid):
+    """Every system the direct solver poses is invariant along x2, so it
+    solves on three columns and returns each field on the caller's grid as
+    a read-only view of its column, as stage 3 does."""
+    direct = direct_coupled_solve(DARCY_COUPLED, grid)
+    assert direct.grid is grid
+    assert direct.u_fields.shape == (2,) + grid.shape
+    for field in (*direct.u_fields, direct.p_field):
+        assert field.shape == grid.shape and field.strides[1] == 0
+        assert not field.flags.writeable
+
+
 def test_direct_domain_error_names_the_expression():
     spec = ProblemSpec.from_strings(2, [["1", "0"], ["0", "2+log(u2)"]], u_star=(1.0, 1.0))
     with pytest.raises(EvalDomainError, match=r"^'2\.0\+log\(u2\)' left its real domain"):
