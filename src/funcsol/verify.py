@@ -15,8 +15,8 @@ slopes gamma_i. It integrates the two-point defect of
 the solution's ``two_point_residual``, and evaluates no coefficient itself.
 
 ``direct_coupled_solve`` attacks the same laws head on (frozen
-coefficient Picard iterations around the pivot module's linear machinery)
-and serves as the cross-validation oracle for comparing functional
+coefficient Picard iterations around the pivot module's stencil) and
+serves as the cross-validation oracle for comparing functional
 solutions against plain classical ones. Its face coefficients use a
 Simpson blend (endpoint values plus a midpoint-state evaluation) rather
 than the checker's plain mean: the blend integrates quadratic coefficient
@@ -27,10 +27,11 @@ the spec's compiled coefficients (``ProblemSpec.values``), three calls a sweep.
 Every system it poses is invariant along x2: the Dirichlet data fill whole
 rows with one value each, the gamma2 columns are insulated and the
 coefficients read only the fields. So each sweep's solution is constant
-along x2, and the solver runs on the caller's x1 nodes and first
-MIN_AXIS_NODES x2 nodes (both edge columns, one interior column, the same
-h2); its fields come back as read-only views of their columns broadcast
-over the caller's grid, as stage 3's do.
+along x2, and each law's solve is one exact tridiagonal elimination along
+x1 (``DivergenceStencil.solve``). The solver runs on the caller's x1 nodes
+and first MIN_AXIS_NODES x2 nodes (both edge columns, one interior column,
+the same h2); its fields come back as read-only views of their columns
+broadcast over the caller's grid, as stage 3's do.
 """
 
 from __future__ import annotations
@@ -162,11 +163,12 @@ def direct_coupled_solve(spec: ProblemSpec, grid: Grid, tol: float = 1e-9) -> Fi
     newest value of every field (Gauss-Seidel order). Stops when the largest
     nodewise field update drops below tol; five consecutive growths of the
     update, an update past value_scale / sqrt(eps) (or not finite), or
-    MAX_SWEEPS sweeps abort with an outer-divergence error. Each linear
-    solve runs to 0.005 * tol, or to the stencil's roundoff floor for its
-    source if larger: a diverging sweep's source grows with its fields.
-    The sweeps run on three x2 columns (exact: module docstring); the fields
-    come back on ``grid`` as read-only views of their (n1, 1) columns.
+    MAX_SWEEPS sweeps abort with an outer-divergence error. Each law's
+    solve is exact, one elimination along x1 from no starting guess, and a
+    frozen system that is not positive definite ends as the stencil's
+    PivotConvergenceError. The sweeps run on three x2 columns (exact: module
+    docstring); the fields come back on ``grid`` as read-only views of their
+    (n1, 1) columns.
     """
     check_tol(tol)
     # from here on ``grid`` is the three-column grid the sweeps run on
@@ -176,11 +178,6 @@ def direct_coupled_solve(spec: ProblemSpec, grid: Grid, tol: float = 1e-9) -> Fi
     laws = spec.laws()
     darcy = spec.mode == DARCY
     used = [k for _, _, terms in laws for k, _ in terms]
-
-    def solve_eq(stencil, boundary, source, x0):
-        eff = max(0.005 * tol, stencil.residual_floor(value_scale, source))
-        return stencil.solve(dirichlet_targets(grid, boundary), source=source,
-                             tol=eff, x0=x0)[0]
 
     # initial fields: the constant-coefficient solution u_i = u_i* z, p = p* z
     z0 = pivot_values(grid)
@@ -199,7 +196,7 @@ def direct_coupled_solve(spec: ProblemSpec, grid: Grid, tol: float = 1e-9) -> Fi
                     own = stencil
                 else:
                     source = source - stencil.apply(new[f])
-            new[field] = solve_eq(own, boundary, source, new[field])
+            new[field] = own.solve(dirichlet_targets(grid, boundary), source)[0]
         update = max(float(np.max(np.abs(a - b))) for a, b in zip(new, fields))
         fields = new
         if update <= tol:

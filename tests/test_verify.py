@@ -256,11 +256,11 @@ def test_direct_outer_iteration_aborts_on_five_growths():
 ], ids=["5u2", "3(1+u1)"])
 def test_direct_divergence_is_not_a_linear_solve_error(a, tol):
     """As the outer updates grow, so does the cross-term source of each
-    linear solve; its roundoff once stopped CG short of the inner
-    tolerance, and the solve ended as a PivotConvergenceError. Gauss-Seidel
-    sweeps square the growth (5u2: 1.1, 49, 8.6e5, 5.1e18; 3(1+u1): 1.3,
-    39, 2.5e3, 3.4e8), so the fields leave every scale of their data
-    within four sweeps, before the next sweep's solves can overflow."""
+    linear solve. A diverging sweep is the outer iteration's failure, not a
+    linear solve's: it ends as OuterDivergenceError. Gauss-Seidel sweeps
+    square the growth (5u2: 1.1, 49, 8.6e5, 5.1e18; 3(1+u1): 1.3, 39,
+    2.5e3, 3.4e8), so the fields leave every scale of their data within
+    four sweeps, before the next sweep's solves can overflow."""
     spec = ProblemSpec.from_strings(2, a, u_star=(1.0, 1.0))
     with pytest.raises(OuterDivergenceError, match="at sweep 4 left the fields' scale"):
         direct_coupled_solve(spec, build_rectangle(17, 17, 1.0, 1.0), tol=tol)
