@@ -11,13 +11,15 @@ no iteration (pivot_values).
 
 The stencil generalizes to div(c grad u) = s for the direct coupled
 solver and the residual checker. The residual checker applies it to
-any field on the whole grid. Only the direct solver solves with it, and
-every system that solver poses is constant along x2: faces, Dirichlet
-data and source. Such a system's solution is constant along x2 too, so
-no flux crosses a y-face, and on the equation rows it is a two-point
-problem along x1: a symmetric tridiagonal system of n1 - 2 unknowns,
-which one elimination (the Thomas algorithm) solves exactly. Its pivots
-are all positive exactly when that system is positive definite.
+any field on the whole grid (flux_divergence). Only the direct solver
+solves with it, and every system that solver poses is constant along
+x2: faces, Dirichlet data and source. Such a system's solution is
+constant along x2 too, so no flux crosses a y-face, and on the equation
+rows it is a two-point problem along x1: a symmetric tridiagonal system
+of n1 - 2 unknowns, which one elimination (the Thomas algorithm) solves
+exactly. Its pivots are all positive exactly when that system is
+positive definite. DivergenceStencil is that operator on one x1 column,
+with x-faces alone.
 """
 
 from __future__ import annotations
@@ -43,81 +45,65 @@ class PivotField:
     iterations: int         # always 0: the closed form takes no iteration
 
 
-class _GridFactors:
-    """What a DivergenceStencil needs of its grid alone, built once per grid
-    and shared by its stencils: the metric r, the face radii and the
-    squared spacings."""
+def _radii(grid: Grid):
+    """The metric r at the nodes and at the x-faces: the radii on the
+    annulus, ones on the rectangle."""
+    r = np.asarray(grid.x1, dtype=float) if grid.coord_system == POLAR else np.ones(grid.n1)
+    return r, 0.5 * (r[:-1] + r[1:])
 
-    def __init__(self, grid: Grid):
-        h1, h2 = grid.spacing
-        self.h1sq = h1**2
-        self.rvec = np.asarray(grid.x1, dtype=float) if grid.coord_system == POLAR else np.ones(grid.n1)
-        self.rface = 0.5 * (self.rvec[:-1] + self.rvec[1:])
-        self.h2r = h2**2 * self.rvec
+
+def flux_divergence(grid: Grid, c: np.ndarray, u: np.ndarray):
+    """Flux-form div(c grad u) of a field u on the whole grid, each face
+    coefficient the arithmetic mean of the node values c at its ends: the
+    physical divergence on the equation rows (interior and gamma2 nodes,
+    ghost-reflected), zero on the Dirichlet rows (the first and the last)."""
+    h1, h2 = grid.spacing
+    r, rface = _radii(grid)
+    out = np.zeros(grid.shape)      # r * div(c grad u) until the last line
+    eq, h2r = out[1:-1], h2**2 * r[1:-1]
+    fx = 0.5 * (c[:-1, :] + c[1:, :]) * rface[:, None] * (u[1:, :] - u[:-1, :])
+    eq += (fx[1:, :] - fx[:-1, :]) / h1**2
+    fy = 0.5 * (c[1:-1, :-1] + c[1:-1, 1:]) * (u[1:-1, 1:] - u[1:-1, :-1])
+    eq[:, 1:-1] += (fy[:, 1:] - fy[:, :-1]) / h2r[:, None]
+    eq[:, 0] += 2.0 * fy[:, 0] / h2r
+    eq[:, -1] += -2.0 * fy[:, -1] / h2r
+    return out / r[:, None]
 
 
 class DivergenceStencil:
-    """Flux-form div(c grad u) on one grid, with fixed face coefficients.
-
-    cfx has shape (n1-1, n2) (faces along axis 1), cfy has shape (n1, n2-1).
-    apply() returns the physical divergence on equation rows (interior and
-    gamma2 nodes, ghost-reflected) and zero elsewhere.
+    """Flux-form div(c grad u) along x1 on one column of a grid, with the
+    x-face coefficients ``faces``, shaped (n1-1,): the operator of a system
+    constant along x2, which has no flux across a y-face (module docstring).
     """
 
-    def __init__(self, grid: Grid, cfx: np.ndarray, cfy: np.ndarray):
-        n1, n2 = grid.shape
-        if cfx.shape != (n1 - 1, n2) or cfy.shape != (n1, n2 - 1):
+    def __init__(self, grid: Grid, faces: np.ndarray):
+        if faces.shape != (grid.n1 - 1,):
             raise ValueError("face coefficient arrays do not match the grid")
-        self.grid = grid
-        self.factors = grid.__dict__.get("_stencil_factors") or _GridFactors(grid)
-        object.__setattr__(grid, "_stencil_factors", self.factors)  # cached on the grid
-        self.cfx = cfx * self.factors.rface[:, None]
-        self.cfy = cfy
-
-    def _metric_div(self, u):
-        """r * div(c grad u) on the equation rows, zero on the Dirichlet rows
-        (the first and the last)."""
-        f = self.factors
-        out = np.zeros(self.grid.shape)
-        eq, h2r = out[1:-1], f.h2r[1:-1]
-        fx = self.cfx * (u[1:, :] - u[:-1, :])
-        eq += (fx[1:, :] - fx[:-1, :]) / f.h1sq
-        fy = self.cfy[1:-1] * (u[1:-1, 1:] - u[1:-1, :-1])
-        eq[:, 1:-1] += (fy[:, 1:] - fy[:, :-1]) / h2r[:, None]
-        eq[:, 0] += 2.0 * fy[:, 0] / h2r
-        eq[:, -1] += -2.0 * fy[:, -1] / h2r
-        return out
+        self.r, rface = _radii(grid)
+        self.h1sq = grid.spacing[0] ** 2
+        self.c = faces * rface          # the r_face-weighted faces
 
     def apply(self, u):
-        return self._metric_div(u) / self.factors.rvec[:, None]
+        """div(c grad u) of the column u on its equation entries, 0 on its
+        two Dirichlet entries (the first and the last)."""
+        out = np.zeros(self.r.shape)
+        fx = self.c * (u[1:] - u[:-1])
+        out[1:-1] = (fx[1:] - fx[:-1]) / self.h1sq
+        return out / self.r
 
-    def solve(self, dirichlet_values, source=0.0):
-        """Solve div(c grad u) = source with the given Dirichlet data, for
-        faces, data and source constant along x2.
+    def solve(self, dirichlet_column, source=0.0):
+        """Solve div(c grad u) = source for the column u that takes the
+        first and last entries of ``dirichlet_column``.
 
-        Returns (values, 0): the solution, a read-only view of its (n1, 1)
-        column broadcast along x2, and no iterations. Such a solution has no
-        flux across the y-faces, so with c the r_face-weighted x-faces of
-        one column, equation row i reads
+        Returns (u, 0): the solution and no iterations. Equation row i reads
         -c[i-1] u[i-1] + (c[i-1] + c[i]) u[i] - c[i] u[i+1] = -h1^2 r[i] s[i],
         and one forward elimination and one back substitution solve the
-        rows 1 .. n1-2. Raises ValueError for faces, Dirichlet rows or an
-        equation-row source that vary along x2 (bit patterns compared), and
-        PivotConvergenceError naming the row of the first pivot that is not
-        positive and finite.
+        rows 1 .. n1-2. Raises PivotConvergenceError naming the row of the
+        first pivot that is not positive and finite.
         """
-        f, shape = self.factors, self.grid.shape
-        data = np.broadcast_to(np.asarray(dirichlet_values, dtype=float), shape)[[0, -1]]
-        source = np.broadcast_to(np.asarray(source, dtype=float), shape)[1:-1]
-        for name, a in (("faces", self.cfx), ("faces", self.cfy),
-                        ("Dirichlet data", data), ("source", source)):
-            bits = a.view(np.int64)     # bit patterns, so that NaN equals itself
-            if not (bits == bits[:, :1]).all():
-                raise ValueError(f"the {name} vary along x2: the stencil solves "
-                                 f"x2-constant systems only")
-        c = self.cfx[:, 0].tolist()
-        rhs = (-f.h1sq * f.rvec[1:-1] * source[:, 0]).tolist()
-        low, high = data[:, 0].tolist()
+        c = self.c.tolist()
+        rhs = (-self.h1sq * self.r[1:-1] * np.broadcast_to(source, self.r.shape)[1:-1]).tolist()
+        low, high = float(dirichlet_column[0]), float(dirichlet_column[-1])
         rhs[0] += c[0] * low        # the last row's c[-1] * high enters at the back substitution
         pivots, y = [], []
         piv, yi = math.inf, 0.0     # the first row has no row above to eliminate
@@ -135,14 +121,7 @@ class DivergenceStencil:
         for i in reversed(range(len(y))):
             u.append((y[i] + c[i + 1] * u[-1]) / pivots[i])
         u.append(low)
-        return np.broadcast_to(np.array(u[::-1])[:, None], shape), 0
-
-
-def arithmetic_mean_faces(c_nodes: np.ndarray):
-    """Face coefficients as plain arithmetic means of the node values."""
-    cfx = 0.5 * (c_nodes[:-1, :] + c_nodes[1:, :])
-    cfy = 0.5 * (c_nodes[:, :-1] + c_nodes[:, 1:])
-    return cfx, cfy
+        return np.array(u[::-1]), 0
 
 
 def dirichlet_targets(grid: Grid, boundary: float):
@@ -160,8 +139,7 @@ def pivot_values(grid: Grid) -> np.ndarray:
     for psi[i] = sum over k < i of h1 / r_face[k] (x1 - x1[0] on rectangles).
     A read-only view of its (n1, 1) column broadcast along x2."""
     if grid.coord_system == POLAR:
-        rface = 0.5 * (grid.x1[:-1] + grid.x1[1:])      # the stencil's face radii
-        psi = np.concatenate(([0.0], np.cumsum(grid.spacing[0] / rface)))
+        psi = np.concatenate(([0.0], np.cumsum(grid.spacing[0] / _radii(grid)[1])))
     else:
         psi = grid.x1 - grid.x1[0]
     return np.broadcast_to((psi / psi[-1])[:, None], grid.shape)

@@ -23,15 +23,15 @@ than the checker's plain mean: the blend integrates quadratic coefficient
 profiles across a face exactly, which is what makes the linear-profile
 Kirchhoff benchmarks agree with the functional pipeline to solver
 precision instead of to discretization error. Like the checks, it reads
-the spec's compiled coefficients (``ProblemSpec.values``), three calls a sweep.
+the spec's compiled coefficients (``ProblemSpec.values``), two calls a sweep.
 Every system it poses is invariant along x2: the Dirichlet data fill whole
 rows with one value each, the gamma2 columns are insulated and the
 coefficients read only the fields. So each sweep's solution is constant
-along x2, and each law's solve is one exact tridiagonal elimination along
-x1 (``DivergenceStencil.solve``). The solver runs on the caller's x1 nodes
-and first MIN_AXIS_NODES x2 nodes (both edge columns, one interior column,
-the same h2); its fields come back as read-only views of their columns
-broadcast over the caller's grid, as stage 3's do.
+along x2, no flux crosses a y-face, and each law's solve is one exact
+tridiagonal elimination along x1 (``DivergenceStencil.solve``). The
+solver sweeps one column of the caller's x1 nodes, with x-faces alone;
+its fields come back as read-only views of their columns broadcast over
+the caller's grid, as stage 3's do.
 """
 
 from __future__ import annotations
@@ -41,9 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OuterDivergenceError, ShapeMismatchError
-from .geometry import MIN_AXIS_NODES, Grid
+from .geometry import Grid
 from .numerics import check_tol, range_scale
-from .pivot import DivergenceStencil, arithmetic_mean_faces, dirichlet_targets, pivot_values
+from .pivot import DivergenceStencil, dirichlet_targets, flux_divergence, pivot_values
 from .reconstruct import FieldSet
 from .twopoint import DARCY, MOLECULAR, ProblemSpec, ProfileSolution, collocation_defect
 
@@ -89,7 +89,7 @@ def divergence_residual(fields: FieldSet, spec: ProblemSpec, grid: Grid) -> Resi
     for field, boundary, terms in spec.laws():
         total = np.zeros(grid.shape)
         for k, f in terms:
-            total += DivergenceStencil(grid, *arithmetic_mean_faces(values[k])).apply(state[f])
+            total += flux_divergence(grid, values[k], state[f])
         vals = total[1:-1]
         linf.append(float(np.max(np.abs(vals))))
         scale = range_scale(linf[-1])       # so that vals**2 neither overflows nor underflows
@@ -136,8 +136,8 @@ def compare_fields(a: FieldSet, b: FieldSet) -> dict:
 
 
 def _simpson_faces(spec: ProblemSpec, state, used):
-    """Simpson-blend face coefficients {k: (x faces, y faces)} of the entries
-    ``used`` of ``spec.values``, at the node fields ``state`` (u_1..u_n, p).
+    """Simpson-blend x-face coefficients {k: faces} of the entries ``used``
+    of ``spec.values``, at the node columns ``state`` (u_1..u_n, p).
 
     A face value combines the two endpoint values with four times the value
     at the averaged state, making the quadrature exact for coefficients
@@ -147,10 +147,8 @@ def _simpson_faces(spec: ProblemSpec, state, used):
         return spec.values(s[:-1], s[-1])
 
     c = at(state)
-    mid_x = at([0.5 * (v[:-1, :] + v[1:, :]) for v in state])
-    mid_y = at([0.5 * (v[:, :-1] + v[:, 1:]) for v in state])
-    return {k: ((c[k][:-1, :] + 4.0 * mid_x[k] + c[k][1:, :]) / 6.0,
-                (c[k][:, :-1] + 4.0 * mid_y[k] + c[k][:, 1:]) / 6.0) for k in used}
+    mid = at([0.5 * (v[:-1] + v[1:]) for v in state])
+    return {k: (c[k][:-1] + 4.0 * mid[k] + c[k][1:]) / 6.0 for k in used}
 
 
 def direct_coupled_solve(spec: ProblemSpec, grid: Grid, tol: float = 1e-9) -> FieldSet:
@@ -166,13 +164,11 @@ def direct_coupled_solve(spec: ProblemSpec, grid: Grid, tol: float = 1e-9) -> Fi
     MAX_SWEEPS sweeps abort with an outer-divergence error. Each law's
     solve is exact, one elimination along x1 from no starting guess, and a
     frozen system that is not positive definite ends as the stencil's
-    PivotConvergenceError. The sweeps run on three x2 columns (exact: module
+    PivotConvergenceError. The sweeps run on (n1,) columns (exact: module
     docstring); the fields come back on ``grid`` as read-only views of their
-    (n1, 1) columns.
+    columns.
     """
     check_tol(tol)
-    # from here on ``grid`` is the three-column grid the sweeps run on
-    caller_grid, grid = grid, Grid(grid.coord_system, grid.x1, grid.x2[:MIN_AXIS_NODES])
     value_scale = float(max(np.max(np.abs(spec.u_star)), spec.p_star, 1.0))
     blow_up = value_scale / np.sqrt(np.finfo(float).eps)
     laws = spec.laws()
@@ -180,23 +176,23 @@ def direct_coupled_solve(spec: ProblemSpec, grid: Grid, tol: float = 1e-9) -> Fi
     used = [k for _, _, terms in laws for k, _ in terms]
 
     # initial fields: the constant-coefficient solution u_i = u_i* z, p = p* z
-    z0 = pivot_values(grid)
+    z0 = pivot_values(grid)[:, 0]
     fields = [boundary * z0 for _, boundary, _ in laws]
 
     grow_streak = 0
     prev_update = np.inf
     for outer in range(1, MAX_SWEEPS + 1):
-        faces = _simpson_faces(spec, fields if darcy else [*fields, np.zeros(grid.shape)], used)
+        faces = _simpson_faces(spec, fields if darcy else [*fields, np.zeros(grid.n1)], used)
         new = list(fields)
         for field, boundary, terms in laws[spec.n:] + laws[:spec.n]:    # the pressure law first
             source = 0.0
             for k, f in terms:
-                stencil = DivergenceStencil(grid, *faces.pop(k))    # read once
+                stencil = DivergenceStencil(grid, faces.pop(k))     # read once
                 if f == field:
                     own = stencil
                 else:
                     source = source - stencil.apply(new[f])
-            new[field] = own.solve(dirichlet_targets(grid, boundary), source)[0]
+            new[field] = own.solve(dirichlet_targets(grid, boundary)[:, 0], source)[0]
         update = max(float(np.max(np.abs(a - b))) for a, b in zip(new, fields))
         fields = new
         if update <= tol:
@@ -214,6 +210,6 @@ def direct_coupled_solve(spec: ProblemSpec, grid: Grid, tol: float = 1e-9) -> Fi
         raise OuterDivergenceError(
             f"outer Picard iteration did not reach {tol:.3e} in {MAX_SWEEPS} sweeps "
             f"(last update {update:.3e})")
-    u = np.broadcast_to(np.stack(fields[:spec.n])[:, :, :1], (spec.n,) + caller_grid.shape)
-    p = np.broadcast_to(fields[-1][:, :1], caller_grid.shape) if darcy else None
-    return FieldSet(grid=caller_grid, u_fields=u, p_field=p)
+    u = np.broadcast_to(np.stack(fields[:spec.n])[:, :, None], (spec.n,) + grid.shape)
+    p = np.broadcast_to(fields[-1][:, None], grid.shape) if darcy else None
+    return FieldSet(grid=grid, u_fields=u, p_field=p)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from funcsol import pivot, verify
+from funcsol import verify
 from funcsol.errors import PivotConvergenceError
 from funcsol.geometry import build_annulus, build_rectangle
 from funcsol.pivot import (DivergenceStencil, dirichlet_targets, pivot_residual_values,
@@ -12,22 +12,23 @@ from funcsol.verify import direct_coupled_solve
 
 COUPLED_SPEC = ProblemSpec.from_strings(2, [["2+0.5*sin(u1)", "0.3+0.1*u2"],
                                              ["0.3+0.1*u2", "1.5+0.2*u1"]], u_star=(0.5, 0.3))
+DARCY_SPEC = ProblemSpec.from_strings(
+    2, [["2+0.5*sin(u1)", "0.3+0.1*u2"], ["0.3+0.1*u2", "1.5+0.2*u1"]],
+    b=["0.2*p", "0.1"], b_next="1+0.5*p", u_star=(0.5, 0.3), p_star=1.0, mode="darcy")
 SCALAR_SPEC = ProblemSpec.from_strings(1, [["1+u1"]], b=["1"], u_star=(1.0,), mode="scalar")
 
 
-def unit_stencil(grid, face_value=1.0):
-    n1, n2 = grid.shape
-    return DivergenceStencil(grid, np.full((n1 - 1, n2), face_value),
-                             np.full((n1, n2 - 1), face_value))
+def unit_stencil(grid):
+    return DivergenceStencil(grid, np.ones(grid.n1 - 1))
 
 
-
-@pytest.mark.parametrize("cfx_shape, cfy_shape", [((9, 9), (9, 8)), ((8, 9), (9, 9))],
-                         ids=["x-faces", "y-faces"])
-def test_refusals(cfx_shape, cfy_shape):
+@pytest.mark.parametrize("shape", [(8, 9), (9, 8), (9,)], ids=["x-faces", "y-faces", "length"])
+def test_refusals(shape):
+    """The stencil takes the (n1-1,) x-faces of one column: neither a 2-D
+    x- or y-face array nor a column of the wrong length."""
     g = build_rectangle(9, 9, 1.0, 1.0)
     with pytest.raises(ValueError) as info:
-        DivergenceStencil(g, np.ones(cfx_shape), np.ones(cfy_shape))
+        DivergenceStencil(g, np.ones(shape))
     assert type(info.value) is ValueError
     assert str(info.value) == "face coefficient arrays do not match the grid"
 
@@ -85,6 +86,7 @@ def test_solver_meets_requested_residual():
     f = solve_pivot(g, 1e-10)
     assert pivot_residual_values(g, f.values) <= 1e-10
     assert f.achieved_residual <= 1e-10
+    assert f.iterations == 0
 
 
 def test_grid_convergence_ratio():
@@ -103,14 +105,15 @@ def test_grid_convergence_ratio():
                               "annulus65"])
 def test_pivot_values_solve_the_stencil(g):
     """The closed form is the unit-face stencil's solution: the elimination
-    lands on it, and every row holds one bit pattern: it is a read-only
-    view of its column, as are the Dirichlet data."""
+    lands on its column, and every row holds one bit pattern: it is a
+    read-only view of its column, as are the Dirichlet data."""
     z = pivot_values(g)
     for column in (z, solve_pivot(g, 1e-10).values, dirichlet_targets(g, 1.0)):
         assert column.shape == g.shape and column.strides[1] == 0
         assert not column.flags.writeable
-    solved, _ = unit_stencil(g).solve(dirichlet_targets(g, 1.0))
-    assert np.max(np.abs(z - solved)) <= 1e-14
+    solved, iterations = unit_stencil(g).solve(dirichlet_targets(g, 1.0)[:, 0])
+    assert solved.shape == (g.n1,) and iterations == 0
+    assert np.max(np.abs(z[:, 0] - solved)) <= 1e-14
     bits = z.view(np.int64)
     assert np.all(bits == bits[:, :1])
     assert np.all(z[0] == 0.0) and np.all(z[-1] == 1.0)
@@ -136,33 +139,6 @@ def test_pivot_tol_below_roundoff_raises():
     assert info.value.exit_code == 2
 
 
-def test_factors_built_once_per_grid(monkeypatch):
-    """The grid-only factors are built once per grid and shared by every
-    stencil on it. The pivot builds none. The direct solve builds them once,
-    for the caller's x1 nodes and the first three of its x2 nodes."""
-    builds = []
-
-    class Counting(pivot._GridFactors):
-        def __init__(self, grid):
-            builds.append(grid)
-            super().__init__(grid)
-
-    monkeypatch.setattr(pivot, "_GridFactors", Counting)
-    grid = build_annulus(33, 33, 1.0, 2.0)
-    assert solve_pivot(grid, 1e-10).iterations == 0
-    assert builds == []         # no stencil
-    direct_coupled_solve(COUPLED_SPEC, grid)
-    assert len(builds) == 1
-    narrow = builds[0]
-    assert narrow.coord_system == grid.coord_system and narrow.x1 is grid.x1
-    assert narrow.x2.tolist() == grid.x2[:3].tolist()
-    assert "_stencil_factors" not in grid.__dict__
-    other = build_annulus(33, 33, 1.0, 2.0)
-    unit_stencil(other).solve(dirichlet_targets(other, 1.0))
-    unit_stencil(other, 2.5).solve(dirichlet_targets(other, 1.0))
-    assert len(builds) == 2
-
-
 def test_direct_solve_work(monkeypatch):
     """The direct solve of the 33^2 coupled system takes 12 stencil solves
     (six Gauss-Seidel sweeps), each one elimination of no iterations."""
@@ -180,28 +156,25 @@ def test_direct_solve_work(monkeypatch):
     assert iterations == [0] * 12
 
 
-def x2_constant_system(grid, seed):
-    """Positive faces, Dirichlet data and a source, each constant along x2."""
+def column_system(grid, seed):
+    """Positive x-faces, Dirichlet data and a source on one column."""
     rng = np.random.default_rng(seed)
-    n1, n2 = grid.shape
-    cfx, cfy = np.exp(rng.normal(size=(2, n1, 1)))
-    data, source = rng.normal(size=(2, n1, 1))
-    stencil = DivergenceStencil(grid, np.repeat(cfx[1:], n2, axis=1),
-                                np.repeat(cfy, n2 - 1, axis=1))
-    return stencil, np.broadcast_to(data, grid.shape), np.repeat(source, n2, axis=1)
+    faces = np.exp(rng.normal(size=grid.n1 - 1))
+    data, source = rng.normal(size=(2, grid.n1))
+    return DivergenceStencil(grid, faces), data, source
 
 
 @pytest.mark.parametrize("polar", [False, True], ids=["rectangle", "annulus"])
 @pytest.mark.parametrize("n1", [3, 4, 19, 129])
 def test_solve_meets_the_stencil(n1, polar):
     """The elimination solves the stencil to roundoff, from one equation row
-    (n1 = 3) up, and keeps the Dirichlet rows' data exactly."""
+    (n1 = 3) up, and keeps the Dirichlet entries' data exactly."""
     g = build_annulus(n1, 5, 1.0, 2.0) if polar else build_rectangle(n1, 5, 2.0, 1.0)
-    stencil, data, source = x2_constant_system(g, n1)
+    stencil, data, source = column_system(g, n1)
     u, iterations = stencil.solve(data, source=source)
     assert iterations == 0
     assert np.array_equal(u[[0, -1]], data[[0, -1]])
-    row_size = np.max(stencil.cfx) / g.spacing[0] ** 2 * np.max(np.abs(u)) + np.max(np.abs(source))
+    row_size = np.max(stencil.c) / g.spacing[0] ** 2 * np.max(np.abs(u)) + np.max(np.abs(source))
     assert np.max(np.abs(stencil.apply(u) - source)[1:-1]) <= 1e-14 * row_size
 
 
@@ -209,36 +182,20 @@ def test_solve_meets_the_stencil(n1, polar):
                                   lambda n2: build_annulus(33, n2, 1.0, 2.0)],
                          ids=["rectangle", "annulus"])
 def test_solve_with_x2_constant_data_is_x2_constant(make):
-    """Faces, Dirichlet data and source constant along x2 give a solution
-    constant along x2, whose column does not depend on n2: the direct solver
-    runs its sweeps on three columns for this reason. The elimination reads
-    one column, so the solutions at n2 = 3, 17 and 129 are bitwise equal."""
-    columns = []
-    for n2 in (3, 17, 129):
-        grid = make(n2)
-        stencil, data, source = x2_constant_system(grid, 3)
-        u, _ = stencil.solve(data, source=source)
-        bits = u.view(np.int64)
-        assert u.shape == grid.shape and np.all(bits == bits[:, :1])
-        columns.append(u[:, 0].tobytes())
-    assert columns[1] == columns[0] and columns[2] == columns[0]
-
-
-@pytest.mark.parametrize("vary", ["x-faces", "y-faces", "data", "source"])
-def test_solve_refuses_x2_varying_input(vary):
-    """The elimination solves x2-constant systems alone: faces, Dirichlet
-    rows or an equation-row source that vary along x2 end as ValueError."""
-    grid = build_annulus(17, 5, 1.0, 2.0)
-    stencil, data, source = x2_constant_system(grid, 5)
-    data, source = data.copy(), source.copy()
-    target = {"x-faces": stencil.cfx, "y-faces": stencil.cfy, "data": data[-1:],
-              "source": source[1:-1]}[vary]     # views: the change lands in the input
-    target[-1, -1] *= 1.0 + 1e-15
-    name = {"x-faces": "faces", "y-faces": "faces", "data": "Dirichlet data"}.get(vary, vary)
-    with pytest.raises(ValueError) as info:
-        stencil.solve(data, source=source)
-    assert type(info.value) is ValueError
-    assert str(info.value) == f"the {name} vary along x2: the stencil solves x2-constant systems only"
+    """Every system the direct solver poses is constant along x2, so it
+    sweeps one x1 column: on grids that differ only in n2 (3, 17 and 129)
+    the molecular and the darcy n = 2 systems give bitwise-equal columns,
+    and the grid gains no attribute."""
+    for spec in (COUPLED_SPEC, DARCY_SPEC):
+        columns = []
+        for n2 in (3, 17, 129):
+            grid = make(n2)
+            keys = set(grid.__dict__)
+            fields = direct_coupled_solve(spec, grid)
+            assert set(grid.__dict__) == keys
+            p = [] if fields.p_field is None else [fields.p_field[:, 0]]
+            columns.append(b"".join(f.tobytes() for f in [*fields.u_fields[:, :, 0], *p]))
+        assert columns[1] == columns[0] and columns[2] == columns[0]
 
 
 @pytest.mark.parametrize("faces, row", [
@@ -250,23 +207,20 @@ def test_solve_refuses_a_pivot_that_is_not_positive(faces, row):
     """A system that is not positive definite has a first pivot that is not
     positive and finite (NaN included): the solve names its row."""
     grid = build_rectangle(17, 3, 1.0, 1.0)
-    stencil = DivergenceStencil(grid, np.repeat(faces[:, None], 3, axis=1), np.ones((17, 2)))
     with pytest.raises(PivotConvergenceError, match=f"pivot at row {row} is ") as info:
-        stencil.solve(dirichlet_targets(grid, 1.0))
+        DivergenceStencil(grid, faces).solve(dirichlet_targets(grid, 1.0)[:, 0])
     assert info.value.exit_code == 2
 
 
 def test_direct_solve_nan_face_ends_typed(monkeypatch):
-    """A NaN face inside the direct solve reaches the elimination's pivot
+    """A NaN x-face inside the direct solve reaches the elimination's pivot
     guard and ends as PivotConvergenceError, not as NaN fields."""
     simpson_faces = verify._simpson_faces
 
     def poisoned(*args):
         faces = simpson_faces(*args)
-        cfx, cfy = faces[0]
-        cfx = cfx.copy()
-        cfx[7] = np.nan
-        faces[0] = (cfx, cfy)
+        faces[0] = faces[0].copy()
+        faces[0][7] = np.nan
         return faces
 
     monkeypatch.setattr(verify, "_simpson_faces", poisoned)

@@ -293,7 +293,7 @@ def test_direct_darcy_coupled_agrees_with_functional(grid, limit, darcy_coupled_
                          ids=["rectangle", "annulus"])
 def test_direct_fields_are_column_views(grid):
     """Every system the direct solver poses is invariant along x2, so it
-    solves on three columns and returns each field on the caller's grid as
+    sweeps one x1 column and returns each field on the caller's grid as
     a read-only view of its column, as stage 3 does."""
     direct = direct_coupled_solve(DARCY_COUPLED, grid)
     assert direct.grid is grid
