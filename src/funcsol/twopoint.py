@@ -75,6 +75,7 @@ MODES = (MOLECULAR, DARCY, SCALAR)
 _ONE = parse_expression("1", ())  # an absent b_next
 
 SINGULAR_COND_LIMIT = 1e12
+_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 RESONANCE_COND_LIMIT = 1e8
 MIN_DAMPING = 1.0 / 16.0
 KSECTION_WIDTH = 31         # interior candidates per batched k-section pass
@@ -270,20 +271,32 @@ def _singular_at(p, kappa):
 
 def _inverse_along(A, p=None):
     """The inverses of a stack of matrices A, refusing any whose Frobenius
-    condition number kappa_F = |A|_F |A^-1|_F, taken of A / max|A| so that
-    only kappa_F can overflow, exceeds SINGULAR_COND_LIMIT. This is the
-    singularity rule for n >= 2. It needs no SVD, and kappa_2 <= kappa_F <=
-    n kappa_2. A singular or non-finite A counts as inf. The error names
-    the worst matrix's pivot value, from ``p`` (one per matrix, or one for
-    the stack), or the averaged inverse matrix when ``p`` is None."""
-    try:
-        inv = np.linalg.inv(A)
-        s = np.max(np.abs(A), axis=(-2, -1), keepdims=True)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            B, C = A / s, inv * s
-            kappa = np.sqrt(np.einsum("...ij,...ij", B, B) * np.einsum("...ij,...ij", C, C))
-    except np.linalg.LinAlgError:
-        inv, kappa = None, np.where(np.abs(np.linalg.det(A)) > 0.0, 0.0, np.inf)
+    condition number kappa_F = |A|_F |A^-1|_F exceeds SINGULAR_COND_LIMIT:
+    the singularity rule for n >= 2. kappa_F is taken of B = A / max|A|, so
+    that only kappa_F can overflow; it needs no SVD, and kappa_2 <= kappa_F
+    <= n kappa_2. For n = 2 it is |B|_F^2 / |det B|, since |adj B|_F =
+    |B|_F, and A^-1 = (adj B / det B) / max|A|; n >= 3 goes through LAPACK.
+    A singular or non-finite A counts as inf. The error names the worst
+    matrix's pivot value, from ``p`` (one per matrix, or one for the
+    stack), or the averaged inverse matrix when ``p`` is None."""
+    if A.shape[-1] == 2:
+        with np.errstate(all="ignore"):
+            s = np.abs(A)
+            s = np.maximum(s[..., :1], s[..., 1:])          # each row's max
+            s = np.maximum(s[..., :1, :], s[..., 1:, :])    # max|A|, (..., 1, 1)
+            B = A / s
+            det = B[..., :1, :1] * B[..., 1:, 1:] - B[..., :1, 1:] * B[..., 1:, :1]
+            inv = np.swapaxes(B[..., ::-1, ::-1], -1, -2) * _ADJUGATE_SIGNS / det / s
+            kappa = np.einsum("...ij,...ij", B, B) / np.abs(det[..., 0, 0])
+    else:
+        try:
+            inv = np.linalg.inv(A)
+            s = np.max(np.abs(A), axis=(-2, -1), keepdims=True)
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                B, C = A / s, inv * s
+                kappa = np.sqrt(np.einsum("...ij,...ij", B, B) * np.einsum("...ij,...ij", C, C))
+        except np.linalg.LinAlgError:
+            inv, kappa = None, np.where(np.abs(np.linalg.det(A)) > 0.0, 0.0, np.inf)
     if kappa.max() <= SINGULAR_COND_LIMIT:         # False when any kappa is NaN
         return inv
     kappa = np.atleast_1d(np.where(np.isnan(kappa), np.inf, kappa))

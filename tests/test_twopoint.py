@@ -9,8 +9,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import funcsol
+from funcsol import twopoint
 from funcsol.errors import (
     BracketFailureError,
     DegenerateLinearizationError,
@@ -24,6 +26,7 @@ from funcsol.errors import (
 )
 from funcsol.exprlang import parse_expression, render
 from funcsol.twopoint import (
+    SINGULAR_COND_LIMIT,
     ProblemSpec,
     apply_fixed_point_operator,
     collocation_residual,
@@ -244,6 +247,73 @@ def test_condition_guard_on_2x2(a, cond2, singular):
     else:
         T = apply_fixed_point_operator(mesh, prof, spec)
         assert np.all(np.isfinite(T))
+
+
+def _reference_inverse(A):
+    """LAPACK's inverses and kappa_F = sqrt(|A/s|_F^2 |s A^-1|_F^2), s = max|A|,
+    one matrix at a time: the rule of the n >= 3 path."""
+    inv = np.array([np.linalg.inv(a) for a in A.reshape(-1, 2, 2)]).reshape(A.shape)
+    s = np.max(np.abs(A), axis=(-2, -1), keepdims=True)
+    kappa = np.sqrt(np.sum((A / s) ** 2, axis=(-2, -1)) * np.sum((inv * s) ** 2, axis=(-2, -1)))
+    return inv, kappa
+
+
+def _conditioned_2x2(rng, kappa2, scale):
+    """Random 2x2 matrices U diag(1, 1/kappa2) V^T * scale, U and V orthogonal."""
+    def orthogonal(k):
+        t = rng.uniform(0.0, 2.0 * np.pi, k)
+        c, s = np.cos(t), np.sin(t)
+        flip = rng.choice([-1.0, 1.0], k)
+        return np.stack([np.stack([c, -s * flip], -1), np.stack([s, c * flip], -1)], -2)
+    sigma = np.zeros((kappa2.size, 2, 2))
+    sigma[:, 0, 0], sigma[:, 1, 1] = 1.0, 1.0 / kappa2
+    return orthogonal(kappa2.size) @ sigma @ np.swapaxes(orthogonal(kappa2.size), -1, -2) * scale
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-200, 1.0, 1e200]),
+       stacked=st.booleans())
+def test_inverse_along_2x2_matches_lapack(seed, scale, stacked):
+    """The n = 2 closed form against np.linalg.inv, for kappa_2 from 1 to 1e13
+    at three scales: inverses agree within 8 kappa_F eps of max|A^-1|, and
+    refusals fall on the same matrix. A single (2, 2) matrix is the shape
+    ``_averaged_inverse`` passes for C(1)."""
+    rng = np.random.default_rng(seed)
+    k = 32 if stacked else 1
+    A = _conditioned_2x2(rng, 10.0 ** rng.uniform(0.0, 13.0, k), scale)
+    if not stacked:
+        A = A[0]
+    ref, kappa = _reference_inverse(A)
+    kappa = np.atleast_1d(kappa)
+    clear = np.abs(np.log(kappa / SINGULAR_COND_LIMIT)) > 0.01    # not at the limit
+    p = np.arange(k) if stacked else None
+    for i in np.flatnonzero(clear):
+        one, one_ref, one_p = (A[i:i + 1], ref[i:i + 1], p[i:i + 1]) if stacked else (A, ref, p)
+        if kappa[i] > SINGULAR_COND_LIMIT:
+            with pytest.raises(SingularMatrixError, match="condition estimate"):
+                twopoint._inverse_along(one, one_p)
+        else:
+            inv = twopoint._inverse_along(one, one_p)
+            tol = 8.0 * kappa[i] * np.finfo(float).eps * np.max(np.abs(one_ref))
+            assert np.max(np.abs(inv - one_ref)) <= tol
+    top = np.sort(kappa)[::-1]
+    if stacked and top[0] > SINGULAR_COND_LIMIT and clear.all() and top[0] > 1.01 * top[1]:
+        with pytest.raises(SingularMatrixError, match=f"at p = {int(np.argmax(kappa))} "):
+            twopoint._inverse_along(A, p)
+
+
+@pytest.mark.parametrize("bad", [np.zeros((2, 2)), [[1.0, np.nan], [0.0, 1.0]],
+                                 [[1.0, 0.0], [np.inf, 1.0]], [[1.0, 0.0], [0.0, -np.inf]],
+                                 [[1.0, 1.0], [1.0, 1.0]]],
+                         ids=["zero", "nan", "inf", "minus_inf", "exactly_singular"])
+def test_inverse_along_2x2_refuses_with_estimate_inf(bad):
+    """A zero, NaN, +-inf or exactly singular 2x2 reads kappa_F = inf, named
+    at its own pivot value in a stack and as the averaged inverse alone."""
+    stack = np.stack([np.eye(2), bad, np.eye(2)])
+    with pytest.raises(SingularMatrixError, match=r"at p = 1 \(condition estimate inf\)"):
+        twopoint._inverse_along(stack, np.arange(3.0))
+    with pytest.raises(SingularMatrixError, match=r"averaged inverse .*\(condition estimate inf\)"):
+        twopoint._inverse_along(np.asarray(bad, dtype=float))
 
 
 def test_averaged_inverse_singular():
