@@ -75,7 +75,6 @@ MODES = (MOLECULAR, DARCY, SCALAR)
 _ONE = parse_expression("1", ())  # an absent b_next
 
 SINGULAR_COND_LIMIT = 1e12
-_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 RESONANCE_COND_LIMIT = 1e8
 MIN_DAMPING = 1.0 / 16.0
 KSECTION_WIDTH = 31         # interior candidates per batched k-section pass
@@ -274,23 +273,29 @@ def _inverse_along(A, p=None):
     condition number kappa_F = |A|_F |A^-1|_F exceeds SINGULAR_COND_LIMIT:
     the singularity rule for n >= 2. kappa_F is taken of B = A / max|A|, so
     that only kappa_F can overflow; it needs no SVD, and kappa_2 <= kappa_F
-    <= n kappa_2. For n = 2 it is |B|_F^2 / |det B|, since |adj B|_F =
+    <= n kappa_2. n = 1 takes the reciprocal; n = 2 the adjugate, from the
+    entry columns a, b, c, d: kappa_F = |B|_F^2 / |det B|, since |adj B|_F =
     |B|_F, and A^-1 = (adj B / det B) / max|A|; n >= 3 goes through LAPACK.
     A singular or non-finite A counts as inf. The error names the worst
     matrix's pivot value, from ``p`` (one per matrix, or one for the
     stack), or the averaged inverse matrix when ``p`` is None."""
     if A.shape[-1] == 2:
+        inv = np.empty(A.shape)
+        E, adj = A.reshape(-1, 4).T, inv.reshape(-1, 4).T      # the entry columns
         with np.errstate(all="ignore"):
-            s = np.abs(A)
-            s = np.maximum(s[..., :1], s[..., 1:])          # each row's max
-            s = np.maximum(s[..., :1, :], s[..., 1:, :])    # max|A|, (..., 1, 1)
-            B = A / s
-            det = B[..., :1, :1] * B[..., 1:, 1:] - B[..., :1, 1:] * B[..., 1:, :1]
-            inv = np.swapaxes(B[..., ::-1, ::-1], -1, -2) * _ADJUGATE_SIGNS / det / s
-            kappa = np.einsum("...ij,...ij", B, B) / np.abs(det[..., 0, 0])
+            s = np.abs(E)
+            s = np.maximum(np.maximum(s[0], s[1]), np.maximum(s[2], s[3]))     # max|A|
+            a, b, c, d = B = E / s
+            det = a * d - b * c
+            adj[:] = d, -b, -c, a
+            adj /= det
+            adj /= s
+            B = B * B
+            kappa = ((B[0] + B[2]) + (B[1] + B[3])) / np.abs(det)   # |B|_F^2 by columns
     else:
         try:
-            inv = np.linalg.inv(A)
+            with np.errstate(divide="ignore", over="ignore"):
+                inv = 1.0 / A if A.shape[-1] == 1 else np.linalg.inv(A)
             s = np.max(np.abs(A), axis=(-2, -1), keepdims=True)
             with np.errstate(over="ignore", under="ignore", invalid="ignore"):
                 B, C = A / s, inv * s
@@ -327,7 +332,7 @@ def gamma_functional(mesh, profiles, spec: ProblemSpec):
 def apply_fixed_point_operator(mesh, profiles, spec: ProblemSpec):
     """T[U](z) = (int_0^z A^-1)(int_0^1 A^-1)^-1 u* on the same mesh."""
     C, gamma = _averaged_inverse(mesh, profiles, spec, "the fixed point operator")
-    out = (C @ gamma).T
+    out = (C.reshape(-1, spec.n) @ gamma).reshape(len(mesh), spec.n).T      # one BLAS call
     out[:, 0] = 0.0
     out[:, -1] = spec.u_star
     return out
@@ -371,11 +376,20 @@ def _solution(spec: ProblemSpec, mesh, profiles, gamma, **stats) -> ProfileSolut
 
 def _ellipticity(spec: ProblemSpec, mesh, profiles):
     """m and M, the extreme eigenvalues of the symmetrized A(U) at the nodes
-    of a molecular profile, refusing m <= 0 with the node where it fails."""
+    of a molecular profile, refusing m <= 0 with the node where it fails.
+    For n = 2 they are (a + d)/2 -+ hypot((a - d)/2, (b + c)/2), each entry
+    halved before it is added, so that nothing overflows before the
+    eigenvalues do; other n go through LAPACK."""
     A = spec.coefficients(np.asarray(profiles, dtype=float), mesh)[0]
-    eigs = np.linalg.eigvalsh(0.5 * (A + np.swapaxes(A, -1, -2)))
-    k = int(np.argmin(eigs[:, 0]))
-    m, M = float(eigs[k, 0]), float(eigs[:, -1].max())
+    if A.shape[-1] == 2:
+        a, b, c, d = A.reshape(-1, 4).T / 2.0
+        mean, radius = a + d, np.hypot(a - d, b + c)
+        low, high = mean - radius, mean + radius
+    else:
+        eigs = np.linalg.eigvalsh(0.5 * (A + np.swapaxes(A, -1, -2)))
+        low, high = eigs[:, 0], eigs[:, -1]
+    k = int(np.argmin(low))
+    m, M = float(low[k]), float(high.max())
     if m <= 0.0:
         raise NonEllipticError(f"A(U) is not elliptic at z = {mesh[k]:.6g}: "
                                f"smallest eigenvalue {m:.6g} <= 0")

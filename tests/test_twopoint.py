@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+import types
 import warnings
 
 import numpy as np
@@ -314,6 +315,70 @@ def test_inverse_along_2x2_refuses_with_estimate_inf(bad):
         twopoint._inverse_along(stack, np.arange(3.0))
     with pytest.raises(SingularMatrixError, match=r"averaged inverse .*\(condition estimate inf\)"):
         twopoint._inverse_along(np.asarray(bad, dtype=float))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1.0, 1e200, 1e300])
+def test_inverse_along_1x1_is_lapack_bit_for_bit(scale):
+    """The n = 1 reciprocal is LAPACK's 1 x 1 inverse, bit for bit, at any
+    scale whose reciprocal is finite."""
+    A = np.random.default_rng(1).standard_normal((257, 1, 1)) * scale
+    assert np.array_equal(twopoint._inverse_along(A, np.arange(257.0)), np.linalg.inv(A))
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-310])
+def test_inverse_along_1x1_refuses_with_estimate_inf(bad):
+    """A zero, NaN, +-inf or subnormal 1 x 1 reads kappa = inf, as with
+    LAPACK's inverse: a singular one raises LinAlgError there, and the
+    reciprocal of a subnormal overflows."""
+    stack = np.array([1.0, bad, 2.0]).reshape(3, 1, 1)
+    with pytest.raises(SingularMatrixError, match=r"at p = 1 \(condition estimate inf\)"):
+        twopoint._inverse_along(stack, np.arange(3.0))
+    with pytest.raises(SingularMatrixError, match=r"averaged inverse .*\(condition estimate inf\)"):
+        twopoint._inverse_along(np.array([[bad]]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-200, 1.0, 1e200]),
+       symmetric=st.booleans())
+def test_ellipticity_2x2_matches_eigvalsh(seed, scale, symmetric):
+    """The n = 2 closed form against eigvalsh of the symmetric part, on 32
+    random matrices at three scales, shifted so that some stacks are not
+    elliptic: m and M agree within 4 eps max|A|, and a clear refusal names
+    the node where eigvalsh finds the smallest eigenvalue."""
+    rng = np.random.default_rng(seed)
+    A = _conditioned_2x2(rng, 10.0 ** rng.uniform(0.0, 13.0, 32), scale)
+    if symmetric:
+        A = 0.5 * (A + np.swapaxes(A, -1, -2))
+    A = A + rng.uniform(-0.5, 2.0) * scale * np.eye(2)
+    eigs = np.linalg.eigvalsh(0.5 * (A + np.swapaxes(A, -1, -2)))
+    bound = 4.0 * np.finfo(float).eps * np.max(np.abs(A))
+    spec = types.SimpleNamespace(coefficients=lambda profiles, mesh: (A, None, None))
+    mesh, low = np.arange(32.0), np.sort(eigs[:, 0])
+    if low[0] > bound:
+        m, M = twopoint._ellipticity(spec, mesh, np.zeros((2, 32)))
+        assert abs(m - low[0]) <= bound and abs(M - eigs[:, 1].max()) <= bound
+    elif low[0] < -bound and low[1] - low[0] > 2.0 * bound:
+        node = int(np.argmin(eigs[:, 0]))
+        with pytest.raises(NonEllipticError, match=f"at z = {node}: smallest eigenvalue -"):
+            twopoint._ellipticity(spec, mesh, np.zeros((2, 32)))
+
+
+THREE = molecular([["2+u1^2", "0.3", "0.1*u3"], ["0.3", "2+u2^2", "0.2"],
+                   ["0.1*u3", "0.2", "3+sin(u1)"]], (1.0, -0.5, 0.25))
+
+
+@pytest.mark.parametrize("spec", [molecular([["exp(u1)"]], (1.0,)), DIAG, CONST,
+                                  molecular([["1+u1^2", "0.9"], ["0.9", "1+u2^2"]], (3.0, 0.0)),
+                                  THREE], ids=["n1", "diag", "const", "coupled", "n3"])
+def test_fixed_point_operator_is_the_per_node_product_bit_for_bit(spec):
+    """T[U] takes C(z) gamma as one product over the flattened stack; it is
+    the per-node product (C @ gamma) bit for bit, for n = 1, 2 and 3."""
+    mesh = np.linspace(0.0, 1.0, 257)
+    U = mesh * spec.u_star[:, None] + 0.3 * np.sin(np.pi * mesh) * np.arange(1, spec.n + 1)[:, None]
+    C, gamma = twopoint._averaged_inverse(mesh, U, spec, "the fixed point operator")
+    expected = (C @ gamma).T
+    expected[:, 0], expected[:, -1] = 0.0, spec.u_star
+    assert np.array_equal(apply_fixed_point_operator(mesh, U, spec), expected)
 
 
 def test_averaged_inverse_singular():
