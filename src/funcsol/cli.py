@@ -28,6 +28,7 @@ import numpy as np
 from .config import load_config
 from .errors import ConfigError, FuncsolError, ShapeMismatchError, VerificationError
 from .geometry import Grid
+from .numerics import constant_rows
 from .pivot import PivotField, solve_pivot
 from .reconstruct import FieldSet, compose_fields, darcy_reconstruct
 # perfbench/tracing.py wraps the solvers here too, and raises KeyError without them
@@ -64,14 +65,13 @@ def write_field_csv(path: Path, grid: Grid, values: np.ndarray):
 
     Every field funcsol writes is constant along each row, as the pivot z
     is, so a row whose values share one bit pattern is one join around that
-    value's text; any other row is one % format. Bit patterns decide, not
-    float equality: -0.0 == 0.0 but prints as -0.
+    value's text; any other row is one % format. ``constant_rows`` decides
+    by bit pattern, as the checks do.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != grid.shape:
         raise ShapeMismatchError(f"{path}: values of shape {values.shape} on a {grid.shape} grid")
-    bits = values.view(np.int64)
-    constant = (bits == bits[:, :1]).all(axis=1).tolist()
+    constant = constant_rows(values).tolist()
     x1_texts, x2_cells = grid.__dict__.get("_axis_texts") or (
         [_fmt(a) for a in grid.x1], [f",{_fmt(b)}," for b in grid.x2])
     object.__setattr__(grid, "_axis_texts", (x1_texts, x2_cells))  # once per grid

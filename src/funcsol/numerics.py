@@ -1,5 +1,6 @@
-"""Shared quadrature and differencing kernels on uniform meshes, and the
-solvers' one tolerance rule (check_tol)."""
+"""Shared quadrature and differencing kernels on uniform meshes, the
+solvers' one tolerance rule (check_tol), and the one test of a field that
+is constant along x2 (constant_rows), which the writer and the checks share."""
 
 from __future__ import annotations
 
@@ -30,6 +31,23 @@ def range_scale(magnitude: float) -> float:
     it stay inside the floating point range."""
     exponent = math.frexp(magnitude)[1]
     return math.ldexp(1.0, min(-exponent, 1023)) if abs(exponent) > 256 else 1.0
+
+
+def constant_rows(values: np.ndarray) -> np.ndarray:
+    """Whether each row (along the last axis) of the float array ``values``
+    holds one bit pattern. Bit patterns decide, not float equality: -0.0 ==
+    0.0 but prints as -0, and a NaN differs from itself."""
+    bits = np.asarray(values, dtype=float).view(np.int64)
+    return (bits == bits[..., :1]).all(axis=-1)
+
+
+def on_columns(*arrays):
+    """``arrays`` cut to their first column (last axis kept, length 1) when
+    every row of each holds one bit pattern, else as given; a None stays
+    None. A check of fields that are constant along x2 reads their columns."""
+    if all(a is None or constant_rows(a).all() for a in arrays):
+        return [None if a is None else a[..., :1] for a in arrays]
+    return list(arrays)
 
 
 def cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:

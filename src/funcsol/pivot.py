@@ -10,8 +10,11 @@ the discrete pivot depends on x1 alone: a 1D sum gives it exactly, with
 no iteration (pivot_values).
 
 The stencil generalizes to div(c grad u) = s for the direct coupled
-solver and the residual checker. The residual checker applies it to
-any field on the whole grid (flux_divergence). Only the direct solver
+solver and the residual checker. The residual checker applies it to any
+field (flux_divergence): on the whole grid, or on the first column of
+fields whose rows each hold one bit pattern (numerics.on_columns), which
+gives the whole grid's residual norms at 1/n2 of the cost; the pivot's own
+check (pivot_residual_values) does the same. Only the direct solver
 solves with it, and every system that solver poses is constant along
 x2: faces, Dirichlet data and source. Such a system's solution is
 constant along x2 too, so no flux crosses a y-face, and on the equation
@@ -31,7 +34,7 @@ import numpy as np
 
 from .errors import PivotConvergenceError
 from .geometry import POLAR, Grid
-from .numerics import check_tol
+from .numerics import check_tol, on_columns
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,17 +56,24 @@ def _radii(grid: Grid):
 
 
 def flux_divergence(grid: Grid, c: np.ndarray, u: np.ndarray):
-    """Flux-form div(c grad u) of a field u on the whole grid, each face
+    """Flux-form div(c grad u) of a field u on (n1, m) arrays, each face
     coefficient the arithmetic mean of the node values c at its ends: the
     physical divergence on the equation rows (interior and gamma2 nodes,
-    ghost-reflected), zero on the Dirichlet rows (the first and the last)."""
+    ghost-reflected), zero on the Dirichlet rows (the first and the last).
+
+    m = n2 is the whole grid. m = 1 is the first column of fields whose rows
+    each hold one bit pattern: the column is its own x2 neighbour, so its
+    y-flux 0.5 (c + c)(u - u) is the one the whole grid forms on every node
+    of such a row, +-0 for finite data and NaN otherwise, and each entry has
+    the magnitude of every node of its row."""
     h1, h2 = grid.spacing
     r, rface = _radii(grid)
-    out = np.zeros(grid.shape)      # r * div(c grad u) until the last line
+    out = np.zeros(u.shape)         # r * div(c grad u) until the last line
     eq, h2r = out[1:-1], h2**2 * r[1:-1]
     fx = 0.5 * (c[:-1, :] + c[1:, :]) * rface[:, None] * (u[1:, :] - u[:-1, :])
     eq += (fx[1:, :] - fx[:-1, :]) / h1**2
-    fy = 0.5 * (c[1:-1, :-1] + c[1:-1, 1:]) * (u[1:-1, 1:] - u[1:-1, :-1])
+    lo, hi = (slice(None, -1), slice(1, None)) if u.shape[1] > 1 else (slice(None),) * 2
+    fy = 0.5 * (c[1:-1, lo] + c[1:-1, hi]) * (u[1:-1, hi] - u[1:-1, lo])
     eq[:, 1:-1] += (fy[:, 1:] - fy[:, :-1]) / h2r[:, None]
     eq[:, 0] += 2.0 * fy[:, 0] / h2r
     eq[:, -1] += -2.0 * fy[:, -1] / h2r
@@ -149,11 +159,12 @@ def solve_pivot(grid: Grid, tol: float) -> PivotField:
     """pivot_values, certified by the independent 5-point residual <= tol."""
     check_tol(tol)
     values = pivot_values(grid)
-    residual = pivot_residual_values(grid, values)
+    column, = on_columns(values)
+    residual = pivot_residual_values(grid, column)
     if not residual <= tol:
         raise PivotConvergenceError(f"the exact discrete pivot has residual {residual:.3e}: "
                                     f"the target {tol:.3e} lies below this grid's roundoff floor")
-    vmin, vmax = float(values.min()), float(values.max())
+    vmin, vmax = float(column.min()), float(column.max())
     if vmin < 0.0 or vmax > 1.0:
         raise PivotConvergenceError(
             f"discrete maximum principle violated: values span [{vmin}, {vmax}]"
@@ -168,9 +179,15 @@ def pivot_residual_values(grid: Grid, values: np.ndarray) -> float:
     Uses the non-conservative stencil (second differences plus metric
     terms) rather than the flux form that pivot_values solves; the two agree
     node-exactly, which makes this an independent check of the closed form.
+    ``values`` is (n1, n2) or its (n1, 1) column. Values whose rows each
+    hold one bit pattern are checked on three copies of their column: an
+    interior node between the two ghost-reflected gamma2 ends, every kind of
+    node such a row has, so the norm keeps the whole grid's bits.
     """
     h1, h2 = grid.spacing
-    u, mid = values, values[1:-1]
+    u, = on_columns(values)
+    u = np.broadcast_to(u, (grid.n1, max(u.shape[1], 3)))     # a column: three copies
+    mid = u[1:-1]
     polar = grid.coord_system == POLAR
     r = grid.x1[1:-1, None] if polar else np.ones((grid.n1 - 2, 1))
     lap = (u[:-2, :] - 2.0 * mid + u[2:, :]) / h1**2

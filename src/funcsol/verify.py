@@ -8,6 +8,14 @@ grid refinement. Note that fields composed from piecewise-linear profiles
 carry an interpolation wiggle of order h_profile^2 that the stencil
 amplifies by 1/h^2, so refinement studies need the profile mesh fine
 enough that h_profile^2 stays well below h^2 * (target residual).
+Every field stage 3 and the direct solver build is constant along x2, as
+the pivot is. When each row of every field a check reads holds one bit
+pattern (``numerics.on_columns``), ``divergence_residual`` and
+``compare_fields`` read the first x1 column, at O(n1) cost, and report
+the whole grid's numbers with their bits (``compare_fields``' L2 up to
+rounding); any other field is checked on the whole grid. Both refuse
+fields whose grid differs from the other in shape, coordinate system or
+any node.
 ``theta_linearity`` runs the transformed-flux diagnostic for molecular
 solutions: the cumulative flux integrals must be linear in the pivot with
 slopes gamma_i. It integrates the two-point defect of
@@ -42,7 +50,7 @@ import numpy as np
 
 from .errors import OuterDivergenceError, ShapeMismatchError
 from .geometry import Grid
-from .numerics import check_tol, range_scale
+from .numerics import check_tol, on_columns, range_scale
 from .pivot import DivergenceStencil, dirichlet_targets, flux_divergence, pivot_values
 from .reconstruct import FieldSet
 from .twopoint import DARCY, MOLECULAR, ProblemSpec, ProfileSolution, collocation_defect
@@ -62,10 +70,19 @@ class ResidualReport:
         return float(np.max(self.per_equation_linf))     # NaN if any law's is
 
 
+def _check_same_grid(a: Grid, b: Grid):
+    """Refuse, as ShapeMismatchError, grids that differ in shape, coordinate
+    system or any node coordinate."""
+    if a.shape != b.shape:
+        raise ShapeMismatchError(f"grids differ: {a.shape} vs {b.shape}")
+    if a.coord_system != b.coord_system:
+        raise ShapeMismatchError(f"grids differ: {a.coord_system} vs {b.coord_system}")
+    if not (np.array_equal(a.x1, b.x1) and np.array_equal(a.x2, b.x2)):
+        raise ShapeMismatchError(f"grids of shape {a.shape} differ in their node coordinates")
+
+
 def _check_fields(fields: FieldSet, spec: ProblemSpec, grid: Grid):
-    if fields.grid.shape != grid.shape:
-        raise ShapeMismatchError(
-            f"fields shaped {fields.grid.shape} do not match grid {grid.shape}")
+    _check_same_grid(fields.grid, grid)
     if fields.n != spec.n:
         raise ShapeMismatchError(f"fields carry {fields.n} components, spec has {spec.n}")
     if spec.mode == DARCY and fields.p_field is None:
@@ -79,23 +96,27 @@ def divergence_residual(fields: FieldSet, spec: ProblemSpec, grid: Grid) -> Resi
     Face coefficients are arithmetic means of the node values; gamma2 rows
     fold in through ghost reflection exactly as the solvers treat them, the
     norms (L2 as the root mean square) run over the equation rows, and the
-    boundary error over the first (gamma1) and last (gamma3) rows.
+    boundary error over the first (gamma1) and last (gamma3) rows. When the
+    rows of every field each hold one bit pattern, all of it runs on the
+    fields' first columns (``flux_divergence`` with m = 1), with the same
+    bits: the L2 mean runs over the column's squares repeated along x2,
+    which sums the whole grid's squares in their order.
     """
     _check_fields(fields, spec, grid)
-    p = fields.p_field
-    state = [*fields.u_fields, p]
-    values = spec.values(fields.u_fields, 0.0 if p is None else p)
+    u, p = on_columns(fields.u_fields, fields.p_field)
+    state = [*u, p]
+    values = spec.values(u, 0.0 if p is None else p)
     linf, l2, berr = [], [], []
     for field, boundary, terms in spec.laws():
-        total = np.zeros(grid.shape)
-        for k, f in terms:
-            total += flux_divergence(grid, values[k], state[f])
-        vals = total[1:-1]
+        vals = sum(flux_divergence(grid, values[k], state[f]) for k, f in terms)[1:-1]
         linf.append(float(np.max(np.abs(vals))))
         scale = range_scale(linf[-1])       # so that vals**2 neither overflows nor underflows
         vals *= scale
-        l2.append(float(np.sqrt(np.mean(vals**2))) / scale)
-        berr.append(np.max(np.abs(state[field] - dirichlet_targets(grid, boundary))[[0, -1]]))
+        # a column's squares repeated along x2: the whole grid's squares, in their order
+        l2.append(float(np.sqrt(np.mean(np.repeat(vals**2, grid.n2 // vals.shape[1], axis=1))))
+                  / scale)
+        targets = dirichlet_targets(grid, boundary)[:, :vals.shape[1]]
+        berr.append(np.max(np.abs(state[field] - targets)[[0, -1]]))
     return ResidualReport(
         per_equation_linf=tuple(linf),
         per_equation_l2=tuple(l2),
@@ -120,16 +141,19 @@ def theta_linearity(sol: ProfileSolution, spec: ProblemSpec) -> np.ndarray:
 
 
 def compare_fields(a: FieldSet, b: FieldSet) -> dict:
-    """Node-wise difference norms over the fields both sets carry."""
-    if a.grid.shape != b.grid.shape:
-        raise ShapeMismatchError(f"grids differ: {a.grid.shape} vs {b.grid.shape}")
+    """Node-wise difference norms over the fields both sets carry, on the
+    same grid. When the rows of every field each hold one bit pattern, both
+    run on the fields' first columns: linf keeps the whole grid's bits, and
+    the L2 mean of the column equals the whole grid's up to rounding."""
+    _check_same_grid(a.grid, b.grid)
     if a.n != b.n:
         raise ShapeMismatchError(f"component counts differ: {a.n} vs {b.n}")
-    diffs = [a.u_fields - b.u_fields]
     if (a.p_field is None) != (b.p_field is None):
         raise ShapeMismatchError("one field set has a pressure field, the other does not")
-    if a.p_field is not None:
-        diffs.append((a.p_field - b.p_field)[None, :, :])
+    au, ap, bu, bp = on_columns(a.u_fields, a.p_field, b.u_fields, b.p_field)
+    diffs = [au - bu]
+    if ap is not None:
+        diffs.append((ap - bp)[None])
     stacked = np.concatenate([d.ravel() for d in diffs])
     return {"linf": float(np.max(np.abs(stacked))),
             "l2": float(np.sqrt(np.mean(stacked**2)))}

@@ -74,8 +74,17 @@ def z_fields(grid, spec, with_p=False):
      ShapeMismatchError, "component counts differ: 2 vs 1"),
     (lambda g: compare_fields(z_fields(g, EQUAL_AB, with_p=True), z_fields(g, EQUAL_AB)),
      ShapeMismatchError, "one field set has a pressure field, the other does not"),
+    (lambda g: divergence_residual(z_fields(g, CONST), CONST, build_annulus(9, 9, 1.0, 2.0)),
+     ShapeMismatchError, "grids differ: cartesian vs polar"),
+    (lambda g: divergence_residual(z_fields(g, CONST), CONST, build_rectangle(9, 9, 1.0, 2.0)),
+     ShapeMismatchError, "grids of shape (9, 9) differ in their node coordinates"),
+    (lambda g: compare_fields(z_fields(g, CONST), z_fields(build_annulus(9, 9, 1.0, 2.0), CONST)),
+     ShapeMismatchError, "grids differ: cartesian vs polar"),
+    (lambda g: compare_fields(z_fields(g, CONST), z_fields(build_rectangle(9, 9, 2.0, 1.0), CONST)),
+     ShapeMismatchError, "grids of shape (9, 9) differ in their node coordinates"),
 ], ids=["residual-component-count", "residual-without-pressure", "theta-on-darcy",
-        "compare-component-count", "compare-pressure"])
+        "compare-component-count", "compare-pressure", "residual-other-system",
+        "residual-other-nodes", "compare-other-system", "compare-other-nodes"])
 def test_refusals(call, error, message):
     with pytest.raises(error) as info:
         call(build_rectangle(9, 9, 1.0, 1.0))
@@ -164,6 +173,17 @@ def test_compare_constant_offset():
     u[1] += 0.5
     g = FieldSet(grid=grid, u_fields=u)
     assert compare_fields(f, g)["linf"] == pytest.approx(0.5)
+
+
+def test_residual_refuses_fields_on_another_grid_of_the_same_shape():
+    # the annulus fields checked on the rectangle's stencil read linf ~ 1 silently
+    annulus, rectangle = build_annulus(33, 33, 1.0, 2.0), build_rectangle(33, 33, 1.0, 1.0)
+    fields = compose_fields(linear_solution(CONST), solve_pivot(annulus, 1e-10), CONST)
+    assert divergence_residual(fields, CONST, annulus).max_linf <= 1e-8
+    with pytest.raises(ShapeMismatchError):
+        divergence_residual(fields, CONST, rectangle)
+    same_nodes = build_annulus(33, 33, 1.0, 2.0)
+    assert divergence_residual(fields, CONST, same_nodes).max_linf <= 1e-8
 
 
 def test_compare_shape_mismatch():
